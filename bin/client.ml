@@ -49,7 +49,21 @@ let run cluster service workload count client_id wire_version =
         | W_mixed -> (false, if k mod 2 = 0 then read_op else write_op)
       in
       let t0 = Unix.gettimeofday () in
-      match Tcp.call_op client ~unreplicated op ~timeout_s:10.0 with
+      let deadline = t0 +. 10.0 in
+      (* [call_op] returns [None] at once while an earlier timed-out
+         request is still outstanding: keep retrying until this request
+         gets a reply or its own 10 s run out. *)
+      let rec attempt () =
+        let remaining = deadline -. Unix.gettimeofday () in
+        if remaining <= 0.0 then None
+        else
+          match Tcp.call_op client ~unreplicated op ~timeout_s:remaining with
+          | Some _ as r -> r
+          | None ->
+            Unix.sleepf 0.05;
+            attempt ()
+      in
+      match attempt () with
       | Some _ -> Stats.add acc ((Unix.gettimeofday () -. t0) *. 1000.0)
       | None -> incr failures
     in

@@ -83,17 +83,25 @@ module Decoder = struct
     t.pos <- t.pos + 1;
     Char.code c
 
-  let uint t =
+  (* All [Sys.int_size] bits of a varint of at most nine bytes; the top
+     bit lands in the sign. *)
+  let raw_varint t =
     let rec go shift acc =
-      if shift > Sys.int_size then fail t.pos "varint too long";
+      if shift >= Sys.int_size then fail t.pos "varint too long";
       let b = byte t in
       let acc = acc lor ((b land 0x7F) lsl shift) in
       if b land 0x80 = 0 then acc else go (shift + 7) acc
     in
     go 0 0
 
+  let uint t =
+    let start = t.pos in
+    let n = raw_varint t in
+    if n < 0 then fail start "varint overflows a non-negative int";
+    n
+
   let int t =
-    let z = uint t in
+    let z = raw_varint t in
     (z lsr 1) lxor (-(z land 1))
 
   let int64 t =

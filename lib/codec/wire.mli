@@ -56,7 +56,13 @@ module Decoder : sig
   val remaining : t -> int
   val at_end : t -> bool
   val uint : t -> int
+  (** Unsigned varint. Raises {!Decode_error} unless the value fits a
+      non-negative [int], so a corrupt length or id never decodes as a
+      negative number. *)
+
   val int : t -> int
+  (** Signed zigzag varint (full [int] range). *)
+
   val int64 : t -> int64
   val float : t -> float
   val bool : t -> bool

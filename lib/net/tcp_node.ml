@@ -155,13 +155,23 @@ type conn = { fd : Unix.file_descr; version : int; codec : (module CONN_CODEC) }
    a self-pipe so the main loop can sleep in [select] yet wake on either
    a message or a due timer. *)
 
+(* Timers ordered by (due time, arming sequence number): timers due at
+   the same instant fire first-armed first. *)
+module Timer_heap = Grid_util.Heap.Make (struct
+  type t = float * int * timer
+
+  let compare (d1, s1, _) (d2, s2, _) =
+    match Float.compare d1 d2 with 0 -> Int.compare s1 s2 | c -> c
+end)
+
 type core = {
   node_id : int;
   max_wire_version : int;  (* highest version advertised in hellos *)
   mutex : Mutex.t;
   inbox : (int * msg) Queue.t;
   thunks : (unit -> unit) Queue.t;  (* injected work, run on the loop thread *)
-  mutable timers : (float * timer) list;  (* sorted by due time *)
+  timers : Timer_heap.t;
+  mutable timer_seq : int;
   mutable conns : (int * conn) list;
   mutable stop : bool;
   pipe_r : Unix.file_descr;
@@ -184,6 +194,9 @@ let create_core ?(obs = Span.Recorder.disabled)
     () =
   if max_wire_version < Wire_codec.min_version then
     invalid_arg "Tcp_node.create_core: max_wire_version below min_version";
+  (* A write to a peer that just closed must surface as the EPIPE every
+     send path already handles, not as a signal that kills the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let pipe_r, pipe_w = Unix.pipe () in
   Unix.set_nonblock pipe_r;
   {
@@ -192,7 +205,8 @@ let create_core ?(obs = Span.Recorder.disabled)
     mutex = Mutex.create ();
     inbox = Queue.create ();
     thunks = Queue.create ();
-    timers = [];
+    timers = Timer_heap.create ();
+    timer_seq = 0;
     conns = [];
     stop = false;
     pipe_r;
@@ -386,10 +400,8 @@ let send_msg core ~dst msg =
 
 let arm_timer core ~due timer =
   with_lock core (fun () ->
-      core.timers <-
-        List.merge
-          (fun (a, _) (b, _) -> Float.compare a b)
-          core.timers [ (due, timer) ])
+      core.timer_seq <- core.timer_seq + 1;
+      Timer_heap.add core.timers (due, core.timer_seq, timer))
 
 let run_actions core actions =
   List.iter
@@ -420,15 +432,20 @@ let event_loop core handle =
           let thunks = Queue.fold (fun acc x -> x :: acc) [] core.thunks in
           Queue.clear core.thunks;
           let now = now_ms () in
-          let due, later = List.partition (fun (d, _) -> d <= now) core.timers in
-          core.timers <- later;
-          let timeout =
-            match later with
-            | [] -> 0.1 (* s *)
-            | (d, _) :: _ -> Float.max 0.0 ((d -. now) /. 1000.0)
+          let rec pop_due acc =
+            match Timer_heap.min_elt core.timers with
+            | Some (d, _, timer) when d <= now ->
+              ignore (Timer_heap.pop_min core.timers);
+              pop_due (Timer timer :: acc)
+            | next -> (List.rev acc, next)
           in
-          ( List.rev_map (fun (src, msg) -> Receive { src; msg }) msgs
-            @ List.map (fun (_, timer) -> Timer timer) due,
+          let due, next = pop_due [] in
+          let timeout =
+            match next with
+            | None -> 0.1 (* s *)
+            | Some (d, _, _) -> Float.max 0.0 ((d -. now) /. 1000.0)
+          in
+          ( List.rev_map (fun (src, msg) -> Receive { src; msg }) msgs @ due,
             List.rev thunks,
             timeout ))
     in
@@ -721,6 +738,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     c_mutex : Mutex.t;
     c_cond : Condition.t;
     c_reply : reply option ref;
+    c_submitted : [ `Pending | `Busy | `Sent of Grid_util.Ids.Request_id.t ] ref;
   }
 
   let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_base_ms
@@ -749,30 +767,46 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       actions
     in
     let c_loop = Thread.create (fun () -> event_loop core handle) () in
-    { c_core = core; client; c_loop; c_mutex; c_cond; c_reply }
+    { c_core = core; client; c_loop; c_mutex; c_cond; c_reply;
+      c_submitted = ref `Pending }
 
   (* Internal: the raw rtype/payload request path. Exposed only through
      {!call_op}, which derives both from the service signature — callers
-     never build wire payloads by hand. *)
+     never build wire payloads by hand. The submit runs on the loop
+     thread, which reports its outcome through [c_submitted] while this
+     thread polls. *)
   let call h rtype ~payload ~timeout_s =
     Mutex.lock h.c_mutex;
     h.c_reply := None;
+    h.c_submitted := `Pending;
     Mutex.unlock h.c_mutex;
     inject h.c_core (fun () ->
-        match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
-        | `Sent actions -> run_actions h.c_core actions
-        | `Busy ->
-          (* Closed-loop contract violated by the caller; leave the
-             previous request outstanding and let this call time out. *)
-          ());
+        let outcome, actions =
+          match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
+          | `Sent actions ->
+            (`Sent (Option.get (Client.outstanding h.client)).id, actions)
+          | `Busy -> (`Busy, [])
+        in
+        Mutex.lock h.c_mutex;
+        h.c_submitted := outcome;
+        Mutex.unlock h.c_mutex;
+        run_actions h.c_core actions);
     let deadline = Unix.gettimeofday () +. timeout_s in
     Mutex.lock h.c_mutex;
     let rec wait () =
-      match !(h.c_reply) with
-      | Some r ->
+      match (!(h.c_submitted), !(h.c_reply)) with
+      | `Busy, _ ->
+        (* An earlier call timed out and its request is still
+           outstanding: the closed-loop client takes no other until that
+           one completes. *)
+        Mutex.unlock h.c_mutex;
+        None
+      (* Only the reply to this call's request: a late reply to an
+         earlier, timed-out one may land in [c_reply] too. *)
+      | `Sent id, Some r when Grid_util.Ids.Request_id.equal r.req id ->
         Mutex.unlock h.c_mutex;
         Some r
-      | None ->
+      | _ ->
         if Unix.gettimeofday () > deadline then begin
           Mutex.unlock h.c_mutex;
           None

@@ -82,7 +82,11 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       [max_wire_version] caps the wire-protocol version this node
       advertises (default {!Grid_paxos.Wire_codec.latest_version});
       pinning it to an older version emulates a not-yet-upgraded build
-      in rolling-upgrade tests. *)
+      in rolling-upgrade tests.
+
+      Starting a replica or a client sets [SIGPIPE] to ignored for the
+      whole process: a write to a peer that just closed raises [EPIPE],
+      which the transport handles by dropping the connection. *)
 
   val replica_is_leader : replica_handle -> bool
   val replica_commit_point : replica_handle -> int
@@ -136,7 +140,13 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       timeout. The request class comes from [S.classify] (or [Original]
       when [unreplicated] is set) and the payload from [S.encode_op] —
       there is no raw [rtype ~payload] entry point; callers never
-      construct wire strings. *)
+      construct wire strings.
+
+      The result is only ever the reply to the request this call
+      submitted, never a late reply to an earlier one. The client is
+      closed-loop: a timed-out request stays outstanding (and keeps
+      being retransmitted) until it completes, and until then every
+      [call_op] returns [None] at once without submitting anything. *)
 
   val client_metrics : client_handle -> Grid_obs.Metrics.t
 

@@ -2,7 +2,6 @@ type entry = {
   ballot : Types.Ballot.t;
   proposal : Types.proposal;
   committed : bool;
-  pruned : bool;
 }
 
 type t = {
@@ -19,31 +18,34 @@ let get t i = Hashtbl.find_opt t.entries i
 let accept t ~instance ~ballot proposal =
   if instance < 1 then invalid_arg "Plog.accept: instances start at 1";
   let store () =
-    Hashtbl.replace t.entries instance
-      { ballot; proposal; committed = false; pruned = false };
+    Hashtbl.replace t.entries instance { ballot; proposal; committed = false };
     if instance > t.max_accepted then t.max_accepted <- instance;
     true
   in
   match Hashtbl.find_opt t.entries instance with
-  | None -> store ()
+  (* A missing instance at or below the commit point was truncated. *)
+  | None -> instance > t.commit_point && store ()
   | Some e when e.committed -> false
   | Some e when Types.Ballot.compare ballot e.ballot >= 0 -> store ()
   | Some _ -> false
 
 let commit t ~instance =
-  match Hashtbl.find_opt t.entries instance with
-  | None -> false
-  | Some e ->
-    if not e.committed then
-      Hashtbl.replace t.entries instance { e with committed = true };
-    (* Advance the contiguous committed prefix. *)
-    let rec advance i =
+  (* Advance the contiguous committed prefix. *)
+  let advance () =
+    let rec next i =
       match Hashtbl.find_opt t.entries (i + 1) with
-      | Some e when e.committed -> advance (i + 1)
+      | Some e when e.committed -> next (i + 1)
       | _ -> i
     in
-    t.commit_point <- advance t.commit_point;
+    t.commit_point <- next t.commit_point;
     true
+  in
+  match Hashtbl.find_opt t.entries instance with
+  | None when instance > t.commit_point -> false
+  | Some e when not e.committed ->
+    Hashtbl.replace t.entries instance { e with committed = true };
+    advance ()
+  | _ -> advance ()
 
 let install_commit_point t cp =
   if cp > t.commit_point then begin
@@ -57,28 +59,14 @@ let install_commit_point t cp =
 let accepted_above t floor =
   Hashtbl.fold
     (fun i (e : entry) acc ->
-      if i > floor && not e.pruned then
+      if i > floor then
         ({ Types.instance = i; ballot = e.ballot; proposal = e.proposal } :: acc)
       else acc)
     t.entries []
   |> List.sort (fun (a : Types.recovery_entry) b -> Int.compare a.instance b.instance)
 
 let prune_below t floor =
-  Hashtbl.filter_map_inplace
-    (fun i e ->
-      if i <= floor && e.committed && not e.pruned then
-        Some
-          {
-            e with
-            pruned = true;
-            proposal = { e.proposal with update = Types.Full "" };
-          }
-      else Some e)
-    t.entries
+  if floor > t.commit_point then invalid_arg "Plog.prune_below: floor above commit point";
+  Hashtbl.filter_map_inplace (fun i e -> if i <= floor then None else Some e) t.entries
 
 let entry_count t = Hashtbl.length t.entries
-
-let committed_requests t =
-  Hashtbl.fold (fun i e acc -> if e.committed then (i, e) :: acc else acc) t.entries []
-  |> List.sort (fun (i, _) (j, _) -> Int.compare i j)
-  |> List.concat_map (fun (_, (e : entry)) -> e.proposal.Types.requests)

@@ -3,16 +3,17 @@
     Instances are numbered from 1. Each entry records the highest-ballot
     proposal accepted for its instance and whether it is known chosen.
     The {e commit point} is the largest [i] such that instances [1..i]
-    are all committed; per the paper, replicas must remember the requests
-    of all accepted proposals but only the state of the latest one, so
-    committed entries below the commit point can be {e pruned} — their
-    state update is dropped, the requests and replies stay. *)
+    are all committed. Each instance decides ⟨req, state⟩, so once a
+    snapshot holds the state and the dedup table a replica never needs a
+    committed instance below it again: {!prune_below} and
+    {!install_commit_point} {e truncate} that prefix, and the log holds
+    only the instances above the last snapshot. A missing instance at or
+    below the commit point is therefore a truncated, committed one. *)
 
 type entry = {
   ballot : Types.Ballot.t;
   proposal : Types.proposal;
   committed : bool;
-  pruned : bool;  (** state update replaced by a zero-byte placeholder *)
 }
 
 type t
@@ -23,32 +24,32 @@ val max_accepted : t -> int
 (** Highest instance with an accepted entry; [0] if none. *)
 
 val get : t -> int -> entry option
+(** [None] for an instance never accepted or already truncated. *)
 
 val accept : t -> instance:int -> ballot:Types.Ballot.t -> Types.proposal -> bool
 (** Record an accepted proposal. Overwrites an existing uncommitted entry
     only when [ballot] is at least as high; never overwrites a committed
-    entry. Returns whether the entry was stored. *)
+    entry and never re-stores a truncated one (a missing instance at or
+    below the commit point). Returns whether the entry was stored. *)
 
 val commit : t -> instance:int -> bool
 (** Mark an instance committed and advance the commit point over any
-    contiguous committed prefix. Returns [false] if the instance has no
-    accepted entry (caller should catch up). *)
+    contiguous committed prefix. Returns [true] for a truncated instance
+    (it is already committed) and [false] if an instance above the commit
+    point has no accepted entry (caller should catch up). *)
 
 val install_commit_point : t -> int -> unit
 (** Jump the commit point forward after installing a snapshot; entries at
     or below it are dropped. *)
 
 val accepted_above : t -> int -> Types.recovery_entry list
-(** Accepted (committed or not), unpruned entries with instance > the
-    argument, in increasing instance order — the payload of a
-    [Prepare_ack]. *)
+(** Accepted (committed or not) entries with instance > the argument, in
+    increasing instance order — the payload of a [Prepare_ack]. *)
 
 val prune_below : t -> int -> unit
-(** Drop the state updates of committed entries at or below the given
-    instance (keeps requests and replies for recovery/dedup). *)
+(** Drop the entries at or below the given instance, once a snapshot
+    covers them. Raises [Invalid_argument] if the instance is above the
+    commit point: only committed entries may be dropped. *)
 
 val entry_count : t -> int
-
-val committed_requests : t -> Types.request list
-(** All requests in committed entries, in instance order (test helper;
-    O(n log n)). *)
+(** Entries held in memory: O(snapshot window), not O(run length). *)

@@ -271,6 +271,7 @@ module Make (S : Service_intf.S) = struct
   let id t = t.rid
   let promised t = t.promised
   let commit_point t = Plog.commit_point t.log
+  let log_entries t = Plog.entry_count t.log
   let state t = t.app_state
   let is_leader t = match t.role with Leader _ -> true | _ -> false
 
@@ -556,9 +557,13 @@ module Make (S : Service_intf.S) = struct
     if t.cfg.record_history then
       t.history <- (instance, p.requests, S.encode_state t.app_state) :: t.history;
     t.commits_seen <- t.commits_seen + 1;
+    (* The state covers [instance], not the log's commit point:
+       [handle_commit] may already have committed later instances that it
+       has yet to apply, and those must stay in the log until it does. *)
     if t.commits_seen mod t.cfg.snapshot_interval = 0 then begin
-      t.storage.persist_snapshot (Snapshot.encode (current_snapshot t));
-      Plog.prune_below t.log (Plog.commit_point t.log)
+      t.storage.persist_snapshot
+        (Snapshot.encode { (current_snapshot t) with commit_point = instance });
+      Plog.prune_below t.log instance
     end
 
   let install_snapshot t (snap : Snapshot.t) =
@@ -1777,11 +1782,14 @@ module Make (S : Service_intf.S) = struct
          Accept because a failed candidacy left us promised higher), so
          committing it would break agreement. An entry above it is safe:
          once chosen at [ballot], every higher-ballot proposal for the
-         instance is bound to the same value. *)
+         instance is bound to the same value. A missing instance at or
+         below our commit point was truncated after a snapshot: it is
+         committed, and a late or duplicated Commit for it needs no
+         catch-up. *)
       let entry_current =
         match Plog.get t.log instance with
         | Some e -> e.committed || Ballot.compare e.ballot ballot >= 0
-        | None -> false
+        | None -> instance <= before
       in
       if not (entry_current && Plog.commit t.log ~instance) then
         (* Never accepted this instance (or only a stale value): fetch a

@@ -91,6 +91,12 @@ module Make (S : Service_intf.S) : sig
   val ballot : t -> Types.Ballot.t
   val promised : t -> Types.Ballot.t
   val commit_point : t -> int
+
+  val log_entries : t -> int
+  (** Log entries held in memory. Committed instances are dropped at each
+      snapshot, so this stays near [cfg.snapshot_interval] plus the
+      instances in flight however long the replica runs. *)
+
   val state : t -> S.state
   (** Latest committed service state. *)
 

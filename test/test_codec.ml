@@ -17,6 +17,21 @@ let test_uint_negative_rejected () =
   Alcotest.check_raises "negative uint" (Invalid_argument "Wire.Encoder.uint: negative")
     (fun () -> ignore (Wire.encode (fun e -> Wire.Encoder.uint e (-1))))
 
+let test_uint_overflow_rejected () =
+  (* Nine bytes whose last payload bit lands in the sign: a valid zigzag
+     [int] (min_int), but no non-negative [uint]. *)
+  let sign_bit = String.make 8 '\xff' ^ "\x7f" in
+  Alcotest.(check bool) "overflowing uint is a Decode_error" true
+    (match Wire.decode sign_bit Wire.Decoder.uint with
+    | _ -> false
+    | exception Wire.Decode_error _ -> true);
+  Alcotest.(check int) "same bytes as a zigzag int" min_int
+    (Wire.decode sign_bit Wire.Decoder.int);
+  Alcotest.(check bool) "ten-byte varint too long" true
+    (match Wire.decode (String.make 9 '\x80' ^ "\x01") Wire.Decoder.int with
+    | _ -> false
+    | exception Wire.Decode_error _ -> true)
+
 let test_int_edges () =
   List.iter
     (fun n -> Alcotest.(check int) (string_of_int n) n (roundtrip_int n))
@@ -168,6 +183,8 @@ let suite =
       [
         Alcotest.test_case "uint edges" `Quick test_uint_edges;
         Alcotest.test_case "uint rejects negative" `Quick test_uint_negative_rejected;
+        Alcotest.test_case "uint overflow is a decode error" `Quick
+          test_uint_overflow_rejected;
         Alcotest.test_case "int edges" `Quick test_int_edges;
         Alcotest.test_case "compactness" `Quick test_varint_compactness;
       ] );

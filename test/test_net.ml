@@ -574,6 +574,112 @@ let test_loopback_duplicate_request () =
           in
           wait_converged ()))
 
+(* A 3-replica loopback cluster with a leader elected and one client
+   connected: [f ~stop ~leader client], where [stop i] stops replica [i]. *)
+let with_cluster f =
+  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
+  let peers_of i =
+    List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
+  in
+  let cfg =
+    Config.make ~n:3 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0
+      ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
+  in
+  let replicas =
+    Array.init 3 (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
+  in
+  let stopped = Array.make 3 false in
+  let stop i =
+    if not stopped.(i) then begin
+      stopped.(i) <- true;
+      Tcp.stop_replica replicas.(i)
+    end
+  in
+  Fun.protect
+    ~finally:(fun () -> Array.iteri (fun i _ -> stop i) replicas)
+    (fun () ->
+      let deadline = Unix.gettimeofday () +. 10.0 in
+      let rec wait_leader () =
+        let leaders = List.filter (fun i -> Tcp.replica_is_leader replicas.(i)) [ 0; 1; 2 ] in
+        match leaders with
+        | i :: _ -> i
+        | [] ->
+          if Unix.gettimeofday () > deadline then
+            Alcotest.fail "no leader elected on loopback cluster"
+          else begin
+            Thread.delay 0.02;
+            wait_leader ()
+          end
+      in
+      let leader = wait_leader () in
+      let client =
+        Tcp.start_client ~id:1 ~replicas:(List.map (fun i -> (i, addr i)) [ 0; 1; 2 ]) ()
+      in
+      Fun.protect
+        ~finally:(fun () -> Tcp.stop_client client)
+        (fun () -> f ~stop ~leader client))
+
+let test_sigpipe_ignored () =
+  (* Writing to a peer that has just closed raises SIGPIPE; with the
+     default disposition that kills the whole process. The runtime must
+     ignore it so the transport sees EPIPE and drops the connection. *)
+  let saved = Sys.signal Sys.sigpipe Sys.Signal_default in
+  Fun.protect
+    ~finally:(fun () -> Sys.set_signal Sys.sigpipe saved)
+    (fun () ->
+      with_cluster (fun ~stop ~leader client ->
+          Alcotest.(check bool) "runtime ignores SIGPIPE" true
+            (Sys.signal Sys.sigpipe Sys.Signal_ignore = Sys.Signal_ignore);
+          let call k =
+            match Tcp.call_op client (Counter.Add k) ~timeout_s:5.0 with
+            | Some reply -> Alcotest.(check bool) "write ok" true (reply.status = Ok)
+            | None -> Alcotest.fail (Printf.sprintf "write %d timed out" k)
+          in
+          call 1;
+          (* Stop a follower: the leader's accepts and heartbeats and the
+             client's broadcasts keep writing to its closed sockets. *)
+          stop ((leader + 1) mod 3);
+          for k = 2 to 30 do
+            call k;
+            Thread.delay 0.005
+          done;
+          match Tcp.call_op client Counter.Get ~timeout_s:5.0 with
+          | Some reply ->
+            Alcotest.(check int) "every write applied once" (30 * 31 / 2)
+              (Counter.decode_result reply.payload)
+          | None -> Alcotest.fail "read after the stop timed out"))
+
+let test_call_never_returns_stale_reply () =
+  (* A call that times out leaves its request outstanding; its reply
+     arrives later. No later call may return it. Each call adds a
+     distinct power of ten, so a reply belongs to the call that sent it
+     iff the counter value it reports includes that call's digit. *)
+  with_cluster (fun ~stop:_ ~leader:_ client ->
+      ignore (Tcp.call_op client (Counter.Add 1) ~timeout_s:0.0);
+      let last_seq = ref 0 and answered = ref 0 in
+      for i = 1 to 6 do
+        let k = int_of_float (10.0 ** float_of_int i) in
+        let t0 = Unix.gettimeofday () in
+        match Tcp.call_op client (Counter.Add k) ~timeout_s:5.0 with
+        | Some reply ->
+          incr answered;
+          Alcotest.(check bool)
+            (Printf.sprintf "call %d got its own reply" i)
+            true
+            (Counter.decode_result reply.payload / k mod 10 = 1);
+          Alcotest.(check bool) "request ids strictly increase" true
+            (reply.req.seq > !last_seq);
+          last_seq := reply.req.seq
+        | None ->
+          (* Refused while the timed-out request is outstanding: at once,
+             not after waiting out the timeout. *)
+          Alcotest.(check bool) "busy call returns at once" true
+            (Unix.gettimeofday () -. t0 < 1.0);
+          Thread.delay 0.05
+      done;
+      Alcotest.(check bool) "later calls complete" true (!answered >= 4))
+
 let suite =
   [
     ( "net.framing",
@@ -595,5 +701,9 @@ let suite =
           test_loopback_duplicate_request;
         Alcotest.test_case "sniff classifies dribbling clients" `Slow
           test_sniff_dribbling_clients;
+        Alcotest.test_case "SIGPIPE ignored: calls survive a stopped peer" `Slow
+          test_sigpipe_ignored;
+        Alcotest.test_case "call never returns a stale reply" `Slow
+          test_call_never_returns_stale_reply;
       ] );
   ]

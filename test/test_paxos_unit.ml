@@ -203,20 +203,27 @@ let test_plog_prune () =
               (mk_proposal ~update:(Types.Full "big state") ()));
     ignore (Plog.commit log ~instance:i)
   done;
+  ignore (Plog.accept log ~instance:4 ~ballot:(ballot 1) (mk_proposal ()));
   Plog.prune_below log 2;
-  (match Plog.get log 1 with
-  | Some e ->
-    Alcotest.(check bool) "pruned flag" true e.pruned;
-    Alcotest.(check int) "state dropped" 0 (Types.state_update_size e.proposal.update);
-    Alcotest.(check int) "requests kept" 1 (List.length e.proposal.requests)
-  | None -> Alcotest.fail "entry 1 missing");
-  (match Plog.get log 3 with
-  | Some e -> Alcotest.(check bool) "3 not pruned" false e.pruned
-  | None -> Alcotest.fail "entry 3 missing");
-  Alcotest.(check (list int)) "pruned entries not in accepted_above" [ 3 ]
+  Alcotest.(check bool) "entry 1 dropped" true (Plog.get log 1 = None);
+  Alcotest.(check bool) "entry 2 dropped" true (Plog.get log 2 = None);
+  Alcotest.(check bool) "entry 3 kept" true (Plog.get log 3 <> None);
+  Alcotest.(check int) "only 3 and 4 held" 2 (Plog.entry_count log);
+  Alcotest.(check int) "cp unchanged" 3 (Plog.commit_point log);
+  Alcotest.(check (list int)) "accepted_above skips the truncated prefix" [ 3; 4 ]
     (List.map
        (fun (e : Types.recovery_entry) -> e.instance)
-       (Plog.accepted_above log 2))
+       (Plog.accepted_above log 0));
+  Alcotest.(check bool) "late accept of a truncated instance refused" false
+    (Plog.accept log ~instance:1 ~ballot:(ballot 9) (mk_proposal ()));
+  Alcotest.(check bool) "and never re-stored" true (Plog.get log 1 = None);
+  Alcotest.(check bool) "late commit of a truncated instance succeeds" true
+    (Plog.commit log ~instance:2);
+  Alcotest.(check int) "cp still 3" 3 (Plog.commit_point log);
+  Alcotest.(check bool) "unknown instance above cp" false (Plog.commit log ~instance:6);
+  Alcotest.check_raises "uncommitted entries are never pruned"
+    (Invalid_argument "Plog.prune_below: floor above commit point")
+    (fun () -> Plog.prune_below log 4)
 
 let test_plog_install_commit_point () =
   let log = Plog.create () in
@@ -226,14 +233,6 @@ let test_plog_install_commit_point () =
   Alcotest.(check bool) "old entries dropped" true (Plog.get log 1 = None);
   Plog.install_commit_point log 5;
   Alcotest.(check int) "never moves backward" 10 (Plog.commit_point log)
-
-let test_plog_committed_requests () =
-  let log = Plog.create () in
-  ignore (Plog.accept log ~instance:1 ~ballot:(ballot 1) (mk_proposal ~payload:"a" ()));
-  ignore (Plog.accept log ~instance:2 ~ballot:(ballot 1) (mk_proposal ~payload:"b" ()));
-  ignore (Plog.commit log ~instance:1);
-  Alcotest.(check (list string)) "only committed, in order" [ "a" ]
-    (List.map (fun (r : Types.request) -> r.payload) (Plog.committed_requests log))
 
 let test_plog_instance_validation () =
   let log = Plog.create () in
@@ -527,7 +526,6 @@ let suite =
         Alcotest.test_case "accepted_above" `Quick test_plog_accepted_above;
         Alcotest.test_case "prune" `Quick test_plog_prune;
         Alcotest.test_case "install commit point" `Quick test_plog_install_commit_point;
-        Alcotest.test_case "committed requests" `Quick test_plog_committed_requests;
         Alcotest.test_case "instance validation" `Quick test_plog_instance_validation;
       ] );
     ( "paxos.storage",

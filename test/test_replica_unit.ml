@@ -309,6 +309,76 @@ let test_snapshot_catchup_for_lagging_follower () =
   Alcotest.(check int) "state matches" (Replica.state t.replicas.(0))
     (Replica.state t.replicas.(2))
 
+let test_duplicate_commit_after_truncation () =
+  (* Each snapshot truncates the committed log prefix. A late or
+     duplicated Commit for a truncated instance is already committed: it
+     must not trigger a catch-up (which would ship a full snapshot). *)
+  let t =
+    H.create
+      ~cfg_tweak:(fun c -> Grid_paxos.Config.make ~base:c ~snapshot_interval:2 ())
+      ()
+  in
+  H.elect t 0;
+  commit_n t ~start:1 ~count:4;
+  ignore (H.take_replies t);
+  Alcotest.(check int) "follower 1 committed 4" 4 (Replica.commit_point t.replicas.(1));
+  Alcotest.(check int) "follower 1 log truncated at its last snapshot" 0
+    (Replica.log_entries t.replicas.(1));
+  let b0 = Replica.ballot t.replicas.(0) in
+  H.feed t 1 (Receive { src = 0; msg = Commit { ballot = b0; instance = 1 } });
+  H.feed t 1 (Receive { src = 0; msg = Commit { ballot = b0; instance = 4 } });
+  Alcotest.(check (list string)) "no catch-up requested" [] (H.pending_kinds t);
+  Alcotest.(check int) "commit point unchanged" 4 (Replica.commit_point t.replicas.(1));
+  (* A late Accept for a truncated instance is acked but never re-stored. *)
+  H.feed t 1
+    (Receive
+       {
+         src = 0;
+         msg =
+           Accept
+             {
+               ballot = b0;
+               instance = 2;
+               proposal = { requests = []; update = Full ""; replies = [] };
+             };
+       });
+  Alcotest.(check (list string)) "late accept acked" [ "accept_ack" ] (H.pending_kinds t);
+  Alcotest.(check int) "truncated instance not re-stored" 0
+    (Replica.log_entries t.replicas.(1))
+
+let test_reordered_commit_at_snapshot_boundary () =
+  (* Commit 5 reaches follower 1 before Commit 4, and applying 4 takes a
+     snapshot. The snapshot covers instance 4 only: entry 5, committed
+     but not yet applied, must survive the prune and be applied next. *)
+  let t =
+    H.create
+      ~cfg_tweak:(fun c -> Grid_paxos.Config.make ~base:c ~snapshot_interval:2 ())
+      ()
+  in
+  H.elect t 0;
+  commit_n t ~start:1 ~count:3;
+  let commit_to_1 _ dst m = dst = 1 && msg_kind m = "commit" in
+  for seq = 4 to 5 do
+    H.submit t (H.client_request ~seq ~rtype:Write ~payload:(add 1) ());
+    H.deliver_all ~filter:(fun src dst m -> not (commit_to_1 src dst m)) t;
+    H.drop t ~filter:commit_to_1
+  done;
+  ignore (H.take_replies t);
+  Alcotest.(check int) "leader committed 5" 5 (Replica.commit_point t.replicas.(0));
+  Alcotest.(check int) "follower 1 stuck at 3" 3 (Replica.commit_point t.replicas.(1));
+  let b0 = Replica.ballot t.replicas.(0) in
+  H.feed t 1 (Receive { src = 0; msg = Commit { ballot = b0; instance = 5 } });
+  (* The gap asks for a snapshot; lose it so only Commit 4 can repair. *)
+  H.drop t ~filter:(fun _ _ m -> msg_kind m = "catchup_req");
+  H.feed t 1 (Receive { src = 0; msg = Commit { ballot = b0; instance = 4 } });
+  Alcotest.(check (list string)) "no catch-up needed" [] (H.pending_kinds t);
+  Alcotest.(check int) "follower 1 committed 5" 5 (Replica.commit_point t.replicas.(1));
+  Alcotest.(check int) "follower 1 applied 5" (Replica.state t.replicas.(0))
+    (Replica.state t.replicas.(1));
+  Alcotest.(check int) "follower 1 log matches the leader's"
+    (Replica.log_entries t.replicas.(0))
+    (Replica.log_entries t.replicas.(1))
+
 let test_heartbeat_commit_point_catchup () =
   (* A follower that missed only the final Commit learns it from the
      leader's heartbeat commit point. *)
@@ -633,6 +703,10 @@ let suite =
           test_paper_recovery_example;
         Alcotest.test_case "snapshot catch-up" `Quick
           test_snapshot_catchup_for_lagging_follower;
+        Alcotest.test_case "duplicate commit after truncation" `Quick
+          test_duplicate_commit_after_truncation;
+        Alcotest.test_case "reordered commit at a snapshot boundary" `Quick
+          test_reordered_commit_at_snapshot_boundary;
         Alcotest.test_case "heartbeat commit-point catch-up" `Quick
           test_heartbeat_commit_point_catchup;
         Alcotest.test_case "accept retry idempotent" `Quick test_accept_retry_is_idempotent;

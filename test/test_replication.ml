@@ -497,6 +497,33 @@ let prop_replicated_leases_identical =
       let enc i = Lease.encode_state (RT_lease.R.state (RT_lease.replica t i)) in
       String.equal (enc 0) (enc 1) && String.equal (enc 0) (enc 2))
 
+let test_log_bounded_by_snapshot_window () =
+  (* Each snapshot truncates the committed log prefix, so no replica's
+     in-memory log grows with run length: it holds at most one snapshot
+     window plus the instances still in flight. *)
+  let interval = 8 and clients = 2 in
+  let cfg = Config.make ~base:(base_cfg ~history:false ()) ~snapshot_interval:interval () in
+  let t = RT_counter.create ~cfg ~scenario:(Scenario.uniform ()) () in
+  let per_client = 20 * interval in
+  let results =
+    RT_counter.run_closed_loop t ~clients ~requests_per_client:per_client
+      ~gen:(counter_gen (List.init per_client (fun _ -> Counter.Add 1)))
+  in
+  Alcotest.(check int) "all completed" (clients * per_client) results.total_completed;
+  RT_counter.run_until t (RT_counter.now t +. 500.0);
+  for i = 0 to 2 do
+    let r = RT_counter.replica t i in
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d ran >= 20 snapshot windows" i)
+      true
+      (RT_counter.R.commit_point r >= 20 * interval);
+    Alcotest.(check bool)
+      (Printf.sprintf "replica %d log within one window (%d entries)" i
+         (RT_counter.R.log_entries r))
+      true
+      (RT_counter.R.log_entries r <= interval + clients)
+  done
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -520,6 +547,8 @@ let suite =
           test_ship_fallback_accounted_as_full;
         Alcotest.test_case "five replicas" `Quick test_five_replicas;
         Alcotest.test_case "single replica" `Quick test_single_replica;
+        Alcotest.test_case "log bounded by the snapshot window" `Quick
+          test_log_bounded_by_snapshot_window;
       ] );
     ( "replication.nondeterminism",
       [

@@ -223,6 +223,36 @@ let test_decode_error_metadata () =
       | Stdlib.Ok _ -> Alcotest.fail "empty input decoded")
     codecs
 
+let test_sign_bit_flip_is_typed_error () =
+  (* A flipped byte can set the sign bit of a nine-byte varint. The
+     decoder used to hand the resulting negative int to
+     [Client_id.of_int], which raised [Invalid_argument] out of decode. *)
+  let max_id = String.make 8 '\xff' ^ "\x3f" (* uint max_int *) in
+  let m =
+    Types.Client_req
+      { id = Ids.Request_id.make ~client:(Ids.Client_id.of_int max_int) ~seq:1;
+        rtype = Types.Write; payload = "op"; trace = Types.no_trace }
+  in
+  List.iter
+    (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
+      let s = W.encode m in
+      let n = String.length max_id in
+      let rec find i =
+        if i + n > String.length s then Alcotest.fail "client id varint not found"
+        else if String.sub s i n = max_id then i
+        else find (i + 1)
+      in
+      let flipped = Bytes.of_string s in
+      let last = find 0 + n - 1 in
+      Bytes.set flipped last (Char.chr (Char.code s.[last] lxor 0x40));
+      Alcotest.(check bool)
+        (Printf.sprintf "v%d sign-bit flip is a typed Error" W.version)
+        true
+        (match W.decode (Bytes.to_string flipped) with
+        | r -> is_error r
+        | exception _ -> false))
+    codecs
+
 (* ------------------------------------------------------------------ *)
 (* Randomized instances and fuzz. *)
 
@@ -400,6 +430,8 @@ let suite =
           test_v2_header_validation;
         Alcotest.test_case "decode errors name their codec" `Quick
           test_decode_error_metadata;
+        Alcotest.test_case "sign-bit flip in a varint is a typed error" `Quick
+          test_sign_bit_flip_is_typed_error;
       ] );
     ( "wire.properties",
       qcheck
