@@ -1870,61 +1870,63 @@ module Make (S : Service_intf.S) = struct
          })
     @ [ after ~delay:t.cfg.hb_period_ms Hb_tick ]
 
+  (* Ω with stability: the candidate is the incumbent (the holder of the
+     highest promise we know) as long as it is alive; only when it is
+     suspected do we fall back to the lowest live id. *)
+  let candidate t ~now =
+    let alive_set = alive t ~now in
+    match leader_view t with
+    | Some holder when List.mem holder alive_set -> holder
+    | _ -> List.fold_left Stdlib.min max_int alive_set
+
+  (* A follower that finds itself the candidate arms the stability
+     hold-down; [on_stability_check] re-evaluates before preparing.
+     Evaluated whenever a heartbeat arrives as well as on the suspicion
+     tick. Every peer sends one each heartbeat period, carrying its
+     promise, so a cold start arms as soon as a peer is heard and a
+     silent leader is noticed within one heartbeat period of its
+     suspicion timeout. The tick remains for a replica that hears nobody
+     (n = 1 included) and to re-arm after a lease blocked a check. *)
+  let consider_candidacy t ~now =
+    let candidate = candidate t ~now in
+    match t.role with
+    | Follower when candidate = t.rid -> (
+      match t.candidate_since with
+      | None ->
+        t.candidate_since <- Some now;
+        [ after ~delay:t.cfg.stability_ms (Stability_check t.round_seen) ]
+      | Some _ -> [])
+    | Follower | Candidate _ | Leader _ ->
+      if candidate <> t.rid then t.candidate_since <- None;
+      []
+
   let on_suspicion_tick t ~now =
     heard t ~from:t.rid ~now;
-    let alive_set = alive t ~now in
-    (* Ω with stability: the candidate is the incumbent (the holder of
-       the highest promise we know) as long as it is alive; only when it
-       is suspected do we fall back to the lowest live id. *)
-    let candidate =
-      match leader_view t with
-      | Some holder when List.mem holder alive_set -> holder
-      | _ -> List.fold_left Stdlib.min max_int alive_set
-    in
-    let acts =
-      match t.role with
-      | Follower when candidate = t.rid -> (
-        match t.candidate_since with
-        | None ->
-          t.candidate_since <- Some now;
-          [ after ~delay:t.cfg.stability_ms (Stability_check t.round_seen) ]
-        | Some _ -> [])
-      | Follower | Candidate _ | Leader _ ->
-        if candidate <> t.rid then t.candidate_since <- None;
-        []
-    in
-    acts @ [ after ~delay:(t.cfg.suspicion_ms /. 2.0) Suspicion_tick ]
+    consider_candidacy t ~now
+    @ [ after ~delay:(t.cfg.suspicion_ms /. 2.0) Suspicion_tick ]
 
   let on_stability_check t ~now =
     match (t.role, t.candidate_since) with
     | Follower, Some since when now -. since >= t.cfg.stability_ms -. 1e-9 ->
-      let alive_set = alive t ~now in
       if
         t.cfg.lease_ms > 0.0 && now < t.lease_until && t.lease_holder <> t.rid
       then begin
         (* Our own grant (or post-crash blackout) blocks our candidacy
-           too; the suspicion tick re-arms the stability check after the
-           grant expires, so liveness only shifts by up to one lease. *)
+           too; the next heartbeat or suspicion tick after the grant
+           expires re-arms the stability check, so liveness only shifts
+           by up to one lease. *)
         t.candidate_since <- None;
         []
       end
+      (* The same incumbent-first rule that armed the check. Checking only
+         for the lowest live id here would deadlock a leader that
+         restarted faster than the suspicion timeout — it is the holder,
+         so nobody else arms candidacy, yet as a restarted follower it
+         would refuse to prepare. *)
+      else if candidate t ~now = t.rid then start_prepare t ~now
       else begin
-        (* Same candidate rule as the suspicion tick: the incumbent (the
-           holder of the highest promise) wins as long as it is alive.
-           Checking only for the lowest live id here would deadlock a
-           leader that restarted faster than the suspicion timeout — it
-           is the holder, so nobody else arms candidacy, yet as a
-           restarted follower it would refuse to prepare. *)
-        let candidate =
-          match leader_view t with
-          | Some holder when List.mem holder alive_set -> holder
-          | _ -> List.fold_left Stdlib.min max_int alive_set
-        in
-        if candidate = t.rid then start_prepare t ~now
-        else begin
-          t.candidate_since <- None;
-          []
-        end
+        t.candidate_since <- None;
+        []
       end
     | _ ->
       t.candidate_since <- None;
@@ -2033,14 +2035,16 @@ module Make (S : Service_intf.S) = struct
         | _ -> ());
         (* A heartbeat from the replica we promised to announces a commit
            point ahead of ours: we missed Commit messages — catch up. *)
-        demoted
-        @
-        if
-          (not (is_leader t))
-          && src = t.promised.holder
-          && commit_point > Plog.commit_point t.log
-        then [ send ~dst:src (Catchup_req { from_instance = Plog.commit_point t.log + 1 }) ]
-        else []
+        let catchup =
+          if
+            (not (is_leader t))
+            && src = t.promised.holder
+            && commit_point > Plog.commit_point t.log
+          then [ send ~dst:src (Catchup_req { from_instance = Plog.commit_point t.log + 1 }) ]
+          else []
+        in
+        (* [last_heard] and [leader_view] are now up to date. *)
+        demoted @ catchup @ consider_candidacy t ~now
       | Client_req r -> (
         match t.role with
         | Leader l -> leader_handle_client t l r

@@ -93,6 +93,53 @@ let test_recovered_leader_defers_to_incumbent () =
   Alcotest.(check bool) "no takeover attempt" false armed_takeover;
   Alcotest.(check bool) "r1 still leads" true (Replica.is_leader t.replicas.(1))
 
+(* Event-driven candidacy: a heartbeat re-evaluates candidacy at once,
+   with no [Suspicion_tick] fired anywhere in these tests. *)
+
+let cfg = Grid_paxos.Config.make ~n:3 ()
+
+let armed t i =
+  List.exists
+    (fun (j, timer) -> j = i && match timer with Stability_check _ -> true | _ -> false)
+    t.H.timers
+
+(* [src] broadcasts its next heartbeat; only the copy to [dst] arrives. *)
+let heartbeat t ~src ~dst =
+  ignore (H.fire t src (function Hb_tick -> true | _ -> false));
+  let is_hb s m = s = src && msg_kind m = "heartbeat" in
+  H.deliver_all ~filter:(fun s d m -> is_hb s m && d = dst) t;
+  H.drop t ~filter:(fun s _ m -> is_hb s m)
+
+let test_cold_start_heartbeat_arms () =
+  let t = H.create () in
+  H.advance t 1.0;
+  heartbeat t ~src:0 ~dst:1;
+  Alcotest.(check bool) "r1 hearing r0 arms nothing" false (armed t 1);
+  heartbeat t ~src:1 ~dst:0;
+  Alcotest.(check bool) "r0 armed by r1's heartbeat" true (armed t 0);
+  H.advance t cfg.stability_ms;
+  ignore (H.fire t 0 (function Stability_check _ -> true | _ -> false));
+  H.deliver_all t;
+  Alcotest.(check bool) "r0 elected" true (Replica.is_leader t.replicas.(0))
+
+let test_silent_leader_noticed_on_heartbeat () =
+  let t = H.create () in
+  H.elect t 0;
+  (* r0 goes silent; r2's heartbeats keep reaching r1. *)
+  H.drop t ~filter:(fun src dst _ -> src = 0 || dst = 0);
+  H.advance t (cfg.suspicion_ms /. 2.0);
+  heartbeat t ~src:2 ~dst:1;
+  Alcotest.(check bool) "leader not yet suspected" false (armed t 1);
+  H.advance t ((cfg.suspicion_ms /. 2.0) +. 1.0);
+  heartbeat t ~src:2 ~dst:1;
+  Alcotest.(check bool) "r1 armed on r2's heartbeat" true (armed t 1);
+  heartbeat t ~src:1 ~dst:2;
+  Alcotest.(check bool) "r2 defers to r1" false (armed t 2);
+  H.advance t cfg.stability_ms;
+  ignore (H.fire t 1 (function Stability_check _ -> true | _ -> false));
+  H.deliver_all ~filter:(fun src dst _ -> src <> 0 && dst <> 0) t;
+  Alcotest.(check bool) "r1 elected" true (Replica.is_leader t.replicas.(1))
+
 let test_commit_alone_does_not_elect () =
   (* A replica that merely observes commits from a leader never tries to
      lead while those commits keep arriving (liveness of followership). *)
@@ -264,6 +311,10 @@ let suite =
           test_recovered_leader_defers_to_incumbent;
         Alcotest.test_case "followers stay followers" `Quick
           test_commit_alone_does_not_elect;
+        Alcotest.test_case "cold start: heartbeat arms the lowest id" `Quick
+          test_cold_start_heartbeat_arms;
+        Alcotest.test_case "silent leader noticed on next heartbeat" `Quick
+          test_silent_leader_noticed_on_heartbeat;
       ] );
     ( "txn.engine",
       [

@@ -52,6 +52,33 @@ let test_leader_crash_failover () =
   Alcotest.(check int) "r1 state" 50 (RT.R.state (RT.replica t 1));
   Alcotest.(check int) "r2 state" 50 (RT.R.state (RT.replica t 2))
 
+(* Candidacy is evaluated as heartbeats arrive: on Sysnet with the
+   default timeouts the first leader takes the stability hold-down plus a
+   few link round trips, and a failover adds at most one heartbeat period
+   to the suspicion timeout. The crash lands at a different heartbeat
+   phase for each seed. *)
+let test_election_timing () =
+  let c = cfg () in
+  let slack = 2.0 in
+  List.iter
+    (fun seed ->
+      let t = RT.create ~seed ~cfg:c ~scenario:Scenario.sysnet () in
+      Alcotest.(check (option int)) "r0 leads first" (Some 0) (RT.await_leader t);
+      let elected = RT.now t in
+      if elected > c.stability_ms +. slack then
+        Alcotest.failf "seed %d: first leader at %.2f ms" seed elected;
+      let crash_at = 500.0 +. Float.of_int (7 * seed) in
+      RT.run_until t crash_at;
+      RT.crash_replica t 0;
+      (match RT.await_leader t with
+      | Some l -> Alcotest.(check bool) "a backup took over" true (l <> 0)
+      | None -> Alcotest.failf "seed %d: no leader after the crash" seed);
+      let bound = c.suspicion_ms +. c.hb_period_ms +. c.stability_ms +. slack in
+      let took = RT.now t -. crash_at in
+      if took > bound then
+        Alcotest.failf "seed %d: failover took %.2f ms (bound %.2f)" seed took bound)
+    [ 1; 2; 3; 4; 5; 6 ]
+
 let test_crashed_leader_recovers_and_catches_up () =
   let t = RT.create ~cfg:(cfg ()) ~scenario:(Scenario.uniform ()) () in
   ignore (RT.await_leader t);
@@ -276,6 +303,7 @@ let suite =
     ( "faults.crashes",
       [
         Alcotest.test_case "leader crash failover" `Quick test_leader_crash_failover;
+        Alcotest.test_case "election timing (Sysnet)" `Quick test_election_timing;
         Alcotest.test_case "crashed leader recovers + catches up" `Quick
           test_crashed_leader_recovers_and_catches_up;
         Alcotest.test_case "follower crash tolerated" `Quick
