@@ -1,7 +1,7 @@
 (* Bechamel microbenchmarks of the protocol-critical data paths: wire
-   codec, CRC, heap, log append, snapshot encoding. These are ours (the
-   paper has no microbenchmarks); they guard the constant factors the
-   simulator's CPU-cost model abstracts. *)
+   codec, CRC, heap, log append, snapshot encoding, the watchdog's commit
+   table. These are ours (the paper has no microbenchmarks); they guard
+   the constant factors the simulator's CPU-cost model abstracts. *)
 
 open Bechamel
 open Toolkit
@@ -85,6 +85,23 @@ let test_snapshot =
         fun () ->
           ignore (Grid_paxos.Snapshot.decode (Grid_paxos.Snapshot.encode snap))))
 
+(* Two sessions committing in order against a full table (the default
+   65536 keys): every call remembers one key and evicts the oldest. *)
+let test_watchdog_commit =
+  Test.make ~name:"watchdog: record_commit, full table"
+    (Staged.stage
+       (let m = Grid_obs.Watchdog.monitor (Grid_obs.Watchdog.create ()) ~actor:"r0" in
+        let next = ref 0 in
+        let commit () =
+          let k = !next in
+          next := k + 1;
+          Grid_obs.Watchdog.record_commit m ~client:(k land 1) ~seq:(k lsr 1) ~instance:k
+        in
+        for _ = 1 to 65536 do
+          commit ()
+        done;
+        commit))
+
 let benchmark test =
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
@@ -121,6 +138,7 @@ let run ~quick:_ ~only =
         test_heap;
         test_plog_append;
         test_snapshot;
+        test_watchdog_commit;
       ];
     print_string (Grid_util.Text_table.render table)
   end

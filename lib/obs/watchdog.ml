@@ -122,6 +122,36 @@ let fire t which detail =
 (* ------------------------------------------------------------------ *)
 (* Per-replica monitor                                                  *)
 
+(* The commit table remembers the last [capacity] distinct (client, seq)
+   keys with the instance each committed at, forgetting the oldest key
+   first. It runs on every commit in every replica, so in the common
+   case (each client's seqs commit in ascending order) it costs about two
+   words per key and allocates nothing:
+
+   - Per-client windows. A client's window is one int array
+     [| base; hi; count; slots... |]: [count] remembered seqs in
+     [base, hi], each seq's instance in slot [seq land mask] of a
+     power-of-two circular part (-1 = absent). Only a seq above [hi]
+     joins a window, so its keys are in insertion order and the oldest
+     is always at [base]. Windows start at one slot and double.
+   - The eviction ring. One int per remembered key in insertion order,
+     naming the client whose window holds it (or [side_mark]); it
+     doubles up to [capacity]. Evicting the front entry drops that
+     window's [base], so the oldest distinct key goes first, exactly as
+     with a FIFO of keys.
+   - The side table: boxed keys with their own FIFO, for the keys a
+     window cannot take in order. A 2PC decision commits the branch's op
+     requests after the same client's later prepare has committed, so a
+     seq at or below its client's [hi] does arrive; so may a seq far
+     enough ahead that the window would be mostly holes.
+
+   Instances are Paxos log positions, hence never -1. *)
+
+module Itbl = Hashtbl.Make (Int)
+
+let absent = -1
+let side_mark = min_int (* a ring entry naming the side FIFO's front *)
+
 type monitor = {
   sink : t;
   actor : string;
@@ -129,9 +159,13 @@ type monitor = {
       (* which lease domain this replica belongs to: the shard prefix of
          the actor label ("s1/r0" -> "s1/", plain "r0" -> ""), since
          every group leases independently *)
-  committed : (int * int, int) Hashtbl.t;  (* (client, seq) -> instance *)
-  order : (int * int) Queue.t;  (* insertion order, for bounded eviction *)
   capacity : int;
+  windows : int array Itbl.t;  (* client -> [| base; hi; count; slots... |] *)
+  mutable ring : int array;
+  mutable ring_head : int;
+  mutable ring_len : int;  (* = remembered keys *)
+  side : (int * int, int) Hashtbl.t;  (* (client, seq) -> instance *)
+  side_order : (int * int) Queue.t;
 }
 
 let monitor ?(capacity = 65536) sink ~actor =
@@ -140,39 +174,144 @@ let monitor ?(capacity = 65536) sink ~actor =
     | Some i -> String.sub actor 0 (i + 1)
     | None -> ""
   in
-  { sink; actor; group; committed = Hashtbl.create 256; order = Queue.create (); capacity }
+  (* a bound below one behaves as one: the newest key is always kept *)
+  let capacity = max 1 capacity in
+  {
+    sink;
+    actor;
+    group;
+    capacity;
+    windows = Itbl.create 64;
+    ring = Array.make (min capacity 16) 0;
+    ring_head = 0;
+    ring_len = 0;
+    side = Hashtbl.create 16;
+    side_order = Queue.create ();
+  }
 
-let remember m key instance =
-  if not (Hashtbl.mem m.committed key) then begin
-    if Queue.length m.order >= m.capacity then begin
-      match Queue.take_opt m.order with
-      | Some old -> Hashtbl.remove m.committed old
-      | None -> ()
-    end;
-    Queue.add key m.order
+let slot w seq = 3 + (seq land (Array.length w - 4))
+let window_find w seq = if seq >= w.(0) && seq <= w.(1) then w.(slot w seq) else absent
+
+(* [w] moved into [cap] slots, which must cover [base, hi]. *)
+let relocate w cap =
+  let w' = Array.make (3 + cap) absent in
+  Array.blit w 0 w' 0 3;
+  for seq = w.(0) to w.(1) do
+    w'.(slot w' seq) <- w.(slot w seq)
+  done;
+  w'
+
+(* The instance remembered for the key, or [absent]. *)
+let find m ~client ~seq =
+  let i =
+    match Itbl.find m.windows client with
+    | w -> window_find w seq
+    | exception Not_found -> absent
+  in
+  if i <> absent || Hashtbl.length m.side = 0 then i
+  else Option.value (Hashtbl.find_opt m.side (client, seq)) ~default:absent
+
+(* Append a key above its client's [hi], unless the window would then
+   span more than four seqs per key it holds. *)
+let window_add m ~client ~seq ~instance =
+  client <> side_mark
+  &&
+  match Itbl.find m.windows client with
+  | exception Not_found ->
+    Itbl.add m.windows client [| seq; seq; 1; instance |];
+    true
+  | w ->
+    let span = seq - w.(0) + 1 in
+    (* [span <= 0]: the subtraction overflowed *)
+    if seq <= w.(1) || span <= 0 || span > 4 * (w.(2) + 1) then false
+    else begin
+      let cap = Array.length w - 3 in
+      let w =
+        if span <= cap then w
+        else begin
+          let rec fit c = if c >= span then c else fit (2 * c) in
+          let w' = relocate w (fit (2 * cap)) in
+          Itbl.replace m.windows client w';
+          w'
+        end
+      in
+      w.(slot w seq) <- instance;
+      w.(1) <- seq;
+      w.(2) <- w.(2) + 1;
+      true
+    end
+
+let push m entry =
+  let n = Array.length m.ring in
+  if m.ring_len = n then begin
+    (* only reached below capacity: [remember] evicts at capacity first *)
+    let r = Array.make (min m.capacity (2 * n)) 0 in
+    Array.blit m.ring m.ring_head r 0 (n - m.ring_head);
+    Array.blit m.ring 0 r (n - m.ring_head) m.ring_head;
+    m.ring <- r;
+    m.ring_head <- 0
   end;
-  Hashtbl.replace m.committed key instance
+  let n = Array.length m.ring and i = m.ring_head + m.ring_len in
+  m.ring.(if i >= n then i - n else i) <- entry;
+  m.ring_len <- m.ring_len + 1
+
+let evict_oldest m =
+  let c = m.ring.(m.ring_head) in
+  m.ring_head <- (m.ring_head + 1) mod Array.length m.ring;
+  m.ring_len <- m.ring_len - 1;
+  if c = side_mark then Hashtbl.remove m.side (Queue.take m.side_order)
+  else begin
+    let w = Itbl.find m.windows c in
+    if w.(2) = 1 then Itbl.remove m.windows c
+    else begin
+      w.(slot w w.(0)) <- absent;
+      let base = ref (w.(0) + 1) in
+      while w.(slot w !base) = absent do
+        incr base
+      done;
+      w.(0) <- !base;
+      w.(2) <- w.(2) - 1;
+      (* halve a window left at most a quarter spanned *)
+      let cap = Array.length w - 3 in
+      if w.(1) - !base < cap / 4 then Itbl.replace m.windows c (relocate w (cap / 2))
+    end
+  end
+
+(* Store the key's instance, given what [find] returned for it. *)
+let remember m ~client ~seq ~instance ~prev =
+  if prev = absent then begin
+    if m.ring_len >= m.capacity then evict_oldest m;
+    if window_add m ~client ~seq ~instance then push m client
+    else begin
+      let key = (client, seq) in
+      Hashtbl.replace m.side key instance;
+      Queue.add key m.side_order;
+      push m side_mark
+    end
+  end
+  else if prev <> instance then
+    match Itbl.find_opt m.windows client with
+    | Some w when window_find w seq <> absent -> w.(slot w seq) <- instance
+    | _ -> Hashtbl.replace m.side (client, seq) instance
 
 (* Seeding (log replay at recovery, or a known-good commit fed by a
    driver) records without checking: these commits were already
    validated in a previous incarnation. *)
 let seed_commit m ~client ~seq ~instance =
-  if m.sink.enabled then remember m (client, seq) instance
+  if m.sink.enabled then remember m ~client ~seq ~instance ~prev:(find m ~client ~seq)
 
 let record_commit m ~client ~seq ~instance =
   if m.sink.enabled then begin
-    let key = (client, seq) in
-    (match Hashtbl.find_opt m.committed key with
-    | Some i when i <> instance ->
+    let prev = find m ~client ~seq in
+    if prev <> absent && prev <> instance then
       fire m.sink Dup_commit
         (Printf.sprintf "%s: request c%d#%d committed at instance %d and again at %d"
-           m.actor client seq i instance)
-    | _ -> ());
-    remember m key instance
+           m.actor client seq prev instance);
+    remember m ~client ~seq ~instance ~prev
   end
 
 let write_acked m ~client ~seq =
-  if m.sink.enabled && not (Hashtbl.mem m.committed (client, seq)) then
+  if m.sink.enabled && find m ~client ~seq = absent then
     fire m.sink Lost_ack
       (Printf.sprintf "%s: Ok reply for write c%d#%d with no recorded commit" m.actor
          client seq)

@@ -126,6 +126,163 @@ let test_metrics_registration () =
     (contains "grid_watchdog_violations_total 1"
     && contains "grid_watchdog_stale_read_total 1")
 
+(* Reference model of the commit table: a boxed (client, seq) ->
+   instance table plus a FIFO of distinct keys, forgetting the oldest key
+   once [capacity] are held; the semantics the monitor must keep. *)
+module Model = struct
+  type t = {
+    tbl : (int * int, int) Hashtbl.t;
+    order : (int * int) Queue.t;
+    capacity : int;
+    mutable dups : int;
+    mutable lost : int;
+  }
+
+  let create capacity =
+    { tbl = Hashtbl.create 16; order = Queue.create (); capacity; dups = 0; lost = 0 }
+
+  let remember m key instance =
+    if not (Hashtbl.mem m.tbl key) then begin
+      if Queue.length m.order >= m.capacity then
+        Option.iter (Hashtbl.remove m.tbl) (Queue.take_opt m.order);
+      Queue.add key m.order
+    end;
+    Hashtbl.replace m.tbl key instance
+
+  let record m key instance =
+    (match Hashtbl.find_opt m.tbl key with
+    | Some i when i <> instance -> m.dups <- m.dups + 1
+    | _ -> ());
+    remember m key instance
+
+  let ack m key = if not (Hashtbl.mem m.tbl key) then m.lost <- m.lost + 1
+end
+
+type kind = Record | Seed | Ack
+
+(* How an operation picks its seq relative to its client's highest seq
+   so far: the next one, a little or far ahead (gaps), at or just behind
+   it (re-records, and out-of-order commits as when a 2PC decision's ops
+   commit after the prepare), or an absolute small seq. *)
+type pick = Next | Ahead | Far | Behind | Small
+
+type op = { kind : kind; client : int; pick : pick; delta : int; instance : int }
+
+let gen_history =
+  let open QCheck2.Gen in
+  let kind = frequency [ (6, pure Record); (1, pure Seed); (2, pure Ack) ] in
+  let pick =
+    frequency
+      [ (6, pure Next); (2, pure Ahead); (1, pure Far); (4, pure Behind); (1, pure Small) ]
+  in
+  let op =
+    map
+      (fun (kind, client, pick, delta, instance) -> { kind; client; pick; delta; instance })
+      (tup5 kind (int_bound 3) pick
+         (frequency [ (3, int_bound 4); (1, int_bound 40) ])
+         (int_bound 3))
+  in
+  pair (int_range 1 12) (list_size (int_bound 400) op)
+
+let print_history (capacity, ops) =
+  Printf.sprintf "capacity %d: %s" capacity
+    (String.concat "; "
+       (List.map
+          (fun o ->
+            Printf.sprintf "%s c%d %s%d @%d"
+              (match o.kind with Record -> "record" | Seed -> "seed" | Ack -> "ack")
+              o.client
+              (match o.pick with
+              | Next -> "next"
+              | Ahead -> "ahead+"
+              | Far -> "far+"
+              | Behind -> "behind-"
+              | Small -> "seq=")
+              o.delta o.instance)
+          ops))
+
+let prop_matches_model =
+  QCheck2.Test.make ~name:"commit table matches the Hashtbl+Queue model" ~count:2000
+    ~print:print_history gen_history (fun (capacity, ops) ->
+      let t = Watchdog.create () in
+      let m = Watchdog.monitor ~capacity t ~actor:"r0" in
+      let model = Model.create capacity in
+      let hi = Array.make 4 0 in
+      List.for_all
+        (fun o ->
+          let h = hi.(o.client) in
+          let seq =
+            match o.pick with
+            | Next -> h + 1
+            | Ahead -> h + 1 + o.delta
+            | Far -> h + 1000 * (o.delta + 1)
+            | Behind -> h - o.delta
+            | Small -> o.delta
+          in
+          hi.(o.client) <- max h seq;
+          let client = o.client and key = (o.client, seq) in
+          (match o.kind with
+          | Record ->
+            Watchdog.record_commit m ~client ~seq ~instance:o.instance;
+            Model.record model key o.instance
+          | Seed ->
+            Watchdog.seed_commit m ~client ~seq ~instance:o.instance;
+            Model.remember model key o.instance
+          | Ack ->
+            Watchdog.write_acked m ~client ~seq;
+            Model.ack model key);
+          Watchdog.dup_commits t = model.dups && Watchdog.lost_acks t = model.lost)
+        ops)
+
+(* At the eviction boundary: after [capacity + 1] distinct keys the first
+   is forgotten (its ack counts as lost, committing it again is no
+   duplicate) while the second is still remembered. *)
+let check_eviction_boundary ?capacity ~keys () =
+  let t = Watchdog.create () in
+  let m = Watchdog.monitor ?capacity t ~actor:"r0" in
+  let key k = (k land 1, k lsr 1) in
+  for k = 0 to keys do
+    let client, seq = key k in
+    Watchdog.record_commit m ~client ~seq ~instance:k
+  done;
+  let client, seq = key 1 in
+  Watchdog.write_acked m ~client ~seq;
+  Alcotest.(check int) "second key still remembered" 0 (Watchdog.lost_acks t);
+  Watchdog.record_commit m ~client ~seq ~instance:max_int;
+  Alcotest.(check int) "second key's dup caught" 1 (Watchdog.dup_commits t);
+  let client, seq = key 0 in
+  Watchdog.write_acked m ~client ~seq;
+  Alcotest.(check int) "first key forgotten" 1 (Watchdog.lost_acks t);
+  Watchdog.record_commit m ~client ~seq ~instance:max_int;
+  Alcotest.(check int) "forgotten key not a dup" 1 (Watchdog.dup_commits t)
+
+let test_eviction_boundary () =
+  check_eviction_boundary ~capacity:8 ~keys:8 ();
+  (* the default bound is 65536 keys *)
+  check_eviction_boundary ~keys:65536 ()
+
+(* Heap words the monitor holds per remembered key. *)
+let words_per_key m ~keys = float (Obj.reachable_words (Obj.repr m)) /. float keys
+
+let test_memory_per_key () =
+  let t = Watchdog.create () in
+  (* two sessions committing in order: windows plus the ring *)
+  let m = Watchdog.monitor t ~actor:"r0" in
+  for seq = 1 to 100_000 do
+    Watchdog.record_commit m ~client:0 ~seq ~instance:(2 * seq);
+    Watchdog.record_commit m ~client:1 ~seq ~instance:((2 * seq) + 1)
+  done;
+  let w = words_per_key m ~keys:65536 in
+  if w > 3.0 then Alcotest.failf "2 clients x 100k commits: %.2f words per key > 3" w;
+  (* an open-loop session pool: one commit from each of 65536 clients *)
+  let m = Watchdog.monitor t ~actor:"r0" in
+  for client = 1 to 65536 do
+    Watchdog.record_commit m ~client ~seq:1 ~instance:client
+  done;
+  let w = words_per_key m ~keys:65536 in
+  if w > 12.0 then Alcotest.failf "65536 one-commit clients: %.2f words per key > 12" w;
+  Alcotest.(check int) "no violations" 0 (Watchdog.violations t)
+
 let suite =
   [
     ( "watchdog.checks",
@@ -146,5 +303,11 @@ let suite =
           test_fail_stop_and_callback;
         Alcotest.test_case "disabled and reset" `Quick test_disabled_and_reset;
         Alcotest.test_case "metrics registration" `Quick test_metrics_registration;
+      ] );
+    ( "watchdog.table",
+      [
+        QCheck_alcotest.to_alcotest prop_matches_model;
+        Alcotest.test_case "eviction boundary" `Quick test_eviction_boundary;
+        Alcotest.test_case "memory per key" `Quick test_memory_per_key;
       ] );
   ]
