@@ -124,26 +124,30 @@ let fire t which detail =
 
 (* The commit table remembers the last [capacity] distinct (client, seq)
    keys with the instance each committed at, forgetting the oldest key
-   first. It runs on every commit in every replica, so in the common
-   case (each client's seqs commit in ascending order) it costs about two
-   words per key and allocates nothing:
+   first. It runs on every commit in every replica, so it is laid out for
+   what a replica sees: each client's seqs commit in ascending order,
+   with gaps wherever the client's reads or failed calls used a seq.
 
    - Per-client windows. A client's window is one int array
-     [| base; hi; count; slots... |]: [count] remembered seqs in
-     [base, hi], each seq's instance in slot [seq land mask] of a
-     power-of-two circular part (-1 = absent). Only a seq above [hi]
-     joins a window, so its keys are in insertion order and the oldest
-     is always at [base]. Windows start at one slot and double.
+     [| head; len; seq; instance; seq; instance; ... |]: its [len]
+     remembered keys as ascending (seq, instance) pairs in a circular
+     part starting at pair [head]. A seq above the client's last is
+     appended; lookup is a binary search, with the last pair checked
+     first. Only ascending seqs join a window, so its pairs are in
+     insertion order and the oldest is at [head]. A window starts at one
+     pair and is re-cut to [fit len] pairs (an eighth to spare) when full
+     or under three quarters full, so past a few keys it costs at most
+     8/3 words per key whatever the gaps between seqs, and an append
+     that fits allocates nothing.
    - The eviction ring. One int per remembered key in insertion order,
-     naming the client whose window holds it (or [side_mark]); it
-     doubles up to [capacity]. Evicting the front entry drops that
-     window's [base], so the oldest distinct key goes first, exactly as
-     with a FIFO of keys.
-   - The side table: boxed keys with their own FIFO, for the keys a
-     window cannot take in order. A 2PC decision commits the branch's op
-     requests after the same client's later prepare has committed, so a
-     seq at or below its client's [hi] does arrive; so may a seq far
-     enough ahead that the window would be mostly holes.
+     naming the client whose window holds it (or [side_mark]); it doubles
+     up to [capacity]. Evicting the front entry drops that window's
+     oldest pair, so the oldest distinct key goes first, exactly as with a
+     FIFO of keys.
+   - The side table: boxed keys with their own FIFO, for a seq at or
+     below its client's last. A 2PC decision commits the branch's op
+     requests after the same client's later prepare has committed, so
+     such keys do arrive.
 
    Instances are Paxos log positions, hence never -1. *)
 
@@ -160,7 +164,7 @@ type monitor = {
          the actor label ("s1/r0" -> "s1/", plain "r0" -> ""), since
          every group leases independently *)
   capacity : int;
-  windows : int array Itbl.t;  (* client -> [| base; hi; count; slots... |] *)
+  windows : int array Itbl.t;  (* client -> [| head; len; seq; instance; ... |] *)
   mutable ring : int array;
   mutable ring_head : int;
   mutable ring_len : int;  (* = remembered keys *)
@@ -189,15 +193,40 @@ let monitor ?(capacity = 65536) sink ~actor =
     side_order = Queue.create ();
   }
 
-let slot w seq = 3 + (seq land (Array.length w - 4))
-let window_find w seq = if seq >= w.(0) && seq <= w.(1) then w.(slot w seq) else absent
+let pairs w = (Array.length w - 2) / 2
 
-(* [w] moved into [cap] slots, which must cover [base, hi]. *)
+(* Index in [w] of the seq of its [k]-th oldest pair. *)
+let pair w k =
+  let i = w.(0) + k and n = pairs w in
+  2 + (2 * if i >= n then i - n else i)
+
+(* The pairs a window re-cut for [len] keys gets. *)
+let fit len = len + (len / 8) + 1
+
+(* Index in [w] of the pair holding [seq], or -1. *)
+let window_pos w seq =
+  let last = pair w (w.(1) - 1) in
+  if seq >= w.(last) then if seq = w.(last) then last else -1
+  else begin
+    (* the pair is among the oldest [len - 1], if anywhere *)
+    let rec search lo hi =
+      if lo >= hi then -1
+      else
+        let mid = (lo + hi) / 2 in
+        let p = pair w mid in
+        if w.(p) = seq then p else if w.(p) < seq then search (mid + 1) hi else search lo mid
+    in
+    search 0 (w.(1) - 1)
+  end
+
+(* [w]'s pairs moved, oldest first, into a window of [cap] pairs. *)
 let relocate w cap =
-  let w' = Array.make (3 + cap) absent in
-  Array.blit w 0 w' 0 3;
-  for seq = w.(0) to w.(1) do
-    w'.(slot w' seq) <- w.(slot w seq)
+  let w' = Array.make (2 + (2 * cap)) 0 in
+  w'.(1) <- w.(1);
+  for k = 0 to w.(1) - 1 do
+    let p = pair w k in
+    w'.(2 + (2 * k)) <- w.(p);
+    w'.(3 + (2 * k)) <- w.(p + 1)
   done;
   w'
 
@@ -205,39 +234,38 @@ let relocate w cap =
 let find m ~client ~seq =
   let i =
     match Itbl.find m.windows client with
-    | w -> window_find w seq
+    | w ->
+      let p = window_pos w seq in
+      if p < 0 then absent else w.(p + 1)
     | exception Not_found -> absent
   in
   if i <> absent || Hashtbl.length m.side = 0 then i
   else Option.value (Hashtbl.find_opt m.side (client, seq)) ~default:absent
 
-(* Append a key above its client's [hi], unless the window would then
-   span more than four seqs per key it holds. *)
+(* Append a key whose seq is above its client's last. *)
 let window_add m ~client ~seq ~instance =
   client <> side_mark
   &&
   match Itbl.find m.windows client with
   | exception Not_found ->
-    Itbl.add m.windows client [| seq; seq; 1; instance |];
+    Itbl.add m.windows client [| 0; 1; seq; instance |];
     true
   | w ->
-    let span = seq - w.(0) + 1 in
-    (* [span <= 0]: the subtraction overflowed *)
-    if seq <= w.(1) || span <= 0 || span > 4 * (w.(2) + 1) then false
+    let len = w.(1) in
+    if seq <= w.(pair w (len - 1)) then false
     else begin
-      let cap = Array.length w - 3 in
       let w =
-        if span <= cap then w
+        if 2 + (2 * len) < Array.length w then w
         else begin
-          let rec fit c = if c >= span then c else fit (2 * c) in
-          let w' = relocate w (fit (2 * cap)) in
+          let w' = relocate w (fit len) in
           Itbl.replace m.windows client w';
           w'
         end
       in
-      w.(slot w seq) <- instance;
-      w.(1) <- seq;
-      w.(2) <- w.(2) + 1;
+      let p = pair w len in
+      w.(p) <- seq;
+      w.(p + 1) <- instance;
+      w.(1) <- len + 1;
       true
     end
 
@@ -262,18 +290,13 @@ let evict_oldest m =
   if c = side_mark then Hashtbl.remove m.side (Queue.take m.side_order)
   else begin
     let w = Itbl.find m.windows c in
-    if w.(2) = 1 then Itbl.remove m.windows c
+    let len = w.(1) - 1 in
+    if len = 0 then Itbl.remove m.windows c
     else begin
-      w.(slot w w.(0)) <- absent;
-      let base = ref (w.(0) + 1) in
-      while w.(slot w !base) = absent do
-        incr base
-      done;
-      w.(0) <- !base;
-      w.(2) <- w.(2) - 1;
-      (* halve a window left at most a quarter spanned *)
-      let cap = Array.length w - 3 in
-      if w.(1) - !base < cap / 4 then Itbl.replace m.windows c (relocate w (cap / 2))
+      let cap = pairs w in
+      w.(0) <- (if w.(0) + 1 = cap then 0 else w.(0) + 1);
+      w.(1) <- len;
+      if 4 * len < 3 * cap && fit len < cap then Itbl.replace m.windows c (relocate w (fit len))
     end
   end
 
@@ -290,8 +313,9 @@ let remember m ~client ~seq ~instance ~prev =
     end
   end
   else if prev <> instance then
+    (* a re-record at another instance: the rare violation path *)
     match Itbl.find_opt m.windows client with
-    | Some w when window_find w seq <> absent -> w.(slot w seq) <- instance
+    | Some w when window_pos w seq >= 0 -> w.(window_pos w seq + 1) <- instance
     | _ -> Hashtbl.replace m.side (client, seq) instance
 
 (* Seeding (log replay at recovery, or a known-good commit fed by a

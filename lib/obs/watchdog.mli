@@ -54,16 +54,17 @@ val monitor : ?capacity:int -> t -> actor:string -> monitor
     remembered requests, oldest evicted first. Instances are Paxos log
     positions (non-negative).
 
-    Layout: each client's seqs that commit in ascending order live in a
-    per-client window, a power-of-two circular [int array] of instances
-    indexed by seq that starts at one slot and doubles; one insertion-order
-    ring of client ids (doubling up to [capacity]) picks the window whose
-    oldest key goes next. A key arriving at or below its client's highest
-    seq — a 2PC decision commits a branch's op requests after the same
-    client's later prepare — or far beyond it goes to a boxed side table
-    with its own FIFO, marked in the ring. About 2 heap words per key for
-    a few in-order clients, about 10.5 for one key per client, and no
-    allocation on the in-order path. *)
+    Layout: each client's keys that commit in ascending seq order live in
+    a per-client window, a circular [int array] of ascending
+    (seq, instance) pairs searched by bisection, re-cut with an eighth to
+    spare as it fills or empties; one insertion-order ring of client ids
+    (doubling up to [capacity]) picks the window whose oldest key goes
+    next. A key at or below its client's highest seq — a 2PC decision
+    commits a branch's op requests after the same client's later
+    prepare — goes to a boxed side table with its own FIFO, marked in the
+    ring. About 3.2 heap words per key for a few clients whatever the
+    gaps between their committed seqs, about 10.5 for one key per client,
+    and no allocation on an append that fits. *)
 
 val seed_commit : monitor -> client:int -> seq:int -> instance:int -> unit
 (** Record a commit without checking: log replay at recovery, where the
