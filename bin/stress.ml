@@ -34,6 +34,21 @@ let print_failures failures =
     (fun f -> Format.printf "FAIL %a@." Stress.pp_failure f)
     failures
 
+let dump_trace file events =
+  (try Grid_obs.Span.dump_file file events
+   with Sys_error e ->
+     Printf.eprintf "trace-dump failed: %s\n" e;
+     exit 1);
+  Format.printf "trace: %d events -> %s@." (List.length events) file
+
+(* With --seed, the sharded tiers run that one schedule (optionally
+   recording its spans) instead of a batch; exit 0 iff it passed. *)
+let run_seeded ~trace_dump ~run ~pp ~violations =
+  let o = run ?trace:(Option.map dump_trace trace_dump) () in
+  Format.printf "%a@." pp o;
+  List.iter (fun v -> Format.printf "  %s@." v) (violations o);
+  if violations o = [] then 0 else 1
+
 (* Run one seed per selected service, then re-run it from the recorded
    fault plan and insist the replay reproduces the outcome exactly. *)
 let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump =
@@ -55,12 +70,7 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
           if List.length services > 1 then file ^ "." ^ Stress.service_name service
           else file
         in
-        let events = Grid_obs.Span.Recorder.events obs in
-        (try Grid_obs.Span.dump_file file events
-         with Sys_error e ->
-           Printf.eprintf "trace-dump failed: %s\n" e;
-           exit 1);
-        Format.printf "trace: %d events -> %s@." (List.length events) file
+        dump_trace file (Grid_obs.Span.Recorder.events obs)
       | _ -> ());
       Format.printf "seed %d (%s): %d delivered, %d replies, commit points [%s]@."
         seed
@@ -202,7 +212,13 @@ let run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue ~shrink
    crashes, duplication/reordering and abandoned coordinators, with the
    agreement and cross-shard atomicity/serializability oracles on every
    schedule (see Grid_check.Xstress). *)
-let run_xshard ~schedules ~base_seed ~quiet =
+let run_xshard ~schedules ~base_seed ~seed ~trace_dump ~quiet =
+  match seed with
+  | Some seed ->
+    run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_outcome
+      ~violations:(fun (o : Grid_check.Xstress.outcome) -> o.o_violations)
+      ~run:(fun ?trace () -> Grid_check.Xstress.run_one ?trace ~seed ())
+  | None ->
   let progress =
     if quiet then None
     else
@@ -230,7 +246,13 @@ let run_xshard ~schedules ~base_seed ~quiet =
    handoff racing tagged appends, leader crashes in the migrating groups
    and parked coordinators, with the exactly-once acked-write oracle on
    every schedule (see Grid_check.Xstress). *)
-let run_reshard ~schedules ~base_seed ~quiet =
+let run_reshard ~schedules ~base_seed ~seed ~trace_dump ~quiet =
+  match seed with
+  | Some seed ->
+    run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_reshard_outcome
+      ~violations:(fun (o : Grid_check.Xstress.reshard_outcome) -> o.r_violations)
+      ~run:(fun ?trace () -> Grid_check.Xstress.run_reshard_one ?trace ~seed ())
+  | None ->
   let progress =
     if quiet then None
     else
@@ -266,8 +288,8 @@ let main schedules seed base_seed steps service crash torn dup reorder meta_drop
   in
   let services = services_of service in
   if plant_dedup then run_plant ~seed:base_seed ~steps ~nem ~attempts:40
-  else if xshard then run_xshard ~schedules ~base_seed ~quiet
-  else if reshard then run_reshard ~schedules ~base_seed ~quiet
+  else if xshard then run_xshard ~schedules ~base_seed ~seed ~trace_dump ~quiet
+  else if reshard then run_reshard ~schedules ~base_seed ~seed ~trace_dump ~quiet
   else if overload then
     run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue
       ~shrink:(not no_shrink) ~quiet
@@ -358,7 +380,8 @@ let xshard_arg =
            duplication/reordering, contending single-shard traffic and \
            abandoned coordinators, with the per-group agreement and \
            cross-shard atomicity/serializability oracles on every schedule. \
-           Honours --schedules, --base-seed and --quiet.")
+           Honours --schedules, --base-seed and --quiet, or --seed (one \
+           schedule) with --trace-dump.")
 
 let reshard_arg =
   Arg.(
@@ -372,7 +395,8 @@ let reshard_arg =
            crash mid-protocol and some coordinators park after FREEZE for \
            presumed-abort recovery. Every schedule checks per-group agreement \
            and that each acked append appears exactly once at the final \
-           owner. Honours --schedules, --base-seed and --quiet.")
+           owner. Honours --schedules, --base-seed and --quiet, or --seed \
+           (one schedule) with --trace-dump.")
 
 let max_inflight_arg =
   Arg.(
@@ -402,8 +426,9 @@ let trace_dump_arg =
     & opt (some string) None
     & info [ "trace-dump" ] ~docv:"FILE"
         ~doc:
-          "With --seed: record the replicas' lifecycle spans (virtual-clock \
-           timestamps, deterministic per seed) and dump them as JSONL to $(docv).")
+          "With --seed (single-group, --xshard or --reshard): record the \
+           replicas' lifecycle spans (virtual-clock timestamps, deterministic \
+           per seed) and dump them as JSONL to $(docv).")
 
 let cmd =
   let doc = "Nemesis stress harness for the replicated-service protocol" in

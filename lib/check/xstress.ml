@@ -96,16 +96,20 @@ let park_cross_txn t cl ~tid ~(shard_ops : (int * Kv.op) list) ~(prepare : int l
       | `Busy -> invalid_arg "Xstress.park_cross_txn: busy handle")
     shard_ops
 
+(* Span recording for a traced schedule: large enough that one
+   schedule's spans never wrap (the columns grow on demand). *)
+let trace_capacity = 1 lsl 20
+
 let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
-    ?(crash_prob = 0.3) ~seed () : outcome =
+    ?(crash_prob = 0.3) ?trace ~seed () : outcome =
   let rng = Rng.of_int (0x5eed + (seed * 7919)) in
   let cfg =
     Config.make ~n:replicas ~record_history:true ~suspicion_ms:60.0
       ~stability_ms:20.0 ()
   in
   let t =
-    M.create ~seed ~cfg ~scenario:(Scenario.uniform ~n:replicas ()) ~route:Kv.route
-      ~shards ()
+    M.create ~seed ~trace:(trace <> None) ~trace_capacity ~cfg
+      ~scenario:(Scenario.uniform ~n:replicas ()) ~route:Kv.route ~shards ()
   in
   let violations = ref [] in
   let violate fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
@@ -277,6 +281,7 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
   if M.watchdog t |> Grid_obs.Watchdog.violations > 0 then
     violate "watchdog: %d online-invariant violations"
       (Grid_obs.Watchdog.violations (M.watchdog t));
+  Option.iter (fun f -> f (Grid_obs.Span.Recorder.events (M.obs t))) trace;
   {
     o_seed = seed;
     o_committed = !committed;
@@ -405,14 +410,15 @@ let count_occurrences hay needle =
   end
 
 let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
-    ?(crash_prob = 0.35) ~seed () : reshard_outcome =
+    ?(crash_prob = 0.35) ?trace ~seed () : reshard_outcome =
   let rng = Rng.of_int (0xe57a + (seed * 104729)) in
   let cfg =
     Config.make ~n:replicas ~record_history:true ~suspicion_ms:60.0
       ~stability_ms:20.0 ()
   in
   let t =
-    M.create ~seed ~cfg ~scenario:(Scenario.uniform ~n:replicas ())
+    M.create ~seed ~trace:(trace <> None) ~trace_capacity ~cfg
+      ~scenario:(Scenario.uniform ~n:replicas ())
       ~route:Kv.route ~spec:(Partition.Range reshard_cuts) ~shards ()
   in
   let violations = ref [] in
@@ -756,6 +762,7 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
   if M.watchdog t |> Grid_obs.Watchdog.violations > 0 then
     violate "watchdog: %d online-invariant violations"
       (Grid_obs.Watchdog.violations (M.watchdog t));
+  Option.iter (fun f -> f (Grid_obs.Span.Recorder.events (M.obs t))) trace;
   {
     r_seed = seed;
     r_splits = !splits;

@@ -25,6 +25,7 @@ val run_one :
   ?singles_per_client:int ->
   ?abandon_prob:float ->
   ?crash_prob:float ->
+  ?trace:(Grid_obs.Span.event list -> unit) ->
   seed:int ->
   unit ->
   outcome
@@ -36,7 +37,11 @@ val run_one :
     With probability [abandon_prob] (default 0.25) a transaction's
     coordinator parks after its branch ops and a random subset of
     prepares; a delayed {!Grid_shard.Multi.Make.recover_cross_txn} on a
-    fresh client resolves it. *)
+    fresh client resolves it.
+
+    With [trace], the schedule records every group's lifecycle spans
+    (virtual-clock timestamps, deterministic per seed) and hands them to
+    [trace] once it ends. Recording does not change the schedule. *)
 
 type summary = {
   s_schedules : int;
@@ -98,6 +103,7 @@ val run_reshard_one :
   ?appends_per_client:int ->
   ?park_prob:float ->
   ?crash_prob:float ->
+  ?trace:(Grid_obs.Span.event list -> unit) ->
   seed:int ->
   unit ->
   reshard_outcome
@@ -108,7 +114,8 @@ val run_reshard_one :
     link, leader crashes in the migrating groups with probability
     [crash_prob] per transition, and FREEZE-then-vanish coordinators
     with probability [park_prob] resolved by a delayed
-    {!Grid_shard.Multi.Make.recover_reshard}. *)
+    {!Grid_shard.Multi.Make.recover_reshard}. [trace] is as for
+    {!run_one}. *)
 
 type reshard_summary = {
   rs_schedules : int;

@@ -411,8 +411,47 @@ let test_checker_serialization_cycle () =
   in
   Alcotest.(check int) "aligned orders pass" 0 (List.length (xcheck agreeing))
 
+(* ------------------------------------------------------------------ *)
+(* Seeded stress schedules as a byte-identity oracle: the same seed
+   yields the same span dump, and recording spans does not perturb the
+   schedule it records. *)
+
+let test_traced_schedule_deterministic () =
+  let module X = Grid_check.Xstress in
+  let traced run =
+    let dump = ref [] in
+    let o =
+      run
+        (Some
+           (fun evs ->
+             dump :=
+               List.map
+                 (fun e -> Grid_obs.Json.to_string (Grid_obs.Span.event_to_json e))
+                 evs))
+    in
+    (o, !dump)
+  in
+  let check name ~pp run =
+    let plain = Format.asprintf "%a" pp (run None) in
+    let o1, d1 = traced run and o2, d2 = traced run in
+    Alcotest.(check bool) (name ^ ": spans recorded") true (d1 <> []);
+    Alcotest.(check (list string)) (name ^ ": same seed, same dump") d1 d2;
+    Alcotest.(check string) (name ^ ": tracing leaves the schedule alone") plain
+      (Format.asprintf "%a" pp o1);
+    Alcotest.(check string) (name ^ ": traced reruns agree") plain
+      (Format.asprintf "%a" pp o2)
+  in
+  check "xshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 ());
+  check "reshard" ~pp:X.pp_reshard_outcome (fun trace ->
+      X.run_reshard_one ?trace ~seed:1 ())
+
 let suite =
   [
+    ( "xshard.stress",
+      [
+        Alcotest.test_case "same seed, identical trace dump" `Quick
+          test_traced_schedule_deterministic;
+      ] );
     ( "xshard.2pc",
       [
         Alcotest.test_case "cross-shard commit is atomic" `Quick test_cross_commit;
