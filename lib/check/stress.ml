@@ -250,7 +250,34 @@ module type SPEC = sig
   val lin_ok : (int * rtype * string) list -> reply list -> bool
 end
 
-module Harness (Spec : SPEC) = struct
+module type HARNESS = sig
+  val requests_for : seed:int -> (int * rtype * string) list
+
+  val run_one :
+    ?obs:Grid_obs.Span.Recorder.t ->
+    ?steps:int ->
+    ?nemesis:Mcheck.nemesis ->
+    ?disable_dedup:bool ->
+    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
+    ?admitted_p99_bound_ms:float ->
+    ?shrink:bool ->
+    seed:int ->
+    unit ->
+    Mcheck.outcome * failure option
+
+  val replay_plan :
+    ?steps:int ->
+    ?meta_drop_prob:float ->
+    ?disable_dedup:bool ->
+    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
+    ?admitted_p99_bound_ms:float ->
+    seed:int ->
+    plan:Mcheck.plan ->
+    unit ->
+    Mcheck.outcome * string list
+end
+
+module Harness (Spec : SPEC) : HARNESS = struct
   module MC = Mcheck.Make (Spec.S)
 
   let requests_for ~seed = Spec.gen_requests (Rng.of_int ((seed * 7919) + 17))

@@ -126,11 +126,9 @@ val run_overload :
     default 120 s). The returned summary's [shed] counts the pushbacks
     actually exercised. *)
 
-(** Per-service harnesses, for targeted tests (replaying a specific plan,
-    custom shrink predicates). *)
-module Counter_harness : sig
-  module MC : module type of Mcheck.Make (Grid_services.Counter)
-
+(** A per-service harness, for targeted tests (replaying a specific
+    plan, custom shrink predicates). *)
+module type HARNESS = sig
   val requests_for : seed:int -> (int * Grid_paxos.Types.rtype * string) list
 
   val run_one :
@@ -159,63 +157,11 @@ module Counter_harness : sig
       the violation reasons (empty = passed). *)
 end
 
-module Kv_harness : sig
-  module MC : module type of Mcheck.Make (Grid_services.Kv_store)
+module Counter_harness : HARNESS
+module Kv_harness : HARNESS
 
-  val requests_for : seed:int -> (int * Grid_paxos.Types.rtype * string) list
-
-  val run_one :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?steps:int ->
-    ?nemesis:Mcheck.nemesis ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    ?shrink:bool ->
-    seed:int ->
-    unit ->
-    Mcheck.outcome * failure option
-
-  val replay_plan :
-    ?steps:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    seed:int ->
-    plan:Mcheck.plan ->
-    unit ->
-    Mcheck.outcome * string list
-end
-
-module Overload_harness : sig
-  module MC : module type of Mcheck.Make (Grid_services.Counter)
-
-  val requests_for : seed:int -> (int * Grid_paxos.Types.rtype * string) list
-
-  val run_one :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?steps:int ->
-    ?nemesis:Mcheck.nemesis ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    ?shrink:bool ->
-    seed:int ->
-    unit ->
-    Mcheck.outcome * failure option
-
-  val replay_plan :
-    ?steps:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    seed:int ->
-    plan:Mcheck.plan ->
-    unit ->
-    Mcheck.outcome * string list
-end
+module Overload_harness : HARNESS
+(** The counter service under {!run_overload}'s write-heavy workload. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_summary : Format.formatter -> summary -> unit
