@@ -1,6 +1,6 @@
 (* Bechamel microbenchmarks of the protocol-critical data paths: wire
    codec, CRC, heap, log append, snapshot encoding, the watchdog's commit
-   table. These are ours (the paper has no microbenchmarks); they guard
+   table, footprint checks. These are ours (the paper has no microbenchmarks); they guard
    the constant factors the simulator's CPU-cost model abstracts. *)
 
 open Bechamel
@@ -102,6 +102,25 @@ let test_watchdog_commit =
         done;
         commit))
 
+(* The batch gate's footprint checks: a 3-key transaction branch against
+   a full batch ([max_batch] = 6 single-key writes) with no key in common
+   (the merge walks both lists), and against two handed-away ranges. *)
+module Footprint = Grid_paxos.Footprint
+
+let branch_fp = Footprint.of_keys [ "kv/k42"; "kv/k03"; "kv/k11" ]
+let batch_fp = Footprint.of_keys (List.init 6 (fun i -> Printf.sprintf "kv/k%02d" ((i * 7) + 1)))
+let moved = [ ("kv/m", Some "kv/p"); ("kv/x", None) ]
+
+let test_fp_overlaps =
+  Test.make ~name:"footprint: overlaps, 3 vs 6 keys"
+    (Staged.stage (fun () ->
+         ignore (Sys.opaque_identity (Footprint.overlaps branch_fp batch_fp))))
+
+let test_fp_hits_ranges =
+  Test.make ~name:"footprint: hits_ranges, 3 keys vs 2 ranges"
+    (Staged.stage (fun () ->
+         ignore (Sys.opaque_identity (Footprint.hits_ranges branch_fp moved))))
+
 let benchmark test =
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
@@ -139,6 +158,8 @@ let run ~quick:_ ~only =
         test_plog_append;
         test_snapshot;
         test_watchdog_commit;
+        test_fp_overlaps;
+        test_fp_hits_ranges;
       ];
     print_string (Grid_util.Text_table.render table)
   end

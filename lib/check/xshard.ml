@@ -8,6 +8,7 @@
    (Multi allocates them at and above [Multi.cross_tid_base]). *)
 
 open Grid_paxos.Types
+module Footprint = Grid_paxos.Footprint
 
 type violation =
   | Mixed_decision of { tid : int; committed_in : int list; aborted_in : int list }
@@ -45,12 +46,8 @@ let pp_violation ppf = function
 type obs = {
   mutable o_prepared : int option;  (* instance of the committed prepare *)
   mutable o_decisions : (int * bool) list;  (* (instance, committed?) *)
-  mutable o_footprint : string list;  (* from the replayed ops, commit only *)
+  mutable o_footprint : Footprint.t;  (* from the replayed ops, commit only *)
 }
-
-let fp_intersect a b =
-  a <> [] && b <> []
-  && (List.mem "*" a || List.mem "*" b || List.exists (fun k -> List.mem k b) a)
 
 let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
     (histories : (int * request list * string) list array) : violation list =
@@ -61,7 +58,7 @@ let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
     match Hashtbl.find_opt seen (g, tid) with
     | Some o -> o
     | None ->
-      let o = { o_prepared = None; o_decisions = []; o_footprint = [] } in
+      let o = { o_prepared = None; o_decisions = []; o_footprint = Footprint.empty } in
       Hashtbl.replace seen (g, tid) o;
       o
   in
@@ -70,15 +67,14 @@ let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
       (fun (instance, (requests : request list), _state) ->
         (* The ops replayed by a commit decision precede their marker in
            the same batch; collect them per tid as we scan. *)
-        let batch_ops : (int, string list) Hashtbl.t = Hashtbl.create 4 in
+        let batch_ops : (int, Footprint.t) Hashtbl.t = Hashtbl.create 4 in
         List.iter
           (fun (r : request) ->
             match r.rtype with
             | Txn_op tid when is_cross_tid tid ->
-              let fp = footprint_of r.payload in
               Hashtbl.replace batch_ops tid
-                (fp
-                @ Option.value ~default:[] (Hashtbl.find_opt batch_ops tid))
+                (Footprint.union (footprint_of r.payload)
+                   (Option.value ~default:Footprint.empty (Hashtbl.find_opt batch_ops tid)))
             | Txn_prepare tid when is_cross_tid tid ->
               let o = obs g tid in
               if o.o_prepared = None then o.o_prepared <- Some instance
@@ -86,8 +82,8 @@ let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
               let o = obs g tid in
               o.o_decisions <- (instance, true) :: o.o_decisions;
               o.o_footprint <-
-                Option.value ~default:[] (Hashtbl.find_opt batch_ops tid)
-                @ o.o_footprint
+                Footprint.union o.o_footprint
+                  (Option.value ~default:Footprint.empty (Hashtbl.find_opt batch_ops tid))
             | Txn_abort tid when is_cross_tid tid ->
               let o = obs g tid in
               o.o_decisions <- (instance, false) :: o.o_decisions
@@ -173,7 +169,7 @@ let check ?(require_resolved = false) ~is_cross_tid ~footprint_of
       | (t1, _, fp1) :: rest ->
         List.iter
           (fun (t2, _, fp2) ->
-            if t1 <> t2 && fp_intersect fp1 fp2 then
+            if t1 <> t2 && Footprint.overlaps fp1 fp2 then
               Hashtbl.replace edges t1
                 (t2 :: Option.value ~default:[] (Hashtbl.find_opt edges t1)))
           rest;

@@ -31,12 +31,12 @@ val pp_violation : Format.formatter -> violation -> unit
 val check :
   ?require_resolved:bool ->
   is_cross_tid:(int -> bool) ->
-  footprint_of:(string -> string list) ->
+  footprint_of:(string -> Grid_paxos.Footprint.t) ->
   (int * Grid_paxos.Types.request list * string) list array ->
   violation list
 (** [check histories] where [histories.(g)] is group [g]'s committed
     history (instance, batch, encoded state). [is_cross_tid] classifies
     transaction ids ({!Grid_shard.Multi.Make.is_cross_tid});
     [footprint_of] decodes an op payload to its partition/conflict keys
-    (e.g. [Kv_store.footprint ∘ decode_op], wildcard ["*"] honoured).
+    (e.g. [Footprint.of_keys ∘ Kv_store.footprint ∘ decode_op]).
     Empty result = the cross-shard history is atomic and serializable. *)

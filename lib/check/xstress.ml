@@ -19,6 +19,13 @@ module Types = Grid_paxos.Types
 let shards = 3
 let replicas = 3
 
+(* Footprints for the cross-shard checker; an undecodable payload
+   touches every key. *)
+let footprint_of payload =
+  match Kv.decode_op payload with
+  | op -> Grid_paxos.Footprint.of_keys (Kv.footprint op)
+  | exception _ -> Grid_paxos.Footprint.all
+
 type outcome = {
   o_seed : int;
   o_committed : int;  (* cross txns the live coordinator committed *)
@@ -269,11 +276,6 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
           (String.concat "," (List.map string_of_int tids)))
     | None -> violate "group %d has no leader after drain" g
   done;
-  let footprint_of payload =
-    match Kv.decode_op payload with
-    | op -> Kv.footprint op
-    | exception _ -> [ "*" ]
-  in
   List.iter
     (fun v -> violate "xshard: %a" Xshard.pp_violation v)
     (Xshard.check ~require_resolved:true ~is_cross_tid:M.is_cross_tid ~footprint_of
@@ -712,11 +714,6 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
      the histories it reads interleave 2PC prepares/decisions with
      reshard markers and the imported slice, and must still present
      every cross-tid with a single consistent decision. *)
-  let footprint_of payload =
-    match Kv.decode_op payload with
-    | op -> Kv.footprint op
-    | exception _ -> [ "*" ]
-  in
   List.iter
     (fun v -> violate "xshard: %a" Xshard.pp_violation v)
     (Xshard.check ~require_resolved:true ~is_cross_tid:M.is_cross_tid

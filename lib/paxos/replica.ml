@@ -60,7 +60,7 @@ module Make (S : Service_intf.S) = struct
     tx_base : int;  (* commit point at branch time *)
     mutable tx_ops : (request * string option) list;  (* with witnesses *)
     mutable tx_replies : reply list;
-    tx_footprint : (string, unit) Hashtbl.t;
+    mutable tx_footprint : Footprint.t;
   }
 
   (* A cross-shard transaction branch locked in by a committed 2PC
@@ -73,7 +73,7 @@ module Make (S : Service_intf.S) = struct
   type prepared = {
     p_ops : (request * string option) list;  (* in order, with witnesses *)
     p_replies : reply list;  (* in order *)
-    p_footprint : string list;
+    p_footprint : Footprint.t;
   }
 
   let encode_prepared (p : prepared) =
@@ -85,7 +85,7 @@ module Make (S : Service_intf.S) = struct
             E.option e (E.string e) w)
           p.p_ops;
         E.list e (fun r -> encode_reply e r) p.p_replies;
-        E.list e (fun k -> E.string e k) p.p_footprint)
+        E.list e (fun k -> E.string e k) (Footprint.keys p.p_footprint))
 
   let decode_prepared s =
     Grid_codec.Wire.decode s (fun d ->
@@ -97,7 +97,7 @@ module Make (S : Service_intf.S) = struct
               (r, w))
         in
         let p_replies = D.list d decode_reply in
-        let p_footprint = D.list d D.string in
+        let p_footprint = Footprint.of_keys (D.list d D.string) in
         { p_ops; p_replies; p_footprint })
 
   type inflight = {
@@ -175,7 +175,7 @@ module Make (S : Service_intf.S) = struct
     exec_table : (int, exec_work) Hashtbl.t;
     mutable exec_next : int;
     (* T-Paxos conflict window: footprints of recently committed instances *)
-    recent_footprints : (int, string list) Hashtbl.t;
+    recent_footprints : (int, Footprint.t) Hashtbl.t;
     (* 2PC participant state, derived from committed instances only (so
        it is exactly as durable as the log and survives crash recovery):
        branches whose prepare committed but whose decision has not, and
@@ -257,6 +257,13 @@ module Make (S : Service_intf.S) = struct
       sid_receive = Span.span_id ~actor Span.Leader_receive;
       wd = Watchdog.monitor watchdog ~actor;
     }
+
+  (* An op's footprint; a payload that does not decode is taken to touch
+     every key. *)
+  let op_footprint (r : request) =
+    match S.footprint (S.decode_op r.payload) with
+    | keys -> Footprint.of_keys keys
+    | exception _ -> Footprint.all
 
   (* Record one span for every request of a proposal (e.g. all members of
      a batched instance hit [Propose]/[Accept_quorum]/[Commit] together). *)
@@ -535,16 +542,15 @@ module Make (S : Service_intf.S) = struct
       p.requests;
     (* Footprints for T-Paxos conflict detection: derived from the ops. *)
     let footprint =
-      List.concat_map
-        (fun (r : request) ->
+      List.fold_left
+        (fun fp (r : request) ->
           match r.rtype with
           | Read | Txn_commit _ | Txn_abort _ | Txn_prepare _
           | Reshard_freeze _ | Reshard_install _ | Reshard_commit _
           | Reshard_abort _ ->
-            []
-          | Write | Original | Txn_op _ -> (
-            try S.footprint (S.decode_op r.payload) with _ -> [ "*" ]))
-        p.requests
+            fp
+          | Write | Original | Txn_op _ -> Footprint.union fp (op_footprint r))
+        Footprint.empty p.requests
     in
     Hashtbl.replace t.recent_footprints instance footprint;
     (* Bound the window. *)
@@ -655,27 +661,289 @@ module Make (S : Service_intf.S) = struct
 
   let broadcast t msg = List.map (fun dst -> send ~dst msg) (others t)
 
-  let start_accept t (l : leadership) ~instance ~proposal ~post_state ~to_send =
-    span_requests t Span.Propose ~instance proposal.requests;
-    let acks = Bitset.create t.cfg.n in
-    Bitset.set acks t.rid;
-    ignore (Plog.accept t.log ~instance ~ballot:l.l_ballot proposal);
-    t.storage.persist_entry ~instance ~ballot:l.l_ballot proposal;
-    l.l_phase <-
-      Some
-        (Ph_prop
-           {
-             fl_instance = instance;
-             fl_proposal = proposal;
-             fl_acks = acks;
-             fl_post_state = post_state;
-             fl_to_send = to_send;
-           });
-    broadcast t (Accept { ballot = l.l_ballot; instance; proposal })
-    @ [ after ~delay:t.cfg.accept_retry_ms (Accept_retry instance) ]
-
   let reply_actions replies =
     List.map (fun (r : reply) -> send ~dst:(client_node r.req.client) (Reply_msg r)) replies
+
+  let wrong_epoch t = Wrong_epoch { epoch = t.reshard_epoch; map = t.reshard_map }
+
+  (* ------------------------------------------------------------------ *)
+  (* Leader: executing a batch                                           *)
+
+  (* A batch under execution, in arrival order on the committed state;
+     the instance decides the whole batch plus the final state. Lists
+     are reversed. *)
+  type batch = {
+    mutable b_state : S.state;
+    mutable b_witness : string option;  (* of the last executed write *)
+    mutable b_written : Footprint.t;  (* keys written so far *)
+    mutable b_prepared : Footprint.t;  (* keys locked by YES votes so far *)
+    mutable b_frozen : (string * string option) list;
+        (* the committed frozen range plus any FREEZE decided earlier in
+           this batch: [t.frozen] only flips when the instance commits, so
+           a prepare batched after the freeze marker would otherwise vote
+           YES on keys whose slice is about to ship without its ops *)
+    b_decided : (int, bool) Hashtbl.t;
+        (* 2PC decisions taken earlier in this batch, for the same reason:
+           a commit and a racing abort for one tid must not both claim
+           the branch *)
+    mutable b_requests : request list;
+    mutable b_replies : reply list;  (* decided with the instance *)
+    mutable b_to_send : reply list;  (* released at commit time *)
+    mutable b_instant : reply list;  (* released now, outside consensus *)
+  }
+
+  type verdict = Execute | Park | Redirect | Conflict
+
+  let committed_frozen t =
+    match t.frozen with Some (_, lo, hi, _) -> [ (lo, hi) ] | None -> []
+
+  (* Does [hit] hold for a prepared cross-shard lock: a branch whose 2PC
+     prepare committed, or that voted YES earlier in this batch, and
+     whose decision is still pending? *)
+  let prepared_lock t b hit =
+    hit b.b_prepared
+    || Hashtbl.fold (fun _ (p : prepared) acc -> acc || hit p.p_footprint) t.prepared false
+
+  (* T-Paxos first-committer-wins: did a write overlapping [fp] commit
+     after the branch's snapshot at [base]? An instance already evicted
+     from the window counts as a conflict. *)
+  let window_conflict t ~base fp =
+    let cp = Plog.commit_point t.log in
+    let rec scan i =
+      i <= cp
+      &&
+      match Hashtbl.find_opt t.recent_footprints i with
+      | None -> true
+      | Some w -> Footprint.overlaps fp w || scan (i + 1)
+    in
+    scan (base + 1)
+
+  (* The batch gate (DESIGN.md §16–§17), in order: a range this group
+     handed away redirects (the client adopts the attached map); a range
+     a FREEZE is moving parks the item until the migration decides (reads
+     of it still serve: its content is immutable); a prepared cross-shard
+     lock parks a write behind the decision but fails a transaction
+     (first-prepared-wins); and a transaction branched at [base]
+     conflicts with an overlapping write committed since or executed
+     earlier in this batch. *)
+  let gate t b ~frozen ?base fp =
+    if Footprint.hits_ranges fp t.moved then Redirect
+    else if Footprint.hits_ranges fp frozen then Park
+    else
+      let locked = prepared_lock t b (Footprint.overlaps fp) in
+      match base with
+      | None -> if locked then Park else Execute
+      | Some base ->
+        if locked || window_conflict t ~base fp || Footprint.overlaps fp b.b_written
+        then Conflict
+        else Execute
+
+  (* Answer [r] at once: aborts, conflicts and redirects need no
+     consensus. *)
+  let reply_now (l : leadership) b ?(payload = "") (r : request) status =
+    Hashtbl.remove l.l_queued_ids r.id;
+    b.b_instant <- { req = r.id; status; payload } :: b.b_instant
+
+  (* Decide [r], after [ops], in the batch's instance. Its reply is
+     released at commit time, so the outcome is as durable as the log
+     before the client may act on it. *)
+  let decide b ?(ops = []) ?(op_replies = []) ?(payload = "") (r : request) status =
+    let reply = { req = r.id; status; payload } in
+    b.b_requests <- r :: List.rev_append ops b.b_requests;
+    b.b_replies <- reply :: List.rev_append op_replies b.b_replies;
+    b.b_to_send <- reply :: b.b_to_send
+
+  (* Replay a branch's recorded ops on [st]: with their witnesses, or
+     re-executed if the op was deterministic (no witness). *)
+  let replay_ops t st ops =
+    List.fold_left
+      (fun st ((r : request), witness) ->
+        let op = S.decode_op r.payload in
+        match witness with
+        | Some w -> fst (S.replay st op ~witness:w)
+        | None -> (S.apply ~rng:t.rng ~now:t.now st op).state)
+      st ops
+
+  (* Commit a transaction branch: rebase its ops onto the running batch
+     state and decide them together with the commit marker [r]. *)
+  let commit_branch t b (r : request) ~ops ~op_replies ~fp =
+    b.b_state <- replay_ops t b.b_state ops;
+    decide b ~ops:(List.map fst ops) ~op_replies r Ok;
+    b.b_written <- Footprint.union b.b_written fp
+
+  let txn_key (r : request) tid = (Ids.Client_id.to_int r.id.client, tid)
+
+  (* The leader-local branch that commit or prepare [r] closes, taken
+     out of the table. [None] if its ops were lost to a leader switch
+     (§3.6), or if the op count the client put in [r]'s payload shows
+     this leader missed some: the branch must not commit partially. *)
+  let take_branch (l : leadership) (r : request) ~tid =
+    match Hashtbl.find_opt l.l_txns (txn_key r tid) with
+    | None -> None
+    | Some txn ->
+      Hashtbl.remove l.l_txns (txn_key r tid);
+      let expected =
+        try Grid_codec.Wire.decode r.payload Grid_codec.Wire.Decoder.uint
+        with _ -> List.length txn.tx_ops
+      in
+      if List.length txn.tx_ops = expected then Some txn else None
+
+  (* Park [w] until a decision instance re-queues it; a parked commit or
+     prepare keeps its branch, to be re-gated then. *)
+  let park (l : leadership) ?branch w =
+    (match (branch, w) with
+    | Some (tid, txn), (W_txn_commit r | W_txn_prepare r) ->
+      Hashtbl.replace l.l_txns (txn_key r tid) txn
+    | _ -> ());
+    l.l_blocked <- w :: l.l_blocked
+
+  let exec_write t l b (r : request) =
+    let op = S.decode_op r.payload in
+    let fp = Footprint.of_keys (S.footprint op) in
+    match gate t b ~frozen:(committed_frozen t) fp with
+    | Redirect -> reply_now l b r (wrong_epoch t)
+    | Park | Conflict ->
+      (* Writes never conflict: they wait, keeping their [l_queued_ids]
+         slot so retransmissions stay deduplicated, and re-queue when the
+         migration or the prepared branch decides. *)
+      park l (W_write r)
+    | Execute ->
+      let outcome = S.apply ~rng:t.rng ~now:t.now b.b_state op in
+      b.b_state <- outcome.state;
+      b.b_witness <- outcome.witness;
+      decide b ~payload:(S.encode_result outcome.result) r Ok;
+      b.b_written <- Footprint.union b.b_written fp
+
+  (* Single-shard T-Paxos commit of a leader-local branch. A branch whose
+     shard handed away part of its footprint mid-transaction gets a typed
+     redirect, never a commit of half its keys under the successor map. *)
+  let exec_txn_commit t l b (r : request) ~tid =
+    match take_branch l r ~tid with
+    | None -> reply_now l b r Txn_aborted
+    | Some txn -> (
+      match gate t b ~frozen:(committed_frozen t) ~base:txn.tx_base txn.tx_footprint with
+      | Redirect -> reply_now l b r (wrong_epoch t)
+      | Park -> park l ~branch:(tid, txn) (W_txn_commit r)
+      | Conflict -> reply_now l b r Txn_conflict
+      | Execute ->
+        commit_branch t b r ~ops:(List.rev txn.tx_ops)
+          ~op_replies:(List.rev txn.tx_replies) ~fp:txn.tx_footprint)
+
+  (* A [Txn_commit] or [Txn_abort]: a 2PC decision when the tid is
+     decided or prepared, otherwise a single-shard commit. *)
+  let exec_decision t l b (r : request) =
+    let tid = match r.rtype with Txn_commit tid | Txn_abort tid -> tid | _ -> -1 in
+    let decided =
+      match Hashtbl.find_opt b.b_decided tid with
+      | Some _ as d -> d
+      | None -> Hashtbl.find_opt t.txn_outcomes tid
+    in
+    match (decided, Hashtbl.find_opt t.prepared tid, r.rtype) with
+    | Some committed, _, _ ->
+      (* Decision tombstone: a duplicate decision, or a coordinator racing
+         its own recovery. Nothing re-executes; [Ok] to an abort of a
+         committed transaction tells recovery the decision was COMMIT. *)
+      reply_now l b r (if committed then Ok else Txn_aborted)
+    | None, Some p, Txn_commit _ ->
+      (* COMMIT for a branch this group voted YES on: its ops, their
+         replies and the marker commit in this one instance, and
+         [track_2pc] releases the lock when it does. *)
+      commit_branch t b r ~ops:p.p_ops ~op_replies:p.p_replies ~fp:p.p_footprint;
+      Hashtbl.replace b.b_decided tid true
+    | None, Some _, _ ->
+      (* ABORT for a prepared branch: the marker alone is decided. *)
+      decide b r Txn_aborted;
+      Hashtbl.replace b.b_decided tid false
+    | None, None, Txn_abort _ -> reply_now l b r Txn_aborted  (* presumed abort *)
+    | None, None, _ -> exec_txn_commit t l b r ~tid
+
+  (* A 2PC prepare votes YES by freezing the branch into the prepare
+     request itself — the committed instance carries everything a
+     failover leader needs to finish the transaction — and locking its
+     footprint until the decision. Nothing applies to the batch state;
+     the vote releases at commit time, which makes it a crash-safe
+     promise. A NO vote needs no durability: recovery presumes abort. *)
+  let exec_prepare t l b (r : request) =
+    let tid = match r.rtype with Txn_prepare tid -> tid | _ -> -1 in
+    match Hashtbl.find_opt t.txn_outcomes tid with
+    | Some committed -> reply_now l b r (if committed then Ok else Txn_aborted)
+    | None when Hashtbl.mem t.prepared tid -> reply_now l b r Ok  (* idempotent YES *)
+    | None -> (
+      match take_branch l r ~tid with
+      | None -> reply_now l b r Txn_aborted
+      | Some txn -> (
+        match gate t b ~frozen:b.b_frozen ~base:txn.tx_base txn.tx_footprint with
+        | Redirect -> reply_now l b r (wrong_epoch t)
+        | Park -> park l ~branch:(tid, txn) (W_txn_prepare r)
+        | Conflict -> reply_now l b r Txn_conflict
+        | Execute ->
+          let p =
+            {
+              p_ops = List.rev txn.tx_ops;
+              p_replies = List.rev txn.tx_replies;
+              p_footprint = txn.tx_footprint;
+            }
+          in
+          decide b { r with payload = encode_prepared p } Ok;
+          b.b_prepared <- Footprint.union b.b_prepared p.p_footprint))
+
+  (* Reshard markers decide through consensus; [track_reshard] performs
+     the transition when the instance commits, on every replica alike. *)
+  let exec_reshard t l b (r : request) =
+    let aborted e = Hashtbl.mem t.reshard_aborted e in
+    match r.rtype with
+    | Reshard_freeze e -> (
+      if aborted e then reply_now l b r Txn_aborted
+      else if e <= t.reshard_epoch then
+        (* Stale coordinator: hand it the current map. *)
+        reply_now l b r (wrong_epoch t)
+      else
+        match t.frozen with
+        | Some (e', _, _, _) when e' = e -> reply_now l b r Ok
+        | Some _ -> reply_now l b r Txn_aborted  (* one migration at a time *)
+        | None -> (
+          match Reshard_wire.decode_freeze r.payload with
+          | { f_lo; f_hi; _ } ->
+            (* A prepared branch over the moving range takes effect only
+               at its COMMIT decision, after the slice would ship: freezing
+               under it would drop those writes at the new owner. Refuse;
+               the coordinator burns the epoch and retries once the
+               decision drains. *)
+            let range = [ (f_lo, f_hi) ] in
+            if prepared_lock t b (fun fp -> Footprint.hits_ranges fp range) then
+              reply_now l b r Txn_aborted
+            else begin
+              b.b_frozen <- (f_lo, f_hi) :: b.b_frozen;
+              decide b r Ok
+            end
+          | exception _ -> reply_now l b r Txn_aborted))
+    | Reshard_install e -> (
+      if aborted e then reply_now l b r Txn_aborted
+      else if e <= t.reshard_epoch then reply_now l b r Ok  (* already done *)
+      else
+        match t.installed with
+        | Some (e', _, _, _) when e' = e -> reply_now l b r Ok
+        | _ -> (
+          match Reshard_wire.decode_install r.payload with
+          | env ->
+            (* Import into the batch state, so the shipped update carries
+               the slice to followers (and Catchup snapshots to laggards).
+               [import_range] is idempotent, so replays are harmless. *)
+            b.b_state <- S.import_range b.b_state env.i_blob;
+            decide b r Ok
+          | exception _ -> reply_now l b r Txn_aborted))
+    | Reshard_commit e ->
+      if e <= t.reshard_epoch then reply_now l b r Ok  (* duplicate *)
+      else if aborted e then reply_now l b r Txn_aborted
+      else decide b r Ok
+    | Reshard_abort e ->
+      if t.reshard_epoch >= e then
+        (* The commit won the race: [Ok] with the committed map tells a
+           recovering coordinator the outcome was COMMIT. *)
+        reply_now l b ~payload:t.reshard_map r Ok
+      else if aborted e then reply_now l b r Txn_aborted
+      else decide b r Txn_aborted
+    | _ -> reply_now l b r Txn_aborted
 
   (* ------------------------------------------------------------------ *)
   (* Stepping down                                                       *)
@@ -718,8 +986,32 @@ module Make (S : Service_intf.S) = struct
     Hashtbl.reset t.exec_table;
     acts
 
+  (* Propose [proposal] at [instance]; a single-replica group has its
+     quorum at once. *)
+  let rec start_accept t (l : leadership) ~instance ~proposal ~post_state ~to_send =
+    span_requests t Span.Propose ~instance proposal.requests;
+    let acks = Bitset.create t.cfg.n in
+    Bitset.set acks t.rid;
+    ignore (Plog.accept t.log ~instance ~ballot:l.l_ballot proposal);
+    t.storage.persist_entry ~instance ~ballot:l.l_ballot proposal;
+    let fl =
+      {
+        fl_instance = instance;
+        fl_proposal = proposal;
+        fl_acks = acks;
+        fl_post_state = post_state;
+        fl_to_send = to_send;
+      }
+    in
+    l.l_phase <- Some (Ph_prop fl);
+    let acts =
+      broadcast t (Accept { ballot = l.l_ballot; instance; proposal })
+      @ [ after ~delay:t.cfg.accept_retry_ms (Accept_retry instance) ]
+    in
+    if quorum t <= 1 then acts @ do_commit t l fl else acts
+
   (* Commit the in-flight instance (majority of accept-acks reached). *)
-  let rec do_commit t (l : leadership) (fl : inflight) =
+  and do_commit t (l : leadership) (fl : inflight) =
     span_requests t Span.Accept_quorum ~instance:fl.fl_instance fl.fl_proposal.requests;
     ignore (Plog.commit t.log ~instance:fl.fl_instance);
     t.storage.persist_commit (Plog.commit_point t.log);
@@ -789,15 +1081,7 @@ module Make (S : Service_intf.S) = struct
               | [ r ] -> fst (S.replay t.app_state (S.decode_op r.payload) ~witness:w)
               | _ -> t.app_state)
           in
-          let acts =
-            start_accept t l ~instance ~proposal ~post_state
-              ~to_send:proposal.replies
-          in
-          (if quorum t <= 1 then
-             match l.l_phase with
-             | Some (Ph_prop fl) -> acts @ do_commit t l fl
-             | _ -> acts
-           else acts)
+          start_accept t l ~instance ~proposal ~post_state ~to_send:proposal.replies
         end
       | [] ->
         (* Recovery (if any) has fully committed once the commit point
@@ -919,428 +1203,48 @@ module Make (S : Service_intf.S) = struct
       | Leader l -> finish_execution t l work
       | _ -> []
 
+  and execute_batch t l items =
+    let b =
+      {
+        b_state = t.app_state;
+        b_witness = None;
+        b_written = Footprint.empty;
+        b_prepared = Footprint.empty;
+        b_frozen = committed_frozen t;
+        b_decided = Hashtbl.create 4;
+        b_requests = [];
+        b_replies = [];
+        b_to_send = [];
+        b_instant = [];
+      }
+    in
+    List.iter
+      (function
+        | W_write r -> exec_write t l b r
+        | W_txn_commit r -> exec_decision t l b r
+        | W_txn_prepare r -> exec_prepare t l b r
+        | W_reshard r -> exec_reshard t l b r)
+      items;
+    let instant = reply_actions (List.rev b.b_instant) in
+    match List.rev b.b_requests with
+    | [] -> instant @ pump t
+    | requests ->
+      let update =
+        make_update t ~old_state:t.app_state ~new_state:b.b_state
+          ~witness:(match requests with [ _ ] -> b.b_witness | _ -> None)
+      in
+      let proposal = { requests; update; replies = List.rev b.b_replies } in
+      let instance = Plog.commit_point t.log + 1 in
+      span_requests t Span.Apply ~instance requests;
+      instant
+      @ start_accept t l ~instance ~proposal ~post_state:b.b_state
+          ~to_send:(List.rev b.b_to_send)
+
   (* The service's [apply] reads the leader's local clock from [t.now],
      which [handle] refreshes on every input. *)
   and finish_execution t (l : leadership) work =
     match work with
-    | Exec_batch batch ->
-      (* Execute the batch in arrival order on the committed state; the
-         instance decides the whole batch plus the final state. Writes
-         execute here; transaction commits are conflict-checked and
-         rebased onto the running batch state. Aborts and conflicts need
-         no consensus: their replies go out immediately. *)
-      let batch_state = ref t.app_state in
-      let batch_fps : (string, unit) Hashtbl.t = Hashtbl.create 8 in
-      let requests = ref [] and replies = ref [] and to_send = ref [] in
-      let instant = ref [] in
-      let last_witness = ref None in
-      let conflicts_with_batch txn =
-        let star = Hashtbl.mem txn.tx_footprint "*" in
-        Hashtbl.length batch_fps > 0
-        && (star || Hashtbl.mem batch_fps "*"
-           || Hashtbl.fold
-                (fun k () acc -> acc || Hashtbl.mem batch_fps k)
-                txn.tx_footprint false)
-      in
-      let conflicts_with_window txn =
-        let cp = Plog.commit_point t.log in
-        let star = Hashtbl.mem txn.tx_footprint "*" in
-        let rec scan i =
-          if i > cp then false
-          else
-            match Hashtbl.find_opt t.recent_footprints i with
-            | None -> true (* window evicted: be conservative *)
-            | Some fps ->
-              if
-                fps <> []
-                && (star
-                   || List.exists (Hashtbl.mem txn.tx_footprint) fps
-                   || List.mem "*" fps)
-              then true
-              else scan (i + 1)
-        in
-        scan (txn.tx_base + 1)
-      in
-      (* Prepared cross-shard locks: branches whose 2PC prepare committed
-         (or votes YES earlier in this very batch) and whose decision is
-         still pending. Conflicting writes wait behind the decision;
-         conflicting transaction commits and prepares lose
-         (first-prepared-wins, mirroring first-committer-wins). *)
-      let batch_prep_fps : (string, unit) Hashtbl.t = Hashtbl.create 4 in
-      (* 2PC decisions taken earlier in this batch: [t.prepared] and
-         [t.txn_outcomes] only flip when the instance commits, so without
-         this a commit and a racing abort for the same tid batched
-         together would both claim the branch. *)
-      let batch_decided : (int, bool) Hashtbl.t = Hashtbl.create 4 in
-      let keys_of tbl = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
-      (* Reshard gate: ranges this group handed away answer [Wrong_epoch]
-         — the client adopts the attached map and re-routes — while the
-         range a committed FREEZE is moving parks writers in [l_blocked]
-         until the decision instance resolves it (reads of a frozen
-         range still serve: its content is immutable by construction). *)
-      let moved_ranges = t.moved in
-      let frozen_ranges =
-        match t.frozen with Some (_, lo, hi, _) -> [ (lo, hi) ] | None -> []
-      in
-      (* Ranges frozen by a FREEZE decided *earlier in this very batch*:
-         [t.frozen] only flips when the instance commits, so a prepare
-         batched after the freeze marker would otherwise vote YES on
-         keys whose slice is about to ship without its ops. Plain writes
-         and single-shard commits need no such tracking — their effects
-         land in this instance's state update, which the export sees. *)
-      let batch_frozen = ref frozen_ranges in
-      let hits = Reshard_wire.footprint_hits in
-      let wrong_epoch () =
-        Wrong_epoch { epoch = t.reshard_epoch; map = t.reshard_map }
-      in
-      let locked_by_prepared fps =
-        fps <> []
-        && ((Hashtbl.length batch_prep_fps > 0
-            && (List.mem "*" fps
-               || Hashtbl.mem batch_prep_fps "*"
-               || List.exists (Hashtbl.mem batch_prep_fps) fps))
-           || Hashtbl.fold
-                (fun _ (p : prepared) acc ->
-                  acc
-                  || p.p_footprint <> []
-                     && (List.mem "*" fps
-                        || List.mem "*" p.p_footprint
-                        || List.exists (fun k -> List.mem k p.p_footprint) fps))
-                t.prepared false)
-      in
-      List.iter
-        (function
-          | W_write r -> (
-            let op = S.decode_op r.payload in
-            let fps = S.footprint op in
-            if hits moved_ranges fps then begin
-              Hashtbl.remove l.l_queued_ids r.id;
-              instant :=
-                { req = r.id; status = wrong_epoch (); payload = "" } :: !instant
-            end
-            else if hits frozen_ranges fps then
-              (* The moving range is write-frozen until the migration
-                 decides; the blocked writer re-queues on COMMIT (and
-                 then redirects) or ABORT (and then executes). *)
-              l.l_blocked <- W_write r :: l.l_blocked
-            else if locked_by_prepared fps then
-              (* Held behind a prepared cross-shard branch: the write
-                 waits for that branch's decision instance instead of
-                 racing the 2PC outcome. It keeps its [l_queued_ids] slot
-                 so retransmissions stay deduplicated while it waits. *)
-              l.l_blocked <- W_write r :: l.l_blocked
-            else begin
-              let outcome = S.apply ~rng:t.rng ~now:t.now !batch_state op in
-              batch_state := outcome.state;
-              last_witness := outcome.witness;
-              let reply =
-                { req = r.id; status = Ok; payload = S.encode_result outcome.result }
-              in
-              requests := r :: !requests;
-              replies := reply :: !replies;
-              to_send := reply :: !to_send;
-              List.iter (fun k -> Hashtbl.replace batch_fps k ()) fps
-            end)
-          | W_txn_commit r -> (
-            let tid =
-              match r.rtype with Txn_commit tid | Txn_abort tid -> tid | _ -> -1
-            in
-            let key = (Ids.Client_id.to_int r.id.client, tid) in
-            let instant_status status =
-              Hashtbl.remove l.l_queued_ids r.id;
-              instant := { req = r.id; status; payload = "" } :: !instant
-            in
-            let decided =
-              match Hashtbl.find_opt batch_decided tid with
-              | Some _ as d -> d
-              | None -> Hashtbl.find_opt t.txn_outcomes tid
-            in
-            match decided with
-            | Some committed ->
-              (* Decision tombstone: a duplicate decision, or a
-                 coordinator racing its own recovery. Nothing re-executes;
-                 the reply reports the recorded outcome — [Ok] to an abort
-                 of a committed transaction tells recovery the decision
-                 was COMMIT. *)
-              instant_status (if committed then Ok else Txn_aborted)
-            | None -> (
-              match (Hashtbl.find_opt t.prepared tid, r.rtype) with
-              | Some p, Txn_commit _ ->
-                (* 2PC COMMIT decision for a branch this group voted YES
-                   on: replay the frozen ops (with their recorded
-                   witnesses) onto the running batch state. The ops, their
-                   replies and the decision marker all commit in this one
-                   instance; [track_2pc] releases the lock when it does. *)
-                batch_state :=
-                  List.fold_left
-                    (fun st ((opr : request), witness) ->
-                      let op = S.decode_op opr.payload in
-                      match witness with
-                      | Some w -> fst (S.replay st op ~witness:w)
-                      | None -> (S.apply ~rng:t.rng ~now:t.now st op).state)
-                    !batch_state p.p_ops;
-                let commit_reply = { req = r.id; status = Ok; payload = "" } in
-                List.iter (fun (opr, _) -> requests := opr :: !requests) p.p_ops;
-                requests := r :: !requests;
-                List.iter (fun reply -> replies := reply :: !replies) p.p_replies;
-                replies := commit_reply :: !replies;
-                to_send := commit_reply :: !to_send;
-                List.iter (fun k -> Hashtbl.replace batch_fps k ()) p.p_footprint;
-                Hashtbl.replace batch_decided tid true
-              | Some _, _ ->
-                (* 2PC ABORT decision for a prepared branch: the marker
-                   alone is decided; committing it discards the branch
-                   and releases its locks. *)
-                let reply = { req = r.id; status = Txn_aborted; payload = "" } in
-                requests := r :: !requests;
-                replies := reply :: !replies;
-                to_send := reply :: !to_send;
-                Hashtbl.replace batch_decided tid false
-              | None, Txn_abort _ ->
-                (* Presumed abort: no vote on record, nothing to undo. *)
-                instant_status Txn_aborted
-              | None, _ -> (
-                (* Single-shard T-Paxos commit of a leader-local branch. *)
-                let abort () = instant_status Txn_aborted in
-                match Hashtbl.find_opt l.l_txns key with
-                | None ->
-                  (* Unknown transaction: ops lost to a leader switch
-                     (§3.6). *)
-                  abort ()
-                | Some txn ->
-                  Hashtbl.remove l.l_txns key;
-                  let expected_ops =
-                    (* The commit payload carries the client's op count so
-                       a leader that missed early ops cannot commit a
-                       partial batch. *)
-                    try Grid_codec.Wire.decode r.payload Grid_codec.Wire.Decoder.uint
-                    with _ -> List.length txn.tx_ops
-                  in
-                  if List.length txn.tx_ops <> expected_ops then abort ()
-                  else if hits moved_ranges (keys_of txn.tx_footprint) then
-                    (* The branch is pinned to a shard that handed away
-                       (part of) its footprint mid-transaction: a typed
-                       redirect, never a commit of half the keys under
-                       the successor map. *)
-                    instant_status (wrong_epoch ())
-                  else if hits frozen_ranges (keys_of txn.tx_footprint) then begin
-                    (* Migration in flight over the branch's keys: park
-                       the commit (and keep the branch) until the
-                       decision, then re-check. *)
-                    Hashtbl.replace l.l_txns key txn;
-                    l.l_blocked <- W_txn_commit r :: l.l_blocked
-                  end
-                  else if
-                    conflicts_with_window txn || conflicts_with_batch txn
-                    || locked_by_prepared (keys_of txn.tx_footprint)
-                  then instant_status Txn_conflict
-                  else begin
-                    (* Rebase: replay the recorded ops (with their
-                       witnesses) on top of the running batch state. *)
-                    let ops = List.rev txn.tx_ops in
-                    batch_state :=
-                      List.fold_left
-                        (fun st ((opr : request), witness) ->
-                          let op = S.decode_op opr.payload in
-                          match witness with
-                          | Some w -> fst (S.replay st op ~witness:w)
-                          | None ->
-                            (* No witness: the op was deterministic. *)
-                            (S.apply ~rng:t.rng ~now:t.now st op).state)
-                        !batch_state ops;
-                    let commit_reply = { req = r.id; status = Ok; payload = "" } in
-                    List.iter (fun (opr, _) -> requests := opr :: !requests) ops;
-                    requests := r :: !requests;
-                    List.iter
-                      (fun reply -> replies := reply :: !replies)
-                      (List.rev txn.tx_replies);
-                    replies := commit_reply :: !replies;
-                    to_send := commit_reply :: !to_send;
-                    Hashtbl.iter
-                      (fun k () -> Hashtbl.replace batch_fps k ())
-                      txn.tx_footprint
-                  end)))
-          | W_txn_prepare r -> (
-            let tid = match r.rtype with Txn_prepare tid -> tid | _ -> -1 in
-            let key = (Ids.Client_id.to_int r.id.client, tid) in
-            let instant_status status =
-              Hashtbl.remove l.l_queued_ids r.id;
-              instant := { req = r.id; status; payload = "" } :: !instant
-            in
-            match Hashtbl.find_opt t.txn_outcomes tid with
-            | Some true -> instant_status Ok
-            | Some false -> instant_status Txn_aborted
-            | None ->
-              if Hashtbl.mem t.prepared tid then
-                (* A prior prepare for this tid already committed: the
-                   YES vote is idempotent. *)
-                instant_status Ok
-              else (
-                match Hashtbl.find_opt l.l_txns key with
-                | None ->
-                  (* Ops lost (leader switch) or never seen: vote NO.
-                     A NO vote needs no durability — recovery presumes
-                     abort for any transaction without a committed COMMIT
-                     decision. *)
-                  instant_status Txn_aborted
-                | Some txn ->
-                  Hashtbl.remove l.l_txns key;
-                  let expected_ops =
-                    try Grid_codec.Wire.decode r.payload Grid_codec.Wire.Decoder.uint
-                    with _ -> List.length txn.tx_ops
-                  in
-                  if List.length txn.tx_ops <> expected_ops then
-                    instant_status Txn_aborted
-                  else if hits moved_ranges (keys_of txn.tx_footprint) then
-                    (* Voting YES would promise keys this group no longer
-                       owns: redirect the coordinator instead. *)
-                    instant_status (wrong_epoch ())
-                  else if hits !batch_frozen (keys_of txn.tx_footprint) then begin
-                    Hashtbl.replace l.l_txns key txn;
-                    l.l_blocked <- W_txn_prepare r :: l.l_blocked
-                  end
-                  else if
-                    conflicts_with_window txn || conflicts_with_batch txn
-                    || locked_by_prepared (keys_of txn.tx_footprint)
-                  then instant_status Txn_conflict
-                  else begin
-                    (* YES: freeze the branch into the prepare request
-                       itself, so the committed instance carries
-                       everything a failover leader needs to finish the
-                       transaction, and lock its footprint until the
-                       decision arrives. Nothing applies to the batch
-                       state yet; the vote reply releases at commit time,
-                       which is what makes it a crash-safe promise. *)
-                    let p =
-                      {
-                        p_ops = List.rev txn.tx_ops;
-                        p_replies = List.rev txn.tx_replies;
-                        p_footprint = keys_of txn.tx_footprint;
-                      }
-                    in
-                    let vote = { req = r.id; status = Ok; payload = "" } in
-                    requests := { r with payload = encode_prepared p } :: !requests;
-                    replies := vote :: !replies;
-                    to_send := vote :: !to_send;
-                    List.iter
-                      (fun k -> Hashtbl.replace batch_prep_fps k ())
-                      p.p_footprint
-                  end))
-          | W_reshard r -> (
-            let instant_reply status payload =
-              Hashtbl.remove l.l_queued_ids r.id;
-              instant := { req = r.id; status; payload } :: !instant
-            in
-            let instant_status status = instant_reply status "" in
-            (* Decide the marker through consensus: the reply releases at
-               commit time, so a phase transition is as durable as the
-               log before the coordinator may advance past it.
-               [track_reshard] performs the transition when the instance
-               commits — on this leader and every other replica alike. *)
-            let decide status =
-              let reply = { req = r.id; status; payload = "" } in
-              requests := r :: !requests;
-              replies := reply :: !replies;
-              to_send := reply :: !to_send
-            in
-            match r.rtype with
-            | Reshard_freeze e -> (
-              if Hashtbl.mem t.reshard_aborted e then instant_status Txn_aborted
-              else if e <= t.reshard_epoch then
-                (* Stale coordinator: the map already moved past this
-                   epoch — hand it the current map. *)
-                instant_status (wrong_epoch ())
-              else
-                match t.frozen with
-                | Some (e', _, _, _) when e' = e -> instant_status Ok
-                | Some _ ->
-                  (* One migration at a time per group. *)
-                  instant_status Txn_aborted
-                | None -> (
-                  match Reshard_wire.decode_freeze r.payload with
-                  | { Reshard_wire.f_lo; f_hi; _ } ->
-                    (* A prepared cross-shard branch over the moving
-                       range is a promise whose effect lands only at its
-                       COMMIT decision — *after* the slice would ship.
-                       Freezing under it would silently drop those
-                       writes at the new owner, so refuse: the
-                       coordinator burns the epoch and retries once the
-                       branch's decision drains. *)
-                    let range = [ (f_lo, f_hi) ] in
-                    let prep_locked =
-                      Hashtbl.fold
-                        (fun k () acc -> acc || hits range [ k ])
-                        batch_prep_fps false
-                      || Hashtbl.fold
-                           (fun _ (p : prepared) acc ->
-                             acc || hits range p.p_footprint)
-                           t.prepared false
-                    in
-                    if prep_locked then instant_status Txn_aborted
-                    else begin
-                      batch_frozen := (f_lo, f_hi) :: !batch_frozen;
-                      decide Ok
-                    end
-                  | exception _ -> instant_status Txn_aborted))
-            | Reshard_install e -> (
-              if Hashtbl.mem t.reshard_aborted e then instant_status Txn_aborted
-              else if e <= t.reshard_epoch then
-                (* The install (and its commit) already went through. *)
-                instant_status Ok
-              else
-                match t.installed with
-                | Some (e', _, _, _) when e' = e -> instant_status Ok
-                | _ -> (
-                  match Reshard_wire.decode_install r.payload with
-                  | env ->
-                    (* Import into the running batch state so the shipped
-                       Full/Delta update carries the slice: followers get
-                       the handoff through the ordinary ship path and
-                       lagging replicas through Catchup snapshots — no
-                       new transfer machinery. [import_range] is
-                       idempotent, so replay-path re-imports are
-                       harmless. *)
-                    batch_state := S.import_range !batch_state env.i_blob;
-                    decide Ok
-                  | exception _ -> instant_status Txn_aborted))
-            | Reshard_commit e ->
-              if e <= t.reshard_epoch then instant_status Ok  (* duplicate *)
-              else if Hashtbl.mem t.reshard_aborted e then
-                instant_status Txn_aborted
-              else decide Ok
-            | Reshard_abort e ->
-              if t.reshard_epoch >= e then
-                (* The commit decision won the race: [Ok] carrying the
-                   committed map tells a recovering coordinator the
-                   outcome was COMMIT — mirroring the 2PC "Ok to an
-                   abort of a committed transaction" convention. *)
-                instant_reply Ok t.reshard_map
-              else if Hashtbl.mem t.reshard_aborted e then
-                instant_status Txn_aborted
-              else decide Txn_aborted
-            | _ -> instant_status Txn_aborted))
-        batch;
-      let instant_actions = reply_actions (List.rev !instant) in
-      if !requests = [] then instant_actions @ pump t
-      else begin
-        let requests = List.rev !requests in
-        let update =
-          make_update t ~old_state:t.app_state ~new_state:!batch_state
-            ~witness:(match requests with [ _ ] -> !last_witness | _ -> None)
-        in
-        let proposal = { requests; update; replies = List.rev !replies } in
-        let instance = Plog.commit_point t.log + 1 in
-        span_requests t Span.Apply ~instance requests;
-        let acts =
-          start_accept t l ~instance ~proposal ~post_state:!batch_state
-            ~to_send:(List.rev !to_send)
-        in
-        instant_actions
-        @
-        if quorum t <= 1 then
-          match l.l_phase with Some (Ph_prop fl) -> acts @ do_commit t l fl | _ -> acts
-        else acts
-      end
+    | Exec_batch items -> execute_batch t l items
     | Exec_read r -> (
       match Hashtbl.find_opt l.l_reads r.id with
       | None -> []
@@ -1376,7 +1280,7 @@ module Make (S : Service_intf.S) = struct
                 tx_base = Plog.commit_point t.log;
                 tx_ops = [];
                 tx_replies = [];
-                tx_footprint = Hashtbl.create 8;
+                tx_footprint = Footprint.empty;
               }
             in
             Hashtbl.replace l.l_txns key txn;
@@ -1386,7 +1290,7 @@ module Make (S : Service_intf.S) = struct
         let outcome = S.apply ~rng:t.rng ~now:t.now txn.tx_state op in
         txn.tx_state <- outcome.state;
         txn.tx_ops <- (r, outcome.witness) :: txn.tx_ops;
-        List.iter (fun k -> Hashtbl.replace txn.tx_footprint k ()) (S.footprint op);
+        txn.tx_footprint <- Footprint.union txn.tx_footprint (Footprint.of_keys (S.footprint op));
         let reply = { req = r.id; status = Ok; payload = S.encode_result outcome.result } in
         txn.tx_replies <- reply :: txn.tx_replies;
         Span.Recorder.span ~tid:r.trace.tid ~parent:r.trace.parent t.obs ~time:t.now
@@ -1469,6 +1373,24 @@ module Make (S : Service_intf.S) = struct
        >= t.cfg.max_inflight)
     || (t.cfg.max_queue > 0 && Queue.length l.l_queue >= (t.cfg.max_queue + 1) / 2)
 
+  (* Admit a fresh write-path request to the batch queue. *)
+  let enqueue t (l : leadership) (r : request) w =
+    match dedup_lookup t r with
+    | `Resend reply -> reply_actions [ reply ]
+    | `Stale -> []
+    | `Fresh ->
+      if Hashtbl.mem l.l_queued_ids r.id then []
+      else if write_window_full t l then
+        (* Shed before touching [l_queued_ids]: an [Overloaded] reply
+           promises nothing, so the retransmission must be admittable
+           from scratch once the queue drains. *)
+        shed t r ~backlog:(Queue.length l.l_queue)
+      else begin
+        Hashtbl.replace l.l_queued_ids r.id ();
+        Queue.add w l.l_queue;
+        pump t
+      end
+
   let leader_handle_client t (l : leadership) (r : request) =
     let detail =
       match r.rtype with
@@ -1485,22 +1407,12 @@ module Make (S : Service_intf.S) = struct
       else { r with trace = { r.trace with parent = t.sid_receive } }
     in
     match r.rtype with
-    | Read
-      when t.moved <> []
-           && Reshard_wire.footprint_hits t.moved
-                (try S.footprint (S.decode_op r.payload) with _ -> [ "*" ]) ->
+    | Read when t.moved <> [] && Footprint.hits_ranges (op_footprint r) t.moved ->
       (* The key range moved to another group: answer with the current
          map so the client re-routes. Reads of a *frozen* range still
          serve below — a frozen range is immutable, so its content here
          stays correct until the commit flips ownership. *)
-      reply_actions
-        [
-          {
-            req = r.id;
-            status = Wrong_epoch { epoch = t.reshard_epoch; map = t.reshard_map };
-            payload = "";
-          };
-        ]
+      reply_actions [ { req = r.id; status = wrong_epoch t; payload = "" } ]
     | Read ->
       (* A retransmission of a read we already hold is not re-admitted
          (it is already in the window). *)
@@ -1525,49 +1437,19 @@ module Make (S : Service_intf.S) = struct
       end
       else admit_read t l r
     | Original -> begin_execution t l (Exec_original r)
-    | Write | Txn_commit _ | Txn_prepare _ | Reshard_freeze _ | Reshard_install _
-    | Reshard_commit _ | Reshard_abort _ -> (
-      match dedup_lookup t r with
-      | `Resend reply -> reply_actions [ reply ]
-      | `Stale -> []
-      | `Fresh ->
-        if Hashtbl.mem l.l_queued_ids r.id then []
-        else if write_window_full t l then
-          (* Shed before touching [l_queued_ids]: an [Overloaded] reply
-             promises nothing, so the retransmission must be admittable
-             from scratch once the queue drains. *)
-          shed t r ~backlog:(Queue.length l.l_queue)
-        else begin
-          Hashtbl.replace l.l_queued_ids r.id ();
-          Queue.add
-            (match r.rtype with
-            | Write -> W_write r
-            | Txn_prepare _ -> W_txn_prepare r
-            | Reshard_freeze _ | Reshard_install _ | Reshard_commit _
-            | Reshard_abort _ ->
-              W_reshard r
-            | _ -> W_txn_commit r)
-            l.l_queue;
-          pump t
-        end)
+    | Write -> enqueue t l r (W_write r)
+    | Txn_commit _ -> enqueue t l r (W_txn_commit r)
+    | Txn_prepare _ -> enqueue t l r (W_txn_prepare r)
+    | Reshard_freeze _ | Reshard_install _ | Reshard_commit _ | Reshard_abort _ ->
+      enqueue t l r (W_reshard r)
     | Txn_op _ -> begin_execution t l (Exec_txn_op r)
     | Txn_abort tid ->
-      if Hashtbl.mem t.prepared tid then (
+      if Hashtbl.mem t.prepared tid then
         (* Aborting a prepared cross-shard branch is itself a 2PC
            decision: it must be replicated through the log (same path as
            a commit decision) so every replica releases the lock and
            records the tombstone. *)
-        match dedup_lookup t r with
-        | `Resend reply -> reply_actions [ reply ]
-        | `Stale -> []
-        | `Fresh ->
-          if Hashtbl.mem l.l_queued_ids r.id then []
-          else if write_window_full t l then shed t r ~backlog:(Queue.length l.l_queue)
-          else begin
-            Hashtbl.replace l.l_queued_ids r.id ();
-            Queue.add (W_txn_commit r) l.l_queue;
-            pump t
-          end)
+        enqueue t l r (W_txn_commit r)
       else (
         match Hashtbl.find_opt t.txn_outcomes tid with
         | Some true ->

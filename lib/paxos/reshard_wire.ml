@@ -139,12 +139,6 @@ let decode_participant s =
       let p_imported = Wire.Decoder.uint d in
       { p_epoch; p_map; p_frozen; p_installed; p_moved; p_aborted; p_imported })
 
-(** Range membership for [Wrong_epoch]/freeze checks: footprint key [k]
-    falls in [\[lo, hi)]. *)
-let in_range ~lo ~hi k =
-  String.compare k lo >= 0
-  && match hi with None -> true | Some h -> String.compare k h < 0
-
 (** Subtract [\[lo, hi)] from every range in the list. An imported range
     restores ownership of whatever part of a previously handed-away
     range it covers — the two transitions need not share cut points (a
@@ -172,13 +166,3 @@ let range_subtract ranges ~lo ~hi =
         in
         left @ right)
     ranges
-
-(** Does a request footprint intersect any of [ranges]? A ["*"]
-    footprint intersects every nonempty range set (it touches keys this
-    group may no longer own). *)
-let footprint_hits ranges fps =
-  ranges <> [] && fps <> []
-  && (List.mem "*" fps
-     || List.exists
-          (fun k -> List.exists (fun (lo, hi) -> in_range ~lo ~hi k) ranges)
-          fps)

@@ -34,9 +34,6 @@ val empty_participant : participant
 val encode_participant : participant -> string
 val decode_participant : string -> participant
 
-val in_range : lo:string -> hi:string option -> string -> bool
-(** [lo] inclusive, [hi] exclusive, [None] = top of keyspace. *)
-
 val range_subtract :
   (string * string option) list ->
   lo:string ->
@@ -45,7 +42,3 @@ val range_subtract :
 (** Remove [\[lo, hi)] from every range: a committed install restores
     ownership of whatever part of a previously handed-away range it
     covers, cut points need not match. *)
-
-val footprint_hits : (string * string option) list -> string list -> bool
-(** Does the footprint intersect any range? ["*"] hits every nonempty
-    range set; empty footprints hit nothing. *)

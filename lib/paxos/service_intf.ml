@@ -47,8 +47,11 @@ module type S = sig
 
   val footprint : op -> string list
   (** Abstract keys touched by the operation, for T-Paxos first-committer-
-      wins conflict detection. [\["*"\]] conflicts with everything; [\[\]]
-      conflicts with nothing (pure reads). *)
+      wins conflict detection, 2PC locks, reshard gates and shard
+      placement. {!Footprint.of_keys} normalises it: [\["*"\]] overlaps
+      every nonempty footprint; [\[\]] overlaps nothing, not even
+      [\["*"\]] (pure reads). {!Footprint.overlaps} is the one conflict
+      relation. *)
 
   (** {1 Codecs} *)
 

@@ -223,12 +223,13 @@ let pp_error ppf (e : error) =
     List.iter (fun (k, s) -> Format.fprintf ppf " %s->s%d" k s) keys
 
 let place t keys : (placement, error) result =
-  if List.mem "*" keys then Error `All_shards
-  else
+  match Grid_paxos.Footprint.of_keys keys with
+  | All -> Error `All_shards
+  | Keys _ -> (
     match keys with
     | [] -> Ok Any
     | first :: rest ->
       let owner0 = owner_of_key t first in
       if List.for_all (fun k -> owner_of_key t k = owner0) rest then
         Ok (Single owner0)
-      else Error (`Cross_shard (List.map (fun k -> (k, owner_of_key t k)) keys))
+      else Error (`Cross_shard (List.map (fun k -> (k, owner_of_key t k)) keys)))

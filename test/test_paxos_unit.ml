@@ -505,6 +505,65 @@ let test_config_validation () =
   Alcotest.check_raises "n=0" (Invalid_argument "Config.default: need at least one replica")
     (fun () -> ignore (Config.default ~n:0))
 
+(* ------------------------------------------------------------------ *)
+(* Footprint: the one conflict relation, checked against the list-based
+   predicates it replaced. *)
+
+module Footprint = Grid_paxos.Footprint
+
+let ref_overlaps a b =
+  a <> [] && b <> []
+  && (List.mem "*" a || List.mem "*" b || List.exists (fun k -> List.mem k b) a)
+
+let ref_hits ranges fps =
+  let in_range k (lo, hi) =
+    String.compare k lo >= 0
+    && match hi with None -> true | Some h -> String.compare k h < 0
+  in
+  ranges <> [] && fps <> []
+  && (List.mem "*" fps || List.exists (fun k -> List.exists (in_range k) ranges) fps)
+
+(* Small alphabets, so duplicates, shared keys and range edges are common. *)
+let gen_keys =
+  QCheck2.Gen.(
+    list_size (int_range 0 5) (oneofl [ "*"; "a"; "b"; "b2"; "c"; "d"; "kv/x" ]))
+
+let gen_ranges =
+  QCheck2.Gen.(
+    list_size (int_range 0 3)
+      (pair (oneofl [ ""; "a"; "b"; "c" ]) (opt (oneofl [ "a"; "b"; "b2"; "c"; "e" ]))))
+
+let print_keys = QCheck2.Print.(list string)
+
+let prop_footprint_overlaps =
+  QCheck2.Test.make ~name:"footprint overlaps = list reference" ~count:1000
+    ~print:QCheck2.Print.(triple print_keys print_keys print_keys)
+    QCheck2.Gen.(triple gen_keys gen_keys gen_keys)
+    (fun (a, b, c) ->
+      let fa = Footprint.of_keys a and fb = Footprint.of_keys b in
+      Footprint.overlaps fa fb = ref_overlaps a b
+      && Footprint.overlaps (Footprint.union fa fb) (Footprint.of_keys c)
+         = ref_overlaps (a @ b) c
+      && Footprint.of_keys (Footprint.keys fa) = fa)
+
+let prop_footprint_hits_ranges =
+  QCheck2.Test.make ~name:"footprint hits_ranges = list reference" ~count:1000
+    QCheck2.Gen.(pair gen_keys gen_ranges)
+    (fun (keys, ranges) ->
+      Footprint.hits_ranges (Footprint.of_keys keys) ranges = ref_hits ranges keys)
+
+let test_footprint_cases () =
+  let fp = Footprint.of_keys in
+  Alcotest.(check bool) "empty vs wildcard" false (Footprint.overlaps (fp []) (fp [ "*" ]));
+  Alcotest.(check bool) "wildcard vs key" true (Footprint.overlaps (fp [ "*" ]) (fp [ "a" ]));
+  Alcotest.(check (list string)) "sorted, deduplicated" [ "a"; "b" ]
+    (Footprint.keys (fp [ "b"; "a"; "b" ]));
+  Alcotest.(check (list string)) "wildcard absorbs" [ "*" ]
+    (Footprint.keys (Footprint.union (fp [ "a" ]) (fp [ "b"; "*" ])));
+  Alcotest.(check bool) "open-ended range" true
+    (Footprint.hits_ranges (fp [ "zz" ]) [ ("m", None) ]);
+  Alcotest.(check bool) "no ranges" false (Footprint.hits_ranges (fp [ "*" ]) [])
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -545,6 +604,9 @@ let suite =
         Alcotest.test_case "faulty wrapper tears and drops" `Quick
           test_storage_faulty_wrapper;
       ] );
+    ( "paxos.footprint",
+      Alcotest.test_case "wildcard and empty" `Quick test_footprint_cases
+      :: qcheck [ prop_footprint_overlaps; prop_footprint_hits_ranges ] );
     ("paxos.snapshot", [ Alcotest.test_case "roundtrip" `Quick test_snapshot_roundtrip ]);
     ( "paxos.config",
       [

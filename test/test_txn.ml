@@ -182,6 +182,38 @@ let test_txn_disjoint_no_conflict () =
   Alcotest.(check (option string)) "a" (Some "1") (Kv.find st "a");
   Alcotest.(check (option string)) "b" (Some "2") (Kv.find st "b")
 
+(* An empty footprint overlaps nothing, not even the wildcard: a
+   read-only branch commits although a ["*"] write (a broker [Select],
+   which reads global load) committed after it branched. *)
+let test_txn_read_only_vs_wildcard () =
+  let module Broker = Grid_services.Resource_broker in
+  let module RB = Grid_runtime.Runtime.Make (Broker) in
+  let t = RB.create ~cfg:(cfg ()) ~scenario:(Scenario.uniform ()) () in
+  ignore (RB.await_leader t);
+  let statuses = Hashtbl.create 4 in
+  let mk id =
+    RB.add_client t ~id
+      ~on_reply:(fun reply -> Hashtbl.replace statuses (id, reply.req.seq) reply.status)
+      ()
+  in
+  let submit c rtype ~payload =
+    match RB.submit t c rtype ~payload with
+    | `Submitted -> ()
+    | `Busy -> Alcotest.fail "submit: client busy"
+  in
+  let c1 = mk 1 and c2 = mk 2 in
+  submit c1 (Txn_op 1) ~payload:(Broker.encode_op Broker.List_free);
+  RB.run_until t (RB.now t +. 50.0);
+  submit c2 Write
+    ~payload:
+      (Broker.encode_op (Broker.Select { site = 0; units = 1; strategy = Broker.Uniform }));
+  RB.run_until t (RB.now t +. 50.0);
+  Alcotest.(check bool) "select committed" true (Hashtbl.find statuses (2, 1) = Ok);
+  submit c1 (Txn_commit 1) ~payload:(Wire.encode (fun e -> Wire.Encoder.uint e 1));
+  RB.run_until t (RB.now t +. 200.0);
+  Alcotest.(check bool) "read-only branch commits" true
+    (Hashtbl.find_opt statuses (1, 2) = Some Ok)
+
 let test_txn_leader_switch_aborts () =
   (* §3.6: if the leader switches mid-transaction, the new leader has no
      branch and must abort the commit. *)
@@ -248,6 +280,8 @@ let suite =
         Alcotest.test_case "conflict: first committer wins" `Quick
           test_txn_conflict_first_committer_wins;
         Alcotest.test_case "disjoint txns both commit" `Quick test_txn_disjoint_no_conflict;
+        Alcotest.test_case "read-only branch ignores a wildcard write" `Quick
+          test_txn_read_only_vs_wildcard;
         Alcotest.test_case "leader switch aborts (§3.6)" `Quick
           test_txn_leader_switch_aborts;
         Alcotest.test_case "sequential transactions" `Quick test_txn_multiple_sequential;

@@ -251,8 +251,8 @@ let test_duplicate_commit_delivery () =
   in
   let footprint_of payload =
     match Kv.decode_op payload with
-    | op -> Kv.footprint op
-    | exception _ -> [ "*" ]
+    | op -> Grid_paxos.Footprint.of_keys (Kv.footprint op)
+    | exception _ -> Grid_paxos.Footprint.all
   in
   Alcotest.(check int) "checker finds no violations" 0
     (List.length
@@ -320,7 +320,7 @@ let creq ~seq rtype payload =
 let tid_a = 1_000_000_001
 let tid_b = 1_000_000_002
 let is_cross tid = tid >= 1_000_000_000
-let fp_of payload = [ payload ]
+let fp_of payload = Grid_paxos.Footprint.of_keys [ payload ]
 
 let xcheck ?require_resolved histories =
   Xshard.check ?require_resolved ~is_cross_tid:is_cross ~footprint_of:fp_of
