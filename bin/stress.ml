@@ -49,6 +49,16 @@ let run_seeded ~trace_dump ~run ~pp ~violations =
   List.iter (fun v -> Format.printf "  %s@." v) (violations o);
   if violations o = [] then 0 else 1
 
+let run_xshard_one ~seed ~trace_dump =
+  run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_outcome
+    ~violations:(fun (o : Grid_check.Xstress.outcome) -> o.o_violations)
+    ~run:(fun ?trace () -> Grid_check.Xstress.run_one ?trace ~seed ())
+
+let run_reshard_one ~seed ~trace_dump =
+  run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_reshard_outcome
+    ~violations:(fun (o : Grid_check.Xstress.reshard_outcome) -> o.r_violations)
+    ~run:(fun ?trace () -> Grid_check.Xstress.run_reshard_one ?trace ~seed ())
+
 (* Run one seed per selected service, then re-run it from the recorded
    fault plan and insist the replay reproduces the outcome exactly. *)
 let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump =
@@ -212,13 +222,7 @@ let run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue ~shrink
    crashes, duplication/reordering and abandoned coordinators, with the
    agreement and cross-shard atomicity/serializability oracles on every
    schedule (see Grid_check.Xstress). *)
-let run_xshard ~schedules ~base_seed ~seed ~trace_dump ~quiet =
-  match seed with
-  | Some seed ->
-    run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_outcome
-      ~violations:(fun (o : Grid_check.Xstress.outcome) -> o.o_violations)
-      ~run:(fun ?trace () -> Grid_check.Xstress.run_one ?trace ~seed ())
-  | None ->
+let run_xshard ~schedules ~base_seed ~quiet =
   let progress =
     if quiet then None
     else
@@ -246,13 +250,7 @@ let run_xshard ~schedules ~base_seed ~seed ~trace_dump ~quiet =
    handoff racing tagged appends, leader crashes in the migrating groups
    and parked coordinators, with the exactly-once acked-write oracle on
    every schedule (see Grid_check.Xstress). *)
-let run_reshard ~schedules ~base_seed ~seed ~trace_dump ~quiet =
-  match seed with
-  | Some seed ->
-    run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_reshard_outcome
-      ~violations:(fun (o : Grid_check.Xstress.reshard_outcome) -> o.r_violations)
-      ~run:(fun ?trace () -> Grid_check.Xstress.run_reshard_one ?trace ~seed ())
-  | None ->
+let run_reshard ~schedules ~base_seed ~quiet =
   let progress =
     if quiet then None
     else
@@ -288,8 +286,14 @@ let main schedules seed base_seed steps service crash torn dup reorder meta_drop
   in
   let services = services_of service in
   if plant_dedup then run_plant ~seed:base_seed ~steps ~nem ~attempts:40
-  else if xshard then run_xshard ~schedules ~base_seed ~seed ~trace_dump ~quiet
-  else if reshard then run_reshard ~schedules ~base_seed ~seed ~trace_dump ~quiet
+  else if xshard then (
+    match seed with
+    | Some seed -> run_xshard_one ~seed ~trace_dump
+    | None -> run_xshard ~schedules ~base_seed ~quiet)
+  else if reshard then (
+    match seed with
+    | Some seed -> run_reshard_one ~seed ~trace_dump
+    | None -> run_reshard ~schedules ~base_seed ~quiet)
   else if overload then
     run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue
       ~shrink:(not no_shrink) ~quiet

@@ -2,9 +2,9 @@
     with an explicit wildcard.
 
     One conflict relation serves every footprint check in the system:
-    T-Paxos first-committer-wins (DESIGN.md §6), the 2PC prepared locks
-    (§16), the reshard moved/frozen gates (§17), shard placement and the
-    cross-shard serializability checker. Services report footprints as
+    T-Paxos first-committer-wins and the batch gate (DESIGN.md §5), the
+    2PC prepared locks (§16), the reshard moved/frozen gates (§17), shard
+    placement and the cross-shard serializability checker. Services report footprints as
     key lists ({!Service_intf.S.footprint}), where the key ["*"] means
     "every key"; {!of_keys} is the one place that reads it. *)
 

@@ -681,11 +681,15 @@ module Make (S : Service_intf.S) = struct
         (* the committed frozen range plus any FREEZE decided earlier in
            this batch: [t.frozen] only flips when the instance commits, so
            a prepare batched after the freeze marker would otherwise vote
-           YES on keys whose slice is about to ship without its ops *)
+           YES on keys whose slice is about to ship without its ops.
+           Writes and single-shard commits gate on the committed range
+           only: their effects land in this instance's state update,
+           which the export sees. *)
     b_decided : (int, bool) Hashtbl.t;
-        (* 2PC decisions taken earlier in this batch, for the same reason:
-           a commit and a racing abort for one tid must not both claim
-           the branch *)
+        (* 2PC decisions taken earlier in this batch: [t.prepared] and
+           [t.txn_outcomes] also flip only at commit, so without this a
+           commit and a racing abort for one tid would both claim the
+           branch *)
     mutable b_requests : request list;
     mutable b_replies : reply list;  (* decided with the instance *)
     mutable b_to_send : reply list;  (* released at commit time *)
@@ -718,7 +722,7 @@ module Make (S : Service_intf.S) = struct
     in
     scan (base + 1)
 
-  (* The batch gate (DESIGN.md §16–§17), in order: a range this group
+  (* The batch gate (DESIGN.md §5), in order: a range this group
      handed away redirects (the client adopts the attached map); a range
      a FREEZE is moving parks the item until the migration decides (reads
      of it still serve: its content is immutable); a prepared cross-shard
@@ -788,14 +792,13 @@ module Make (S : Service_intf.S) = struct
       in
       if List.length txn.tx_ops = expected then Some txn else None
 
-  (* Park [w] until a decision instance re-queues it; a parked commit or
-     prepare keeps its branch, to be re-gated then. *)
-  let park (l : leadership) ?branch w =
-    (match (branch, w) with
-    | Some (tid, txn), (W_txn_commit r | W_txn_prepare r) ->
-      Hashtbl.replace l.l_txns (txn_key r tid) txn
-    | _ -> ());
-    l.l_blocked <- w :: l.l_blocked
+  (* Park [w] until a decision instance re-queues it. *)
+  let park (l : leadership) w = l.l_blocked <- w :: l.l_blocked
+
+  (* A parked commit or prepare keeps its branch, to be re-gated then. *)
+  let park_branch l (r : request) ~tid txn w =
+    Hashtbl.replace l.l_txns (txn_key r tid) txn;
+    park l w
 
   let exec_write t l b (r : request) =
     let op = S.decode_op r.payload in
@@ -823,7 +826,7 @@ module Make (S : Service_intf.S) = struct
     | Some txn -> (
       match gate t b ~frozen:(committed_frozen t) ~base:txn.tx_base txn.tx_footprint with
       | Redirect -> reply_now l b r (wrong_epoch t)
-      | Park -> park l ~branch:(tid, txn) (W_txn_commit r)
+      | Park -> park_branch l r ~tid txn (W_txn_commit r)
       | Conflict -> reply_now l b r Txn_conflict
       | Execute ->
         commit_branch t b r ~ops:(List.rev txn.tx_ops)
@@ -874,7 +877,7 @@ module Make (S : Service_intf.S) = struct
       | Some txn -> (
         match gate t b ~frozen:b.b_frozen ~base:txn.tx_base txn.tx_footprint with
         | Redirect -> reply_now l b r (wrong_epoch t)
-        | Park -> park l ~branch:(tid, txn) (W_txn_prepare r)
+        | Park -> park_branch l r ~tid txn (W_txn_prepare r)
         | Conflict -> reply_now l b r Txn_conflict
         | Execute ->
           let p =
