@@ -686,7 +686,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
           Printf.sprintf
             {|{"node":%d,"role":"%s","ballot":{"round":%d,"holder":%d},"commit_point":%d,"holds_lease":%b,"queue_depth":%d,"reads_inflight":%d,"shed_reads":%d,"shed_writes":%d,"watchdog_violations":%d,"reshard":{"epoch":%d,"phase":"%s","moved_ranges":%d,"imported_items":%d},"wire_version":%d,"peer_wire_versions":{%s}}|}
             id
-            (if R.is_leader replica then "leader" else "follower")
+            (R.role_name replica)
             b.Grid_paxos.Types.Ballot.round b.Grid_paxos.Types.Ballot.holder
             (R.commit_point replica)
             (R.holds_lease replica ~now)

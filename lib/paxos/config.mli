@@ -18,7 +18,10 @@ type t = private {
   suspicion_ms : float;  (** silence after which a replica is suspected *)
   stability_ms : float;
       (** candidate hold-down before starting a takeover (leader
-          stability, §3.6) *)
+          stability, §3.6). Skipped on a fresh full view — every replica
+          heard and no ballot seen anywhere — where there is no leader to
+          depose and only the lowest id is candidate; skipping it there
+          can cost a [Reject] round (liveness), never safety. *)
   client_retry_ms : float;  (** client retransmission timeout *)
   record_history : bool;
       (** keep the full committed-request history in memory (for the

@@ -159,6 +159,9 @@ module Make (S : Service_intf.S) = struct
     last_heard : float array;
     mutable round_seen : int;
     mutable candidate_since : float option;
+    mutable hold_token : int;
+        (* token of the latest stability hold-down armed (-1 = none yet):
+           a [Stability_check] carrying any other token is stale *)
     (* X-Paxos confirms that arrived before the client request, tagged
        with the leadership ballot they confirmed (stale tags are
        discarded rather than counted toward a later leadership's reads) *)
@@ -232,6 +235,7 @@ module Make (S : Service_intf.S) = struct
       last_heard = Array.make cfg.n neg_infinity;
       round_seen = 0;
       candidate_since = None;
+      hold_token = -1;
       pre_confirms = Hashtbl.create 16;
       lease_holder = -1;
       lease_until = neg_infinity;
@@ -281,6 +285,9 @@ module Make (S : Service_intf.S) = struct
   let log_entries t = Plog.entry_count t.log
   let state t = t.app_state
   let is_leader t = match t.role with Leader _ -> true | _ -> false
+
+  let role_name t =
+    match t.role with Leader _ -> "leader" | Candidate _ -> "candidate" | Follower -> "follower"
 
   let ballot t =
     match t.role with
@@ -1764,6 +1771,22 @@ module Make (S : Service_intf.S) = struct
     | Some holder when List.mem holder alive_set -> holder
     | _ -> List.fold_left Stdlib.min max_int alive_set
 
+  (* Start the takeover unless a lease forbids it: our own grant (or the
+     post-crash blackout) blocks our candidacy too, and the next
+     heartbeat or suspicion tick after it expires re-evaluates, so
+     liveness only shifts by up to one lease. The incumbent-first rule is
+     re-checked: checking only for the lowest live id would deadlock a
+     leader that restarted faster than the suspicion timeout — it is the
+     holder, so nobody else arms candidacy, yet as a restarted follower
+     it would refuse to prepare. *)
+  let try_prepare t ~now =
+    let leased = t.cfg.lease_ms > 0.0 && now < t.lease_until && t.lease_holder <> t.rid in
+    if (not leased) && candidate t ~now = t.rid then start_prepare t ~now
+    else begin
+      t.candidate_since <- None;
+      []
+    end
+
   (* A follower that finds itself the candidate arms the stability
      hold-down; [on_stability_check] re-evaluates before preparing.
      Evaluated whenever a heartbeat arrives as well as on the suspicion
@@ -1771,16 +1794,27 @@ module Make (S : Service_intf.S) = struct
      promise, so a cold start arms as soon as a peer is heard and a
      silent leader is noticed within one heartbeat period of its
      suspicion timeout. The tick remains for a replica that hears nobody
-     (n = 1 included) and to re-arm after a lease blocked a check. *)
+     (n = 1 included) and to re-arm after a lease blocked a check.
+
+     A fresh full view skips the hold-down: every replica is alive and
+     no ballot exists anywhere we have heard ([round_seen] = 0; a
+     heartbeat's round is observed before this runs). There is no leader
+     to depose and everyone who sees everyone picks the lowest id, so
+     only that replica prepares this way, once (its prepare raises
+     [round_seen]). A peer that armed before hearing it costs at most one
+     [Reject] round: liveness, never safety. *)
   let consider_candidacy t ~now =
     let candidate = candidate t ~now in
     match t.role with
-    | Follower when candidate = t.rid -> (
-      match t.candidate_since with
-      | None ->
-        t.candidate_since <- Some now;
-        [ after ~delay:t.cfg.stability_ms (Stability_check t.round_seen) ]
-      | Some _ -> [])
+    | Follower when candidate = t.rid ->
+      if t.round_seen = 0 && List.length (alive t ~now) = t.cfg.n then try_prepare t ~now
+      else (
+        match t.candidate_since with
+        | None ->
+          t.candidate_since <- Some now;
+          t.hold_token <- t.hold_token + 1;
+          [ after ~delay:t.cfg.stability_ms (Stability_check t.hold_token) ]
+        | Some _ -> [])
     | Follower | Candidate _ | Leader _ ->
       if candidate <> t.rid then t.candidate_since <- None;
       []
@@ -1790,32 +1824,17 @@ module Make (S : Service_intf.S) = struct
     consider_candidacy t ~now
     @ [ after ~delay:(t.cfg.suspicion_ms /. 2.0) Suspicion_tick ]
 
-  let on_stability_check t ~now =
-    match (t.role, t.candidate_since) with
-    | Follower, Some since when now -. since >= t.cfg.stability_ms -. 1e-9 ->
-      if
-        t.cfg.lease_ms > 0.0 && now < t.lease_until && t.lease_holder <> t.rid
-      then begin
-        (* Our own grant (or post-crash blackout) blocks our candidacy
-           too; the next heartbeat or suspicion tick after the grant
-           expires re-arms the stability check, so liveness only shifts
-           by up to one lease. *)
+  (* A check armed for an earlier candidacy is ignored: it must not
+     clear the [candidate_since] of a newer one. *)
+  let on_stability_check t ~now ~token =
+    if token <> t.hold_token then []
+    else
+      match (t.role, t.candidate_since) with
+      | Follower, Some since when now -. since >= t.cfg.stability_ms -. 1e-9 ->
+        try_prepare t ~now
+      | _ ->
         t.candidate_since <- None;
         []
-      end
-      (* The same incumbent-first rule that armed the check. Checking only
-         for the lowest live id here would deadlock a leader that
-         restarted faster than the suspicion timeout — it is the holder,
-         so nobody else arms candidacy, yet as a restarted follower it
-         would refuse to prepare. *)
-      else if candidate t ~now = t.rid then start_prepare t ~now
-      else begin
-        t.candidate_since <- None;
-        []
-      end
-    | _ ->
-      t.candidate_since <- None;
-      []
 
   let on_accept_retry t ~instance =
     match t.role with
@@ -1862,7 +1881,7 @@ module Make (S : Service_intf.S) = struct
       match timer with
       | Hb_tick -> on_hb_tick t ~now
       | Suspicion_tick -> on_suspicion_tick t ~now
-      | Stability_check _ -> on_stability_check t ~now
+      | Stability_check token -> on_stability_check t ~now ~token
       | Accept_retry instance -> on_accept_retry t ~instance
       | Prepare_retry round -> on_prepare_retry t ~round
       | Exec_done token -> on_exec_done t ~token

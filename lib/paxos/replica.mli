@@ -88,6 +88,10 @@ module Make (S : Service_intf.S) : sig
 
   val id : t -> int
   val is_leader : t -> bool
+
+  val role_name : t -> string
+  (** ["leader"], ["candidate"] (a prepare in flight) or ["follower"]. *)
+
   val ballot : t -> Types.Ballot.t
   val promised : t -> Types.Ballot.t
   val commit_point : t -> int

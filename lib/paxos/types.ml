@@ -642,7 +642,8 @@ type timer =
   | Hb_tick  (** periodic heartbeat broadcast *)
   | Suspicion_tick  (** periodic liveness evaluation *)
   | Stability_check of int
-      (** candidate hold-down started while observing this round *)
+      (** candidate hold-down, by arming token: a check whose token is
+          not the latest one armed is stale and ignored *)
   | Accept_retry of int  (** instance number *)
   | Prepare_retry of int  (** ballot round *)
   | Exec_done of int  (** execution-cost token *)

@@ -140,6 +140,133 @@ let test_silent_leader_noticed_on_heartbeat () =
   H.deliver_all ~filter:(fun src dst _ -> src <> 0 && dst <> 0) t;
   Alcotest.(check bool) "r1 elected" true (Replica.is_leader t.replicas.(1))
 
+(* Fresh full view: with every replica heard and no ballot anywhere, the
+   lowest id prepares at once instead of waiting out the hold-down. Each
+   case pairs the rule with a state that keeps the hold-down. *)
+
+let role t i = Replica.role_name t.H.replicas.(i)
+
+let test_fresh_full_view_prepares () =
+  let t = H.create () in
+  H.advance t 1.0;
+  heartbeat t ~src:1 ~dst:0;
+  Alcotest.(check bool) "r0 hearing only r1 arms the hold-down" true (armed t 0);
+  Alcotest.(check string) "and waits" "follower" (role t 0);
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check string) "r2's heartbeat completes the view: r0 prepares" "candidate"
+    (role t 0);
+  Alcotest.(check bool) "its stability check has not fired" true (armed t 0);
+  H.deliver_all t;
+  Alcotest.(check bool) "r0 elected" true (Replica.is_leader t.replicas.(0))
+
+let test_full_view_defers_to_lowest () =
+  let t = H.create () in
+  H.advance t 1.0;
+  List.iter
+    (fun (dst, srcs) -> List.iter (fun src -> heartbeat t ~src ~dst) srcs)
+    [ (1, [ 0; 2 ]); (2, [ 0; 1 ]) ];
+  List.iter
+    (fun i ->
+      Alcotest.(check bool) (Printf.sprintf "r%d arms nothing" i) false (armed t i);
+      Alcotest.(check string) (Printf.sprintf "r%d defers to r0" i) "follower" (role t i))
+    [ 1; 2 ];
+  heartbeat t ~src:1 ~dst:0;
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check string) "r0 prepares" "candidate" (role t 0)
+
+(* r0 hears one heartbeat from each peer, each carrying [round] and no
+   promise (as from a peer that refused a prepare during a lease). *)
+let full_view_at ~round =
+  let t = H.create () in
+  List.iter
+    (fun src ->
+      H.feed t 0
+        (Receive
+           {
+             src;
+             msg =
+               Heartbeat
+                 {
+                   round_seen = round;
+                   commit_point = 0;
+                   promised = Ballot.zero;
+                   sent_at = t.now;
+                   lease_anchor = Float.nan;
+                 };
+           }))
+    [ 1; 2 ];
+  t
+
+let test_seen_ballot_keeps_hold_down () =
+  Alcotest.(check string) "round 0 everywhere: r0 prepares" "candidate"
+    (role (full_view_at ~round:0) 0);
+  let t = full_view_at ~round:1 in
+  Alcotest.(check bool) "a heartbeat at round 1 arms the hold-down" true (armed t 0);
+  Alcotest.(check string) "and r0 waits" "follower" (role t 0);
+  (* Restarted over its own persisted promise: r0 is the incumbent, so it
+     is the candidate, but a ballot exists. *)
+  let t = H.create () in
+  Replica.load t.replicas.(0)
+    {
+      Grid_paxos.Storage.promised = Ballot.make ~round:1 ~holder:0;
+      entries = [];
+      commit_point = 0;
+      snapshot = None;
+    };
+  heartbeat t ~src:1 ~dst:0;
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check bool) "a persisted promise arms the hold-down" true (armed t 0);
+  Alcotest.(check string) "and r0 waits" "follower" (role t 0)
+
+let test_lease_blackout_blocks_fast_path () =
+  let lease_ms = 200.0 in
+  let t = H.create ~cfg_tweak:(fun c -> Grid_paxos.Config.make ~base:c ~lease_ms ()) () in
+  H.absorb t 0 (Replica.restart t.replicas.(0) ~now:t.now);
+  heartbeat t ~src:1 ~dst:0;
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check string) "blackout blocks the fast path" "follower" (role t 0);
+  H.advance t cfg.stability_ms;
+  ignore (H.fire t 0 (function Stability_check _ -> true | _ -> false));
+  Alcotest.(check string) "and the stability check" "follower" (role t 0);
+  H.advance t lease_ms;
+  heartbeat t ~src:1 ~dst:0;
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check string) "after the blackout r0 prepares at once" "candidate" (role t 0)
+
+let test_single_replica_elects_at_first_tick () =
+  let t = H.create ~n:1 () in
+  ignore (H.fire t 0 (function Suspicion_tick -> true | _ -> false));
+  Alcotest.(check bool) "leader at its first suspicion tick" true
+    (Replica.is_leader t.replicas.(0))
+
+(* The check armed when r0 first hears a peer outlives the candidacy its
+   full view completes; r0 is deposed and, once its deposer falls
+   silent, arms a newer candidacy. The old check fires first and must
+   leave the newer one alone. *)
+let test_stale_stability_check_ignored () =
+  let stability_ms = 200.0 in
+  let t =
+    H.create ~cfg_tweak:(fun c -> Grid_paxos.Config.make ~base:c ~stability_ms ()) ()
+  in
+  heartbeat t ~src:1 ~dst:0;
+  H.advance t 1.0;
+  heartbeat t ~src:2 ~dst:0;
+  Alcotest.(check string) "r0 prepares on its full view" "candidate" (role t 0);
+  H.advance t 1.0;
+  H.feed t 0 (Receive { src = 1; msg = Reject { promised = Ballot.make ~round:1 ~holder:1 } });
+  Alcotest.(check string) "deposed by r1" "follower" (role t 0);
+  H.advance t (cfg.suspicion_ms +. 1.0);
+  H.feed t 0 (Timer Suspicion_tick);
+  let rearmed_at = t.now in
+  Alcotest.(check bool) "r1 suspected: a newer candidacy" true (armed t 0);
+  (* The check armed at time 0 falls due first. *)
+  t.now <- stability_ms;
+  ignore (H.fire t 0 (function Stability_check _ -> true | _ -> false));
+  Alcotest.(check string) "the stale check is ignored" "follower" (role t 0);
+  t.now <- rearmed_at +. stability_ms;
+  ignore (H.fire t 0 (function Stability_check _ -> true | _ -> false));
+  Alcotest.(check string) "the newer check prepares" "candidate" (role t 0)
+
 let test_commit_alone_does_not_elect () =
   (* A replica that merely observes commits from a leader never tries to
      lead while those commits keep arriving (liveness of followership). *)
@@ -315,6 +442,18 @@ let suite =
           test_cold_start_heartbeat_arms;
         Alcotest.test_case "silent leader noticed on next heartbeat" `Quick
           test_silent_leader_noticed_on_heartbeat;
+        Alcotest.test_case "fresh full view: lowest id prepares at once" `Quick
+          test_fresh_full_view_prepares;
+        Alcotest.test_case "fresh full view: the others defer" `Quick
+          test_full_view_defers_to_lowest;
+        Alcotest.test_case "a seen ballot keeps the hold-down" `Quick
+          test_seen_ballot_keeps_hold_down;
+        Alcotest.test_case "lease blackout blocks the fast path" `Quick
+          test_lease_blackout_blocks_fast_path;
+        Alcotest.test_case "n = 1 elects at its first tick" `Quick
+          test_single_replica_elects_at_first_tick;
+        Alcotest.test_case "stale stability check ignored" `Quick
+          test_stale_stability_check_ignored;
       ] );
     ( "txn.engine",
       [

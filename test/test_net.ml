@@ -387,6 +387,9 @@ let test_admin_endpoint () =
           Alcotest.(check bool) "health reports reshard state" true
             (contains body
                {|"reshard":{"epoch":0,"phase":"idle","moved_ranges":0,"imported_items":0}|});
+          let _, body = http_get ports.((leader_id + 1) mod 3) "/health" in
+          Alcotest.(check bool) "health says follower" true
+            (contains body {|"role":"follower"|});
           (* /metrics: Prometheus exposition with transport and watchdog
              series. *)
           let status, body = http_get ports.(leader_id) "/metrics" in
