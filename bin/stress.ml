@@ -12,6 +12,7 @@
 open Cmdliner
 module Stress = Grid_check.Stress
 module Mcheck = Grid_check.Mcheck
+module Xstress = Grid_check.Xstress
 
 let services_of = function
   | `Counter -> [ Stress.Counter_service ]
@@ -40,24 +41,6 @@ let dump_trace file events =
      Printf.eprintf "trace-dump failed: %s\n" e;
      exit 1);
   Format.printf "trace: %d events -> %s@." (List.length events) file
-
-(* With --seed, the sharded tiers run that one schedule (optionally
-   recording its spans) instead of a batch; exit 0 iff it passed. *)
-let run_seeded ~trace_dump ~run ~pp ~violations =
-  let o = run ?trace:(Option.map dump_trace trace_dump) () in
-  Format.printf "%a@." pp o;
-  List.iter (fun v -> Format.printf "  %s@." v) (violations o);
-  if violations o = [] then 0 else 1
-
-let run_xshard_one ~seed ~trace_dump =
-  run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_outcome
-    ~violations:(fun (o : Grid_check.Xstress.outcome) -> o.o_violations)
-    ~run:(fun ?trace () -> Grid_check.Xstress.run_one ?trace ~seed ())
-
-let run_reshard_one ~seed ~trace_dump =
-  run_seeded ~trace_dump ~pp:Grid_check.Xstress.pp_reshard_outcome
-    ~violations:(fun (o : Grid_check.Xstress.reshard_outcome) -> o.r_violations)
-    ~run:(fun ?trace () -> Grid_check.Xstress.run_reshard_one ?trace ~seed ())
 
 (* Run one seed per selected service, then re-run it from the recorded
    fault plan and insist the replay reproduces the outcome exactly. *)
@@ -89,20 +72,12 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
         (String.concat ";" (Array.to_list (Array.map string_of_int o.committed)));
       Format.printf "  plan (%d events): %a@." (List.length o.plan) Mcheck.pp_plan
         o.plan;
-      let replay seed plan =
-        match service with
-        | Stress.Counter_service ->
-          fst
-            (Stress.Counter_harness.replay_plan ~steps
-               ~meta_drop_prob:nem.Mcheck.meta_drop_prob ~disable_dedup ~cfg_tweak
-               ~seed ~plan ())
-        | Stress.Kv_service ->
-          fst
-            (Stress.Kv_harness.replay_plan ~steps
-               ~meta_drop_prob:nem.Mcheck.meta_drop_prob ~disable_dedup ~cfg_tweak
-               ~seed ~plan ())
+      let r =
+        let module H = (val Stress.harness service) in
+        fst
+          (H.replay_plan ~steps ~meta_drop_prob:nem.Mcheck.meta_drop_prob
+             ~disable_dedup ~cfg_tweak ~seed ~plan:o.plan ())
       in
-      let r = replay seed o.plan in
       if
         r.Mcheck.delivered = o.delivered
         && r.committed = o.committed
@@ -218,63 +193,39 @@ let run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue ~shrink
   else if summary.failures = [] then 0
   else 1
 
-(* The cross-shard tier: sharded KV runtime, 2PC transactions under
-   crashes, duplication/reordering and abandoned coordinators, with the
-   agreement and cross-shard atomicity/serializability oracles on every
-   schedule (see Grid_check.Xstress). *)
-let run_xshard ~schedules ~base_seed ~quiet =
-  let progress =
-    if quiet then None
-    else
-      Some
-        (fun (s : Grid_check.Xstress.summary) ->
-          if s.s_schedules mod 50 = 0 then
-            Format.printf "  ... %d schedules, %d failing@." s.s_schedules
-              (List.length s.s_failures))
-  in
-  let summary = Grid_check.Xstress.run ~schedules ~base_seed ?progress () in
-  Format.printf "%a@." Grid_check.Xstress.pp_summary summary;
-  List.iter
-    (fun (o : Grid_check.Xstress.outcome) ->
-      Format.printf "FAIL %a@." Grid_check.Xstress.pp_outcome o;
-      List.iter (fun v -> Format.printf "  %s@." v) o.o_violations)
-    summary.s_failures;
-  if summary.s_committed = 0 then begin
-    Format.printf "no cross-shard commit exercised — FAIL@.";
-    1
-  end
-  else if summary.s_failures = [] then 0
-  else 1
+(* The sharded tiers (see Grid_check.Xstress): --xshard drives 2PC
+   transactions, --reshard live splits and merges, over 3 groups under
+   crashes, duplication and reordering. With --seed, run that one
+   schedule, optionally dumping its spans; exit 0 iff it passed. *)
+let print_outcome prefix (o : Xstress.outcome) =
+  Format.printf "%s%a@." prefix Xstress.pp_outcome o;
+  List.iter (fun v -> Format.printf "  %s@." v) o.violations
 
-(* The elastic-resharding tier: live shard splits/merges with snapshot
-   handoff racing tagged appends, leader crashes in the migrating groups
-   and parked coordinators, with the exactly-once acked-write oracle on
-   every schedule (see Grid_check.Xstress). *)
-let run_reshard ~schedules ~base_seed ~quiet =
+let run_sharded_one tier ~seed ~trace_dump =
+  let o = Xstress.run_one ?trace:(Option.map dump_trace trace_dump) ~seed tier in
+  print_outcome "" o;
+  if o.violations = [] then 0 else 1
+
+(* A batch fails on any failing schedule, and also when it never
+   exercised what its tier exists to stress. *)
+let run_sharded tier ~schedules ~base_seed ~quiet =
   let progress =
     if quiet then None
     else
       Some
-        (fun (s : Grid_check.Xstress.reshard_summary) ->
-          if s.rs_schedules mod 50 = 0 then
-            Format.printf "  ... %d schedules, %d failing@." s.rs_schedules
-              (List.length s.rs_failures))
+        (fun (s : Xstress.summary) ->
+          if s.schedules mod 50 = 0 then
+            Format.printf "  ... %d schedules, %d failing@." s.schedules
+              (List.length s.failures))
   in
-  let summary = Grid_check.Xstress.run_reshard ~schedules ~base_seed ?progress () in
-  Format.printf "%a@." Grid_check.Xstress.pp_reshard_summary summary;
-  List.iter
-    (fun (o : Grid_check.Xstress.reshard_outcome) ->
-      Format.printf "FAIL %a@." Grid_check.Xstress.pp_reshard_outcome o;
-      List.iter (fun v -> Format.printf "  %s@." v) o.r_violations)
-    summary.rs_failures;
-  if summary.rs_splits = 0 || summary.rs_acked = 0 || summary.rs_xcommitted = 0
-  then begin
-    Format.printf
-      "no live split, acked write, or committed cross txn exercised — FAIL@.";
+  let summary = Xstress.run ~schedules ~base_seed ?progress tier in
+  Format.printf "%a@." Xstress.pp_summary summary;
+  List.iter (print_outcome "FAIL ") summary.failures;
+  match Xstress.unexercised summary with
+  | Some what ->
+    Format.printf "%s — FAIL@." what;
     1
-  end
-  else if summary.rs_failures = [] then 0
-  else 1
+  | None -> if summary.failures = [] then 0 else 1
 
 let main schedules seed base_seed steps service crash torn dup reorder meta_drop
     drift drift_max lease_ms plant_dedup overload xshard reshard max_inflight
@@ -286,14 +237,11 @@ let main schedules seed base_seed steps service crash torn dup reorder meta_drop
   in
   let services = services_of service in
   if plant_dedup then run_plant ~seed:base_seed ~steps ~nem ~attempts:40
-  else if xshard then (
+  else if xshard || reshard then (
+    let tier = if xshard then Xstress.Xshard else Xstress.Reshard in
     match seed with
-    | Some seed -> run_xshard_one ~seed ~trace_dump
-    | None -> run_xshard ~schedules ~base_seed ~quiet)
-  else if reshard then (
-    match seed with
-    | Some seed -> run_reshard_one ~seed ~trace_dump
-    | None -> run_reshard ~schedules ~base_seed ~quiet)
+    | Some seed -> run_sharded_one tier ~seed ~trace_dump
+    | None -> run_sharded tier ~schedules ~base_seed ~quiet)
   else if overload then
     run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue
       ~shrink:(not no_shrink) ~quiet

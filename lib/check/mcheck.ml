@@ -151,10 +151,6 @@ type outcome = {
       (** one line per violation, in firing order *)
 }
 
-let failed o =
-  o.violations <> [] || o.durability <> [] || o.stale_reads <> []
-  || o.lost_admitted <> [] || o.wire_errors <> []
-
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
 
@@ -415,10 +411,14 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       sched.channels []
     |> List.sort compare
 
+  (* The nemesis keeps at most this many replicas down at once, so the
+     3-replica group always keeps a quorum. *)
+  let max_down = 1
+
   (* Crash/recovery decision for this step; [true] if it consumed the
      step. Recording draws from the fault RNG; replay consults the plan
      and rolls no dice, leaving the scheduling stream aligned. *)
-  let nemesis_step sched ~max_down =
+  let nemesis_step sched =
     let down_count =
       Array.fold_left (fun n d -> if d then n + 1 else n) 0 sched.down
     in
@@ -495,8 +495,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   (* One scheduling step: a nemesis event, a message delivery (possibly
      reordered within its channel, possibly duplicated), or a timer
      firing. Weights bias toward delivery so runs make progress. *)
-  let step sched ~max_down =
-    if nemesis_step sched ~max_down then true
+  let step sched =
+    if nemesis_step sched then true
     else begin
       let pairs = deliverable_pairs sched in
       let timers = sched.timers in
@@ -568,7 +568,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Runs                                                              *)
 
-  let run_mode ?(obs = Grid_obs.Span.Recorder.disabled) ~seed ~steps ~max_down
+  let run_mode ?(obs = Grid_obs.Span.Recorder.disabled) ~seed ~steps
       ~meta_drop_prob ~disable_dedup ~cfg_tweak ~requests ~wire_versions
       ~upgrades ~mode () =
     let rng = Rng.of_int seed in
@@ -748,7 +748,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     for _ = 1 to steps do
       sched.nstep <- sched.nstep + 1;
       if pending_count () > 0 && Rng.int sched.rng 10 = 0 then ignore (inject ())
-      else ignore (step sched ~max_down)
+      else ignore (step sched)
     done;
     (* Drain: the nemesis stops, everyone is disarmed and recovered, and
        we keep injecting unanswered requests and scheduling until all are
@@ -767,7 +767,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       decr budget;
       sched.nstep <- sched.nstep + 1;
       if Rng.int sched.rng 20 = 0 then ignore (inject ())
-      else ignore (step sched ~max_down)
+      else ignore (step sched)
     done;
     let all_replied = pending_count () = 0 in
     refresh_oracle sched;
@@ -895,37 +895,19 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       (match S.classify op with `Read -> Read | `Write -> Write),
       S.encode_op op )
 
-  let explore ?obs ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(nemesis = no_faults)
+  let explore ?obs ?(seed = 1) ?(steps = 5_000) ?(nemesis = no_faults)
       ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
       ?wire_versions ?(upgrades = []) () =
-    run_mode ?obs ~seed ~steps ~max_down ~meta_drop_prob:nemesis.meta_drop_prob
+    run_mode ?obs ~seed ~steps ~meta_drop_prob:nemesis.meta_drop_prob
       ~disable_dedup ~cfg_tweak ~requests ~wire_versions ~upgrades
       ~mode:(Record { nem = nemesis; frng = Rng.of_int (seed lxor 0x6e656d) })
       ()
 
-  let replay ?obs ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(meta_drop_prob = 0.0)
+  let replay ?obs ?(seed = 1) ?(steps = 5_000) ?(meta_drop_prob = 0.0)
       ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
       ?wire_versions ~plan () =
     let tbl = Hashtbl.create (List.length plan) in
     List.iter (fun ev -> Hashtbl.replace tbl (fault_step ev) ev) plan;
-    run_mode ?obs ~seed ~steps ~max_down ~meta_drop_prob ~disable_dedup ~cfg_tweak
+    run_mode ?obs ~seed ~steps ~meta_drop_prob ~disable_dedup ~cfg_tweak
       ~requests ~wire_versions ~upgrades:[] ~mode:(Replay tbl) ()
-
-  let run ?obs ?(seed = 1) ?(steps = 5_000) ?(crash_prob = 0.0) ?(max_down = 1)
-      ?cfg_tweak ?(requests = []) () =
-    explore ?obs ~seed ~steps ~max_down
-      ~nemesis:{ no_faults with crash_prob }
-      ?cfg_tweak ~requests ()
-
-  (* Shrink a failing run to a minimal plan: greedily drop events, keeping
-     any removal after which the (deterministic) replay still fails. *)
-  let shrink ?(seed = 1) ?(steps = 5_000) ?(max_down = 1) ?(meta_drop_prob = 0.0)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ~plan () =
-    let still_fails p =
-      failed
-        (replay ~seed ~steps ~max_down ~meta_drop_prob ~disable_dedup ~cfg_tweak
-           ~requests ?wire_versions ~plan:p ())
-    in
-    shrink_plan ~still_fails plan
 end

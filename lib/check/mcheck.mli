@@ -28,7 +28,7 @@
     Every fault that fires is recorded in a {!plan} keyed by scheduler
     step. Scheduling choices and fault dice draw from separate RNG
     streams, so {!Make.replay} of a recorded plan rolls no dice and
-    reproduces the run exactly; {!Make.shrink} then greedily drops plan
+    reproduces the run exactly; {!shrink_plan} then greedily drops plan
     events to find a minimal failing schedule. *)
 
 (** {1 Fault plans} *)
@@ -129,10 +129,6 @@ type outcome = {
   watchdog_detail : string list;  (** one line per violation, firing order *)
 }
 
-val failed : outcome -> bool
-(** Agreement or durability violated, a stale read observed, an admitted
-    write lost, or a wire-codec roundtrip failure. *)
-
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)
 
@@ -145,7 +141,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?obs:Grid_obs.Span.Recorder.t ->
     ?seed:int ->
     ?steps:int ->
-    ?max_down:int ->
     ?nemesis:nemesis ->
     ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
@@ -159,7 +154,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       deterministic for a given seed. [requests] are
       (client id, rtype, payload) triples; each client's requests are
       injected in order (closed loop) and retransmitted until answered.
-      After [steps] scheduling choices the nemesis stops, every replica
+      The nemesis keeps at most one replica down at a time. After [steps] scheduling choices the nemesis stops, every replica
       is recovered from storage, and the system is drained so liveness
       can be asserted. [disable_dedup] plants the double-commit bug the
       request-dedup table exists to prevent (for validating that the
@@ -181,7 +176,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?obs:Grid_obs.Span.Recorder.t ->
     ?seed:int ->
     ?steps:int ->
-    ?max_down:int ->
     ?meta_drop_prob:float ->
     ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
@@ -196,33 +190,4 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       With the plan and parameters of a recorded run, the replay is
       exact; with a shrunk plan it is best-effort (events whose
       preconditions no longer hold are skipped). *)
-
-  val shrink :
-    ?seed:int ->
-    ?steps:int ->
-    ?max_down:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    ?wire_versions:int array ->
-    plan:plan ->
-    unit ->
-    plan
-  (** [shrink ~plan ()] greedily minimizes a failing plan under
-      {!replay} with the same parameters, using {!failed} as the
-      predicate. *)
-
-  val run :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?seed:int ->
-    ?steps:int ->
-    ?crash_prob:float ->
-    ?max_down:int ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    unit ->
-    outcome
-  (** [explore] with only (clean) crash/recovery faults — the historical
-      entry point used by the schedule-exploration tests. *)
 end

@@ -381,10 +381,13 @@ module Overload_harness = Harness (struct
   let lin_ok = counter_lin_ok
 end)
 
+let harness = function
+  | Counter_service -> (module Counter_harness : HARNESS)
+  | Kv_service -> (module Kv_harness : HARNESS)
+
 let run_one ~service =
-  match service with
-  | Counter_service -> Counter_harness.run_one
-  | Kv_service -> Kv_harness.run_one
+  let module H = (val harness service) in
+  H.run_one
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

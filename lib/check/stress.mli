@@ -163,5 +163,9 @@ module Kv_harness : HARNESS
 module Overload_harness : HARNESS
 (** The counter service under {!run_overload}'s write-heavy workload. *)
 
+val harness : service -> (module HARNESS)
+(** The default-workload harness of a service ({!Counter_harness} or
+    {!Kv_harness}). *)
+
 val pp_failure : Format.formatter -> failure -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -1,15 +1,23 @@
-(* Cross-shard nemesis tier: seeded schedules over the sharded KV runtime
-   driving 2PC transactions (DESIGN.md §16) against replica crashes,
-   message duplication and reordering, and abandoned coordinators that a
-   fresh client later recovers with presumed abort. Every schedule ends
-   with per-group agreement ({!Agreement.check}) and the cross-shard
-   atomicity/serializability oracle ({!Xshard.check}). *)
+(* Sharded nemesis tiers: seeded schedules over the sharded KV runtime
+   against replica crashes and message duplication and reordering. Both
+   tiers run one schedule skeleton ({!run_one}); a tier supplies only
+   what differs — its RNG salt, partition and horizon, its drivers, its
+   crash victims and its own oracles:
+
+   - [Xshard] drives 2PC transactions (DESIGN.md §16), some abandoned
+     mid-protocol and resolved later by presumed-abort recovery;
+   - [Reshard] splits and merges a live key range (DESIGN.md §17) under
+     tagged appends and transactions that straddle the moving range.
+
+   The skeleton owns the cluster, the one-replica-down crash
+   bookkeeping, the run loop, the drain, the per-group drain oracle,
+   {!Xshard.check}, the watchdog and the trace hook. *)
 
 module M = Grid_shard.Multi.Make (Grid_services.Kv_store)
 module Kv = Grid_services.Kv_store
 module Partition = Grid_shard.Partition
+module Reshard = Grid_shard.Reshard
 module Rng = Grid_util.Rng
-module Ids = Grid_util.Ids
 module Engine = Grid_sim.Engine
 module Network = Grid_sim.Network
 module Scenario = Grid_runtime.Scenario
@@ -26,27 +34,158 @@ let footprint_of payload =
   | op -> Grid_paxos.Footprint.of_keys (Kv.footprint op)
   | exception _ -> Grid_paxos.Footprint.all
 
-type outcome = {
-  o_seed : int;
-  o_committed : int;  (* cross txns the live coordinator committed *)
-  o_aborted : int;
-  o_conflicted : int;
-  o_abandoned : int;  (* coordinators parked mid-protocol *)
-  o_recovered : int;  (* abandoned txns resolved by recovery *)
-  o_singles : int;  (* single-shard requests completed alongside *)
-  o_crashes : int;
-  o_violations : string list;
+type tier = Xshard | Reshard
+
+type counts = {
+  committed : int;
+  aborted : int;
+  conflicted : int;
+  parked : int;
+  recovered : int;
+  singles : int;
+  splits : int;
+  merges : int;
+  moves_aborted : int;
+  redirects : int;
+  acked : int;
+  crashes : int;
 }
 
+let zero =
+  {
+    committed = 0;
+    aborted = 0;
+    conflicted = 0;
+    parked = 0;
+    recovered = 0;
+    singles = 0;
+    splits = 0;
+    merges = 0;
+    moves_aborted = 0;
+    redirects = 0;
+    acked = 0;
+    crashes = 0;
+  }
+
+let add a b =
+  {
+    committed = a.committed + b.committed;
+    aborted = a.aborted + b.aborted;
+    conflicted = a.conflicted + b.conflicted;
+    parked = a.parked + b.parked;
+    recovered = a.recovered + b.recovered;
+    singles = a.singles + b.singles;
+    splits = a.splits + b.splits;
+    merges = a.merges + b.merges;
+    moves_aborted = a.moves_aborted + b.moves_aborted;
+    redirects = a.redirects + b.redirects;
+    acked = a.acked + b.acked;
+    crashes = a.crashes + b.crashes;
+  }
+
+type outcome = { tier : tier; seed : int; counts : counts; violations : string list }
+
 let pp_outcome ppf o =
-  Format.fprintf ppf
-    "seed %d: %d committed, %d aborted, %d conflicted, %d abandoned (%d \
-     recovered), %d singles, %d crashes%s"
-    o.o_seed o.o_committed o.o_aborted o.o_conflicted o.o_abandoned o.o_recovered
-    o.o_singles o.o_crashes
-    (match o.o_violations with
-    | [] -> ""
-    | vs -> Printf.sprintf ", %d VIOLATIONS" (List.length vs))
+  let n = o.counts in
+  Format.fprintf ppf "seed %d: " o.seed;
+  (match o.tier with
+  | Xshard ->
+    Format.fprintf ppf
+      "%d committed, %d aborted, %d conflicted, %d abandoned (%d recovered), %d \
+       singles"
+      n.committed n.aborted n.conflicted n.parked n.recovered n.singles
+  | Reshard ->
+    Format.fprintf ppf
+      "%d splits, %d merges, %d aborted, %d parked, %d redirects, %d acked, %d/%d \
+       xtxns"
+      n.splits n.merges n.moves_aborted n.parked n.redirects n.acked n.committed
+      (n.committed + n.aborted + n.conflicted));
+  Format.fprintf ppf ", %d crashes" n.crashes;
+  match o.violations with
+  | [] -> ()
+  | vs -> Format.fprintf ppf ", %d VIOLATIONS" (List.length vs)
+
+type summary = {
+  tier : tier;
+  schedules : int;
+  totals : counts;
+  failures : outcome list;
+}
+
+let pp_summary ppf s =
+  let n = s.totals in
+  Format.fprintf ppf "%d schedules: " s.schedules;
+  (match s.tier with
+  | Xshard ->
+    Format.fprintf ppf
+      "%d committed, %d aborted, %d conflicted, %d abandoned (%d recovered)"
+      n.committed n.aborted n.conflicted n.parked n.recovered
+  | Reshard ->
+    Format.fprintf ppf
+      "%d splits, %d merges, %d aborted, %d parked, %d redirects, %d acked writes \
+       verified, %d/%d cross txns committed"
+      n.splits n.merges n.moves_aborted n.parked n.redirects n.acked n.committed
+      (n.committed + n.aborted + n.conflicted));
+  Format.fprintf ppf ", %d crashes, %d failing" n.crashes (List.length s.failures)
+
+(* A batch that never reached the protocol its tier exists to stress
+   proves nothing, however green. *)
+let unexercised s =
+  let n = s.totals in
+  match s.tier with
+  | Xshard -> if n.committed = 0 then Some "no cross-shard commit exercised" else None
+  | Reshard ->
+    if n.splits = 0 || n.acked = 0 || n.committed = 0 then
+      Some "no live split, acked write, or committed cross txn exercised"
+    else None
+
+(* ------------------------------------------------------------------ *)
+(* The skeleton's services to a tier's drivers                         *)
+
+type ctx = {
+  t : M.t;
+  rng : Rng.t;
+  mutable violations : string list;  (* newest first *)
+  mutable down : (int * int) option;  (* the one replica down or doomed *)
+  mutable crashes : int;
+}
+
+let violate c fmt =
+  Format.kasprintf (fun s -> c.violations <- s :: c.violations) fmt
+
+let after c delay f = ignore (Engine.schedule (M.engine c.t) ~delay f)
+
+(* The crash dice: at most one replica down at a time, so every group
+   keeps a quorum. *)
+let roll_crash c prob = c.down = None && Rng.float c.rng 1.0 < prob
+
+(* Crash replica [r] of group [g] now, or [at] ms from now, and restart
+   it [back] ms from now. *)
+let crash c ?at ~back g r =
+  c.down <- Some (g, r);
+  c.crashes <- c.crashes + 1;
+  (match at with
+  | None -> M.crash_replica c.t ~shard:g r
+  | Some d -> after c d (fun () -> M.crash_replica c.t ~shard:g r));
+  after c back (fun () ->
+      M.recover_replica c.t ~shard:g r;
+      c.down <- None)
+
+(* What a tier's drivers hand back once launched. *)
+type drivers = {
+  finished : unit -> bool;
+  stall : unit -> string;  (* what is still outstanding, for the stall report *)
+  check : unit -> unit;  (* the tier's own oracles, after the drain *)
+  counts : unit -> counts;  (* everything but [crashes] *)
+}
+
+let submit_or_fail t cl op what =
+  match M.try_submit_op t cl op with
+  | Ok _ -> ()
+  | Error e -> Format.kasprintf invalid_arg "Xstress: %s: %a" what M.pp_submit_error e
+
+(* ------------------------------------------------------------------ *)
+(* Xshard: 2PC coordinators against single-shard traffic                *)
 
 (* A few keys owned by shard [s], so transactions can be aimed at a
    chosen set of groups. Small pools on purpose: contention is what
@@ -103,56 +242,26 @@ let park_cross_txn t cl ~tid ~(shard_ops : (int * Kv.op) list) ~(prepare : int l
       | `Busy -> invalid_arg "Xstress.park_cross_txn: busy handle")
     shard_ops
 
-(* Span recording for a traced schedule: large enough that one
-   schedule's spans never wrap (the columns grow on demand). *)
-let trace_capacity = 1 lsl 20
-
-let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
-    ?(crash_prob = 0.3) ?trace ~seed () : outcome =
-  let rng = Rng.of_int (0x5eed + (seed * 7919)) in
-  let cfg =
-    Config.make ~n:replicas ~record_history:true ~suspicion_ms:60.0
-      ~stability_ms:20.0 ()
-  in
-  let t =
-    M.create ~seed ~trace:(trace <> None) ~trace_capacity ~cfg
-      ~scenario:(Scenario.uniform ~n:replicas ()) ~route:Kv.route ~shards ()
-  in
-  let violations = ref [] in
-  let violate fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
-  (match M.await_leaders t with
-  | Some _ -> ()
-  | None -> violate "no initial leaders");
-  let net = M.network t in
-  Network.set_duplicate_rate net 0.02;
-  Network.set_reorder_rate net 0.05;
+(* 12 sequential cross-shard transactions over 2–3 groups each, a
+   quarter of them abandoned mid-protocol and handed to a delayed
+   recovery on a fresh client, racing two closed-loop single-shard
+   clients (15 requests each) on the same small key pools. Any replica
+   may crash as a transaction starts. *)
+let xshard_drivers c =
+  let t = c.t and rng = c.rng in
+  let txns = 12 and singles_per_client = 15 in
   let pool = Array.init shards (fun s -> keys_for (M.partition t) s) in
   let gen_op s =
     let key = Rng.pick rng pool.(s) in
     if Rng.bool rng then Kv.Put { key; value = Printf.sprintf "s%d" (Rng.int rng 100) }
     else Kv.Append { key; value = "+" }
   in
-  (* Nemesis: at most one replica down at a time (any group still has a
-     quorum), recovered a few hundred simulated ms later. *)
-  let crashes = ref 0 in
-  let down = ref None in
   let maybe_crash () =
-    if !down = None && Rng.float rng 1.0 < crash_prob then begin
+    if roll_crash c 0.3 then begin
       let g = Rng.int rng shards and r = Rng.int rng replicas in
-      down := Some (g, r);
-      incr crashes;
-      M.crash_replica t ~shard:g r;
-      ignore
-        (Engine.schedule (M.engine t)
-           ~delay:(150.0 +. Rng.float rng 250.0)
-           (fun () ->
-             M.recover_replica t ~shard:g r;
-             down := None))
+      crash c g r ~back:(150.0 +. Rng.float rng 250.0)
     end
   in
-  (* The coordinator chain: sequential cross-shard transactions, each
-     either driven to its decision or abandoned mid-protocol and handed
-     to a delayed recovery on a fresh logical client. *)
   let committed = ref 0
   and aborted = ref 0
   and conflicted = ref 0
@@ -173,22 +282,21 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
           (Array.to_list (Array.sub order 0 (2 + Rng.int rng (shards - 1))))
       in
       let shard_ops = List.map (fun s -> (s, gen_op s)) parts in
-      if Rng.float rng 1.0 < abandon_prob then begin
+      if Rng.float rng 1.0 < 0.25 then begin
         incr abandoned;
         let tid = M.alloc_cross_tid t in
         let prepare = List.filter (fun _ -> Rng.bool rng) parts in
         park_cross_txn t cl ~tid ~shard_ops ~prepare ~on_parked:(fun () ->
             incr pending_recoveries;
-            ignore
-              (Engine.schedule (M.engine t)
-                 ~delay:(80.0 +. Rng.float rng 150.0)
-                 (fun () ->
-                   let rcl = M.add_client t ~id:!next_client () in
-                   incr next_client;
-                   M.recover_cross_txn t rcl ~tid ~shards:parts
-                     ~on_done:(fun (_ : M.xresult) ->
-                       incr recovered;
-                       decr pending_recoveries)));
+            after c
+              (80.0 +. Rng.float rng 150.0)
+              (fun () ->
+                let rcl = M.add_client t ~id:!next_client () in
+                incr next_client;
+                M.recover_cross_txn t rcl ~tid ~shards:parts
+                  ~on_done:(fun (_ : M.xresult) ->
+                    incr recovered;
+                    decr pending_recoveries));
             next_txn (i + 1))
       end
       else
@@ -202,8 +310,6 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
                next_txn (i + 1)))
     end
   in
-  (* Concurrent single-shard traffic: two closed-loop clients hitting the
-     same small key pools, so plain writes race the prepared locks. *)
   let singles_total = 2 * singles_per_client in
   let single_done = ref 0 in
   let start_single id =
@@ -216,11 +322,7 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
         let op =
           if Rng.bool rng then gen_op s else Kv.Get (Rng.pick rng pool.(s))
         in
-        match M.try_submit_op t scl op with
-        | Ok _ -> ()
-        | Error e ->
-          Format.kasprintf invalid_arg "Xstress: single-shard submit: %a"
-            M.pp_submit_error e
+        submit_or_fail t scl op "single-shard submit"
       end
     in
     M.set_on_reply t scl (fun _ ->
@@ -231,164 +333,30 @@ let run_one ?(txns = 12) ?(singles_per_client = 15) ?(abandon_prob = 0.25)
   next_txn 0;
   start_single 1;
   start_single 2;
-  let finished () =
-    !launched = txns && !pending_recoveries = 0 && !single_done = singles_total
-  in
-  let horizon = M.now t +. 120_000.0 in
-  while (not (finished ())) && M.now t < horizon do
-    M.run_until t (M.now t +. 25.0)
-  done;
-  if not (finished ()) then
-    violate "stalled: %d/%d txns launched, %d recoveries pending, %d/%d singles"
-      !launched txns !pending_recoveries !single_done singles_total;
-  (* Drain: heal everything and let every replica learn every commit. *)
-  (match !down with
-  | Some (g, r) ->
-    (* Only restart a replica whose scheduled crash actually fired;
-       recovering a live one would restart it and distort the drain. *)
-    if not (M.Group.replica_up (M.group t g) r) then
-      M.recover_replica t ~shard:g r;
-    down := None
-  | None -> ());
-  Network.set_duplicate_rate net 0.0;
-  Network.set_reorder_rate net 0.0;
-  M.run_until t (M.now t +. 2_000.0);
-  (* Oracles. *)
-  let group_histories g =
-    Array.init replicas (fun i ->
-        M.Group.R.committed_updates (M.Group.replica (M.group t g) i))
-  in
-  let longest = Array.make shards [] in
-  for g = 0 to shards - 1 do
-    let hs = group_histories g in
-    Array.iter
-      (fun h -> if List.length h > List.length longest.(g) then longest.(g) <- h)
-      hs;
-    List.iter
-      (fun v -> violate "group %d agreement: %a" g Agreement.pp_violation v)
-      (Agreement.check hs);
-    match M.Group.leader (M.group t g) with
-    | Some l -> (
-      match M.Group.R.prepared_txns (M.Group.replica (M.group t g) l) with
-      | [] -> ()
-      | tids ->
-        violate "group %d leader still holds prepares [%s] after drain" g
-          (String.concat "," (List.map string_of_int tids)))
-    | None -> violate "group %d has no leader after drain" g
-  done;
-  List.iter
-    (fun v -> violate "xshard: %a" Xshard.pp_violation v)
-    (Xshard.check ~require_resolved:true ~is_cross_tid:M.is_cross_tid ~footprint_of
-       longest);
-  if M.watchdog t |> Grid_obs.Watchdog.violations > 0 then
-    violate "watchdog: %d online-invariant violations"
-      (Grid_obs.Watchdog.violations (M.watchdog t));
-  Option.iter (fun f -> f (Grid_obs.Span.Recorder.events (M.obs t))) trace;
   {
-    o_seed = seed;
-    o_committed = !committed;
-    o_aborted = !aborted;
-    o_conflicted = !conflicted;
-    o_abandoned = !abandoned;
-    o_recovered = !recovered;
-    o_singles = !single_done;
-    o_crashes = !crashes;
-    o_violations = List.rev !violations;
+    finished =
+      (fun () ->
+        !launched = txns && !pending_recoveries = 0 && !single_done = singles_total);
+    stall =
+      (fun () ->
+        Printf.sprintf "%d/%d txns launched, %d recoveries pending, %d/%d singles"
+          !launched txns !pending_recoveries !single_done singles_total);
+    check = ignore;
+    counts =
+      (fun () ->
+        {
+          zero with
+          committed = !committed;
+          aborted = !aborted;
+          conflicted = !conflicted;
+          parked = !abandoned;
+          recovered = !recovered;
+          singles = !single_done;
+        });
   }
 
-type summary = {
-  s_schedules : int;
-  s_committed : int;
-  s_aborted : int;
-  s_conflicted : int;
-  s_abandoned : int;
-  s_recovered : int;
-  s_crashes : int;
-  s_failures : outcome list;
-}
-
-let pp_summary ppf s =
-  Format.fprintf ppf
-    "%d schedules: %d committed, %d aborted, %d conflicted, %d abandoned (%d \
-     recovered), %d crashes, %d failing"
-    s.s_schedules s.s_committed s.s_aborted s.s_conflicted s.s_abandoned
-    s.s_recovered s.s_crashes
-    (List.length s.s_failures)
-
-let run ?(schedules = 100) ?(base_seed = 1) ?txns ?singles_per_client
-    ?abandon_prob ?crash_prob ?progress () =
-  let acc =
-    ref
-      {
-        s_schedules = 0;
-        s_committed = 0;
-        s_aborted = 0;
-        s_conflicted = 0;
-        s_abandoned = 0;
-        s_recovered = 0;
-        s_crashes = 0;
-        s_failures = [];
-      }
-  in
-  for i = 0 to schedules - 1 do
-    let o =
-      run_one ?txns ?singles_per_client ?abandon_prob ?crash_prob
-        ~seed:(base_seed + i) ()
-    in
-    let s = !acc in
-    acc :=
-      {
-        s_schedules = s.s_schedules + 1;
-        s_committed = s.s_committed + o.o_committed;
-        s_aborted = s.s_aborted + o.o_aborted;
-        s_conflicted = s.s_conflicted + o.o_conflicted;
-        s_abandoned = s.s_abandoned + o.o_abandoned;
-        s_recovered = s.s_recovered + o.o_recovered;
-        s_crashes = s.s_crashes + o.o_crashes;
-        s_failures =
-          (if o.o_violations = [] then s.s_failures else o :: s.s_failures);
-      };
-    match progress with Some f -> f !acc | None -> ()
-  done;
-  { !acc with s_failures = List.rev !acc.s_failures }
-
 (* ------------------------------------------------------------------ *)
-(* Elastic-resharding tier (DESIGN.md §17): seeded schedules that split
-   and merge a live range back and forth between groups while
-   closed-loop clients append uniquely tagged tokens across the moving
-   keyspace, leaders of the migrating groups crash mid-protocol, and
-   some coordinators park after FREEZE for presumed-abort recovery. The
-   oracle: every acked append appears exactly once in the final owner's
-   committed value — no lost and no double-executed acked write across
-   any number of epoch changes. *)
-
-module Reshard = Grid_shard.Reshard
-
-type reshard_outcome = {
-  r_seed : int;
-  r_splits : int;  (* committed splits *)
-  r_merges : int;  (* committed merges *)
-  r_aborted : int;  (* transitions that ended R_aborted *)
-  r_parked : int;  (* coordinators abandoned after FREEZE *)
-  r_redirects : int;  (* transparent Wrong_epoch resubmissions *)
-  r_acked : int;  (* acked appends the oracle verified *)
-  r_xcommitted : int;  (* cross-shard txns committed across epochs *)
-  r_xaborted : int;  (* cross-shard txns aborted or conflicted *)
-  r_crashes : int;
-  r_violations : string list;
-}
-
-let pp_reshard_outcome ppf o =
-  Format.fprintf ppf
-    "seed %d: %d splits, %d merges, %d aborted, %d parked, %d redirects, %d \
-     acked, %d/%d xtxns, %d crashes%s"
-    o.r_seed o.r_splits o.r_merges o.r_aborted o.r_parked o.r_redirects
-    o.r_acked o.r_xcommitted
-    (o.r_xcommitted + o.r_xaborted)
-    o.r_crashes
-    (match o.r_violations with
-    | [] -> ""
-    | vs -> Printf.sprintf ", %d VIOLATIONS" (List.length vs))
+(* Reshard: live split/merge against tagged appends                     *)
 
 (* Cut points in footprint space: shard 0 owns [-inf,"kv/h"), shard 1
    ["kv/h","kv/p"), shard 2 ["kv/p",inf). Every transition moves
@@ -411,54 +379,37 @@ let count_occurrences hay needle =
     !c
   end
 
-let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
-    ?(crash_prob = 0.35) ?trace ~seed () : reshard_outcome =
-  let rng = Rng.of_int (0xe57a + (seed * 104729)) in
-  let cfg =
-    Config.make ~n:replicas ~record_history:true ~suspicion_ms:60.0
-      ~stability_ms:20.0 ()
-  in
-  let t =
-    M.create ~seed ~trace:(trace <> None) ~trace_capacity ~cfg
-      ~scenario:(Scenario.uniform ~n:replicas ())
-      ~route:Kv.route ~spec:(Partition.Range reshard_cuts) ~shards ()
-  in
-  let violations = ref [] in
-  let violate fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
-  (match M.await_leaders t with
-  | Some _ -> ()
-  | None -> violate "no initial leaders");
-  let net = M.network t in
-  Network.set_duplicate_rate net 0.02;
-  Network.set_reorder_rate net 0.05;
-  (* Nemesis: crash the leader of a group participating in the starting
-     transition; one replica down at a time so quorums survive. *)
-  let crashes = ref 0 in
-  let down = ref None in
+(* How many times [token] occurs in [key]'s value at the key's final
+   owner (its leader, or replica 0 if leaderless), and which group that
+   is. *)
+let count_at_owner t key token =
+  let g = Partition.owner_of_key (M.partition t) ("kv/" ^ key) in
+  let grp = M.group t g in
+  let r = M.Group.replica grp (Option.value (M.Group.leader grp) ~default:0) in
+  let v = Option.value ~default:"" (Kv.find (M.Group.R.state r) key) in
+  (count_occurrences v token, g)
+
+(* 6 strictly sequential split/merge transitions of one range, a fifth
+   of the splits parked after FREEZE for presumed-abort recovery; 3
+   closed-loop clients appending 30 tagged tokens each; 8 cross-shard
+   transactions straddling the moving range. A leader of a migrating
+   group may crash as a transition starts. *)
+let reshard_drivers c =
+  let t = c.t and rng = c.rng in
+  let steps = 6 and appends_per_client = 30 in
   let maybe_crash_leader groups =
-    if !down = None && Rng.float rng 1.0 < crash_prob then begin
+    if roll_crash c 0.35 then begin
       let g = List.nth groups (Rng.int rng (List.length groups)) in
       match M.Group.leader (M.group t g) with
       | None -> ()
       | Some r ->
-        down := Some (g, r);
-        incr crashes;
-        ignore
-          (Engine.schedule (M.engine t)
-             ~delay:(Rng.float rng 60.0)
-             (fun () -> M.crash_replica t ~shard:g r));
-        ignore
-          (Engine.schedule (M.engine t)
-             ~delay:(200.0 +. Rng.float rng 300.0)
-             (fun () ->
-               M.recover_replica t ~shard:g r;
-               down := None))
+        let at = Rng.float rng 60.0 in
+        crash c g r ~at ~back:(200.0 +. Rng.float rng 300.0)
     end
   in
-  (* The reshard chain: [steps] transitions, strictly sequential. Odd
-     steps move the range back so splits always start from a clean cut
-     list; the epoch floor mirrors Multi's internal one so parked (raw)
-     freezes never reuse a burned epoch. *)
+  (* The reshard chain. Odd steps move the range back so splits always
+     start from a clean cut list; the epoch floor mirrors Multi's
+     internal one so parked (raw) freezes never reuse a burned epoch. *)
   let splits = ref 0
   and merges = ref 0
   and aborted = ref 0
@@ -471,16 +422,12 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
   let attempt_epoch () = max (Partition.epoch (M.partition t) + 1) !floor in
   let rec next_step i =
     if i >= steps then steps_done := true
-    else
-      ignore
-        (Engine.schedule (M.engine t)
-           ~delay:(30.0 +. Rng.float rng 120.0)
-           (fun () -> do_step i))
+    else after c (30.0 +. Rng.float rng 120.0) (fun () -> do_step i)
   and do_step i =
     if not !split_active then begin
       let target = 1 + Rng.int rng 2 in
       maybe_crash_leader [ 0; target ];
-      if Rng.float rng 1.0 < park_prob then park_freeze i target
+      if Rng.float rng 1.0 < 0.2 then park_freeze i target
       else begin
         let e = attempt_epoch () in
         floor := e + 1;
@@ -495,7 +442,7 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
         with
         | Ok () -> ()
         | Error e ->
-          violate "split plan: %a" Partition.pp_reshard_error e;
+          violate c "split plan: %a" Partition.pp_reshard_error e;
           next_step (i + 1)
       end
     end
@@ -514,7 +461,7 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
       with
       | Ok () -> ()
       | Error e ->
-        violate "merge plan: %a" Partition.pp_reshard_error e;
+        violate c "merge plan: %a" Partition.pp_reshard_error e;
         next_step (i + 1)
     end
   and park_freeze i target =
@@ -523,7 +470,7 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
        releases any writers blocked on the frozen range. *)
     match Reshard.split (M.partition t) ~cut:reshard_cut ~target with
     | Error e ->
-      violate "park plan: %a" Partition.pp_reshard_error e;
+      violate c "park plan: %a" Partition.pp_reshard_error e;
       next_step (i + 1)
     | Ok o -> (
       let o =
@@ -543,27 +490,25 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
         let source = p.Reshard.pl_move.Partition.source in
         M.set_on_reply t coord (fun (_ : Types.reply) ->
             M.set_on_reply t coord (fun _ -> ());
-            ignore
-              (Engine.schedule (M.engine t)
-                 ~delay:(60.0 +. Rng.float rng 150.0)
-                 (fun () ->
-                   let rcl = M.add_client t ~id:!next_client () in
-                   incr next_client;
-                   M.recover_reshard t rcl ~epoch:e ~source
-                     ~target:p.Reshard.pl_move.Partition.target
-                     ~on_done:(fun r ->
-                       (match r with
-                       | M.R_aborted _ -> incr aborted
-                       | M.R_committed ->
-                         incr splits;
-                         split_active := true);
-                       next_step (i + 1)))));
+            after c
+              (60.0 +. Rng.float rng 150.0)
+              (fun () ->
+                let rcl = M.add_client t ~id:!next_client () in
+                incr next_client;
+                M.recover_reshard t rcl ~epoch:e ~source
+                  ~target:p.Reshard.pl_move.Partition.target ~on_done:(fun r ->
+                    (match r with
+                    | M.R_aborted _ -> incr aborted
+                    | M.R_committed ->
+                      incr splits;
+                      split_active := true);
+                    next_step (i + 1))));
         (match
            M.submit_reshard t coord ~shard:source (Types.Reshard_freeze e)
              ~payload:p.Reshard.pl_freeze
          with
         | `Submitted -> ()
-        | `Busy -> invalid_arg "Xstress.run_reshard: coordinator handle busy"))
+        | `Busy -> invalid_arg "Xstress: reshard coordinator handle busy"))
   in
   (* Closed-loop appenders tagging every write with a unique token; the
      redirect wrapper hides Wrong_epoch from them, so an Ok reply is an
@@ -584,20 +529,12 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
         let key = Rng.pick rng reshard_pool in
         if Rng.float rng 1.0 < 0.2 then begin
           cur := None;
-          match M.try_submit_op t scl (Kv.Get key) with
-          | Ok _ -> ()
-          | Error e ->
-            Format.kasprintf invalid_arg "Xstress.run_reshard: get: %a"
-              M.pp_submit_error e
+          submit_or_fail t scl (Kv.Get key) "get"
         end
         else begin
           let token = Printf.sprintf "+%d.%d;" idx !sent in
           cur := Some (key, token);
-          match M.try_submit_op t scl (Kv.Append { key; value = token }) with
-          | Ok _ -> ()
-          | Error e ->
-            Format.kasprintf invalid_arg "Xstress.run_reshard: append: %a"
-              M.pp_submit_error e
+          submit_or_fail t scl (Kv.Append { key; value = token }) "append"
         end
       end
     in
@@ -609,237 +546,224 @@ let run_reshard_one ?(steps = 6) ?(appends_per_client = 30) ?(park_prob = 0.2)
         submit_next ());
     submit_next ()
   in
-  (* Cross-shard transactions racing the migrations: each txn appends a
+  (* Cross-shard transactions racing the migrations: each appends a
      unique token to a key inside the moving range plus one stable key
      in each of the other two groups, so every transaction spans the
-     epoch boundary. The serializability checker runs over the drained
-     histories, and an atomicity oracle counts each token at the final
-     owners — exactly once on every key if the txn committed, zero
-     times if it aborted, whatever the map looked like in between. *)
+     epoch boundary. *)
   let xtxn_moving = [| "f9"; "g9" |] in
   let xtxn_stable = [ "m9"; "q9" ] in
   let xtxns = 8 in
   let xtxn_results = ref [] in
-  let x_committed = ref 0 and x_aborted = ref 0 in
+  let x_committed = ref 0 and x_aborted = ref 0 and x_conflicted = ref 0 in
   let xtxn_done = ref false in
   let xcl = M.add_client t ~id:7 () in
   let rec next_xtxn i =
     if i >= xtxns then xtxn_done := true
     else
-      ignore
-        (Engine.schedule (M.engine t)
-           ~delay:(20.0 +. Rng.float rng 140.0)
-           (fun () ->
-             let mk = Rng.pick rng xtxn_moving in
-             let token = Printf.sprintf "x%d;" i in
-             let ops =
-               List.map
-                 (fun key -> Kv.Append { key; value = token })
-                 (mk :: xtxn_stable)
-             in
-             ignore
-               (M.submit_cross_txn t xcl ~ops ~on_done:(fun res ->
-                    (match res with
-                    | M.X_committed -> incr x_committed
-                    | M.X_aborted | M.X_conflict -> incr x_aborted);
-                    xtxn_results := (token, mk, res) :: !xtxn_results;
-                    next_xtxn (i + 1)))))
+      after c
+        (20.0 +. Rng.float rng 140.0)
+        (fun () ->
+          let mk = Rng.pick rng xtxn_moving in
+          let token = Printf.sprintf "x%d;" i in
+          let ops =
+            List.map (fun key -> Kv.Append { key; value = token }) (mk :: xtxn_stable)
+          in
+          ignore
+            (M.submit_cross_txn t xcl ~ops ~on_done:(fun res ->
+                 (match res with
+                 | M.X_committed -> incr x_committed
+                 | M.X_aborted -> incr x_aborted
+                 | M.X_conflict -> incr x_conflicted);
+                 xtxn_results := (token, mk, res) :: !xtxn_results;
+                 next_xtxn (i + 1))))
   in
   next_step 0;
   next_xtxn 0;
   for i = 0 to clients - 1 do
     start_appender i
   done;
-  let finished () =
-    !steps_done && !appender_done = clients && !xtxn_done
+  (* Across any number of epoch changes: every acked append appears
+     exactly once at its key's final owner — no lost and no
+     double-executed acked write — and a committed transaction's token
+     appears exactly once on every key it touched (in particular the
+     moving key was not lost in a slice shipped under a prepared lock),
+     an aborted one's on none. *)
+  let check () =
+    List.iter
+      (fun (token, mk, res) ->
+        let expect = match res with M.X_committed -> 1 | _ -> 0 in
+        List.iter
+          (fun key ->
+            let n, _ = count_at_owner t key token in
+            if n <> expect then
+              violate c "cross txn %s (%a) applied %d times (want %d) on %s" token
+                M.pp_xresult res n expect key)
+          (mk :: xtxn_stable))
+      !xtxn_results;
+    List.iter
+      (fun (key, token) ->
+        let n, g = count_at_owner t key token in
+        if n <> 1 then
+          violate c "acked append %s on %s applied %d times at final owner %d" token
+            key n g)
+      !acked
   in
-  let horizon = M.now t +. 180_000.0 in
-  while (not (finished ())) && M.now t < horizon do
+  {
+    finished = (fun () -> !steps_done && !appender_done = clients && !xtxn_done);
+    stall =
+      (fun () ->
+        Printf.sprintf "steps_done=%b, %d/%d appenders finished, xtxns done=%b"
+          !steps_done !appender_done clients !xtxn_done);
+    check;
+    counts =
+      (fun () ->
+        {
+          zero with
+          splits = !splits;
+          merges = !merges;
+          moves_aborted = !aborted;
+          parked = !parked;
+          redirects =
+            List.fold_left (fun acc cl -> acc + M.redirect_count cl) 0 !appender_clients;
+          acked = List.length !acked;
+          committed = !x_committed;
+          aborted = !x_aborted;
+          conflicted = !x_conflicted;
+        });
+  }
+
+(* ------------------------------------------------------------------ *)
+(* The skeleton                                                        *)
+
+type shape = {
+  salt : int;
+  stride : int;  (* the schedule's RNG seed is [salt + seed * stride] *)
+  spec : Partition.spec option;
+  horizon_ms : float;
+  start : ctx -> drivers;
+}
+
+let shape = function
+  | Xshard ->
+    {
+      salt = 0x5eed;
+      stride = 7919;
+      spec = None;
+      horizon_ms = 120_000.0;
+      start = xshard_drivers;
+    }
+  | Reshard ->
+    {
+      salt = 0xe57a;
+      stride = 104729;
+      spec = Some (Partition.Range reshard_cuts);
+      horizon_ms = 180_000.0;
+      start = reshard_drivers;
+    }
+
+(* Span recording for a traced schedule: large enough that one
+   schedule's spans never wrap (the columns grow on demand). *)
+let trace_capacity = 1 lsl 20
+
+let replica_dump grp =
+  String.concat ""
+    (List.init replicas (fun i ->
+         let r = M.Group.replica grp i in
+         Printf.sprintf "[r%d up=%b ldr=%b bal=%s view=%s phase=%s cp=%d] " i
+           (M.Group.replica_up grp i) (M.Group.R.is_leader r)
+           (Format.asprintf "%a" Types.Ballot.pp (M.Group.R.ballot r))
+           (match M.Group.R.leader_view r with Some v -> string_of_int v | None -> "-")
+           (M.Group.R.reshard_phase r) (M.Group.R.commit_point r)))
+
+(* After the drain every group agrees, has a leader, and that leader
+   holds no prepared transaction and no half-done reshard. Returns the
+   group's longest committed history, for the cross-shard checker. *)
+let check_group c g =
+  let grp = M.group c.t g in
+  let hs =
+    Array.init replicas (fun i -> M.Group.R.committed_updates (M.Group.replica grp i))
+  in
+  List.iter
+    (fun v -> violate c "group %d agreement: %a" g Agreement.pp_violation v)
+    (Agreement.check hs);
+  (match M.Group.leader grp with
+  | Some l ->
+    let r = M.Group.replica grp l in
+    (match M.Group.R.prepared_txns r with
+    | [] -> ()
+    | tids ->
+      violate c "group %d leader still holds prepares [%s] after drain" g
+        (String.concat "," (List.map string_of_int tids)));
+    if M.Group.R.reshard_phase r <> "idle" then
+      violate c "group %d still %s after drain" g (M.Group.R.reshard_phase r)
+  | None -> violate c "group %d has no leader after drain: %s" g (replica_dump grp));
+  Array.fold_left (fun acc h -> if List.length h > List.length acc then h else acc) [] hs
+
+let run_one ?trace ~seed tier =
+  let sh = shape tier in
+  let rng = Rng.of_int (sh.salt + (seed * sh.stride)) in
+  let cfg =
+    Config.make ~n:replicas ~record_history:true ~suspicion_ms:60.0
+      ~stability_ms:20.0 ()
+  in
+  let t =
+    M.create ~seed ~trace:(trace <> None) ~trace_capacity ~cfg
+      ~scenario:(Scenario.uniform ~n:replicas ())
+      ~route:Kv.route ?spec:sh.spec ~shards ()
+  in
+  let c = { t; rng; violations = []; down = None; crashes = 0 } in
+  if Option.is_none (M.await_leaders t) then violate c "no initial leaders";
+  let net = M.network t in
+  Network.set_duplicate_rate net 0.02;
+  Network.set_reorder_rate net 0.05;
+  let d = sh.start c in
+  let horizon = M.now t +. sh.horizon_ms in
+  while (not (d.finished ())) && M.now t < horizon do
     M.run_until t (M.now t +. 25.0)
   done;
-  if not (finished ()) then
-    violate "stalled: steps_done=%b, %d/%d appenders finished, xtxns done=%b"
-      !steps_done !appender_done clients !xtxn_done;
-  (* Drain: heal, quiesce the network, let every replica learn every
-     commit. *)
-  (match !down with
+  if not (d.finished ()) then violate c "stalled: %s" (d.stall ());
+  (* Drain: heal everything and let every replica learn every commit.
+     Only restart a replica whose scheduled crash actually fired;
+     recovering a live one would restart it and distort the drain. *)
+  (match c.down with
   | Some (g, r) ->
-    (* Only restart a replica whose scheduled crash actually fired;
-       recovering a live one would restart it and distort the drain. *)
-    if not (M.Group.replica_up (M.group t g) r) then
-      M.recover_replica t ~shard:g r;
-    down := None
+    if not (M.Group.replica_up (M.group t g) r) then M.recover_replica t ~shard:g r;
+    c.down <- None
   | None -> ());
   Network.set_duplicate_rate net 0.0;
   Network.set_reorder_rate net 0.0;
   M.run_until t (M.now t +. 2_000.0);
-  (* Oracles: per-group agreement, cross-epoch serializability, the
-     watchdog, exactly-once acked appends at the final owner, and
-     all-or-nothing cross-shard transactions. *)
-  let longest = Array.make shards [] in
-  for g = 0 to shards - 1 do
-    let hs =
-      Array.init replicas (fun i ->
-          M.Group.R.committed_updates (M.Group.replica (M.group t g) i))
-    in
-    Array.iter
-      (fun h -> if List.length h > List.length longest.(g) then longest.(g) <- h)
-      hs;
-    List.iter
-      (fun v -> violate "group %d agreement: %a" g Agreement.pp_violation v)
-      (Agreement.check hs);
-    match M.Group.leader (M.group t g) with
-    | Some l ->
-      let r = M.Group.replica (M.group t g) l in
-      if M.Group.R.reshard_phase r <> "idle" then
-        violate "group %d still %s after drain" g (M.Group.R.reshard_phase r)
-    | None ->
-      let buf = Buffer.create 64 in
-      for i = 0 to replicas - 1 do
-        let r = M.Group.replica (M.group t g) i in
-        Buffer.add_string buf
-          (Printf.sprintf "[r%d up=%b ldr=%b bal=%s view=%s phase=%s cp=%d] " i
-             (M.Group.replica_up (M.group t g) i)
-             (M.Group.R.is_leader r)
-             (Format.asprintf "%a" Types.Ballot.pp (M.Group.R.ballot r))
-             (match M.Group.R.leader_view r with
-             | Some v -> string_of_int v
-             | None -> "-")
-             (M.Group.R.reshard_phase r)
-             (M.Group.R.commit_point r))
-      done;
-      violate "group %d has no leader after drain: %s" g (Buffer.contents buf)
-  done;
-  (* The cross-shard serializability checker, extended across epochs:
-     the histories it reads interleave 2PC prepares/decisions with
-     reshard markers and the imported slice, and must still present
-     every cross-tid with a single consistent decision. *)
+  (* Oracles. The cross-shard checker reads histories that interleave
+     2PC prepares and decisions with reshard markers and imported
+     slices, and must still find one consistent decision per cross-tid. *)
+  let longest = Array.init shards (check_group c) in
   List.iter
-    (fun v -> violate "xshard: %a" Xshard.pp_violation v)
-    (Xshard.check ~require_resolved:true ~is_cross_tid:M.is_cross_tid
-       ~footprint_of longest);
-  (* Atomicity across the epoch change: a committed txn's token appears
-     exactly once on every key it touched at that key's *final* owner —
-     in particular the moving key must not have been lost in a slice
-     shipped under a prepared lock — and an aborted txn's on none. *)
-  let count_at key token =
-    let g = Partition.owner_of_key (M.partition t) ("kv/" ^ key) in
-    let state =
-      match M.Group.leader (M.group t g) with
-      | Some l -> M.Group.R.state (M.Group.replica (M.group t g) l)
-      | None -> M.Group.R.state (M.Group.replica (M.group t g) 0)
-    in
-    count_occurrences (Option.value ~default:"" (Kv.find state key)) token
-  in
-  List.iter
-    (fun (token, mk, res) ->
-      let expect = match res with M.X_committed -> 1 | _ -> 0 in
-      List.iter
-        (fun key ->
-          let n = count_at key token in
-          if n <> expect then
-            violate "cross txn %s (%a) applied %d times (want %d) on %s"
-              token M.pp_xresult res n expect key)
-        (mk :: xtxn_stable))
-    !xtxn_results;
-  List.iter
-    (fun (key, token) ->
-      let g = Partition.owner_of_key (M.partition t) ("kv/" ^ key) in
-      let state =
-        match M.Group.leader (M.group t g) with
-        | Some l -> M.Group.R.state (M.Group.replica (M.group t g) l)
-        | None -> M.Group.R.state (M.Group.replica (M.group t g) 0)
-      in
-      let v = Option.value ~default:"" (Kv.find state key) in
-      let n = count_occurrences v token in
-      if n <> 1 then
-        violate "acked append %s on %s applied %d times at final owner %d"
-          token key n g)
-    !acked;
-  if M.watchdog t |> Grid_obs.Watchdog.violations > 0 then
-    violate "watchdog: %d online-invariant violations"
-      (Grid_obs.Watchdog.violations (M.watchdog t));
+    (fun v -> violate c "xshard: %a" Xshard.pp_violation v)
+    (Xshard.check ~require_resolved:true ~is_cross_tid:M.is_cross_tid ~footprint_of
+       longest);
+  d.check ();
+  let fired = Grid_obs.Watchdog.violations (M.watchdog t) in
+  if fired > 0 then violate c "watchdog: %d online-invariant violations" fired;
   Option.iter (fun f -> f (Grid_obs.Span.Recorder.events (M.obs t))) trace;
   {
-    r_seed = seed;
-    r_splits = !splits;
-    r_merges = !merges;
-    r_aborted = !aborted;
-    r_parked = !parked;
-    r_redirects =
-      List.fold_left (fun acc cl -> acc + M.redirect_count cl) 0
-        !appender_clients;
-    r_acked = List.length !acked;
-    r_xcommitted = !x_committed;
-    r_xaborted = !x_aborted;
-    r_crashes = !crashes;
-    r_violations = List.rev !violations;
+    tier;
+    seed;
+    counts = { (d.counts ()) with crashes = c.crashes };
+    violations = List.rev c.violations;
   }
 
-type reshard_summary = {
-  rs_schedules : int;
-  rs_splits : int;
-  rs_merges : int;
-  rs_aborted : int;
-  rs_parked : int;
-  rs_redirects : int;
-  rs_acked : int;
-  rs_xcommitted : int;
-  rs_xaborted : int;
-  rs_crashes : int;
-  rs_failures : reshard_outcome list;
-}
-
-let pp_reshard_summary ppf s =
-  Format.fprintf ppf
-    "%d schedules: %d splits, %d merges, %d aborted, %d parked, %d redirects, \
-     %d acked writes verified, %d/%d cross txns committed, %d crashes, %d \
-     failing"
-    s.rs_schedules s.rs_splits s.rs_merges s.rs_aborted s.rs_parked
-    s.rs_redirects s.rs_acked s.rs_xcommitted
-    (s.rs_xcommitted + s.rs_xaborted)
-    s.rs_crashes
-    (List.length s.rs_failures)
-
-let run_reshard ?(schedules = 100) ?(base_seed = 1) ?steps ?appends_per_client
-    ?park_prob ?crash_prob ?progress () =
-  let acc =
-    ref
-      {
-        rs_schedules = 0;
-        rs_splits = 0;
-        rs_merges = 0;
-        rs_aborted = 0;
-        rs_parked = 0;
-        rs_redirects = 0;
-        rs_acked = 0;
-        rs_xcommitted = 0;
-        rs_xaborted = 0;
-        rs_crashes = 0;
-        rs_failures = [];
-      }
-  in
+let run ?(schedules = 100) ?(base_seed = 1) ?progress tier =
+  let acc = ref { tier = tier; schedules = 0; totals = zero; failures = [] } in
   for i = 0 to schedules - 1 do
-    let o =
-      run_reshard_one ?steps ?appends_per_client ?park_prob ?crash_prob
-        ~seed:(base_seed + i) ()
-    in
+    let o = run_one ~seed:(base_seed + i) tier in
     let s = !acc in
     acc :=
       {
-        rs_schedules = s.rs_schedules + 1;
-        rs_splits = s.rs_splits + o.r_splits;
-        rs_merges = s.rs_merges + o.r_merges;
-        rs_aborted = s.rs_aborted + o.r_aborted;
-        rs_parked = s.rs_parked + o.r_parked;
-        rs_redirects = s.rs_redirects + o.r_redirects;
-        rs_acked = s.rs_acked + o.r_acked;
-        rs_xcommitted = s.rs_xcommitted + o.r_xcommitted;
-        rs_xaborted = s.rs_xaborted + o.r_xaborted;
-        rs_crashes = s.rs_crashes + o.r_crashes;
-        rs_failures =
-          (if o.r_violations = [] then s.rs_failures else o :: s.rs_failures);
+        s with
+        schedules = s.schedules + 1;
+        totals = add s.totals o.counts;
+        failures = (if o.violations = [] then s.failures else o :: s.failures);
       };
-    match progress with Some f -> f !acc | None -> ()
+    Option.iter (fun f -> f !acc) progress
   done;
-  { !acc with rs_failures = List.rev !acc.rs_failures }
+  { !acc with failures = List.rev !acc.failures }

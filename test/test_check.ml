@@ -117,7 +117,9 @@ let mc_requests =
 let explore ~crash_prob ~seeds () =
   let violations = ref 0 and unreplied = ref 0 in
   for seed = 1 to seeds do
-    let o = MC.run ~seed ~steps:2_000 ~crash_prob ~requests:mc_requests () in
+    let o = MC.explore ~seed ~steps:2_000
+        ~nemesis:{ Grid_check.Mcheck.no_faults with crash_prob }
+        ~requests:mc_requests () in
     if o.violations <> [] then incr violations;
     if not o.all_replied then incr unreplied
   done;
@@ -134,8 +136,12 @@ let test_mcheck_with_crashes () =
   Alcotest.(check int) "no agreement violations under crashes" 0 violations
 
 let test_mcheck_deterministic_replay () =
-  let o1 = MC.run ~seed:77 ~steps:1_500 ~crash_prob:0.002 ~requests:mc_requests () in
-  let o2 = MC.run ~seed:77 ~steps:1_500 ~crash_prob:0.002 ~requests:mc_requests () in
+  let run () =
+    MC.explore ~seed:77 ~steps:1_500
+      ~nemesis:{ Grid_check.Mcheck.no_faults with crash_prob = 0.002 }
+      ~requests:mc_requests ()
+  in
+  let o1 = run () and o2 = run () in
   Alcotest.(check int) "same deliveries" o1.delivered o2.delivered;
   Alcotest.(check int) "same timer fires" o1.timer_fires o2.timer_fires;
   Alcotest.(check (array int)) "same commit points" o1.committed o2.committed
@@ -194,7 +200,9 @@ let counter_history (replies : reply list) =
 
 let test_mcheck_reads_linearizable () =
   for seed = 1 to 40 do
-    let o = MC.run ~seed ~steps:2_000 ~crash_prob:0.0 ~requests:mc_requests () in
+    let o = MC.explore ~seed ~steps:2_000
+        ~nemesis:{ Grid_check.Mcheck.no_faults with crash_prob = 0.0 }
+        ~requests:mc_requests () in
     if o.all_replied then
       (* Writes return the new counter value, so results are usable. *)
       if not (Lin.Counter.check (counter_history o.replies)) then

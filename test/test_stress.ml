@@ -48,20 +48,13 @@ let test_stress_replay_deterministic () =
       (match failure with
       | Some f -> Alcotest.failf "seed %d failed: %a" seed Stress.pp_failure f
       | None -> ());
-      let replay plan =
-        match service with
-        | Stress.Counter_service ->
-          fst
-            (Stress.Counter_harness.replay_plan ~steps:1_200
-               ~meta_drop_prob:Stress.default_nemesis.Mcheck.meta_drop_prob ~seed
-               ~plan ())
-        | Stress.Kv_service ->
-          fst
-            (Stress.Kv_harness.replay_plan ~steps:1_200
-               ~meta_drop_prob:Stress.default_nemesis.Mcheck.meta_drop_prob ~seed
-               ~plan ())
+      let r =
+        let module H = (val Stress.harness service) in
+        fst
+          (H.replay_plan ~steps:1_200
+             ~meta_drop_prob:Stress.default_nemesis.Mcheck.meta_drop_prob ~seed
+             ~plan:o.plan ())
       in
-      let r = replay o.plan in
       Alcotest.(check int) "same deliveries" o.delivered r.Mcheck.delivered;
       Alcotest.(check int) "same timer fires" o.timer_fires r.timer_fires;
       Alcotest.(check (array int)) "same commit points" o.committed r.committed;

@@ -441,9 +441,50 @@ let test_traced_schedule_deterministic () =
     Alcotest.(check string) (name ^ ": traced reruns agree") plain
       (Format.asprintf "%a" pp o2)
   in
-  check "xshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 ());
-  check "reshard" ~pp:X.pp_reshard_outcome (fun trace ->
-      X.run_reshard_one ?trace ~seed:1 ())
+  check "xshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Xshard);
+  check "reshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Reshard)
+
+(* The batch path folds exactly the schedules [run_one] runs: per-seed
+   counts summed, failing seeds in order, and the tier's own
+   "exercised" gate satisfied. *)
+let test_batch_folds_schedules () =
+  let module X = Grid_check.Xstress in
+  let fields =
+    [
+      ("committed", fun (n : X.counts) -> n.committed);
+      ("aborted", fun n -> n.aborted);
+      ("conflicted", fun n -> n.conflicted);
+      ("parked", fun n -> n.parked);
+      ("recovered", fun n -> n.recovered);
+      ("singles", fun n -> n.singles);
+      ("splits", fun n -> n.splits);
+      ("merges", fun n -> n.merges);
+      ("moves_aborted", fun n -> n.moves_aborted);
+      ("redirects", fun n -> n.redirects);
+      ("acked", fun n -> n.acked);
+      ("crashes", fun n -> n.crashes);
+    ]
+  in
+  List.iter
+    (fun (name, tier) ->
+      let s = X.run ~schedules:4 ~base_seed:1 tier in
+      let os = List.init 4 (fun i -> X.run_one ~seed:(i + 1) tier) in
+      Alcotest.(check int) (name ^ ": schedules") 4 s.schedules;
+      List.iter
+        (fun (field, get) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: %s summed" name field)
+            (List.fold_left (fun acc (o : X.outcome) -> acc + get o.counts) 0 os)
+            (get s.totals))
+        fields;
+      Alcotest.(check (list int)) (name ^ ": failing seeds")
+        (List.filter_map
+           (fun (o : X.outcome) -> if o.violations = [] then None else Some o.seed)
+           os)
+        (List.map (fun (o : X.outcome) -> o.seed) s.failures);
+      Alcotest.(check (option string)) (name ^ ": tier exercised") None
+        (X.unexercised s))
+    [ ("xshard", X.Xshard); ("reshard", X.Reshard) ]
 
 let suite =
   [
@@ -451,6 +492,8 @@ let suite =
       [
         Alcotest.test_case "same seed, identical trace dump" `Quick
           test_traced_schedule_deterministic;
+        Alcotest.test_case "batch folds its schedules" `Quick
+          test_batch_folds_schedules;
       ] );
     ( "xshard.2pc",
       [
