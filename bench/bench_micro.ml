@@ -1,6 +1,6 @@
 (* Bechamel microbenchmarks of the protocol-critical data paths: wire
    codec, CRC, heap, log append, snapshot encoding, the watchdog's commit
-   table, footprint checks. These are ours (the paper has no microbenchmarks); they guard
+   table, footprint checks, the TCP transport's incremental frame reader. These are ours (the paper has no microbenchmarks); they guard
    the constant factors the simulator's CPU-cost model abstracts. *)
 
 open Bechamel
@@ -121,6 +121,49 @@ let test_fp_hits_ranges =
     (Staged.stage (fun () ->
          ignore (Sys.opaque_identity (Footprint.hits_ranges branch_fp moved))))
 
+(* The transport's read path: 64 KiB of frames with 16–512 byte
+   payloads, fed to a fresh reader in random 1–1500 byte chunks (as
+   non-blocking reads return them) and drained after every chunk. *)
+module Framing = Grid_net.Framing
+
+let stream, chunks =
+  let rng = Random.State.make [| 7 |] in
+  let b = Buffer.create 65536 in
+  let frames = ref 0 in
+  while Buffer.length b < 65536 do
+    let payload = String.make (16 + Random.State.int rng 497) 'f' in
+    let framed = Wire.with_crc payload in
+    let len = String.length framed in
+    String.iter (Buffer.add_char b)
+      (String.init 4 (fun i -> Char.chr ((len lsr (8 * i)) land 0xFF)));
+    Buffer.add_string b framed;
+    incr frames
+  done;
+  let s = Buffer.contents b in
+  let rec cut pos acc =
+    if pos >= String.length s then List.rev acc
+    else
+      let n = min (1 + Random.State.int rng 1500) (String.length s - pos) in
+      cut (pos + n) ((pos, n) :: acc)
+  in
+  ((s, !frames), cut 0 [])
+
+let test_reader =
+  let s, frames = stream in
+  Test.make
+    ~name:(Printf.sprintf "framing: reader, %d KiB in random chunks (%d frames)"
+             (String.length s / 1024) frames)
+    (Staged.stage (fun () ->
+         let r = Framing.reader () in
+         List.iter
+           (fun (pos, n) ->
+             Framing.feed r s pos n;
+             let rec drain () =
+               match Framing.next_frame r with Some (Ok _) -> drain () | _ -> ()
+             in
+             drain ())
+           chunks))
+
 let benchmark test =
   let instance = Instance.monotonic_clock in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:(Some 1000) () in
@@ -160,6 +203,7 @@ let run ~quick:_ ~only =
         test_watchdog_commit;
         test_fp_overlaps;
         test_fp_hits_ranges;
+        test_reader;
       ];
     print_string (Grid_util.Text_table.render table)
   end

@@ -23,6 +23,8 @@ type net_meters = {
   nm_decode_errors : Metrics.counter;
   nm_dials : Metrics.counter;
   nm_dial_failures : Metrics.counter;
+  nm_send_dropped : Metrics.counter;
+  nm_queue_max : Metrics.gauge;
   nm_conns : Metrics.gauge;
   nm_backoff : (int, Metrics.gauge) Hashtbl.t;
       (* per-peer current reconnect delay, 0 when healthy *)
@@ -81,6 +83,12 @@ let make_meters ~peers () =
     nm_dial_failures =
       Metrics.counter registry "grid_net_dial_failures_total"
         ~help:"Failed dials (peer enters reconnect backoff)";
+    nm_send_dropped =
+      Metrics.counter registry "grid_net_send_dropped_total"
+        ~help:"Messages dropped because the peer's output queue was full";
+    nm_queue_max =
+      Metrics.gauge registry "grid_net_send_queue_max_bytes"
+        ~help:"Largest output queue of any socket after the last flush";
     nm_conns =
       Metrics.gauge registry "grid_net_connections"
         ~help:"Currently established peer connections";
@@ -135,8 +143,8 @@ let default_backoff_cap_ms = 2000.0
    and used for every frame on that socket in both directions. *)
 
 module type CONN_CODEC = sig
-  val write_msg : Unix.file_descr -> msg -> int
-  val read_msg : Unix.file_descr -> (msg * int, Framing.read_error) result
+  val encode : msg -> string
+  val decode : string -> (msg * int, Framing.read_error) result
 end
 
 module Codec_v1 = Framing.Codec (Wire_codec.V1)
@@ -148,12 +156,44 @@ let conn_codec version : (module CONN_CODEC) =
   | 2 -> (module Codec_v2)
   | v -> invalid_arg (Printf.sprintf "Tcp_node.conn_codec: version %d" v)
 
-type conn = { fd : Unix.file_descr; version : int; codec : (module CONN_CODEC) }
+(* A socket's handshake state. A dial goes [Connecting] (non-blocking
+   connect in flight), then [Awaiting_hello] (our hello queued, the
+   listener's not yet in). An accepted socket goes [Sniffing] (HTTP or
+   protocol? [deadline] is the sniff budget, infinite until the first
+   byte), then [Hello_in] (waiting for the dialer's hello). Both end in
+   [Ready] with the negotiated codec. *)
+type phase =
+  | Connecting
+  | Awaiting_hello
+  | Sniffing of float
+  | Hello_in
+  | Ready of { version : int; codec : (module CONN_CODEC) }
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable peer : int;  (* -1 on an accepted socket until its hello *)
+  mutable phase : phase;
+  rd : Framing.reader;
+  wr : Framing.writer;
+  held : msg Queue.t;  (* sent while this dial's handshake is in flight *)
+  mutable closed : bool;
+}
+
+(* Bytes queued toward one socket past which new frames to it are
+   dropped, and messages held per handshake in flight. A peer that
+   stops reading costs at most this much memory; retransmission
+   recovers the drops, as it does for an unreachable peer. *)
+let send_queue_bound = 1 lsl 20
+let max_held = 256
+
+(* How long a short HTTP-like prefix may wait for the rest of its
+   method name before it is trusted (ms). *)
+let sniff_budget_ms = 50.0
 
 (* ------------------------------------------------------------------ *)
-(* Generic event loop: an inbox fed by reader threads, a timer queue, and
-   a self-pipe so the main loop can sleep in [select] yet wake on either
-   a message or a due timer. *)
+(* The event loop: one thread per node [select]s over the wake pipe, the
+   listener and every socket, and runs injected thunks, due timers and
+   received frames. Only it touches sockets, timers and [to_peer]. *)
 
 (* Timers ordered by (due time, arming sequence number): timers due at
    the same instant fire first-armed first. *)
@@ -167,12 +207,12 @@ end)
 type core = {
   node_id : int;
   max_wire_version : int;  (* highest version advertised in hellos *)
-  mutex : Mutex.t;
-  inbox : (int * msg) Queue.t;
+  mutex : Mutex.t;  (* guards [thunks] *)
   thunks : (unit -> unit) Queue.t;  (* injected work, run on the loop thread *)
   timers : Timer_heap.t;
   mutable timer_seq : int;
-  mutable conns : (int * conn) list;
+  mutable socks : conn list;  (* every open socket *)
+  to_peer : (int, conn) Hashtbl.t;  (* the socket a peer's sends go to *)
   mutable stop : bool;
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
@@ -181,7 +221,7 @@ type core = {
   backoff_cap_ms : float;
   (* peer -> (earliest next dial in ms, current backoff delay in ms) *)
   backoff : (int, float * float) Hashtbl.t;
-  rng : Rng.t;  (* jitter; guarded by [mutex] *)
+  rng : Rng.t;  (* jitter *)
   obs : Span.Recorder.t;  (* spans timed on the wall clock (ms) *)
   actor : string;
   meters : net_meters;
@@ -197,17 +237,19 @@ let create_core ?(obs = Span.Recorder.disabled)
   (* A write to a peer that just closed must surface as the EPIPE every
      send path already handles, not as a signal that kills the process. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let pipe_r, pipe_w = Unix.pipe () in
+  let pipe_r, pipe_w = Unix.pipe ~cloexec:true () in
+  (* A full pipe already guarantees a wake-up: [wake] never blocks. *)
   Unix.set_nonblock pipe_r;
+  Unix.set_nonblock pipe_w;
   {
     node_id;
     max_wire_version;
     mutex = Mutex.create ();
-    inbox = Queue.create ();
     thunks = Queue.create ();
     timers = Timer_heap.create ();
     timer_seq = 0;
-    conns = [];
+    socks = [];
+    to_peer = Hashtbl.create 8;
     stop = false;
     pipe_r;
     pipe_w;
@@ -227,18 +269,13 @@ let with_lock core f =
   Mutex.lock core.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock core.mutex) f
 
-let enqueue_msg core src msg =
-  Metrics.inc core.meters.nm_received;
-  with_lock core (fun () -> Queue.add (src, msg) core.inbox);
-  wake core
-
 let inject core thunk =
   with_lock core (fun () -> Queue.add thunk core.thunks);
   wake core
 
 (* Run [f] on the node's loop thread and wait for its result: engine
-   access is confined to that thread, so introspection (admin endpoint,
-   test accessors) synchronizes through the inbox. *)
+   and socket state are confined to that thread, so introspection (admin
+   endpoint, test accessors) synchronizes through injected thunks. *)
 let run_on_loop core f =
   let result = ref None in
   let m = Mutex.create () and c = Condition.create () in
@@ -254,21 +291,32 @@ let run_on_loop core f =
   Mutex.unlock m;
   Option.get !result
 
-let register_conn core peer conn =
-  with_lock core (fun () ->
-      core.conns <- (peer, conn) :: List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)));
-  set_version_gauge core.meters peer conn.version
+let new_conn core fd ~peer phase =
+  let c =
+    { fd; peer; phase; rd = Framing.reader (); wr = Framing.writer ();
+      held = Queue.create (); closed = false }
+  in
+  core.socks <- c :: core.socks;
+  c
 
-let drop_conn core peer =
-  with_lock core (fun () ->
-      core.conns <- List.remove_assoc peer core.conns;
-      Metrics.set core.meters.nm_conns (float_of_int (List.length core.conns)));
-  set_version_gauge core.meters peer 0
+let ready_version c = match c.phase with Ready { version; _ } -> Some version | _ -> None
+let dialing c = match c.phase with Connecting | Awaiting_hello -> true | _ -> false
 
-(* The negotiated version per live peer connection, for /health. *)
+(* The negotiated version per peer whose sends have a live connection,
+   for /health. *)
 let peer_versions core =
-  with_lock core (fun () -> List.map (fun (p, c) -> (p, c.version)) core.conns)
+  Hashtbl.fold
+    (fun p c acc -> match ready_version c with Some v -> (p, v) :: acc | None -> acc)
+    core.to_peer []
+
+(* Point [peer]'s sends at [c] (or nowhere) and refresh the gauges. *)
+let route core peer c =
+  (match c with
+  | Some c -> Hashtbl.replace core.to_peer peer c
+  | None -> Hashtbl.remove core.to_peer peer);
+  Metrics.set core.meters.nm_conns (float_of_int (List.length (peer_versions core)));
+  set_version_gauge core.meters peer
+    (match Option.bind c ready_version with Some v -> v | None -> 0)
 
 let note_corrupt core ~peer err =
   Metrics.inc core.meters.nm_decode_errors;
@@ -276,112 +324,95 @@ let note_corrupt core ~peer err =
     Span.Recorder.note core.obs ~time:(now_ms ()) ~actor:core.actor
       (Format.asprintf "drop conn to %d: %a" peer Framing.pp_read_error err)
 
-(* Reader thread: handshake already done; pump messages into the inbox.
-   [Eof] is a peer going away (normal churn); [Corrupt] is an
-   unresynchronizable stream — count it, note it, and drop the
-   connection. Either way the socket is closed and the next send
-   redials. *)
-let reader_thread core peer (conn : conn) =
-  let module C = (val conn.codec : CONN_CODEC) in
-  let rec pump () =
-    if core.stop then ()
-    else
-      match C.read_msg conn.fd with
-      | Ok (msg, bytes) ->
-        Metrics.inc ~by:bytes core.meters.nm_bytes_received;
-        count_bytes core.meters msg bytes;
-        enqueue_msg core peer msg;
-        pump ()
-      | Error Eof -> ()
-      | Error (Corrupt _ as err) -> note_corrupt core ~peer err
-      | exception Unix.Unix_error _ -> ()
-  in
-  pump ();
-  drop_conn core peer;
-  try Unix.close conn.fd with _ -> ()
+(* A socket leaves [socks]. If [peer]'s sends went to it, they move to
+   another established socket to that peer (a simultaneous dial leaves
+   two), or the next send redials. *)
+let forget core c =
+  c.closed <- true;
+  core.socks <- List.filter (fun c' -> c' != c) core.socks;
+  if c.peer >= 0 then
+    match Hashtbl.find_opt core.to_peer c.peer with
+    | Some c' when c' == c ->
+      route core c.peer
+        (List.find_opt (fun c' -> c'.peer = c.peer && ready_version c' <> None) core.socks)
+    | _ -> ()
 
-(* Get (or dial) the connection to [peer]; None if unreachable or still
-   backing off after a failed dial. Dialing performs the version
-   handshake synchronously: send our hello, read the listener's hello
-   back, settle on min(local, peer). *)
-exception Handshake_failed of string
+let dial_failed core peer =
+  Metrics.inc core.meters.nm_dial_failures;
+  let prev = match Hashtbl.find_opt core.backoff peer with Some (_, d) -> d | None -> 0.0 in
+  let next = Float.min core.backoff_cap_ms (Float.max core.backoff_base_ms (prev *. 2.0)) in
+  (* Jitter in [next/2, next): consecutive retries stay spread out even
+     when every peer noticed the death together. *)
+  let wait = next *. (0.5 +. Rng.float core.rng 0.5) in
+  Hashtbl.replace core.backoff peer (now_ms () +. wait, next);
+  set_backoff_gauge core.meters peer next
 
+(* Close [c]. A dial that dies before its handshake completes is a failed
+   dial and puts the peer on backoff; an established connection going
+   away is normal churn and the next send redials at once. *)
+let drop core c =
+  if not c.closed then begin
+    forget core c;
+    (try Unix.close c.fd with _ -> ());
+    if dialing c then dial_failed core c.peer
+  end
+
+(* Start a non-blocking dial to [peer]. Its hello is queued at once and
+   leaves when the connect completes. *)
+let dial core peer addr =
+  Metrics.inc core.meters.nm_dials;
+  match Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 with
+  | exception Unix.Unix_error _ ->
+    dial_failed core peer;
+    None
+  | fd -> (
+    let c = new_conn core fd ~peer Connecting in
+    ignore
+      (Framing.add_frame c.wr
+         (Framing.hello ~node_id:core.node_id ~max_version:core.max_wire_version));
+    match
+      Unix.set_nonblock fd;
+      Unix.setsockopt fd TCP_NODELAY true;
+      Unix.connect fd addr
+    with
+    | () ->
+      c.phase <- Awaiting_hello;
+      route core peer (Some c);
+      Some c
+    | exception Unix.Unix_error ((EINPROGRESS | EAGAIN | EINTR), _, _) ->
+      route core peer (Some c);
+      Some c
+    | exception Unix.Unix_error _ ->
+      drop core c;
+      None)
+
+(* The socket [peer]'s sends go to, dialing if there is none; None if the
+   peer is unknown or still backing off after a failed dial. *)
 let connection core peer =
-  match with_lock core (fun () -> List.assoc_opt peer core.conns) with
-  | Some conn -> Some conn
+  match Hashtbl.find_opt core.to_peer peer with
+  | Some c -> Some c
   | None -> (
     match List.assoc_opt peer core.addresses with
     | None -> None
-    | Some addr ->
-      let now = now_ms () in
-      let backing_off =
-        with_lock core (fun () ->
-            match Hashtbl.find_opt core.backoff peer with
-            | Some (not_before, _) -> now < not_before
-            | None -> false)
-      in
-      if backing_off then None
-      else (
-        Metrics.inc core.meters.nm_dials;
-        try
-          let fd = Unix.socket PF_INET SOCK_STREAM 0 in
-          let conn =
-            try
-              Unix.setsockopt fd TCP_NODELAY true;
-              Unix.connect fd addr;
-              Framing.write_hello fd ~node_id:core.node_id
-                ~max_version:core.max_wire_version;
-              let _peer_id, peer_max =
-                match Framing.read_hello fd with
-                | Ok hello -> hello
-                | Error e ->
-                  raise
-                    (Handshake_failed
-                       (Format.asprintf "%a" Framing.pp_read_error e))
-              in
-              let version =
-                match
-                  Wire_codec.negotiate ~local_max:core.max_wire_version
-                    ~peer_max
-                with
-                | Some v -> v
-                | None ->
-                  raise
-                    (Handshake_failed
-                       (Printf.sprintf "no common wire version (peer max %d)"
-                          peer_max))
-              in
-              { fd; version; codec = conn_codec version }
-            with e ->
-              (try Unix.close fd with _ -> ());
-              raise e
-          in
-          with_lock core (fun () -> Hashtbl.remove core.backoff peer);
-          set_backoff_gauge core.meters peer 0.0;
-          register_conn core peer conn;
-          ignore (Thread.create (fun () -> reader_thread core peer conn) ());
-          Some conn
-        with
-        | Unix.Unix_error _ | Framing.Closed | Handshake_failed _ ->
-          Metrics.inc core.meters.nm_dial_failures;
-          with_lock core (fun () ->
-              let prev =
-                match Hashtbl.find_opt core.backoff peer with
-                | Some (_, d) -> d
-                | None -> 0.0
-              in
-              let next =
-                Float.min core.backoff_cap_ms
-                  (Float.max core.backoff_base_ms (prev *. 2.0))
-              in
-              (* Jitter in [next/2, next): consecutive retries stay spread
-                 out even when every peer noticed the death together. *)
-              let wait = next *. (0.5 +. Rng.float core.rng 0.5) in
-              Hashtbl.replace core.backoff peer (now +. wait, next));
-          (match with_lock core (fun () -> Hashtbl.find_opt core.backoff peer) with
-          | Some (_, d) -> set_backoff_gauge core.meters peer d
-          | None -> ());
-          None))
+    | Some addr -> (
+      match Hashtbl.find_opt core.backoff peer with
+      | Some (not_before, _) when now_ms () < not_before -> None
+      | _ -> dial core peer addr))
+
+(* Queue [msg] on an established socket, unless its queue is over the
+   bound. A lone frame larger than the bound still goes. *)
+let enqueue core c codec msg =
+  let module C = (val codec : CONN_CODEC) in
+  let payload = C.encode msg in
+  let queued = Framing.queued c.wr in
+  if queued > 0 && queued + String.length payload + 8 > send_queue_bound then
+    Metrics.inc core.meters.nm_send_dropped
+  else begin
+    let bytes = Framing.add_frame c.wr payload in
+    Metrics.inc core.meters.nm_sent;
+    Metrics.inc ~by:bytes core.meters.nm_bytes_sent;
+    count_bytes core.meters msg bytes
+  end
 
 let send_msg core ~dst msg =
   if Span.Recorder.enabled core.obs then
@@ -389,19 +420,15 @@ let send_msg core ~dst msg =
       ~kind:(msg_kind msg) ~dst;
   match connection core dst with
   | None -> ()  (* unreachable peer: retransmission recovers *)
-  | Some conn -> (
-    let module C = (val conn.codec : CONN_CODEC) in
-    try
-      let bytes = C.write_msg conn.fd msg in
-      Metrics.inc core.meters.nm_sent;
-      Metrics.inc ~by:bytes core.meters.nm_bytes_sent;
-      count_bytes core.meters msg bytes
-    with Framing.Closed | Unix.Unix_error _ -> drop_conn core dst)
+  | Some ({ phase = Ready { codec; _ }; _ } as c) -> enqueue core c codec msg
+  | Some c ->
+    (* Held until the handshake settles the codec. *)
+    if Queue.length c.held >= max_held then Metrics.inc core.meters.nm_send_dropped
+    else Queue.add msg c.held
 
 let arm_timer core ~due timer =
-  with_lock core (fun () ->
-      core.timer_seq <- core.timer_seq + 1;
-      Timer_heap.add core.timers (due, core.timer_seq, timer))
+  core.timer_seq <- core.timer_seq + 1;
+  Timer_heap.add core.timers (due, core.timer_seq, timer)
 
 let run_actions core actions =
   List.iter
@@ -413,106 +440,87 @@ let run_actions core actions =
           Span.Recorder.note core.obs ~time:(now_ms ()) ~actor:core.actor s)
     actions
 
-(* The main loop: [handle] processes one input and returns actions. *)
-let event_loop core handle =
-  let drain_pipe () =
-    let buf = Bytes.create 64 in
-    try
-      while Unix.read core.pipe_r buf 0 64 > 0 do
-        ()
-      done
-    with Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()
-  in
-  while not core.stop do
-    (* Pull work under the lock. *)
-    let inputs, thunks, timeout =
-      with_lock core (fun () ->
-          let msgs = Queue.fold (fun acc x -> x :: acc) [] core.inbox in
-          Queue.clear core.inbox;
-          let thunks = Queue.fold (fun acc x -> x :: acc) [] core.thunks in
-          Queue.clear core.thunks;
-          let now = now_ms () in
-          let rec pop_due acc =
-            match Timer_heap.min_elt core.timers with
-            | Some (d, _, timer) when d <= now ->
-              ignore (Timer_heap.pop_min core.timers);
-              pop_due (Timer timer :: acc)
-            | next -> (List.rev acc, next)
-          in
-          let due, next = pop_due [] in
-          let timeout =
-            match next with
-            | None -> 0.1 (* s *)
-            | Some (d, _, _) -> Float.max 0.0 ((d -. now) /. 1000.0)
-          in
-          ( List.rev_map (fun (src, msg) -> Receive { src; msg }) msgs @ due,
-            List.rev thunks,
-            timeout ))
-    in
-    List.iter (fun thunk -> thunk ()) thunks;
-    List.iter (fun input -> run_actions core (handle ~now:(now_ms ()) input)) inputs;
-    if inputs = [] && thunks = [] then begin
-      (match Unix.select [ core.pipe_r ] [] [] timeout with
-      | [ _ ], _, _ -> drain_pipe ()
-      | _ -> ()
-      | exception Unix.Unix_error (EINTR, _, _) -> ())
-    end
-  done
+(* A bad hello or a version gap closes the socket: on the dialing side
+   that is a failed dial, on the listening side a decode error, and the
+   dialer sees EOF and backs off. *)
+let handshake_failed core c err =
+  if not (dialing c) then note_corrupt core ~peer:c.peer err;
+  drop core c
 
-let shutdown core =
-  core.stop <- true;
-  wake core;
-  with_lock core (fun () ->
-      List.iter
-        (fun (_, c) -> try Unix.shutdown c.fd SHUTDOWN_ALL with _ -> ())
-        core.conns)
+(* Both ends of a handshake settle on min(local, peer). The dialer then
+   encodes what it held with the negotiated codec; the listener answers
+   with its own hello. *)
+let handshake core c payload =
+  match Framing.decode_hello payload with
+  | Error err -> handshake_failed core c err
+  | Ok (peer, peer_max) -> (
+    if not (dialing c) then c.peer <- peer;
+    match Wire_codec.negotiate ~local_max:core.max_wire_version ~peer_max with
+    | None ->
+      handshake_failed core c
+        (Framing.Corrupt
+           { pos = 0; msg = Printf.sprintf "no common wire version (peer max %d)" peer_max })
+    | Some version ->
+      let codec = conn_codec version in
+      if dialing c then begin
+        Hashtbl.remove core.backoff c.peer;
+        set_backoff_gauge core.meters c.peer 0.0;
+        Queue.iter (enqueue core c codec) c.held;
+        Queue.clear c.held
+      end
+      else
+        ignore
+          (Framing.add_frame c.wr
+             (Framing.hello ~node_id:core.node_id ~max_version:core.max_wire_version));
+      c.phase <- Ready { version; codec };
+      route core c.peer (Some c))
 
 (* ------------------------------------------------------------------ *)
 (* Admin endpoint: a minimal HTTP/1.0 responder sharing the replica's
-   accept loop. A protocol connection opens with a hello frame whose
+   listening port. A protocol connection opens with a hello frame whose
    first bytes are a little-endian length (tiny, so never printable
-   ASCII); an HTTP request opens with a method name — peeking four bytes
-   disambiguates without consuming either. No HTTP library: one request
-   line in, one Content-Length response out, connection closed. *)
+   ASCII); an HTTP request opens with a method name. The loop classifies
+   on the first bytes as they arrive and hands an HTTP socket, with the
+   bytes it already read, to a short-lived thread. No HTTP library: one
+   request line in, one Content-Length response out, connection closed. *)
 
-let sniff_http fd =
-  let methods = [ "GET "; "HEAD"; "POST" ] in
-  let buf = Bytes.create 4 in
-  let rec peek attempts =
-    match Unix.recv fd buf 0 4 [ Unix.MSG_PEEK ] with
-    | 0 -> false
-    | n ->
-      (* Classify on whatever prefix has arrived: the moment the peeked
-         bytes diverge from every method we serve this is a protocol
-         peer (its hello starts with a tiny length byte, never a
-         printable method prefix) — don't stall it through the retry
-         budget, and never fall back to judging the first byte alone. A
-         true prefix is a dribbling HTTP client: retry, and if the wire
-         stays short past the budget, trust the prefix. *)
-      let s = Bytes.sub_string buf 0 n in
-      if not (List.exists (fun m -> String.sub m 0 n = s) methods) then false
-      else if n = 4 then true
-      else if attempts > 0 then begin
-        Thread.delay 0.002;
-        peek (attempts - 1)
-      end
-      else true
-  in
-  try peek 25 with Unix.Unix_error _ -> false
+let http_methods = [ "GET "; "HEAD"; "POST" ]
 
-(* Read up to the end of the request line; headers and body (if any) are
-   irrelevant to the admin surface and left unread. *)
-let read_request_line fd =
+(* Classify on whatever prefix has arrived: the moment it diverges from
+   every method we serve this is a protocol peer — never judge by the
+   first byte alone. A true prefix shorter than a method is a dribbling
+   HTTP client: wait for more, and once the sniff budget runs out trust
+   the prefix. *)
+let sniff c =
+  let s = Framing.peek c.rd 4 in
+  let n = String.length s in
+  if n = 0 then `Wait
+  else if not (List.exists (fun m -> String.sub m 0 n = s) http_methods) then `Protocol
+  else if n = 4 then `Http
+  else `Wait
+
+(* Read up to the end of the request line, starting with the bytes the
+   loop already read; headers and body (if any) are irrelevant to the
+   admin surface and left unread. *)
+let read_request_line fd prefix =
   let buf = Buffer.create 64 in
   let b = Bytes.create 1 in
+  let next = ref 0 in
+  let read_char () =
+    if !next < String.length prefix then begin
+      incr next;
+      Some prefix.[!next - 1]
+    end
+    else if Unix.read fd b 0 1 = 1 then Some (Bytes.get b 0)
+    else None
+  in
   let rec go () =
     if Buffer.length buf > 4096 then Buffer.contents buf
-    else if Unix.read fd b 0 1 <> 1 then Buffer.contents buf
     else
-      match Bytes.get b 0 with
-      | '\n' -> Buffer.contents buf
-      | '\r' -> go ()
-      | c ->
+      match read_char () with
+      | None | Some '\n' -> Buffer.contents buf
+      | Some '\r' -> go ()
+      | Some c ->
         Buffer.add_char buf c;
         go ()
   in
@@ -526,9 +534,10 @@ let http_response ~status ~content_type body =
 
 (* One thread per admin request: parse the path, ask the node's [routes]
    callback for a body, answer, close. *)
-let http_thread routes fd =
+let http_thread routes fd prefix =
   (try
-     let line = read_request_line fd in
+     Unix.clear_nonblock fd;
+     let line = read_request_line fd prefix in
      let path =
        match String.split_on_char ' ' line with
        | _meth :: path :: _ -> path
@@ -548,6 +557,173 @@ let http_thread routes fd =
 
 (* ------------------------------------------------------------------ *)
 
+(* Parse everything [c] has buffered: the sniff, the hello, then protocol
+   frames, each handed to [deliver] as it is parsed. *)
+let rec process core ~routes ~deliver c =
+  if not c.closed then
+    match c.phase with
+    | Connecting -> ()
+    | Sniffing deadline -> (
+      match sniff c with
+      | `Protocol ->
+        c.phase <- Hello_in;
+        process core ~routes ~deliver c
+      | `Http -> to_http core ~routes c
+      | `Wait ->
+        if deadline = Float.infinity then
+          c.phase <- Sniffing (now_ms () +. sniff_budget_ms))
+    | Awaiting_hello | Hello_in -> (
+      match Framing.next_frame c.rd with
+      | None -> ()
+      | Some (Ok payload) ->
+        handshake core c payload;
+        process core ~routes ~deliver c
+      | Some (Error err) -> handshake_failed core c err)
+    | Ready { codec; _ } -> (
+      let module C = (val codec : CONN_CODEC) in
+      match Option.map (fun r -> Result.bind r C.decode) (Framing.next_frame c.rd) with
+      | None -> ()
+      | Some (Ok (msg, bytes)) ->
+        Metrics.inc core.meters.nm_received;
+        Metrics.inc ~by:bytes core.meters.nm_bytes_received;
+        count_bytes core.meters msg bytes;
+        deliver c.peer msg;
+        process core ~routes ~deliver c
+      | Some (Error err) ->
+        (* An unresynchronizable stream: count it, note it, drop the
+           connection; the next send redials. *)
+        note_corrupt core ~peer:c.peer err;
+        drop core c)
+
+and to_http core ~routes c =
+  forget core c;
+  match routes with
+  | Some routes ->
+    let prefix = Framing.peek c.rd (Framing.buffered c.rd) in
+    ignore (Thread.create (fun () -> http_thread routes c.fd prefix) ())
+  | None -> ( try Unix.close c.fd with _ -> ())
+
+(* One read per readable socket per round; EOF inside a frame counts as
+   corruption, EOF between frames is a peer going away. *)
+let read_conn core ~routes ~deliver c =
+  match Framing.read_from c.rd c.fd with
+  | 0 ->
+    (match (c.phase, Framing.eof_error c.rd) with
+    | (Ready _ | Hello_in), (Framing.Corrupt _ as err) -> note_corrupt core ~peer:c.peer err
+    | _ -> ());
+    drop core c
+  | _ -> process core ~routes ~deliver c
+  | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+  | exception Unix.Unix_error _ -> drop core c
+
+let flush core c =
+  match c.phase with
+  | Connecting -> ()
+  | _ -> (
+    if (not c.closed) && Framing.queued c.wr > 0 then
+      try Framing.flush c.wr c.fd with Unix.Unix_error _ -> drop core c)
+
+let rec accept_all core listener =
+  match Unix.accept ~cloexec:true listener with
+  | fd, _ ->
+    (try
+       Unix.set_nonblock fd;
+       Unix.setsockopt fd TCP_NODELAY true
+     with Unix.Unix_error _ -> ());
+    ignore (new_conn core fd ~peer:(-1) (Sniffing Float.infinity));
+    accept_all core listener
+  | exception Unix.Unix_error _ -> ()
+
+(* The main loop: [handle] processes one input and returns actions. Each
+   round runs the injected thunks and due timers, flushes every output
+   queue, waits in [select], then reads each readable socket and handles
+   its complete frames. All of a round's sends leave in the next round's
+   flush, after all of its inputs. *)
+let event_loop ?listen core handle =
+  let run input = run_actions core (handle ~now:(now_ms ()) input) in
+  let deliver src msg = run (Receive { src; msg }) in
+  let routes = Option.map snd listen in
+  let pipe_buf = Bytes.create 64 in
+  let rec drain_pipe () =
+    match Unix.read core.pipe_r pipe_buf 0 64 with
+    | 0 -> ()
+    | _ -> drain_pipe ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  let rec fire_timers () =
+    match Timer_heap.min_elt core.timers with
+    | Some (d, _, timer) when d <= now_ms () ->
+      ignore (Timer_heap.pop_min core.timers);
+      run (Timer timer);
+      fire_timers ()
+    | _ -> ()
+  in
+  while not core.stop do
+    let thunks =
+      with_lock core (fun () ->
+          let l = List.of_seq (Queue.to_seq core.thunks) in
+          Queue.clear core.thunks;
+          l)
+    in
+    List.iter (fun thunk -> thunk ()) thunks;
+    fire_timers ();
+    List.iter (flush core) core.socks;
+    let now = now_ms () in
+    let reads = ref [ core.pipe_r ] and writes = ref [] and queue_max = ref 0 in
+    let next_due = ref (now +. 100.0) in
+    (match Timer_heap.min_elt core.timers with
+    | Some (d, _, _) -> next_due := Float.min !next_due d
+    | None -> ());
+    Option.iter (fun (l, _) -> reads := l :: !reads) listen;
+    List.iter
+      (fun c ->
+        let queued = Framing.queued c.wr in
+        queue_max := max !queue_max queued;
+        (match c.phase with
+        | Connecting -> writes := c.fd :: !writes
+        | Sniffing deadline ->
+          next_due := Float.min !next_due deadline;
+          reads := c.fd :: !reads
+        | _ ->
+          if queued > 0 then writes := c.fd :: !writes;
+          reads := c.fd :: !reads))
+      core.socks;
+    Metrics.set core.meters.nm_queue_max (float_of_int !queue_max);
+    let socks = core.socks in
+    let timeout = Float.max 0.0 ((!next_due -. now) /. 1000.0) in
+    match Unix.select !reads !writes [] timeout with
+    | exception Unix.Unix_error (EINTR, _, _) -> ()
+    | readable, writable, _ ->
+      if List.mem core.pipe_r readable then drain_pipe ();
+      Option.iter (fun (l, _) -> if List.mem l readable then accept_all core l) listen;
+      List.iter
+        (fun c ->
+          (match c.phase with
+          | Connecting when (not c.closed) && List.mem c.fd writable -> (
+            match Unix.getsockopt_error c.fd with
+            | None -> c.phase <- Awaiting_hello
+            | Some _ -> drop core c)
+          | _ -> ());
+          if (not c.closed) && List.mem c.fd readable then read_conn core ~routes ~deliver c)
+        socks;
+      let now = now_ms () in
+      List.iter
+        (fun c ->
+          match c.phase with
+          | Sniffing deadline when deadline <= now -> to_http core ~routes c
+          | _ -> ())
+        core.socks
+  done;
+  List.iter (fun c -> try Unix.close c.fd with _ -> ()) core.socks;
+  core.socks <- [];
+  Option.iter (fun (l, _) -> try Unix.close l with _ -> ()) listen
+
+let shutdown core =
+  core.stop <- true;
+  wake core
+
+(* ------------------------------------------------------------------ *)
+
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
   module Client = Grid_paxos.Client
@@ -557,52 +733,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     replica : R.t;
     r_watchdog : Grid_obs.Watchdog.t;
     r_loop : Thread.t;
-    r_accept : Thread.t;
-    listener : Unix.file_descr;
   }
-
-  (* Inbound handshake: read the dialer's hello, answer with ours, keep
-     the connection iff the version ranges overlap. A corrupt hello (or
-     a version gap) closes the socket; the dialer sees EOF and backs
-     off. *)
-  let acceptor ?routes core listener =
-    try
-      while not core.stop do
-        let fd, _ = Unix.accept listener in
-        Unix.setsockopt fd TCP_NODELAY true;
-        match routes with
-        | Some routes when sniff_http fd ->
-          ignore (Thread.create (fun () -> http_thread routes fd) ())
-        | _ -> (
-          match Framing.read_hello fd with
-          | Ok (peer, peer_max) -> (
-            match
-              Wire_codec.negotiate ~local_max:core.max_wire_version ~peer_max
-            with
-            | Some version -> (
-              match
-                Framing.write_hello fd ~node_id:core.node_id
-                  ~max_version:core.max_wire_version
-              with
-              | () ->
-                let conn = { fd; version; codec = conn_codec version } in
-                register_conn core peer conn;
-                ignore (Thread.create (fun () -> reader_thread core peer conn) ())
-              | exception (Framing.Closed | Unix.Unix_error _) -> (
-                try Unix.close fd with _ -> ()))
-            | None ->
-              note_corrupt core ~peer
-                (Framing.Corrupt
-                   { pos = 0;
-                     msg = Printf.sprintf "no common wire version (peer max %d)" peer_max
-                   });
-              (try Unix.close fd with _ -> ()))
-          | Error Eof -> ( try Unix.close fd with _ -> ())
-          | Error (Corrupt _ as err) ->
-            note_corrupt core ~peer:(-1) err;
-            (try Unix.close fd with _ -> ()))
-      done
-    with Unix.Unix_error _ -> ()
 
   let start_replica ~cfg ~id ~port ~peers ?storage ?obs ?(flight_capacity = 2048)
       ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
@@ -633,10 +764,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         ()
     in
     let replica = R.create ~cfg ~id ?storage ~obs ~actor ~watchdog () in
-    let listener = Unix.socket PF_INET SOCK_STREAM 0 in
+    let listener = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
     Unix.setsockopt listener SO_REUSEADDR true;
     Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen listener 64;
+    Unix.set_nonblock listener;
     (* Engine access is confined to the loop thread; bootstrap through an
        injected thunk. *)
     inject core (fun () -> run_actions core (R.bootstrap replica));
@@ -673,13 +805,13 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       acts
     in
     let health () =
-      let peer_json =
-        peer_versions core
-        |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
-        |> List.map (fun (p, v) -> Printf.sprintf {|"%d":%d|} p v)
-        |> String.concat ","
-      in
       run_on_loop core (fun () ->
+          let peer_json =
+            peer_versions core
+            |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+            |> List.map (fun (p, v) -> Printf.sprintf {|"%d":%d|} p v)
+            |> String.concat ","
+          in
           let now = now_ms () in
           let b = R.ballot replica in
           let shed_reads, shed_writes = R.stats_shed replica in
@@ -709,9 +841,10 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
               (run_on_loop core (fun () -> Span.Recorder.events obs)) )
       | _ -> None
     in
-    let r_loop = Thread.create (fun () -> event_loop core handle) () in
-    let r_accept = Thread.create (fun () -> acceptor ~routes core listener) () in
-    { r_core = core; replica; r_watchdog = watchdog; r_loop; r_accept; listener }
+    let r_loop =
+      Thread.create (fun () -> event_loop ~listen:(listener, routes) core handle) ()
+    in
+    { r_core = core; replica; r_watchdog = watchdog; r_loop }
 
   (* Engine introspection must also run on the loop thread. *)
   let on_loop h f = run_on_loop h.r_core f
@@ -721,14 +854,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_metrics h = h.r_core.meters.registry
   let replica_obs h = h.r_core.obs
   let replica_watchdog h = h.r_watchdog
-  let replica_peer_versions h = peer_versions h.r_core
+  let replica_peer_versions h = on_loop h (fun () -> peer_versions h.r_core)
 
   let stop_replica h =
     shutdown h.r_core;
-    (try Unix.shutdown h.listener SHUTDOWN_ALL with _ -> ());
-    (try Unix.close h.listener with _ -> ());
     (try Thread.join h.r_loop with _ -> ());
-    (try Thread.join h.r_accept with _ -> ());
     release_meters h.r_core.meters
 
   type client_handle = {
@@ -831,7 +961,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     call h rtype ~payload:(S.encode_op op) ~timeout_s
 
   let client_metrics h = h.c_core.meters.registry
-  let client_peer_versions h = peer_versions h.c_core
+  let client_peer_versions h = run_on_loop h.c_core (fun () -> peer_versions h.c_core)
 
   let stop_client h =
     shutdown h.c_core;

@@ -1,10 +1,43 @@
 (** TCP runtime: hosts the same pure protocol engines that run on the
-    simulator over real sockets and threads.
+    simulator over real sockets.
 
-    Each node runs one event loop (a [select] on a self-pipe, the inbox
-    and the timer queue). Peer connections are dialed lazily and
-    deduplicated by the handshake's node id; replies to clients travel
-    back over the connection the client dialed in on.
+    {b Thread model.} Each node (a replica or a client session) runs
+    exactly one loop thread. It [select]s over a wake pipe, the
+    replica's listening socket and every peer socket, and no other
+    thread touches a socket. Each round runs the thunks other threads
+    injected (client calls, introspection), fires due timers, flushes
+    every output queue, waits in [select], then reads each readable
+    socket once and hands every complete frame to the engine. So all of
+    a round's sends leave together, after all of its inputs. The only
+    other threads are short-lived admin HTTP responders (below).
+
+    {b Non-blocking I/O.} Every socket is non-blocking and nothing in
+    the loop blocks but [select]:
+    - reads go into a per-socket {!Framing.reader} (4 KiB, grown only
+      for a large frame and shrunk back once it drains);
+    - writes go into a per-socket output queue, flushed while the socket
+      is writable. A peer that stops reading (a stopped process) fills
+      its queue up to {!send_queue_bound}; past that, new frames to it
+      are dropped and counted in [grid_net_send_dropped_total], and
+      Paxos retransmission recovers them as it does for an unreachable
+      peer. [grid_net_send_queue_max_bytes] is the largest queue after
+      the last flush;
+    - dials use a non-blocking [connect], and the listener's hello is
+      parsed by the loop like any other frame. Messages sent while a
+      dial's handshake is in flight are held (at most 256, the rest
+      dropped and counted) and encoded with the negotiated codec once it
+      completes. A peer that accepts but never answers therefore costs
+      one idle socket, not a frozen loop;
+    - accepts happen in the loop too, and an accepted socket that stays
+      silent costs nothing but its descriptor.
+    [select] limits a node to descriptors below [FD_SETSIZE] (1024 on
+    Linux): some hundreds of connections per process.
+
+    Peer connections are dialed lazily and deduplicated by the
+    handshake's node id; replies to clients travel back over the
+    connection the client dialed in on. A simultaneous dial leaves two
+    sockets to one peer: both are read, sends go to the newer one, and
+    if it closes they move to the other.
 
     The handshake also negotiates the wire-protocol version: each side
     sends the highest {!Grid_paxos.Wire_codec} version it speaks
@@ -15,7 +48,8 @@
     [grid_net_wire_version_peer_<id>] gauges, in [GET /health], and via
     {!Make.replica_peer_versions}.
 
-    A failed dial puts the peer on exponential backoff (doubling from
+    A failed dial (refused, or closed before its handshake completed)
+    puts the peer on exponential backoff (doubling from
     [backoff_base_ms] to [backoff_cap_ms], default 20 ms to 2 s,
     jittered per node), so a dead peer costs one connect attempt per
     backoff window instead of one per outgoing message, and a restarting
@@ -28,26 +62,32 @@
     Transport byte accounting: [grid_net_bytes_total] counts on-wire
     bytes in both directions (frame header and CRC included), split as
     [grid_net_bytes_sent_total]/[grid_net_bytes_received_total] and by
-    message kind as [grid_net_bytes_total_<kind>]. Corrupt or
-    undecodable frames increment [grid_net_decode_errors_total] and
-    drop the connection (a byte stream cannot be resynchronized after a
-    bad frame); the next send redials.
+    message kind as [grid_net_bytes_total_<kind>]. A sent message is
+    counted when it is queued. Corrupt or undecodable frames increment
+    [grid_net_decode_errors_total] and drop the connection (a byte
+    stream cannot be resynchronized after a bad frame); the next send
+    redials.
 
-    Each replica's listening port doubles as a plaintext admin endpoint:
-    the accept loop peeks the first bytes of a new connection and routes
-    HTTP methods ([GET]/[HEAD]/[POST]) to a minimal HTTP/1.0 responder
-    instead of the protocol handshake. [GET /metrics] serves the node's
-    registry in Prometheus exposition format, [GET /health] a one-line
-    JSON summary (role, ballot, commit point, lease, admission queue
-    depths, watchdog violations, wire versions), and [GET /flightrec]
-    the node's bounded always-on flight recorder as JSONL (readable back
-    with {!Grid_obs.Span.load_string}). No extra port, thread pool or
-    dependency: one short-lived thread per request.
+    Each replica's listening port doubles as a plaintext admin endpoint.
+    The loop classifies a new connection by its first bytes as they
+    arrive: a protocol hello starts with a tiny length byte, an HTTP
+    request with [GET ]/[HEAD]/[POST]; a short method-like prefix waits
+    up to 50 ms for the rest before it is trusted. An HTTP socket, with
+    the bytes already read, goes back to blocking mode and to a
+    short-lived thread running a minimal HTTP/1.0 responder.
+    [GET /metrics] serves the node's registry in Prometheus exposition
+    format, [GET /health] a one-line JSON summary (role, ballot, commit
+    point, lease, admission queue depths, watchdog violations, wire
+    versions), and [GET /flightrec] the node's bounded always-on flight
+    recorder as JSONL (readable back with {!Grid_obs.Span.load_string}).
+    No extra port, thread pool or dependency.
 
     This is the backend for [bin/replica.exe] and [bin/client.exe], and
-    for the loopback integration tests. The evaluation itself uses the
-    simulator (DESIGN.md §2) — this module demonstrates that the engines
-    are transport-agnostic. *)
+    for the loopback integration tests and the wall-clock benchmark. *)
+
+val send_queue_bound : int
+(** 1 MiB: the output queue toward one socket past which new frames to
+    it are dropped. A lone frame larger than this still goes. *)
 
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)

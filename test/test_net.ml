@@ -71,6 +71,74 @@ let test_framing_truncated_body () =
       Alcotest.(check bool) "truncated body is Corrupt" true
         (match Framing.read_frame b with Stdlib.Error (Framing.Corrupt _) -> true | _ -> false))
 
+(* The incremental reader against the blocking one: a stream of random
+   frames (with bad CRCs, bad lengths and a truncated tail mixed in), fed
+   in random chunks, yields exactly the frames and the first error that
+   [read_frame] reads off the whole stream. *)
+let le32 n = String.init 4 (fun i -> Char.chr ((n lsr (8 * i)) land 0xFF))
+let frame payload = let f = Wire.with_crc payload in le32 (String.length f) ^ f
+
+let gen_stream =
+  let open QCheck2.Gen in
+  let payload =
+    string_size ~gen:char (frequency [ (8, int_range 0 200); (1, int_range 3000 12000) ])
+  in
+  let bad_crc =
+    let* p = payload in
+    let f = Bytes.of_string (frame p) in
+    let+ i = int_range 4 (Bytes.length f - 1) in
+    Bytes.set f i (Char.chr (Char.code (Bytes.get f i) lxor 0x5a));
+    Bytes.to_string f
+  in
+  let bad_len =
+    map le32 (oneof [ int_range 0 3; int_range (Framing.max_frame + 1) (Framing.max_frame + 99) ])
+  in
+  let piece = frequency [ (12, map frame payload); (1, bad_crc); (1, bad_len) ] in
+  let* s = map (String.concat "") (list_size (int_range 0 12) piece) in
+  let* cut = frequency [ (1, pure (String.length s)); (1, int_range 0 (String.length s)) ] in
+  let+ chunks = list_size (int_range 1 30) (int_range 1 700) in
+  (String.sub s 0 cut, chunks)
+
+let blocking_frames s =
+  let path = Filename.temp_file "frames" ".bin" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc s);
+      let fd = Unix.openfile path [ O_RDONLY ] 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          let rec go acc =
+            match Framing.read_frame fd with
+            | Stdlib.Ok p -> go (Stdlib.Ok p :: acc)
+            | Stdlib.Error e -> List.rev (Stdlib.Error e :: acc)
+          in
+          go []))
+
+let incremental_frames (s, chunks) =
+  let r = Framing.reader () in
+  let rec drain acc =
+    match Framing.next_frame r with
+    | None -> `More acc
+    | Some (Stdlib.Ok p) -> drain (Stdlib.Ok p :: acc)
+    | Some (Stdlib.Error e) -> `Done (List.rev (Stdlib.Error e :: acc))
+  in
+  let rec go pos sizes acc =
+    if pos >= String.length s then List.rev (Stdlib.Error (Framing.eof_error r) :: acc)
+    else
+      let size, sizes = match sizes with k :: rest -> (k, rest) | [] -> (1, []) in
+      let sizes = if sizes = [] then chunks else sizes in
+      let n = min size (String.length s - pos) in
+      Framing.feed r s pos n;
+      match drain acc with `More acc -> go (pos + n) sizes acc | `Done l -> l
+  in
+  go 0 chunks []
+
+let prop_incremental_reader =
+  QCheck2.Test.make ~name:"incremental reader = read_frame" ~count:300 gen_stream
+    (fun (s, chunks) -> incremental_frames (s, chunks) = blocking_frames s)
+
 let sample_msgs =
   [
     Client_req
@@ -683,6 +751,215 @@ let test_call_never_returns_stale_reply () =
       done;
       Alcotest.(check bool) "later calls complete" true (!answered >= 4))
 
+(* ------------------------------------------------------------------ *)
+(* One thread per node: nothing a peer does (or fails to do) blocks a
+   node's loop. *)
+
+(* Run [f] on its own thread and fail if it is not done within
+   [seconds]: a transport that hangs fails the test instead of wedging
+   the suite. *)
+let within what seconds f =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () -> Atomic.set result (Some (try Stdlib.Ok (f ()) with e -> Stdlib.Error e)))
+       ());
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec wait () =
+    match Atomic.get result with
+    | Some (Stdlib.Ok ()) -> ()
+    | Some (Stdlib.Error e) -> raise e
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "%s: not done within %.0f s" what seconds;
+      Thread.delay 0.01;
+      wait ()
+  in
+  wait ()
+
+let await what ~seconds p =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () =
+    if not (p ()) then begin
+      if Unix.gettimeofday () > deadline then Alcotest.failf "%s: timed out" what;
+      Thread.delay 0.01;
+      go ()
+    end
+  in
+  go ()
+
+let fast_cfg =
+  Config.make ~n:3 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0
+    ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
+
+let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
+
+(* Replicas [ids] of a 3-replica cluster on [ports], with a leader. *)
+let with_replicas (type h) (start : int -> h) (is_leader : h -> bool) (stop : h -> unit)
+    ids f =
+  let hs = List.map start ids in
+  Fun.protect
+    ~finally:(fun () -> List.iter stop hs)
+    (fun () ->
+      await "leader" ~seconds:3.0 (fun () -> List.exists is_leader hs);
+      f hs)
+
+let start_counter ports i =
+  let peers = List.filter_map (fun j -> if j = i then None else Some (j, loopback ports.(j))) [ 0; 1; 2 ] in
+  Tcp.start_replica ~cfg:fast_cfg ~id:i ~port:ports.(i) ~peers ()
+
+let listen_on port =
+  let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.setsockopt fd SO_REUSEADDR true;
+  Unix.bind fd (loopback port);
+  Unix.listen fd 8;
+  fd
+
+let write_ok client k =
+  match Tcp.call_op client (Counter.Add k) ~timeout_s:3.0 with
+  | Some reply -> Alcotest.(check bool) "write ok" true (reply.status = Ok)
+  | None -> Alcotest.fail "write timed out"
+
+let test_mute_peer () =
+  (* Replica 2 is a listener that never accepts or answers: a stopped
+     process. The dials to it must not stall the live replicas' loops. *)
+  within "mute peer" 5.0 (fun () ->
+      let ports = Array.init 3 (fun _ -> free_port ()) in
+      let mute = listen_on ports.(2) in
+      Fun.protect
+        ~finally:(fun () -> Unix.close mute)
+        (fun () ->
+          with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1 ]
+            (fun _ ->
+              let client =
+                Tcp.start_client ~id:1
+                  ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+                  ()
+              in
+              Fun.protect ~finally:(fun () -> Tcp.stop_client client) (fun () -> write_ok client 1))))
+
+let test_idle_connection () =
+  (* A raw connection to replica 0 that never sends a byte must not keep
+     the replica from accepting and serving a later client. *)
+  within "idle connection" 5.0 (fun () ->
+      let ports = Array.init 3 (fun _ -> free_port ()) in
+      with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+        (fun _ ->
+          let idle = Unix.socket PF_INET SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close idle)
+            (fun () ->
+              Unix.connect idle (loopback ports.(0));
+              let client =
+                Tcp.start_client ~id:1
+                  ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+                  ()
+              in
+              Fun.protect ~finally:(fun () -> Tcp.stop_client client) (fun () -> write_ok client 1))))
+
+module Kv = Grid_services.Kv_store
+module Tcp_kv = Grid_net.Tcp_node.Make (Kv)
+
+let metric registry name =
+  let prefix = name ^ " " in
+  Grid_obs.Metrics.expose registry
+  |> String.split_on_char '\n'
+  |> List.find_map (fun line ->
+         if String.starts_with ~prefix line then
+           Some (float_of_string (String.sub line (String.length prefix)
+                                    (String.length line - String.length prefix)))
+         else None)
+  |> Option.value ~default:nan
+
+let test_unread_peer_bounded () =
+  (* Replica 2 completes the hello and never reads again. The leader's
+     queue toward it must stay under the bound, dropping what does not
+     fit, while the cluster keeps serving 64 KiB writes. *)
+  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let stuck = listen_on ports.(2) in
+  Unix.setsockopt_int stuck SO_RCVBUF 4096;
+  let stop = Atomic.make false and held = ref [] in
+  let acceptor =
+    Thread.create
+      (fun () ->
+        while not (Atomic.get stop) do
+          match Unix.select [ stuck ] [] [] 0.02 with
+          | [], _, _ -> ()
+          | _ ->
+            let fd, _ = Unix.accept stuck in
+            held := fd :: !held;
+            (match Framing.read_hello fd with
+            | Stdlib.Ok _ ->
+              Framing.write_hello fd ~node_id:2 ~max_version:Wire_codec.latest_version
+            | Stdlib.Error _ -> ())
+        done)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Thread.join acceptor;
+      List.iter Unix.close (stuck :: !held))
+    (fun () ->
+      let start i =
+        let peers = List.filter_map (fun j -> if j = i then None else Some (j, loopback ports.(j))) [ 0; 1; 2 ] in
+        Tcp_kv.start_replica ~cfg:fast_cfg ~id:i ~port:ports.(i) ~peers ()
+      in
+      with_replicas start Tcp_kv.replica_is_leader Tcp_kv.stop_replica [ 0; 1 ] (fun hs ->
+          let leader = List.find Tcp_kv.replica_is_leader hs in
+          let registry = Tcp_kv.replica_metrics leader in
+          let client =
+            Tcp_kv.start_client ~id:1
+              ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+              ()
+          in
+          Fun.protect
+            ~finally:(fun () -> Tcp_kv.stop_client client)
+            (fun () ->
+              let value = String.make 65536 'v' in
+              let k = ref 0 in
+              while metric registry "grid_net_send_dropped_total" = 0.0 && !k < 400 do
+                incr k;
+                (match
+                   Tcp_kv.call_op client (Kv.Put { key = Printf.sprintf "k%d" !k; value })
+                     ~timeout_s:3.0
+                 with
+                | Some reply -> Alcotest.(check bool) "write ok" true (reply.status = Ok)
+                | None -> Alcotest.failf "write %d timed out" !k);
+                let queued = metric registry "grid_net_send_queue_max_bytes" in
+                if queued > float_of_int Grid_net.Tcp_node.send_queue_bound then
+                  Alcotest.failf "queue at %.0f bytes, over the bound" queued
+              done;
+              Alcotest.(check bool) "frames to the stuck peer were dropped" true
+                (metric registry "grid_net_send_dropped_total" > 0.0);
+              match Tcp_kv.call_op client (Kv.Get "k1") ~timeout_s:3.0 with
+              | Some reply -> Alcotest.(check bool) "read ok" true (reply.status = Ok)
+              | None -> Alcotest.fail "read after the drops timed out")))
+
+let threads () = Array.length (Sys.readdir "/proc/self/task")
+
+let test_one_thread_per_client () =
+  (* Each client session is one loop thread: no reader thread per
+     connection, on either end. *)
+  if Sys.file_exists "/proc/self/task" then begin
+    let ports = Array.init 3 (fun _ -> free_port ()) in
+    with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+      (fun _ ->
+        let before = threads () in
+        let clients =
+          List.init 8 (fun id ->
+              Tcp.start_client ~id:(id + 1)
+                ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+                ())
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Tcp.stop_client clients)
+          (fun () ->
+            List.iter (fun c -> write_ok c 1) clients;
+            let added = threads () - before in
+            if added > 8 then Alcotest.failf "8 clients added %d threads" added))
+  end
+
 let suite =
   [
     ( "net.framing",
@@ -692,6 +969,7 @@ let suite =
         Alcotest.test_case "corruption" `Quick test_framing_corruption;
         Alcotest.test_case "truncated body" `Quick test_framing_truncated_body;
         Alcotest.test_case "msg wire roundtrip (v1+v2)" `Quick test_msg_wire_roundtrip;
+        QCheck_alcotest.to_alcotest prop_incremental_reader;
       ] );
     ( "net.loopback",
       [
@@ -708,5 +986,11 @@ let suite =
           test_sigpipe_ignored;
         Alcotest.test_case "call never returns a stale reply" `Slow
           test_call_never_returns_stale_reply;
+        Alcotest.test_case "a mute peer does not stall the dialers" `Slow test_mute_peer;
+        Alcotest.test_case "an idle connection does not stall accepts" `Slow
+          test_idle_connection;
+        Alcotest.test_case "output to a peer that stops reading is bounded" `Slow
+          test_unread_peer_bounded;
+        Alcotest.test_case "one thread per client session" `Slow test_one_thread_per_client;
       ] );
   ]
