@@ -63,43 +63,6 @@ module Make (S : Service_intf.S) = struct
     mutable tx_footprint : Footprint.t;
   }
 
-  (* A cross-shard transaction branch locked in by a committed 2PC
-     prepare instance (DESIGN.md §16). Unlike the leader-local [txn] it
-     is replica-level state, reconstructed from the log on every replica:
-     a failover leader must honour votes its predecessor cast. The
-     footprint stays locked — conflicting writes wait, conflicting
-     transaction commits abort — until the commit/abort decision
-     instance releases it. *)
-  type prepared = {
-    p_ops : (request * string option) list;  (* in order, with witnesses *)
-    p_replies : reply list;  (* in order *)
-    p_footprint : Footprint.t;
-  }
-
-  let encode_prepared (p : prepared) =
-    Grid_codec.Wire.encode (fun e ->
-        let module E = Grid_codec.Wire.Encoder in
-        E.list e
-          (fun (r, w) ->
-            encode_request e r;
-            E.option e (E.string e) w)
-          p.p_ops;
-        E.list e (fun r -> encode_reply e r) p.p_replies;
-        E.list e (fun k -> E.string e k) (Footprint.keys p.p_footprint))
-
-  let decode_prepared s =
-    Grid_codec.Wire.decode s (fun d ->
-        let module D = Grid_codec.Wire.Decoder in
-        let p_ops =
-          D.list d (fun d ->
-              let r = decode_request d in
-              let w = D.option d D.string in
-              (r, w))
-        in
-        let p_replies = D.list d decode_reply in
-        let p_footprint = Footprint.of_keys (D.list d D.string) in
-        { p_ops; p_replies; p_footprint })
-
   type inflight = {
     fl_instance : int;
     fl_proposal : proposal;
@@ -154,7 +117,6 @@ module Make (S : Service_intf.S) = struct
     mutable promised : Ballot.t;
     mutable role : role;
     mutable app_state : S.state;  (* latest committed service state *)
-    dedup : (int, reply) Hashtbl.t;  (* client id -> last committed reply *)
     (* election *)
     last_heard : float array;
     mutable round_seen : int;
@@ -179,28 +141,9 @@ module Make (S : Service_intf.S) = struct
     mutable exec_next : int;
     (* T-Paxos conflict window: footprints of recently committed instances *)
     recent_footprints : (int, Footprint.t) Hashtbl.t;
-    (* 2PC participant state, derived from committed instances only (so
-       it is exactly as durable as the log and survives crash recovery):
-       branches whose prepare committed but whose decision has not, and
-       the decision tombstones that make commit/abort idempotent under
-       duplicate delivery and coordinator failover. *)
-    prepared : (int, prepared) Hashtbl.t;  (* cross-txn tid -> branch *)
-    txn_outcomes : (int, bool) Hashtbl.t;  (* cross-txn tid -> committed? *)
-    (* Elastic-resharding participant state (DESIGN.md §17), derived —
-       like the 2PC tables — from committed instances only, so every
-       replica of the group reconstructs the same migration view from
-       the log (or adopts it from a snapshot). *)
-    mutable reshard_epoch : int;  (* highest committed map epoch *)
-    mutable reshard_map : string;  (* encoded map at that epoch; "" = seed *)
-    mutable frozen : (int * string * string option * int) option;
-        (* (epoch, lo, hi, target): committed FREEZE awaiting decision —
-           writes into [lo, hi) park in [l_blocked] until it resolves *)
-    mutable installed : (int * string * string option * int) option;
-        (* (epoch, lo, hi, count): committed INSTALL awaiting decision *)
-    mutable moved : (string * string option) list;
-        (* ranges handed away: requests touching them get [Wrong_epoch] *)
-    reshard_aborted : (int, unit) Hashtbl.t;  (* abort tombstones, by epoch *)
-    mutable imported_items : int;  (* items absorbed via INSTALL commits *)
+    tables : Committed.t;
+        (* dedup, 2PC and reshard participant tables, derived from
+           committed instances only: exactly as durable as the log *)
     (* checker support *)
     mutable history : (int * request list * string) list;  (* reversed *)
     mutable commits_seen : int;
@@ -231,7 +174,6 @@ module Make (S : Service_intf.S) = struct
       promised = Ballot.zero;
       role = Follower;
       app_state = S.initial ();
-      dedup = Hashtbl.create 32;
       last_heard = Array.make cfg.n neg_infinity;
       round_seen = 0;
       candidate_since = None;
@@ -243,15 +185,7 @@ module Make (S : Service_intf.S) = struct
       exec_table = Hashtbl.create 16;
       exec_next = 0;
       recent_footprints = Hashtbl.create 64;
-      prepared = Hashtbl.create 8;
-      txn_outcomes = Hashtbl.create 32;
-      reshard_epoch = 0;
-      reshard_map = "";
-      frozen = None;
-      installed = None;
-      moved = [];
-      reshard_aborted = Hashtbl.create 8;
-      imported_items = 0;
+      tables = Committed.create ();
       history = [];
       commits_seen = 0;
       shed_reads = 0;
@@ -306,20 +240,20 @@ module Make (S : Service_intf.S) = struct
   let stats_shed t = (t.shed_reads, t.shed_writes)
 
   let prepared_txns t =
-    Hashtbl.fold (fun tid _ acc -> tid :: acc) t.prepared [] |> List.sort Int.compare
+    Hashtbl.fold (fun tid _ acc -> tid :: acc) t.tables.prepared [] |> List.sort Int.compare
 
-  let txn_outcome t tid = Hashtbl.find_opt t.txn_outcomes tid
-  let reshard_epoch t = t.reshard_epoch
-  let reshard_map t = t.reshard_map
+  let txn_outcome t tid = Hashtbl.find_opt t.tables.txn_outcomes tid
+  let reshard_epoch t = t.tables.reshard_epoch
+  let reshard_map t = t.tables.reshard_map
 
   let reshard_phase t =
-    match (t.frozen, t.installed) with
+    match (t.tables.frozen, t.tables.installed) with
     | Some _, _ -> "frozen"
     | None, Some _ -> "installing"
     | None, None -> "idle"
 
-  let moved_ranges t = List.length t.moved
-  let imported_items t = t.imported_items
+  let moved_ranges t = List.length t.tables.moved
+  let imported_items t = t.tables.imported_items
 
   let queue_depth t =
     match t.role with Leader l -> Queue.length l.l_queue | _ -> 0
@@ -389,163 +323,31 @@ module Make (S : Service_intf.S) = struct
   (* Snapshots, dedup, commit bookkeeping                                *)
 
   let current_snapshot t =
-    {
-      Snapshot.commit_point = Plog.commit_point t.log;
-      state = S.encode_state t.app_state;
-      dedup = Hashtbl.fold (fun c r acc -> (c, r) :: acc) t.dedup [];
-      prepared =
-        Hashtbl.fold (fun tid p acc -> (tid, encode_prepared p) :: acc) t.prepared [];
-      outcomes = Hashtbl.fold (fun tid o acc -> (tid, o) :: acc) t.txn_outcomes [];
-      reshard =
-        Reshard_wire.encode_participant
-          {
-            p_epoch = t.reshard_epoch;
-            p_map = t.reshard_map;
-            p_frozen = t.frozen;
-            p_installed = t.installed;
-            p_moved = t.moved;
-            p_aborted = Hashtbl.fold (fun e () acc -> e :: acc) t.reshard_aborted [];
-            p_imported = t.imported_items;
-          };
-    }
-
-  let dedup_update t (r : reply) =
-    let c = Ids.Client_id.to_int r.req.client in
-    match Hashtbl.find_opt t.dedup c with
-    | Some prev when prev.req.seq >= r.req.seq -> ()
-    | _ -> Hashtbl.replace t.dedup c r
+    Committed.snapshot t.tables ~commit_point:(Plog.commit_point t.log)
+      ~state:(S.encode_state t.app_state)
 
   let dedup_lookup t (req : request) =
-    if t.cfg.disable_dedup then `Fresh
-    else
-    match Hashtbl.find_opt t.dedup (Ids.Client_id.to_int req.id.client) with
-    | Some prev when prev.req.seq = req.id.seq -> `Resend prev
-    | Some prev when prev.req.seq > req.id.seq -> `Stale
-    | _ -> `Fresh
+    if t.cfg.disable_dedup then `Fresh else Committed.dedup_lookup t.tables.dedup req
 
-  (* 2PC participant tracking, applied to every committed instance (live
-     commits, catch-up replay, and crash-recovery replay alike): a
-     committed [Txn_prepare] locks the branch in; the committed decision
-     releases it and leaves a tombstone so duplicate decisions — and
-     racing commit-vs-abort from a coordinator and its recovery — resolve
-     identically on every replica. *)
-  let track_2pc t (p : proposal) =
-    List.iter
-      (fun (r : request) ->
-        match r.rtype with
-        | Txn_prepare tid ->
-          if not (Hashtbl.mem t.txn_outcomes tid) then
-            Hashtbl.replace t.prepared tid (decode_prepared r.payload)
-        | Txn_commit tid when Hashtbl.mem t.prepared tid ->
-          Hashtbl.remove t.prepared tid;
-          Hashtbl.replace t.txn_outcomes tid true
-        | Txn_abort tid when Hashtbl.mem t.prepared tid ->
-          Hashtbl.remove t.prepared tid;
-          Hashtbl.replace t.txn_outcomes tid false
-        | _ -> ())
-      p.requests;
-    (* Bound the tombstone table. Cross-txn tids are allocated from a
-       monotone counter, so pruning far-below-max is safe: a decision for
-       a pruned tid can only be a very stale duplicate, and its prepare
-       can no longer be live (it was tombstoned, hence decided). *)
-    if Hashtbl.length t.txn_outcomes > 8192 then begin
-      let mx = Hashtbl.fold (fun tid _ m -> max tid m) t.txn_outcomes 0 in
-      Hashtbl.filter_map_inplace
-        (fun tid v -> if tid < mx - 4096 then None else Some v)
-        t.txn_outcomes
-    end
+  type commit_mode = Live | Replay
 
-  (* Reshard participant tracking, applied — like [track_2pc] — to every
-     committed instance on every path (live commit, catch-up replay,
-     crash-recovery replay). The committed FREEZE locks the moving range;
-     the committed COMMIT activates the successor map, converting the
-     source's frozen range into a moved one and dissolving the target's
-     pending install; a committed ABORT tombstones the epoch so a racing
-     late COMMIT for it loses identically everywhere. *)
-  let track_reshard t (p : proposal) =
-    List.iter
-      (fun (r : request) ->
-        match r.rtype with
-        | Reshard_freeze e -> (
-          if
-            e > t.reshard_epoch
-            && (not (Hashtbl.mem t.reshard_aborted e))
-            && t.frozen = None
-          then
-            match Reshard_wire.decode_freeze r.payload with
-            | { f_lo; f_hi; f_target } -> t.frozen <- Some (e, f_lo, f_hi, f_target)
-            | exception _ -> ())
-        | Reshard_install e -> (
-          if e > t.reshard_epoch && not (Hashtbl.mem t.reshard_aborted e) then
-            match Reshard_wire.decode_install r.payload with
-            | { i_lo; i_hi; i_count; _ } ->
-              t.installed <- Some (e, i_lo, i_hi, i_count)
-            | exception _ -> ())
-        | Reshard_commit e when e > t.reshard_epoch ->
-          (match t.frozen with
-          | Some (e', lo, hi, _) when e' = e ->
-            (* Source side: the handed-away range only becomes
-               unroutable here, at the commit point — not at freeze
-               time, so an aborted migration simply thaws. *)
-            t.moved <- (lo, hi) :: t.moved;
-            t.frozen <- None
-          | _ -> ());
-          (match t.installed with
-          | Some (e', lo, hi, count) when e' = e ->
-            (* Target side: only now may the imported range be served.
-               If an earlier split had moved any part of this range out,
-               the commit restores ownership — by interval subtraction,
-               since the two transitions need not share cut points (a
-               merge can bring back a wider range than the split that
-               left). *)
-            t.moved <- Reshard_wire.range_subtract t.moved ~lo ~hi;
-            t.imported_items <- t.imported_items + count;
-            t.installed <- None
-          | _ -> ());
-          t.reshard_epoch <- e;
-          t.reshard_map <- r.payload
-        | Reshard_abort e ->
-          Hashtbl.replace t.reshard_aborted e ();
-          (match t.frozen with
-          | Some (e', _, _, _) when e' = e -> t.frozen <- None
-          | _ -> ());
-          (match t.installed with
-          | Some (e', _, _, _) when e' = e -> t.installed <- None
-          | _ -> ())
-        | _ -> ())
-      p.requests;
-    (* Bound the tombstone table: epochs are monotone, so far-below-max
-       entries can only be hit by very stale duplicates whose freeze can
-       no longer be live. *)
-    if Hashtbl.length t.reshard_aborted > 8192 then begin
-      let mx = Hashtbl.fold (fun e () m -> max e m) t.reshard_aborted 0 in
-      Hashtbl.filter_map_inplace
-        (fun e v -> if e < mx - 4096 then None else Some v)
-        t.reshard_aborted
-    end
-
-  let install_reshard_participant t (p : Reshard_wire.participant) =
-    t.reshard_epoch <- p.p_epoch;
-    t.reshard_map <- p.p_map;
-    t.frozen <- p.p_frozen;
-    t.installed <- p.p_installed;
-    t.moved <- p.p_moved;
-    Hashtbl.reset t.reshard_aborted;
-    List.iter (fun e -> Hashtbl.replace t.reshard_aborted e ()) p.p_aborted;
-    t.imported_items <- p.p_imported
-
-  let record_commit_bookkeeping t ~instance (p : proposal) =
-    List.iter (dedup_update t) p.replies;
-    track_2pc t p;
-    track_reshard t p;
+  (* The one commit path: everything a replica derives from committed
+     [instance], whose update [t.app_state] already reflects, whether the
+     leader commits it, a follower learns it or [load] replays it. Only
+     the watchdog call, the commit count and the periodic snapshot depend
+     on [mode]: a replayed commit was checked by the incarnation that
+     made it, and a snapshot taken during [load] would write into the
+     store being recovered. *)
+  let on_committed t ~mode ~instance (p : proposal) =
+    Committed.track t.tables p;
     (* Dup-commit watchdog: a (client, seq) must never commit at two
        different instances — that is exactly the bug the dedup table
-       prevents and [disable_dedup] plants. *)
+       prevents and [disable_dedup] plants. Replay seeds the table, so
+       that a later re-delivery of the same instance passes. *)
+    let watch = if mode = Live then Watchdog.record_commit else Watchdog.seed_commit in
     List.iter
       (fun (r : request) ->
-        Watchdog.record_commit t.wd
-          ~client:(Ids.Client_id.to_int r.id.client)
-          ~seq:r.id.seq ~instance)
+        watch t.wd ~client:(Ids.Client_id.to_int r.id.client) ~seq:r.id.seq ~instance)
       p.requests;
     (* Footprints for T-Paxos conflict detection: derived from the ops. *)
     let footprint =
@@ -569,31 +371,24 @@ module Make (S : Service_intf.S) = struct
     end;
     if t.cfg.record_history then
       t.history <- (instance, p.requests, S.encode_state t.app_state) :: t.history;
-    t.commits_seen <- t.commits_seen + 1;
-    (* The state covers [instance], not the log's commit point:
-       [handle_commit] may already have committed later instances that it
-       has yet to apply, and those must stay in the log until it does. *)
-    if t.commits_seen mod t.cfg.snapshot_interval = 0 then begin
-      t.storage.persist_snapshot
-        (Snapshot.encode { (current_snapshot t) with commit_point = instance });
-      Plog.prune_below t.log instance
-    end
+    match mode with
+    | Replay -> ()
+    | Live ->
+      t.commits_seen <- t.commits_seen + 1;
+      (* The state covers [instance], not the log's commit point:
+         [handle_commit] may already have committed later instances that
+         it has yet to apply, and those must stay in the log until it
+         does. *)
+      if t.commits_seen mod t.cfg.snapshot_interval = 0 then begin
+        t.storage.persist_snapshot
+          (Snapshot.encode { (current_snapshot t) with commit_point = instance });
+        Plog.prune_below t.log instance
+      end
 
   let install_snapshot t (snap : Snapshot.t) =
     if snap.commit_point > Plog.commit_point t.log then begin
       t.app_state <- S.decode_state snap.state;
-      List.iter (fun (_, r) -> dedup_update t r) snap.dedup;
-      Hashtbl.reset t.prepared;
-      Hashtbl.reset t.txn_outcomes;
-      List.iter (fun (tid, b) -> Hashtbl.replace t.prepared tid (decode_prepared b))
-        snap.prepared;
-      List.iter (fun (tid, o) -> Hashtbl.replace t.txn_outcomes tid o) snap.outcomes;
-      (match snap.reshard with
-      | "" -> ()  (* pre-reshard image: keep the derived view we have *)
-      | s -> (
-        match Reshard_wire.decode_participant s with
-        | p -> install_reshard_participant t p
-        | exception _ -> ()));
+      Committed.restore t.tables snap;
       Plog.install_commit_point t.log snap.commit_point;
       t.storage.persist_commit snap.commit_point;
       t.storage.persist_snapshot (Snapshot.encode snap)
@@ -616,6 +411,8 @@ module Make (S : Service_intf.S) = struct
       | `Full -> full ()
       | `Delta -> delta ()
       | `Witness -> ( match witness with Some w -> Witness w | None -> delta ()))
+
+  let adopt = Committed.adopt (module S : Service_intf.S with type state = S.state)
 
   (* Apply a committed entry's update to the follower's state. *)
   let apply_update t (p : proposal) =
@@ -648,20 +445,25 @@ module Make (S : Service_intf.S) = struct
             let op = S.decode_op r.payload in
             t.app_state <- (S.apply ~rng:t.rng ~now:t.now t.app_state op).state)
         p.requests
-    | `State_shipping -> (
-      match p.update with
-    | Full s -> t.app_state <- S.decode_state s
-    | Delta d -> t.app_state <- S.patch t.app_state d
-    | Witness w -> (
-      match p.requests with
-      | [ r ] ->
-        let op = S.decode_op r.payload in
-        let st, _ = S.replay t.app_state op ~witness:w in
-        t.app_state <- st
-      | _ ->
-        (* Witness shipping is only produced for singleton proposals;
-           treat anything else as corrupt input. *)
-        invalid_arg "Replica: witness update with non-singleton batch"))
+    | `State_shipping -> t.app_state <- adopt t.app_state p
+
+  (* Adopt the committed instances from [from] up to the commit point,
+     in order. A replayed instance was shipped to an earlier incarnation:
+     its span is not recorded again. *)
+  let apply_committed t ~mode ~from =
+    let cp = Plog.commit_point t.log in
+    let rec go i =
+      if i <= cp then
+        match Plog.get t.log i with
+        | Some entry ->
+          apply_update t entry.proposal;
+          if mode = Live then
+            span_requests t Span.State_ship ~instance:i entry.proposal.requests;
+          on_committed t ~mode ~instance:i entry.proposal;
+          go (i + 1)
+        | None -> ()
+    in
+    go from
 
   (* ------------------------------------------------------------------ *)
   (* Leader: proposing                                                   *)
@@ -671,7 +473,8 @@ module Make (S : Service_intf.S) = struct
   let reply_actions replies =
     List.map (fun (r : reply) -> send ~dst:(client_node r.req.client) (Reply_msg r)) replies
 
-  let wrong_epoch t = Wrong_epoch { epoch = t.reshard_epoch; map = t.reshard_map }
+  let wrong_epoch t =
+    Wrong_epoch { epoch = t.tables.reshard_epoch; map = t.tables.reshard_map }
 
   (* ------------------------------------------------------------------ *)
   (* Leader: executing a batch                                           *)
@@ -686,17 +489,18 @@ module Make (S : Service_intf.S) = struct
     mutable b_prepared : Footprint.t;  (* keys locked by YES votes so far *)
     mutable b_frozen : (string * string option) list;
         (* the committed frozen range plus any FREEZE decided earlier in
-           this batch: [t.frozen] only flips when the instance commits, so
-           a prepare batched after the freeze marker would otherwise vote
-           YES on keys whose slice is about to ship without its ops.
+           this batch: the committed [frozen] only flips when the instance
+           commits, so a prepare batched after the freeze marker would
+           otherwise vote YES on keys whose slice is about to ship without
+           its ops.
            Writes and single-shard commits gate on the committed range
            only: their effects land in this instance's state update,
            which the export sees. *)
     b_decided : (int, bool) Hashtbl.t;
-        (* 2PC decisions taken earlier in this batch: [t.prepared] and
-           [t.txn_outcomes] also flip only at commit, so without this a
-           commit and a racing abort for one tid would both claim the
-           branch *)
+        (* 2PC decisions taken earlier in this batch: the committed
+           [prepared] and [txn_outcomes] also flip only at commit, so
+           without this a commit and a racing abort for one tid would
+           both claim the branch *)
     mutable b_requests : request list;
     mutable b_replies : reply list;  (* decided with the instance *)
     mutable b_to_send : reply list;  (* released at commit time *)
@@ -706,14 +510,15 @@ module Make (S : Service_intf.S) = struct
   type verdict = Execute | Park | Redirect | Conflict
 
   let committed_frozen t =
-    match t.frozen with Some (_, lo, hi, _) -> [ (lo, hi) ] | None -> []
+    match t.tables.frozen with Some (_, lo, hi, _) -> [ (lo, hi) ] | None -> []
 
   (* Does [hit] hold for a prepared cross-shard lock: a branch whose 2PC
      prepare committed, or that voted YES earlier in this batch, and
      whose decision is still pending? *)
   let prepared_lock t b hit =
     hit b.b_prepared
-    || Hashtbl.fold (fun _ (p : prepared) acc -> acc || hit p.p_footprint) t.prepared false
+    || Hashtbl.fold (fun _ (p : Committed.prepared) acc -> acc || hit p.p_footprint)
+         t.tables.prepared false
 
   (* T-Paxos first-committer-wins: did a write overlapping [fp] commit
      after the branch's snapshot at [base]? An instance already evicted
@@ -738,7 +543,7 @@ module Make (S : Service_intf.S) = struct
      conflicts with an overlapping write committed since or executed
      earlier in this batch. *)
   let gate t b ~frozen ?base fp =
-    if Footprint.hits_ranges fp t.moved then Redirect
+    if Footprint.hits_ranges fp t.tables.moved then Redirect
     else if Footprint.hits_ranges fp frozen then Park
     else
       let locked = prepared_lock t b (Footprint.overlaps fp) in
@@ -846,9 +651,9 @@ module Make (S : Service_intf.S) = struct
     let decided =
       match Hashtbl.find_opt b.b_decided tid with
       | Some _ as d -> d
-      | None -> Hashtbl.find_opt t.txn_outcomes tid
+      | None -> Hashtbl.find_opt t.tables.txn_outcomes tid
     in
-    match (decided, Hashtbl.find_opt t.prepared tid, r.rtype) with
+    match (decided, Hashtbl.find_opt t.tables.prepared tid, r.rtype) with
     | Some committed, _, _ ->
       (* Decision tombstone: a duplicate decision, or a coordinator racing
          its own recovery. Nothing re-executes; [Ok] to an abort of a
@@ -857,7 +662,7 @@ module Make (S : Service_intf.S) = struct
     | None, Some p, Txn_commit _ ->
       (* COMMIT for a branch this group voted YES on: its ops, their
          replies and the marker commit in this one instance, and
-         [track_2pc] releases the lock when it does. *)
+         [Committed.track] releases the lock when it does. *)
       commit_branch t b r ~ops:p.p_ops ~op_replies:p.p_replies ~fp:p.p_footprint;
       Hashtbl.replace b.b_decided tid true
     | None, Some _, _ ->
@@ -875,9 +680,9 @@ module Make (S : Service_intf.S) = struct
      promise. A NO vote needs no durability: recovery presumes abort. *)
   let exec_prepare t l b (r : request) =
     let tid = match r.rtype with Txn_prepare tid -> tid | _ -> -1 in
-    match Hashtbl.find_opt t.txn_outcomes tid with
+    match Hashtbl.find_opt t.tables.txn_outcomes tid with
     | Some committed -> reply_now l b r (if committed then Ok else Txn_aborted)
-    | None when Hashtbl.mem t.prepared tid -> reply_now l b r Ok  (* idempotent YES *)
+    | None when Hashtbl.mem t.tables.prepared tid -> reply_now l b r Ok  (* idempotent YES *)
     | None -> (
       match take_branch l r ~tid with
       | None -> reply_now l b r Txn_aborted
@@ -889,26 +694,26 @@ module Make (S : Service_intf.S) = struct
         | Execute ->
           let p =
             {
-              p_ops = List.rev txn.tx_ops;
+              Committed.p_ops = List.rev txn.tx_ops;
               p_replies = List.rev txn.tx_replies;
               p_footprint = txn.tx_footprint;
             }
           in
-          decide b { r with payload = encode_prepared p } Ok;
+          decide b { r with payload = Committed.encode_prepared p } Ok;
           b.b_prepared <- Footprint.union b.b_prepared p.p_footprint))
 
-  (* Reshard markers decide through consensus; [track_reshard] performs
+  (* Reshard markers decide through consensus; [Committed.track] performs
      the transition when the instance commits, on every replica alike. *)
   let exec_reshard t l b (r : request) =
-    let aborted e = Hashtbl.mem t.reshard_aborted e in
+    let aborted e = Hashtbl.mem t.tables.reshard_aborted e in
     match r.rtype with
     | Reshard_freeze e -> (
       if aborted e then reply_now l b r Txn_aborted
-      else if e <= t.reshard_epoch then
+      else if e <= t.tables.reshard_epoch then
         (* Stale coordinator: hand it the current map. *)
         reply_now l b r (wrong_epoch t)
       else
-        match t.frozen with
+        match t.tables.frozen with
         | Some (e', _, _, _) when e' = e -> reply_now l b r Ok
         | Some _ -> reply_now l b r Txn_aborted  (* one migration at a time *)
         | None -> (
@@ -929,9 +734,9 @@ module Make (S : Service_intf.S) = struct
           | exception _ -> reply_now l b r Txn_aborted))
     | Reshard_install e -> (
       if aborted e then reply_now l b r Txn_aborted
-      else if e <= t.reshard_epoch then reply_now l b r Ok  (* already done *)
+      else if e <= t.tables.reshard_epoch then reply_now l b r Ok  (* already done *)
       else
-        match t.installed with
+        match t.tables.installed with
         | Some (e', _, _, _) when e' = e -> reply_now l b r Ok
         | _ -> (
           match Reshard_wire.decode_install r.payload with
@@ -943,14 +748,14 @@ module Make (S : Service_intf.S) = struct
             decide b r Ok
           | exception _ -> reply_now l b r Txn_aborted))
     | Reshard_commit e ->
-      if e <= t.reshard_epoch then reply_now l b r Ok  (* duplicate *)
+      if e <= t.tables.reshard_epoch then reply_now l b r Ok  (* duplicate *)
       else if aborted e then reply_now l b r Txn_aborted
       else decide b r Ok
     | Reshard_abort e ->
-      if t.reshard_epoch >= e then
+      if t.tables.reshard_epoch >= e then
         (* The commit won the race: [Ok] with the committed map tells a
            recovering coordinator the outcome was COMMIT. *)
-        reply_now l b ~payload:t.reshard_map r Ok
+        reply_now l b ~payload:t.tables.reshard_map r Ok
       else if aborted e then reply_now l b r Txn_aborted
       else decide b r Txn_aborted
     | _ -> reply_now l b r Txn_aborted
@@ -1026,9 +831,9 @@ module Make (S : Service_intf.S) = struct
     ignore (Plog.commit t.log ~instance:fl.fl_instance);
     t.storage.persist_commit (Plog.commit_point t.log);
     t.app_state <- fl.fl_post_state;
-    let prepared_before = Hashtbl.length t.prepared in
-    let frozen_before = t.frozen in
-    record_commit_bookkeeping t ~instance:fl.fl_instance fl.fl_proposal;
+    let prepared_before = Hashtbl.length t.tables.prepared in
+    let frozen_before = t.tables.frozen in
+    on_committed t ~mode:Live ~instance:fl.fl_instance fl.fl_proposal;
     (* A decision instance just released a prepared cross-shard lock, or
        a reshard decision resolved the frozen range (COMMIT turns it
        into a moved range, ABORT thaws it): writes stashed behind either
@@ -1036,8 +841,8 @@ module Make (S : Service_intf.S) = struct
        against the remaining locks, answering [Wrong_epoch] for writes
        whose range moved away. *)
     if
-      (Hashtbl.length t.prepared < prepared_before
-      || (frozen_before <> None && t.frozen = None))
+      (Hashtbl.length t.tables.prepared < prepared_before
+      || (frozen_before <> None && t.tables.frozen = None))
       && l.l_blocked <> []
     then begin
       List.iter (fun w -> Queue.add w l.l_queue) (List.rev l.l_blocked);
@@ -1082,16 +887,8 @@ module Make (S : Service_intf.S) = struct
         else begin
           (* Re-propose under our ballot. The post-state comes from the
              recovered update itself. *)
-          let post_state =
-            match proposal.update with
-            | Full s -> S.decode_state s
-            | Delta d -> S.patch t.app_state d
-            | Witness w -> (
-              match proposal.requests with
-              | [ r ] -> fst (S.replay t.app_state (S.decode_op r.payload) ~witness:w)
-              | _ -> t.app_state)
-          in
-          start_accept t l ~instance ~proposal ~post_state ~to_send:proposal.replies
+          start_accept t l ~instance ~proposal ~post_state:(adopt t.app_state proposal)
+            ~to_send:proposal.replies
         end
       | [] ->
         (* Recovery (if any) has fully committed once the commit point
@@ -1401,7 +1198,17 @@ module Make (S : Service_intf.S) = struct
         pump t
       end
 
+  (* A service op that does not decode would raise where it executes, so
+     the leader drops it on arrival: no admission slot, no instance. *)
+  let malformed (r : request) =
+    match r.rtype with
+    | Read | Original | Write | Txn_op _ -> (
+      match S.decode_op r.payload with _ -> false | exception _ -> true)
+    | _ -> false
+
   let leader_handle_client t (l : leadership) (r : request) =
+    if malformed r then [ note "dropped %a: op does not decode" Ids.Request_id.pp r.id ]
+    else
     let detail =
       match r.rtype with
       | Read when holds_lease t ~now:t.now -> "read_leased"
@@ -1417,7 +1224,7 @@ module Make (S : Service_intf.S) = struct
       else { r with trace = { r.trace with parent = t.sid_receive } }
     in
     match r.rtype with
-    | Read when t.moved <> [] && Footprint.hits_ranges (op_footprint r) t.moved ->
+    | Read when t.tables.moved <> [] && Footprint.hits_ranges (op_footprint r) t.tables.moved ->
       (* The key range moved to another group: answer with the current
          map so the client re-routes. Reads of a *frozen* range still
          serve below — a frozen range is immutable, so its content here
@@ -1454,14 +1261,14 @@ module Make (S : Service_intf.S) = struct
       enqueue t l r (W_reshard r)
     | Txn_op _ -> begin_execution t l (Exec_txn_op r)
     | Txn_abort tid ->
-      if Hashtbl.mem t.prepared tid then
+      if Hashtbl.mem t.tables.prepared tid then
         (* Aborting a prepared cross-shard branch is itself a 2PC
            decision: it must be replicated through the log (same path as
            a commit decision) so every replica releases the lock and
            records the tombstone. *)
         enqueue t l r (W_txn_commit r)
       else (
-        match Hashtbl.find_opt t.txn_outcomes tid with
+        match Hashtbl.find_opt t.tables.txn_outcomes tid with
         | Some true ->
           (* Cannot abort: the commit decision already committed. [Ok]
              tells a recovering coordinator the outcome was COMMIT. *)
@@ -1688,25 +1495,14 @@ module Make (S : Service_intf.S) = struct
            snapshot. *)
         [ send ~dst:src (Catchup_req { from_instance = before + 1 }) ]
       else begin
+        apply_committed t ~mode:Live ~from:(before + 1);
         let after_cp = Plog.commit_point t.log in
-        let rec apply_from i acc =
-          if i > after_cp then acc
-          else
-            match Plog.get t.log i with
-            | Some entry ->
-              apply_update t entry.proposal;
-              span_requests t Span.State_ship ~instance:i entry.proposal.requests;
-              record_commit_bookkeeping t ~instance:i entry.proposal;
-              apply_from (i + 1) acc
-            | None -> acc
-        in
-        let acts = apply_from (before + 1) [] in
         t.storage.persist_commit after_cp;
         (* A commit beyond our contiguous prefix means we missed earlier
            instances: fetch a snapshot. *)
         if after_cp < instance then
-          send ~dst:src (Catchup_req { from_instance = after_cp + 1 }) :: acts
-        else acts
+          [ send ~dst:src (Catchup_req { from_instance = after_cp + 1 }) ]
+        else []
       end
 
   let handle_read_confirm t ~src ~ballot ~req ~lease_anchor =
@@ -2008,38 +1804,12 @@ module Make (S : Service_intf.S) = struct
           ignore (Plog.accept t.log ~instance:e.instance ~ballot:e.ballot e.proposal))
       p.entries;
     (* Entries between the snapshot's commit point and the persisted one
-       are committed: apply their updates in order to restore the state. *)
+       are committed: mark them, then replay them through the commit path
+       to restore the state and the tables. *)
+    let from = Plog.commit_point t.log + 1 in
     let rec mark i =
-      if i <= p.commit_point then
-        match Plog.get t.log i with
-        | Some entry ->
-          apply_update t entry.proposal;
-          (* Restore the dedup table from the committed replies: without
-             this, a recovered leader would treat a retransmission of an
-             already-committed request as fresh and commit it twice. The
-             snapshot carries dedup state only up to its own commit
-             point; the replayed suffix must contribute its share. *)
-          List.iter (dedup_update t) entry.proposal.replies;
-          (* The committed suffix also replays its share of the 2PC and
-             reshard participant tables (the snapshot carried them only
-             up to its own commit point). *)
-          track_2pc t entry.proposal;
-          track_reshard t entry.proposal;
-          (* Seed (not check) the watchdog: these commits were validated
-             by the previous incarnation, and the re-seeded table is what
-             lets a later re-delivery of the same instance pass. *)
-          List.iter
-            (fun (r : request) ->
-              Watchdog.seed_commit t.wd
-                ~client:(Ids.Client_id.to_int r.id.client)
-                ~seq:r.id.seq ~instance:i)
-            entry.proposal.requests;
-          if t.cfg.record_history then
-            t.history <-
-              (i, entry.proposal.requests, S.encode_state t.app_state) :: t.history;
-          ignore (Plog.commit t.log ~instance:i);
-          mark (i + 1)
-        | None -> ()
+      if i <= p.commit_point && Plog.commit t.log ~instance:i then mark (i + 1)
     in
-    mark (Plog.commit_point t.log + 1)
+    mark from;
+    apply_committed t ~mode:Replay ~from
 end

@@ -84,11 +84,7 @@ module Make (S : Service_intf.S) = struct
     end
     else []
 
-  let dedup_update t (r : reply) =
-    let c = Ids.Client_id.to_int r.req.client in
-    match Hashtbl.find_opt t.dedup c with
-    | Some prev when prev.req.seq >= r.req.seq -> ()
-    | _ -> Hashtbl.replace t.dedup c r
+  let adopt = Committed.adopt (module S : Service_intf.S with type state = S.state)
 
   (* Apply the contiguous decided prefix. *)
   let apply_ready t =
@@ -97,24 +93,11 @@ module Make (S : Service_intf.S) = struct
       | None -> ()
       | Some p ->
         t.applied <- t.applied + 1;
-        (match p.update with
-        | Full s -> t.app_state <- S.decode_state s
-        | Delta d -> t.app_state <- S.patch t.app_state d
-        | Witness w -> (
-          match p.requests with
-          | [ r ] ->
-            t.app_state <- fst (S.replay t.app_state (S.decode_op r.payload) ~witness:w)
-          | _ -> invalid_arg "Semi_passive: witness batch"));
-        List.iter (dedup_update t) p.replies;
-        List.iter
-          (fun (r : request) ->
-            if Hashtbl.mem t.pending_ids r.id then begin
-              Hashtbl.remove t.pending_ids r.id;
-              (* Drop it from the queue lazily: mark via the id table; the
-                 proposer skips requests no longer in pending_ids. *)
-              ()
-            end)
-          p.requests;
+        t.app_state <- adopt t.app_state p;
+        List.iter (Committed.dedup_update t.dedup) p.replies;
+        (* Decided requests leave the queue lazily: [next_request] skips
+           those no longer in [pending_ids]. *)
+        List.iter (fun (r : request) -> Hashtbl.remove t.pending_ids r.id) p.requests;
         if t.cfg.record_history then
           t.history <- (t.applied, p.requests, S.encode_state t.app_state) :: t.history;
         Hashtbl.remove t.insts t.applied;
@@ -206,13 +189,17 @@ module Make (S : Service_intf.S) = struct
       arm_timeout t i (inst_of t i) (inst_of t i).round
     else []
 
+  (* A request whose op does not decode is dropped on arrival: executing
+     it would raise out of [propose]. *)
   let handle_client t (r : request) =
-    match Hashtbl.find_opt t.dedup (Ids.Client_id.to_int r.id.client) with
-    | Some prev when prev.req.seq = r.id.seq ->
+    match (S.decode_op r.payload, Committed.dedup_lookup t.dedup r) with
+    | exception _ ->
+      [ Note (Format.asprintf "dropped %a: op does not decode" Ids.Request_id.pp r.id) ]
+    | _, `Resend prev ->
       (* Decided already: any replica may re-answer a duplicate. *)
       [ send ~dst:(client_node r.id.client) (Reply_msg prev) ]
-    | Some prev when prev.req.seq > r.id.seq -> []
-    | _ ->
+    | _, `Stale -> []
+    | _, `Fresh ->
       if Hashtbl.mem t.pending_ids r.id then []
       else begin
         Hashtbl.replace t.pending_ids r.id ();

@@ -16,7 +16,8 @@ type t = {
       (** per client-id: highest committed sequence's reply *)
   prepared : (int * string) list;
       (** per cross-txn tid: the encoded prepared branch (opaque here;
-          {!Replica.Make} owns the codec) *)
+          {!Committed} owns the codec, and captures and restores every
+          table of this record) *)
   outcomes : (int * bool) list;
       (** per decided cross-txn tid: [true] = committed *)
   reshard : string;

@@ -279,14 +279,17 @@ let encode_state_update e = function
     Wire.Encoder.uint e 2;
     Wire.Encoder.string e s
 
-let decode_state_update d =
+(* A witness replays exactly one op: a [Witness] for any other batch is
+   malformed input and is rejected here, at the wire boundary. *)
+let decode_state_update d ~(requests : request list) =
   let tag = Wire.Decoder.uint d in
   let s = Wire.Decoder.string d in
-  match tag with
-  | 0 -> Full s
-  | 1 -> Delta s
-  | 2 -> Witness s
-  | n ->
+  match (tag, requests) with
+  | 0, _ -> Full s
+  | 1, _ -> Delta s
+  | 2, [ _ ] -> Witness s
+  | 2, _ -> raise (Wire.Decode_error { pos = 0; msg = "witness update on a batch" })
+  | n, _ ->
     raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "bad state_update %d" n })
 
 (** One value proposed/accepted in a consensus instance: the request
@@ -303,7 +306,7 @@ let encode_proposal e (p : proposal) =
 
 let decode_proposal d : proposal =
   let requests = Wire.Decoder.list d decode_request in
-  let update = decode_state_update d in
+  let update = decode_state_update d ~requests in
   let replies = Wire.Decoder.list d decode_reply in
   { requests; update; replies }
 

@@ -133,7 +133,9 @@ type state_update = Full of string | Delta of string | Witness of string
 val pp_state_update : Format.formatter -> state_update -> unit
 val state_update_size : state_update -> int
 val encode_state_update : Grid_codec.Wire.Encoder.t -> state_update -> unit
-val decode_state_update : Grid_codec.Wire.Decoder.t -> state_update
+val decode_state_update : Grid_codec.Wire.Decoder.t -> requests:request list -> state_update
+(** Decodes the update of a proposal carrying [requests]. Raises
+    [Decode_error] on a [Witness] unless there is exactly one request. *)
 
 (** One value proposed/accepted in a consensus instance: the request
     batch (singleton outside T-Paxos), the state after executing it, and

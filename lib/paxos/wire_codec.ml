@@ -145,7 +145,7 @@ module V2 = struct
 
   let decode_proposal_v2 d ~traced ~aligned : proposal =
     let requests = Wire.Decoder.list d (fun d -> decode_request_v2 d ~traced) in
-    let update = decode_state_update d in
+    let update = decode_state_update d ~requests in
     let replies =
       if aligned then begin
         let pairs =

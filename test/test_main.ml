@@ -13,6 +13,7 @@ let () =
          Test_paxos_unit.suite;
          Test_replica_unit.suite;
          Test_election_unit.suite;
+         Test_recovery.suite;
          Test_semi_passive.suite;
          Test_services.suite;
          Test_lease.suite;

@@ -111,20 +111,21 @@ let prop_reply_roundtrip =
       let r' = Wire.decode (Wire.encode (fun e -> Types.encode_reply e r)) Types.decode_reply in
       r = r')
 
-let gen_update =
+(* A request batch with its update: a witness replays exactly one op,
+   so it rides a singleton batch. *)
+let gen_batch =
   QCheck2.Gen.(
     oneof
       [
-        map (fun s -> Types.Full s) string;
-        map (fun s -> Types.Delta s) string;
-        map (fun s -> Types.Witness s) string;
+        pair (list_size (int_range 0 5) gen_request) (map (fun s -> Types.Full s) string);
+        pair (list_size (int_range 0 5) gen_request) (map (fun s -> Types.Delta s) string);
+        pair (map (fun r -> [ r ]) gen_request) (map (fun s -> Types.Witness s) string);
       ])
 
 let prop_proposal_roundtrip =
   QCheck2.Test.make ~name:"proposal codec roundtrip" ~count:300
-    QCheck2.Gen.(triple (list_size (int_range 0 5) gen_request) gen_update
-                   (list_size (int_range 0 5) gen_reply))
-    (fun (requests, update, replies) ->
+    QCheck2.Gen.(pair gen_batch (list_size (int_range 0 5) gen_reply))
+    (fun ((requests, update), replies) ->
       let p : Types.proposal = { requests; update; replies } in
       let p' =
         Wire.decode (Wire.encode (fun e -> Types.encode_proposal e p)) Types.decode_proposal

@@ -58,6 +58,25 @@ let test_commit_with_single_ack () =
   H.deliver_all t;
   Alcotest.(check int) "follower 2 catches up" 1 (Replica.commit_point t.replicas.(2))
 
+let test_malformed_op_dropped () =
+  (* A service op that does not decode used to raise out of the leader's
+     [handle] where it executed. The leader now drops it on arrival,
+     whatever its request type, and goes on serving. *)
+  let t = H.create () in
+  H.elect t 0;
+  List.iteri
+    (fun i rtype -> H.submit t (H.client_request ~seq:(i + 1) ~rtype ~payload:"\x07" ()))
+    [ Write; Read; Original; Txn_op 1 ];
+  H.deliver_all t;
+  Alcotest.(check int) "no reply" 0 (List.length (H.take_replies t));
+  Alcotest.(check int) "no instance" 0 (Replica.commit_point t.replicas.(0));
+  H.submit t (H.client_request ~seq:5 ~rtype:Write ~payload:(add 3) ());
+  H.deliver_all t;
+  (match H.take_replies t with
+  | [ r ] -> Alcotest.(check int) "next write commits" 3 (Counter.decode_result r.payload)
+  | l -> Alcotest.failf "expected one reply, got %d" (List.length l));
+  Alcotest.(check int) "one instance" 1 (Replica.commit_point t.replicas.(0))
+
 let test_read_confirm_counting () =
   (* X-Paxos: the leader answers a read only after a majority of confirms
      (itself plus one). *)
@@ -696,6 +715,7 @@ let suite =
         Alcotest.test_case "reads see committed state only" `Quick
           test_read_reflects_committed_only;
         Alcotest.test_case "dedup resend" `Quick test_dedup_resend;
+        Alcotest.test_case "malformed op dropped" `Quick test_malformed_op_dropped;
         Alcotest.test_case "stale ballot rejected" `Quick test_stale_ballot_rejected;
         Alcotest.test_case "stale accept not committed" `Quick
           test_stale_accept_not_committed;

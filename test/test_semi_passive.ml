@@ -117,6 +117,26 @@ let test_failure_free_run () =
   Alcotest.(check int) "agreement" 0
     (List.length (Grid_check.Agreement.check histories))
 
+let test_malformed_op_dropped () =
+  (* An op that does not decode used to raise out of the coordinator's
+     [propose]. Every replica now drops it on arrival. *)
+  let t = H.create () in
+  let r : request =
+    { id = Ids.Request_id.make ~client:(Ids.Client_id.of_int 1) ~seq:1;
+      rtype = Write; payload = "\x07"; trace = no_trace }
+  in
+  Array.iteri
+    (fun i _ -> H.feed t i (Receive { src = client_node r.id.client; msg = Client_req r }))
+    t.replicas;
+  H.deliver_all t;
+  Alcotest.(check int) "no reply" 0 (List.length (H.take_replies t));
+  H.submit t ~seq:2 (Counter.Add 3);
+  H.deliver_all t;
+  Alcotest.(check int) "next request decided" 1 (List.length (H.take_replies t));
+  Array.iter
+    (fun sp -> Alcotest.(check int) "one instance, the valid op" 3 (SP.state sp))
+    t.replicas
+
 let test_message_pattern () =
   (* Failure-free: propose (2) + acks (2) + decide (2) + 1 reply per
      request, like the basic protocol's accept round. *)
@@ -239,6 +259,7 @@ let suite =
       [
         Alcotest.test_case "failure-free run" `Quick test_failure_free_run;
         Alcotest.test_case "message pattern" `Quick test_message_pattern;
+        Alcotest.test_case "malformed op dropped" `Quick test_malformed_op_dropped;
         Alcotest.test_case "coordinator rotation on suspicion" `Quick
           test_coordinator_rotation;
         Alcotest.test_case "◇S locking rule" `Quick test_locking_rule;

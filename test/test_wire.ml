@@ -223,6 +223,31 @@ let test_decode_error_metadata () =
       | Stdlib.Ok _ -> Alcotest.fail "empty input decoded")
     codecs
 
+let test_witness_batch_rejected () =
+  (* Only a singleton's witness can be replayed. An encoder will write a
+     [Witness] over any batch, so a frame carrying one over two requests
+     (or none) is crafted here; every codec must refuse it at decode,
+     where the transport counts it and drops the connection. *)
+  let accept requests =
+    Types.Accept
+      { ballot; instance = 5;
+        proposal =
+          { requests; update = Types.Witness "w";
+            replies = List.map (fun (r : Types.request) -> reply r.id.seq) requests } }
+  in
+  List.iter
+    (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
+      List.iter
+        (fun (what, rs) ->
+          match W.decode (W.encode (accept rs)) with
+          | Stdlib.Error _ -> ()
+          | Stdlib.Ok _ -> Alcotest.failf "v%d decoded a witness over %s" W.version what)
+        [ ("two requests", [ req 1; req 2 ]); ("no request", []) ];
+      match W.decode (W.encode (accept [ req 1 ])) with
+      | Stdlib.Ok m -> Alcotest.(check string) "singleton witness" (canon (accept [ req 1 ])) (canon m)
+      | Stdlib.Error e -> Alcotest.fail (Wire_intf.decode_error_to_string e))
+    codecs
+
 let test_sign_bit_flip_is_typed_error () =
   (* A flipped byte can set the sign bit of a nine-byte varint. The
      decoder used to hand the resulting negative int to
@@ -317,9 +342,13 @@ let gen_proposal =
   gen_reply_for r2 >>= fun stray ->
   map2
     (fun update aligned ->
-      { Types.requests = [ r1; r2 ];
-        update;
-        replies = (if aligned then [ p1; p2 ] else [ stray ]) })
+      (* A witness replays exactly one op, so it rides a singleton. *)
+      let requests, lined_up =
+        match update with
+        | Types.Witness _ -> ([ r1 ], [ p1 ])
+        | _ -> ([ r1; r2 ], [ p1; p2 ])
+      in
+      { Types.requests; update; replies = (if aligned then lined_up else [ stray ]) })
     (oneofl
        [ Types.Full "full-state"; Types.Delta "delta"; Types.Witness "w" ])
     bool
@@ -432,6 +461,8 @@ let suite =
           test_decode_error_metadata;
         Alcotest.test_case "sign-bit flip in a varint is a typed error" `Quick
           test_sign_bit_flip_is_typed_error;
+        Alcotest.test_case "a witness over a batch is rejected" `Quick
+          test_witness_batch_rejected;
       ] );
     ( "wire.properties",
       qcheck
