@@ -46,14 +46,14 @@ let shard_trial ~shards ~requests_per_client ~seed =
   let keysets = Array.init shards (keyset (M.partition t)) in
   let clients = shards * clients_per_shard in
   let results =
-    M.run_closed_loop t ~clients ~requests_per_client ~gen:(fun ~client ->
+    M.run_closed_loop_ops t ~clients ~requests_per_client ~gen:(fun ~client ->
         let keys = keysets.(client mod shards) in
         let n = ref 0 in
         fun () ->
           incr n;
           Some (Runtime.Do (Kv.Put { key = keys.(!n mod Array.length keys); value = "v" })))
   in
-  M.throughput_rps results
+  M.Group.throughput_rps results
 
 let run ~quick ~only =
   if only = None || only = Some "shard" then begin

@@ -852,7 +852,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_commit_point h = on_loop h (fun () -> R.commit_point h.replica)
   let replica_state h = on_loop h (fun () -> R.state h.replica)
   let replica_metrics h = h.r_core.meters.registry
-  let replica_obs h = h.r_core.obs
   let replica_watchdog h = h.r_watchdog
   let replica_peer_versions h = on_loop h (fun () -> peer_versions h.r_core)
 

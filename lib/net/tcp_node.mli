@@ -139,10 +139,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       version) and the watchdog violation counters. Served by
       [GET /metrics]. *)
 
-  val replica_obs : replica_handle -> Grid_obs.Span.Recorder.t
-  (** The node's span recorder (the flight recorder unless [obs] was
-      supplied). Served by [GET /flightrec]. *)
-
   val replica_watchdog : replica_handle -> Grid_obs.Watchdog.t
   (** The node's online invariant sink; zero on healthy runs. *)
 

@@ -38,7 +38,7 @@ type t = {
   enabled : bool;
   fail_stop : bool;
   counts : counters;
-  mutable on_violation : check:string -> detail:string -> unit;
+  on_violation : check:string -> detail:string -> unit;
   (* the cross-replica lease view, per replica group (shards lease
      independently): last claimed holder and the local time its lease
      runs out (on the holder's clock) *)
@@ -83,7 +83,6 @@ let disabled =
   let t = create () in
   { t with enabled = false }
 
-let set_on_violation t f = t.on_violation <- f
 let violations t = t.counts.total
 let dup_commits t = t.counts.dup_commits
 let lost_acks t = t.counts.lost_acks

@@ -36,7 +36,6 @@ val create :
 val disabled : t
 (** Shared no-op sink: every check is one branch, nothing is counted. *)
 
-val set_on_violation : t -> (check:string -> detail:string -> unit) -> unit
 val violations : t -> int
 val dup_commits : t -> int
 val lost_acks : t -> int

@@ -10,7 +10,6 @@ type t = {
   rng : Rng.t;
   mutable seq : int;
   mutable pending : request option;
-  mutable sent : int;
   mutable retries : int;
   mutable overloads : int;  (* Overloaded pushbacks received *)
   (* Overload backoff for the pending request: consecutive [Overloaded]
@@ -39,7 +38,6 @@ let create ~id ~replicas ?(retry_ms = 500.0) ?seed ?(obs = Span.Recorder.disable
     rng = Rng.of_int seed;
     seq = 0;
     pending = None;
-    sent = 0;
     retries = 0;
     overloads = 0;
     backoff_attempts = 0;
@@ -66,7 +64,6 @@ let backoff_delay t ~retry_after_ms ~attempt =
 let id t = t.cid
 let node t = client_node t.cid
 let outstanding t = t.pending
-let sent_count t = t.sent
 let retry_count t = t.retries
 let overloaded_count t = t.overloads
 let backoff_until t = t.backoff_until
@@ -100,7 +97,6 @@ let submit t ?(now = 0.0) ?trace rtype ~payload =
       }
     in
     t.pending <- Some r;
-    t.sent <- t.sent + 1;
     t.backoff_attempts <- 0;
     t.backoff_until <- neg_infinity;
     Span.Recorder.span ~tid ~parent t.obs ~time:now ~actor:t.actor ~req:r.id

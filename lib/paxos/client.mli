@@ -60,7 +60,6 @@ val handle : t -> now:float -> Types.input -> Types.action list * Types.reply op
     measured against it. *)
 
 val outstanding : t -> Types.request option
-val sent_count : t -> int
 val retry_count : t -> int
 
 val overloaded_count : t -> int

@@ -232,11 +232,7 @@ module Make (S : Service_intf.S) = struct
   let leader_view t =
     if Ballot.equal t.promised Ballot.zero then None else Some t.promised.holder
 
-  let committed_requests t =
-    List.rev t.history |> List.concat_map (fun (_, reqs, _) -> reqs)
-
   let committed_updates t = List.rev t.history
-  let stats_commits t = t.commits_seen
   let stats_shed t = (t.shed_reads, t.shed_writes)
 
   let prepared_txns t =

@@ -117,17 +117,10 @@ module Make (S : Service_intf.S) : sig
       it would refuse other candidates for), if any. A post-crash
       blackout reports [Some (-1)]: every candidate is refused. *)
 
-  val committed_requests : t -> Types.request list
-  (** Requests in committed instance order (requires
-      [cfg.record_history]; empty otherwise). *)
-
   val committed_updates : t -> (int * Types.request list * string) list
   (** Per committed instance: the requests and the encoded service state
       after applying it (requires [cfg.record_history]). For the
       agreement checker. *)
-
-  val stats_commits : t -> int
-  (** Number of instances this replica has learned committed. *)
 
   val stats_shed : t -> int * int
   (** Requests shed with [Overloaded] while leading: [(reads, writes)].

@@ -72,17 +72,6 @@ type participant = {
   p_imported : int;  (** total items absorbed via INSTALL commits *)
 }
 
-let empty_participant =
-  {
-    p_epoch = 0;
-    p_map = "";
-    p_frozen = None;
-    p_installed = None;
-    p_moved = [];
-    p_aborted = [];
-    p_imported = 0;
-  }
-
 let encode_participant p =
   Wire.encode (fun e ->
       Wire.Encoder.uint e p.p_epoch;

@@ -30,7 +30,6 @@ type participant = {
   p_imported : int;
 }
 
-val empty_participant : participant
 val encode_participant : participant -> string
 val decode_participant : string -> participant
 

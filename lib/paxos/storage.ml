@@ -338,22 +338,3 @@ let tear_log ~path ~rng =
     end
   end
 
-let flip_byte ~path ~rng =
-  let log_path = path ^ ".log" in
-  if not (Sys.file_exists log_path) then false
-  else begin
-    let ic = open_in_bin log_path in
-    let len = in_channel_length ic in
-    let all = Bytes.of_string (really_input_string ic len) in
-    close_in ic;
-    if len = 0 then false
-    else begin
-      let pos = Rng.int rng len in
-      let bit = 1 lsl Rng.int rng 8 in
-      Bytes.set all pos (Char.chr (Char.code (Bytes.get all pos) lxor bit));
-      let oc = open_out_bin log_path in
-      output_string oc (Bytes.to_string all);
-      close_out oc;
-      true
-    end
-  end

@@ -95,7 +95,3 @@ val faulty :
 val tear_log : path:string -> rng:Grid_util.Rng.t -> bool
 (** Chop 1–64 random trailing bytes off [path ^ ".log"], as a crash mid
     write would. [false] if there was nothing to tear. *)
-
-val flip_byte : path:string -> rng:Grid_util.Rng.t -> bool
-(** Flip one random bit somewhere in [path ^ ".log"] (interior corruption
-    — a decayed sector or buggy firmware). [false] if the log is empty. *)

@@ -297,9 +297,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       dispatch_client t (Client.node client) actions None;
       `Submitted
 
-  (* Alias kept for callers that predate the typed return. *)
-  let try_submit t client rtype ~payload = submit t client rtype ~payload
-
   (* Typed submission: classify and encode inside the runtime, so
      workloads and examples never build payload strings. The commit
      payload carries the op count on the wire (the replica's T-Paxos path
@@ -318,7 +315,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     let rtype, payload = encode_item it in
     submit t client ?trace rtype ~payload
 
-  let try_submit_item t client ?trace it = submit_item t client ?trace it
   let submit_op t client op = submit_item t client (Do op)
 
   (** {1 Failure control} *)
@@ -394,29 +390,17 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     if dur_ms <= 0.0 then 0.0
     else Float.of_int results.total_completed /. dur_ms *. 1000.0
 
-  (** [run_closed_loop t ~clients ~requests_per_client ~gen ()] runs the
-      workload to completion. [gen ~client] is called once per client and
-      must return a generator producing that client's successive requests.
-      Returns per-request records (latency in simulated ms). *)
-  let run_closed_loop ?(max_sim_ms = 600_000.0) ~clients ~requests_per_client ~gen t =
-    (match await_leader t with
-    | Some _ -> ()
-    | None -> failwith "run_closed_loop: no leader elected");
+  (** The driver body both simulated runtimes share: the caller has
+      already waited for its leaders. [add_client ~on_reply] registers one
+      closed-loop client and [submit] issues an item on it (raising if it
+      cannot). Returns per-request records (latency in simulated ms). *)
+  let drive_closed_loop ?(max_sim_ms = 600_000.0) eng ~clients ~requests_per_client
+      ~gen ~add_client ~submit =
+    let now () = Engine.now eng in
     let records = ref [] in
     let total = ref 0 in
-    let finished_at = ref (now t) in
-    let expected = clients * requests_per_client in
-    let started_at = now t in
-    let machine_share = t.scenario.clients_per_machine clients in
-    (* Rescale replica CPU costs for this client count; relative to the
-       factor already in force so repeated workloads do not compound. *)
-    let load = t.scenario.server_load_factor clients in
-    if load <> t.load_applied then begin
-      for i = 0 to t.cfg.n - 1 do
-        Network.scale_node_costs t.net (t.node_base + i) ~factor:(load /. t.load_applied)
-      done;
-      t.load_applied <- load
-    end;
+    let started_at = now () in
+    let finished_at = ref started_at in
     for c = 0 to clients - 1 do
       let next = gen ~client:c in
       let remaining = ref requests_per_client in
@@ -425,55 +409,44 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       let completions = ref 0 in
       let client_ref = ref None in
       let submit_next () =
-        match next () with
-        | Some (rtype, payload) -> (
-          sent_at := now t;
-          sent_rtype := rtype;
-          match !client_ref with
-          | Some cl -> (
-            (* The closed loop only submits after the previous reply
-               cleared the pending slot, so [`Busy] here is a driver bug. *)
-            match submit t cl rtype ~payload with
-            | `Submitted -> ()
-            | `Busy -> failwith "run_closed_loop: client busy on submit")
-          | None -> ())
-        | None -> ()
+        match (next (), !client_ref) with
+        | Some it, Some cl ->
+          sent_at := now ();
+          sent_rtype := fst (encode_item it);
+          submit cl it
+        | _ -> ()
       in
       let on_reply (reply : reply) =
         incr completions;
         incr total;
-        finished_at := now t;
-        Metrics.inc t.meters.m_replies;
-        Metrics.observe t.meters.m_latency (now t -. !sent_at);
+        finished_at := now ();
         records :=
           {
             rec_client = c;
             rec_seq = !completions;
             rec_rtype = !sent_rtype;
             rec_status = reply.status;
-            rec_latency = now t -. !sent_at;
+            rec_latency = now () -. !sent_at;
           }
           :: !records;
         decr remaining;
         if !remaining > 0 then submit_next ()
       in
-      let id = t.next_client_id in
-      t.next_client_id <- t.next_client_id + 1;
-      let client = add_client t ~id ~machine_share ~on_reply () in
-      client_ref := Some client;
+      client_ref := Some (add_client ~on_reply);
       (* First request of every client at the same instant — the paper's
          leader-sent start signal. *)
       ignore
-        (Engine.schedule t.eng ~delay:0.0 (fun () ->
-             if !remaining > 0 then submit_next ()))
+        (Engine.schedule eng ~delay:0.0 (fun () -> if !remaining > 0 then submit_next ()))
     done;
+    let expected = clients * requests_per_client in
     let deadline = started_at +. max_sim_ms in
     let rec drive () =
       if !total >= expected then ()
-      else if now t > deadline then
+      else if now () > deadline then
         failwith
-          (Printf.sprintf "run_closed_loop: stalled at %d/%d completions" !total expected)
-      else if Engine.step t.eng then drive ()
+          (Printf.sprintf "run_closed_loop_ops: stalled at %d/%d completions" !total
+             expected)
+      else if Engine.step eng then drive ()
       else ()
     in
     drive ();
@@ -484,12 +457,32 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       total_completed = !total;
     }
 
-  (** Typed-generator front end to {!run_closed_loop}: items are encoded
-      by the runtime, so generators deal only in [S.op]. *)
   let run_closed_loop_ops ?max_sim_ms ~clients ~requests_per_client ~gen t =
-    run_closed_loop ?max_sim_ms ~clients ~requests_per_client
-      ~gen:(fun ~client ->
-        let next = gen ~client in
-        fun () -> Option.map encode_item (next ()))
-      t
+    if await_leader t = None then failwith "run_closed_loop_ops: no leader elected";
+    (* Rescale replica CPU costs for this client count; relative to the
+       factor already in force so repeated workloads do not compound. *)
+    let load = t.scenario.server_load_factor clients in
+    if load <> t.load_applied then begin
+      for i = 0 to t.cfg.n - 1 do
+        Network.scale_node_costs t.net (t.node_base + i) ~factor:(load /. t.load_applied)
+      done;
+      t.load_applied <- load
+    end;
+    let machine_share = t.scenario.clients_per_machine clients in
+    let results =
+      drive_closed_loop ?max_sim_ms t.eng ~clients ~requests_per_client ~gen
+        ~add_client:(fun ~on_reply ->
+          add_client t ~id:t.next_client_id ~machine_share ~on_reply ())
+        ~submit:(fun cl it ->
+          (* The closed loop only submits after the previous reply
+             cleared the pending slot, so [`Busy] here is a driver bug. *)
+          if submit_item t cl it = `Busy then
+            failwith "run_closed_loop_ops: client busy on submit")
+    in
+    List.iter
+      (fun r ->
+        Metrics.inc t.meters.m_replies;
+        Metrics.observe t.meters.m_latency r.rec_latency)
+      results.records;
+    results
 end

@@ -118,25 +118,12 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       router passes its [Route] span here so the whole cross-shard
       request stitches into one tree. *)
 
-  val try_submit :
-    t ->
-    Grid_paxos.Client.t ->
-    Grid_paxos.Types.rtype ->
-    payload:string ->
-    [ `Busy | `Submitted ]
-  (** Alias of {!submit}, kept for callers that predate the typed
-      return. *)
-
   val submit_op : t -> Grid_paxos.Client.t -> S.op -> [ `Busy | `Submitted ]
   (** Typed entry point: classify via [S.classify], encode via
       [S.encode_op], and submit. Equivalent to [submit_item t c (Do op)]. *)
 
   val submit_item :
     t -> Grid_paxos.Client.t -> ?trace:int * string -> S.op item -> [ `Busy | `Submitted ]
-
-  val try_submit_item :
-    t -> Grid_paxos.Client.t -> ?trace:int * string -> S.op item -> [ `Busy | `Submitted ]
-  (** Alias of {!submit_item}. *)
 
   (** {1 Failure control} *)
 
@@ -181,20 +168,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val latencies : ?filter:(record -> bool) -> results -> float array
   val throughput_rps : results -> float
 
-  val run_closed_loop :
-    ?max_sim_ms:float ->
-    clients:int ->
-    requests_per_client:int ->
-    gen:
-      (client:int -> unit -> (Grid_paxos.Types.rtype * string) option) ->
-    t ->
-    results
-  (** Run the workload to completion. [gen ~client] is invoked once per
-      client and must yield that client's successive requests; it must
-      supply at least [requests_per_client] items. Raises [Failure] if
-      the system stalls past [max_sim_ms] (default 600 s) of simulated
-      time. *)
-
   val run_closed_loop_ops :
     ?max_sim_ms:float ->
     clients:int ->
@@ -202,8 +175,26 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     gen:(client:int -> unit -> S.op item option) ->
     t ->
     results
-  (** Typed-generator front end to {!run_closed_loop}: items are encoded
-      by the runtime, so generators deal only in [S.op]. *)
+  (** Wait for a leader, rescale the replicas' CPU costs for [clients]
+      (the scenario's server-load model), then run the workload to
+      completion. [gen ~client] is invoked once per client and must
+      yield at least [requests_per_client] items. Raises [Failure] if
+      the system stalls past [max_sim_ms] (default 600 s) of simulated
+      time. *)
+
+  val drive_closed_loop :
+    ?max_sim_ms:float ->
+    Grid_sim.Engine.t ->
+    clients:int ->
+    requests_per_client:int ->
+    gen:(client:int -> unit -> S.op item option) ->
+    add_client:(on_reply:(Grid_paxos.Types.reply -> unit) -> 'c) ->
+    submit:('c -> S.op item -> unit) ->
+    results
+  (** The closed-loop driver body, shared with the sharded runtime: no
+      leader wait and no load rescale. [add_client ~on_reply] registers
+      one client; [submit] issues an item on it and raises if it
+      cannot. Each record's rtype is the one {!submit_item} sends. *)
 
   (** {1 Introspection} *)
 

@@ -204,7 +204,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
           Some ((cl.id * 1_000_000) + cl.lseq + 1, t.sid_route)
         else None
       in
-      (match Group.try_submit_item t.groups.(s) cl.handles.(s) ?trace it with
+      (match Group.submit_item t.groups.(s) cl.handles.(s) ?trace it with
       | `Submitted ->
         cl.last_item <- Some it;
         if fresh then cl.redirect_budget <- 8;
@@ -769,124 +769,24 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     else None
 
   (* ---------------------------------------------------------------- *)
-  (* Aggregate closed-loop workload: all logical clients start at the
-     same instant and each keeps exactly one request outstanding; the
-     router spreads them across groups, so k disjoint keyspaces drive k
-     depth-one pipelines concurrently. *)
+  (* Aggregate closed-loop workload: the single-group driver over the
+     router, so k disjoint keyspaces drive k depth-one pipelines
+     concurrently. Unlike the single-group runtime it does not rescale
+     replica CPU costs with the client count: the O(connections)
+     server-load model was calibrated for one group serving every client,
+     and here each group serves only the clients whose keys it owns. *)
 
-  type record = {
-    rec_client : int;
-    rec_shard : int;  (** group that served the request *)
-    rec_seq : int;
-    rec_rtype : rtype;
-    rec_status : status;
-    rec_latency : float;
-  }
-
-  type results = {
-    records : record list;
-    started_at : float;
-    finished_at : float;
-    total_completed : int;
-  }
-
-  let latencies ?(filter = fun _ -> true) results =
-    List.filter filter results.records
-    |> List.map (fun r -> r.rec_latency)
-    |> Array.of_list
-
-  let throughput_rps results =
-    let dur_ms = results.finished_at -. results.started_at in
-    if dur_ms <= 0.0 then 0.0
-    else Float.of_int results.total_completed /. dur_ms *. 1000.0
-
-  let rtype_of_item : S.op Runtime.item -> rtype = function
-    | Runtime.Do op -> (
-      match S.classify op with `Read -> Read | `Write -> Write)
-    | Runtime.Unreplicated _ -> Original
-    | Runtime.In_txn (tid, _) -> Txn_op tid
-    | Runtime.Commit_txn { tid; _ } -> Txn_commit tid
-    | Runtime.Abort_txn tid -> Txn_abort tid
-
-  let run_closed_loop ?(max_sim_ms = 600_000.0) ~clients ~requests_per_client
-      ~gen t =
-    (match await_leaders t with
-    | Some _ -> ()
-    | None -> failwith "Multi.run_closed_loop: a group failed to elect a leader");
-    let records = ref [] in
-    let total = ref 0 in
-    let started_at = now t in
-    let finished_at = ref started_at in
-    let expected = clients * requests_per_client in
+  let run_closed_loop_ops ?max_sim_ms ~clients ~requests_per_client ~gen t =
+    if await_leaders t = None then
+      failwith "Multi.run_closed_loop_ops: a group failed to elect a leader";
     let machine_share = t.scenario.clients_per_machine clients in
-    (* Unlike the single-group driver we do not rescale replica CPU
-       costs with the client count: the O(connections) server-load model
-       was calibrated for one group serving every client, and here each
-       group serves only the clients whose keys it owns. *)
-    for c = 0 to clients - 1 do
-      let next = gen ~client:c in
-      let remaining = ref requests_per_client in
-      let sent_at = ref 0.0 in
-      let sent_rtype = ref Read in
-      let sent_shard = ref 0 in
-      let completions = ref 0 in
-      let client_ref = ref None in
-      let submit_next () =
-        match next () with
-        | None -> ()
-        | Some it -> (
-          match !client_ref with
-          | None -> ()
-          | Some cl -> (
-            sent_at := now t;
-            sent_rtype := rtype_of_item it;
-            match try_submit_item t cl it with
-            | Ok s -> sent_shard := s
-            | Error e ->
-              failwith
-                (Format.asprintf "Multi.run_closed_loop: client %d: %a" c
-                   pp_submit_error e)))
-      in
-      let on_reply (reply : reply) =
-        incr completions;
-        incr total;
-        finished_at := now t;
-        records :=
-          {
-            rec_client = c;
-            rec_shard = !sent_shard;
-            rec_seq = !completions;
-            rec_rtype = !sent_rtype;
-            rec_status = reply.status;
-            rec_latency = now t -. !sent_at;
-          }
-          :: !records;
-        decr remaining;
-        if !remaining > 0 then submit_next ()
-      in
-      let id = t.next_client_id in
-      t.next_client_id <- t.next_client_id + 1;
-      let cl = add_client t ~id ~machine_share ~on_reply () in
-      client_ref := Some cl;
-      ignore
-        (Engine.schedule t.eng ~delay:0.0 (fun () ->
-             if !remaining > 0 then submit_next ()))
-    done;
-    let deadline = started_at +. max_sim_ms in
-    let rec drive () =
-      if !total >= expected then ()
-      else if now t > deadline then
-        failwith
-          (Printf.sprintf "Multi.run_closed_loop: stalled at %d/%d completions"
-             !total expected)
-      else if Engine.step t.eng then drive ()
-      else ()
-    in
-    drive ();
-    {
-      records = List.rev !records;
-      started_at;
-      finished_at = !finished_at;
-      total_completed = !total;
-    }
+    Group.drive_closed_loop ?max_sim_ms t.eng ~clients ~requests_per_client ~gen
+      ~add_client:(fun ~on_reply ->
+        add_client t ~id:t.next_client_id ~machine_share ~on_reply ())
+      ~submit:(fun cl it ->
+        match try_submit_item t cl it with
+        | Ok _ -> ()
+        | Error e ->
+          failwith
+            (Format.asprintf "Multi.run_closed_loop_ops: %a" pp_submit_error e))
 end

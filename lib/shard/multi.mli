@@ -266,37 +266,19 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
   (** {1 Aggregate closed-loop workload}
 
-      All logical clients start at the same instant; each keeps one
-      request outstanding. The router spreads requests across groups, so
-      k disjoint keyspaces drive k depth-one pipelines concurrently. *)
+      {!Group.drive_closed_loop} over the router: all logical clients
+      start at the same instant and each keeps one request outstanding,
+      so k disjoint keyspaces drive k depth-one pipelines concurrently.
+      Replica CPU costs are not rescaled with the client count. *)
 
-  type record = {
-    rec_client : int;
-    rec_shard : int;  (** group that served the request *)
-    rec_seq : int;
-    rec_rtype : Grid_paxos.Types.rtype;
-    rec_status : Grid_paxos.Types.status;
-    rec_latency : float;
-  }
-
-  type results = {
-    records : record list;
-    started_at : float;
-    finished_at : float;
-    total_completed : int;
-  }
-
-  val latencies : ?filter:(record -> bool) -> results -> float array
-  val throughput_rps : results -> float
-
-  val run_closed_loop :
+  val run_closed_loop_ops :
     ?max_sim_ms:float ->
     clients:int ->
     requests_per_client:int ->
     gen:(client:int -> unit -> S.op Grid_runtime.Runtime.item option) ->
     t ->
-    results
-  (** Raises [Failure] if a generator yields an unroutable item or the
-      system stalls past [max_sim_ms] (default 600 s) of simulated
-      time. *)
+    Group.results
+  (** Wait for every group's leader, then run the workload. Raises
+      [Failure] if a generator yields an unroutable item or the system
+      stalls past [max_sim_ms] (default 600 s) of simulated time. *)
 end

@@ -78,7 +78,6 @@ let get_node t id =
   | Some n -> n
   | None -> invalid_arg (Printf.sprintf "Network: unknown node %d" id)
 
-let set_handler t ~id handler = (get_node t id).handler <- handler
 let set_default_latency t m = t.default_latency <- m
 let set_link t ~src ~dst m = Hashtbl.replace t.links (src, dst) m
 

@@ -39,10 +39,6 @@ val add_node :
   unit
 (** Register a node and its message handler. Costs default to [0.]. *)
 
-val set_handler : 'msg t -> id:int -> (src:int -> 'msg -> unit) -> unit
-(** Replace a node's handler (used when a recovered replica rebuilds its
-    state machine). *)
-
 val set_default_latency : _ t -> Latency.t -> unit
 val set_link : _ t -> src:int -> dst:int -> Latency.t -> unit
 val set_link_sym : _ t -> int -> int -> Latency.t -> unit

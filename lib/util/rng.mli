@@ -64,9 +64,6 @@ val lognormal_mean_cv : t -> mean:float -> cv:float -> float
     of variation [cv] (= stddev/mean). Convenient for latency jitter:
     [lognormal_mean_cv rng ~mean:45.9 ~cv:0.05]. *)
 
-val pareto : t -> scale:float -> shape:float -> float
-(** Pareto sample with minimum [scale] and tail index [shape]. *)
-
 val zipf : t -> n:int -> s:float -> int
 (** Zipf-distributed rank in [\[1, n\]] with exponent [s] (rejection
     sampling; O(1) expected). *)

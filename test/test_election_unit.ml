@@ -281,87 +281,7 @@ let test_commit_alone_does_not_elect () =
 (* ------------------------------------------------------------------ *)
 (* T-Paxos engine mechanics over the KV service. *)
 
-module HK = struct
-  module Replica = Grid_paxos.Replica.Make (Kv)
-  open Grid_paxos.Types
-
-  type t = {
-    replicas : Replica.t array;
-    mutable pending : (int * int * msg) list;
-    mutable timers : (int * timer) list;
-    mutable replies : reply list;
-    mutable now : float;
-  }
-
-  let absorb t i actions =
-    List.iter
-      (function
-        | Send { dst; msg } ->
-          if node_is_client dst then begin
-            match msg with Reply_msg r -> t.replies <- r :: t.replies | _ -> ()
-          end
-          else t.pending <- t.pending @ [ (i, dst, msg) ]
-        | After { timer; _ } -> t.timers <- t.timers @ [ (i, timer) ]
-        | Note _ -> ())
-      actions
-
-  let create () =
-    let cfg = Grid_paxos.Config.make ~n:3 ~record_history:true () in
-    let replicas = Array.init 3 (fun i -> Replica.create ~cfg ~id:i ~seed:(7 + i) ()) in
-    let t = { replicas; pending = []; timers = []; replies = []; now = 0.0 } in
-    Array.iteri (fun i r -> absorb t i (Replica.bootstrap r)) replicas;
-    t
-
-  let feed t i input = absorb t i (Replica.handle t.replicas.(i) ~now:t.now input)
-
-  let deliver_all t =
-    let guard = ref 100_000 in
-    while t.pending <> [] && !guard > 0 do
-      decr guard;
-      match t.pending with
-      | (src, dst, msg) :: rest ->
-        t.pending <- rest;
-        feed t dst (Receive { src; msg })
-      | [] -> ()
-    done
-
-  let fire t i want =
-    let rec split acc = function
-      | [] -> None
-      | ((j, timer) as e) :: rest ->
-        if j = i && want timer then Some (timer, List.rev_append acc rest)
-        else split (e :: acc) rest
-    in
-    match split [] t.timers with
-    | None -> false
-    | Some (timer, rest) ->
-      t.timers <- rest;
-      feed t i (Timer timer);
-      true
-
-  let elect t i =
-    feed t i (Timer Suspicion_tick);
-    t.now <- t.now +. 1000.0;
-    feed t i (Timer Suspicion_tick);
-    t.now <- t.now +. 50.0;
-    ignore (fire t i (function Stability_check _ -> true | _ -> false));
-    deliver_all t;
-    assert (Replica.is_leader t.replicas.(i))
-
-  let submit t (r : request) =
-    Array.iteri
-      (fun i _ -> feed t i (Receive { src = client_node r.id.client; msg = Client_req r }))
-      t.replicas
-
-  let req ?(client = 1) ~seq ~rtype ~payload () : request =
-    { id = Ids.Request_id.make ~client:(Ids.Client_id.of_int client) ~seq; rtype; payload;
-      trace = no_trace }
-
-  let take_replies t =
-    let r = List.rev t.replies in
-    t.replies <- [];
-    r
-end
+module HK = Engine_harness.Make (Kv)
 
 let commit_payload n = Wire.encode (fun e -> Wire.Encoder.uint e n)
 
@@ -370,14 +290,14 @@ let test_txn_ops_no_coordination () =
      messages; only the commit does. *)
   let t = HK.create () in
   HK.elect t 0;
-  HK.submit t (HK.req ~seq:1 ~rtype:(Txn_op 1)
+  HK.submit t (HK.client_request ~seq:1 ~rtype:(Txn_op 1)
                  ~payload:(Kv.encode_op (Kv.Put { key = "a"; value = "1" })) ());
   Alcotest.(check int) "op answered immediately" 1 (List.length (HK.take_replies t));
   let non_hb =
     List.filter (fun (_, _, m) -> msg_kind m <> "heartbeat") t.pending
   in
   Alcotest.(check int) "no coordination traffic for ops" 0 (List.length non_hb);
-  HK.submit t (HK.req ~seq:2 ~rtype:(Txn_commit 1) ~payload:(commit_payload 1) ());
+  HK.submit t (HK.client_request ~seq:2 ~rtype:(Txn_commit 1) ~payload:(commit_payload 1) ());
   let accepts = List.filter (fun (_, _, m) -> msg_kind m = "accept") t.pending in
   Alcotest.(check int) "commit broadcasts accepts" 2 (List.length accepts);
   HK.deliver_all t;
@@ -390,10 +310,10 @@ let test_txn_op_count_guard () =
      aborted (protects against partial branches after a switch). *)
   let t = HK.create () in
   HK.elect t 0;
-  HK.submit t (HK.req ~seq:1 ~rtype:(Txn_op 1)
+  HK.submit t (HK.client_request ~seq:1 ~rtype:(Txn_op 1)
                  ~payload:(Kv.encode_op (Kv.Put { key = "a"; value = "1" })) ());
   ignore (HK.take_replies t);
-  HK.submit t (HK.req ~seq:2 ~rtype:(Txn_commit 1) ~payload:(commit_payload 3) ());
+  HK.submit t (HK.client_request ~seq:2 ~rtype:(Txn_commit 1) ~payload:(commit_payload 3) ());
   HK.deliver_all t;
   (match HK.take_replies t with
   | [ r ] -> Alcotest.(check bool) "aborted" true (r.status = Txn_aborted)
@@ -404,7 +324,7 @@ let test_txn_op_count_guard () =
 let test_txn_abort_unknown () =
   let t = HK.create () in
   HK.elect t 0;
-  HK.submit t (HK.req ~seq:1 ~rtype:(Txn_commit 9) ~payload:(commit_payload 0) ());
+  HK.submit t (HK.client_request ~seq:1 ~rtype:(Txn_commit 9) ~payload:(commit_payload 0) ());
   HK.deliver_all t;
   match HK.take_replies t with
   | [ r ] -> Alcotest.(check bool) "unknown txn aborted" true (r.status = Txn_aborted)
@@ -413,15 +333,15 @@ let test_txn_abort_unknown () =
 let test_txn_explicit_abort_discards_branch () =
   let t = HK.create () in
   HK.elect t 0;
-  HK.submit t (HK.req ~seq:1 ~rtype:(Txn_op 1)
+  HK.submit t (HK.client_request ~seq:1 ~rtype:(Txn_op 1)
                  ~payload:(Kv.encode_op (Kv.Put { key = "x"; value = "v" })) ());
   ignore (HK.take_replies t);
-  HK.submit t (HK.req ~seq:2 ~rtype:(Txn_abort 1) ~payload:"" ());
+  HK.submit t (HK.client_request ~seq:2 ~rtype:(Txn_abort 1) ~payload:"" ());
   (match HK.take_replies t with
   | [ r ] -> Alcotest.(check bool) "abort acked" true (r.status = Txn_aborted)
   | _ -> Alcotest.fail "expected abort ack");
   (* A commit after the abort is an unknown transaction. *)
-  HK.submit t (HK.req ~seq:3 ~rtype:(Txn_commit 1) ~payload:(commit_payload 1) ());
+  HK.submit t (HK.client_request ~seq:3 ~rtype:(Txn_commit 1) ~payload:(commit_payload 1) ());
   HK.deliver_all t;
   match HK.take_replies t with
   | [ r ] -> Alcotest.(check bool) "post-abort commit rejected" true (r.status = Txn_aborted)

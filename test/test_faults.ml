@@ -22,7 +22,7 @@ let gen_of ops ~client:_ =
     | [] -> None
     | op :: rest ->
       remaining := rest;
-      Some (Write, Counter.encode_op op)
+      Some (Grid_runtime.Runtime.Do op)
 
 let assert_agreement t =
   let histories = Array.init 3 (fun i -> RT.R.committed_updates (RT.replica t i)) in
@@ -42,7 +42,7 @@ let test_leader_crash_failover () =
   ignore
     (Grid_sim.Engine.schedule (RT.engine t) ~delay:30.0 (fun () -> RT.crash_replica t 0));
   let results =
-    RT.run_closed_loop t ~clients:2 ~requests_per_client:25 ~gen:(gen_of (add_ops 25))
+    RT.run_closed_loop_ops t ~clients:2 ~requests_per_client:25 ~gen:(gen_of (add_ops 25))
   in
   Alcotest.(check int) "all requests served across the switch" 50
     results.total_completed;
@@ -85,14 +85,14 @@ let test_crashed_leader_recovers_and_catches_up () =
   ignore (RT.await_leader t);
   ignore (Grid_sim.Engine.schedule (RT.engine t) ~delay:20.0 (fun () -> RT.crash_replica t 0));
   let results =
-    RT.run_closed_loop t ~clients:1 ~requests_per_client:30 ~gen:(gen_of (add_ops 30))
+    RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:30 ~gen:(gen_of (add_ops 30))
   in
   Alcotest.(check int) "served" 30 results.total_completed;
   (* Bring r0 back; drive some more traffic so commits (and catch-up)
      reach it, then compare states. *)
   RT.recover_replica t 0;
   let results2 =
-    RT.run_closed_loop t ~clients:1 ~requests_per_client:10 ~gen:(gen_of (add_ops 10))
+    RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:10 ~gen:(gen_of (add_ops 10))
   in
   Alcotest.(check int) "post-recovery traffic served" 10 results2.total_completed;
   RT.run_until t (RT.now t +. 2_000.0);
@@ -104,12 +104,12 @@ let test_follower_crash_no_disruption () =
   ignore (RT.await_leader t);
   ignore (Grid_sim.Engine.schedule (RT.engine t) ~delay:10.0 (fun () -> RT.crash_replica t 2));
   let results =
-    RT.run_closed_loop t ~clients:2 ~requests_per_client:20 ~gen:(gen_of (add_ops 20))
+    RT.run_closed_loop_ops t ~clients:2 ~requests_per_client:20 ~gen:(gen_of (add_ops 20))
   in
   Alcotest.(check int) "2-of-3 majority suffices" 40 results.total_completed;
   Alcotest.(check (option int)) "leader unchanged" (Some 0) (RT.leader t);
   RT.recover_replica t 2;
-  let _ = RT.run_closed_loop t ~clients:1 ~requests_per_client:5 ~gen:(gen_of (add_ops 5)) in
+  let _ = RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:5 ~gen:(gen_of (add_ops 5)) in
   RT.run_until t (RT.now t +. 2_000.0);
   Alcotest.(check int) "follower rejoined and caught up" 45
     (RT.R.state (RT.replica t 2));
@@ -136,7 +136,7 @@ let test_repeated_leader_crashes () =
   in
   schedule_crash 0;
   let results =
-    RT.run_closed_loop t ~max_sim_ms:60_000.0 ~clients:2 ~requests_per_client:40
+    RT.run_closed_loop_ops t ~max_sim_ms:60_000.0 ~clients:2 ~requests_per_client:40
       ~gen:(gen_of (add_ops 40))
   in
   Alcotest.(check int) "all served across repeated switches" 80 results.total_completed;
@@ -156,7 +156,7 @@ let test_partition_minority_leader () =
     (Grid_sim.Engine.schedule (RT.engine t) ~delay:25.0 (fun () ->
          Network.partition net [ 0 ] [ 1; 2 ]));
   let results =
-    RT.run_closed_loop t ~max_sim_ms:60_000.0 ~clients:1 ~requests_per_client:20
+    RT.run_closed_loop_ops t ~max_sim_ms:60_000.0 ~clients:1 ~requests_per_client:20
       ~gen:(gen_of (add_ops 20))
   in
   Alcotest.(check int) "majority side serves everything" 20 results.total_completed;
@@ -170,7 +170,7 @@ let test_partition_minority_leader () =
      converge. *)
   Network.heal net;
   RT.run_until t (RT.now t +. 3_000.0);
-  let _ = RT.run_closed_loop t ~clients:1 ~requests_per_client:5 ~gen:(gen_of (add_ops 5)) in
+  let _ = RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:5 ~gen:(gen_of (add_ops 5)) in
   RT.run_until t (RT.now t +. 3_000.0);
   assert_agreement t;
   Alcotest.(check int) "old leader converged" 25 (RT.R.state (RT.replica t 0))
@@ -181,7 +181,7 @@ let test_message_loss_resilience () =
   ignore (RT.await_leader t);
   Network.set_drop_rate (RT.network t) 0.25;
   let results =
-    RT.run_closed_loop t ~max_sim_ms:120_000.0 ~clients:2 ~requests_per_client:15
+    RT.run_closed_loop_ops t ~max_sim_ms:120_000.0 ~clients:2 ~requests_per_client:15
       ~gen:(gen_of (add_ops 15))
   in
   Alcotest.(check int) "all served despite 25% loss" 30 results.total_completed;
@@ -207,7 +207,7 @@ let test_duplication_and_reordering () =
       { at = 5.0; event = Fault.Delay_spike { rate = 0.05; magnitude_ms = 40.0 } };
     ];
   let results =
-    RT.run_closed_loop t ~max_sim_ms:120_000.0 ~clients:2 ~requests_per_client:15
+    RT.run_closed_loop_ops t ~max_sim_ms:120_000.0 ~clients:2 ~requests_per_client:15
       ~gen:(gen_of (add_ops 15))
   in
   Alcotest.(check int) "all served" 30 results.total_completed;

@@ -158,12 +158,10 @@ let test_span_jsonl_roundtrip () =
 let traced_run ~rtype ~seed =
   let cfg = Grid_paxos.Config.default ~n:3 in
   let t = RT.create ~cfg ~scenario:Scenario.wan ~seed ~trace:true () in
-  let payload =
-    Noop.encode_op (match rtype with Read -> Noop.Noop_read | _ -> Noop.Noop_write)
-  in
+  let op = match rtype with Read -> Noop.Noop_read | _ -> Noop.Noop_write in
   let _results =
-    RT.run_closed_loop t ~clients:2 ~requests_per_client:5 ~gen:(fun ~client:_ () ->
-        Some (rtype, payload))
+    RT.run_closed_loop_ops t ~clients:2 ~requests_per_client:5 ~gen:(fun ~client:_ () ->
+        Some (Grid_runtime.Runtime.Do op))
   in
   Span.Recorder.events (RT.obs t)
 
@@ -243,7 +241,7 @@ let test_lifecycle_shard_tagged () =
       ~route:Grid_services.Kv_store.route ~shards:2 ()
   in
   let _ =
-    MKv.run_closed_loop t ~clients:2 ~requests_per_client:4
+    MKv.run_closed_loop_ops t ~clients:2 ~requests_per_client:4
       ~gen:(fun ~client () ->
         Some
           (Grid_runtime.Runtime.Do
@@ -276,10 +274,9 @@ let test_lifecycle_shard_tagged () =
 let test_runtime_metrics () =
   let cfg = Grid_paxos.Config.default ~n:3 in
   let t = RT.create ~cfg ~scenario:Scenario.sysnet ~seed:5 () in
-  let payload = Noop.encode_op Noop.Noop_write in
   let _ =
-    RT.run_closed_loop t ~clients:1 ~requests_per_client:8 ~gen:(fun ~client:_ () ->
-        Some (Write, payload))
+    RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:8 ~gen:(fun ~client:_ () ->
+        Some (Grid_runtime.Runtime.Do Noop.Noop_write))
   in
   let json = Metrics.to_json (RT.metrics t) in
   let value name =

@@ -9,6 +9,7 @@ module Counter = Grid_services.Counter
 module Broker = Grid_services.Resource_broker
 module Sched = Grid_services.Grid_scheduler
 module Noop = Grid_services.Noop
+module Runtime = Grid_runtime.Runtime
 open Grid_paxos.Types
 
 module RT_counter = Grid_runtime.Runtime.Make (Counter)
@@ -34,8 +35,7 @@ let counter_gen ops ~client:_ =
     | [] -> None
     | op :: rest ->
       remaining := rest;
-      let rtype = match Counter.classify op with `Read -> Read | `Write -> Write in
-      Some (rtype, Counter.encode_op op)
+      Some (Runtime.Do op)
 
 (* ------------------------------------------------------------------ *)
 
@@ -47,7 +47,7 @@ let test_leader_election_is_r0 () =
 let test_counter_agreement () =
   let t = RT_counter.create ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
   let results =
-    RT_counter.run_closed_loop t ~clients:3 ~requests_per_client:20
+    RT_counter.run_closed_loop_ops t ~clients:3 ~requests_per_client:20
       ~gen:(counter_gen (List.init 20 (fun i -> Counter.Add (i + 1))))
   in
   Alcotest.(check int) "all completed" 60 results.total_completed;
@@ -69,14 +69,14 @@ let test_reads_reflect_writes () =
   let t = RT_counter.create ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
   let observed = ref [] in
   let results =
-    RT_counter.run_closed_loop t ~clients:1 ~requests_per_client:10
+    RT_counter.run_closed_loop_ops t ~clients:1 ~requests_per_client:10
       ~gen:(fun ~client:_ ->
         let i = ref 0 in
         fun () ->
           incr i;
           if !i > 10 then None
-          else if !i mod 2 = 1 then Some (Write, Counter.encode_op (Counter.Add 1))
-          else Some (Read, Counter.encode_op Counter.Get))
+          else if !i mod 2 = 1 then Some (Runtime.Do (Counter.Add 1))
+          else Some (Runtime.Do Counter.Get))
   in
   ignore results;
   (* Re-run capturing read results: a read after k writes must return k. *)
@@ -113,7 +113,7 @@ let test_duplicate_suppression () =
   ignore (RT_counter.await_leader t);
   Grid_sim.Network.set_drop_rate (RT_counter.network t) 0.15;
   let results =
-    RT_counter.run_closed_loop t ~clients:2 ~requests_per_client:15
+    RT_counter.run_closed_loop_ops t ~clients:2 ~requests_per_client:15
       ~gen:(counter_gen (List.init 15 (fun _ -> Counter.Add 1)))
   in
   Alcotest.(check int) "all eventually answered" 30 results.total_completed;
@@ -130,7 +130,7 @@ let run_ship_mode ship =
   let cfg = Config.make ~base:(base_cfg ()) ~ship () in
   let t = RT_counter.create ~cfg ~scenario:(Scenario.uniform ()) () in
   let _ =
-    RT_counter.run_closed_loop t ~clients:2 ~requests_per_client:10
+    RT_counter.run_closed_loop_ops t ~clients:2 ~requests_per_client:10
       ~gen:(counter_gen (List.init 10 (fun i -> Counter.Add i)))
   in
   RT_counter.run_until t (RT_counter.now t +. 500.0);
@@ -160,13 +160,13 @@ let broker_gen ~client:_ =
     | [] -> None
     | op :: rest ->
       remaining := rest;
-      Some (Write, Broker.encode_op op)
+      Some (Runtime.Do op)
 
 let broker_states coordination =
   let cfg = Config.make ~base:(base_cfg ()) ~coordination () in
   let t = RT_broker.create ~cfg ~scenario:(Scenario.uniform ()) () in
   let _ =
-    RT_broker.run_closed_loop t ~clients:1 ~requests_per_client:(List.length broker_ops)
+    RT_broker.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length broker_ops)
       ~gen:broker_gen
   in
   RT_broker.run_until t (RT_broker.now t +. 500.0);
@@ -201,10 +201,10 @@ let test_scheduler_replicated_consistent () =
       | [] -> None
       | op :: rest ->
         remaining := rest;
-        Some (Write, Sched.encode_op op)
+        Some (Runtime.Do op)
   in
   let t = RT_sched.create ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
-  let _ = RT_sched.run_closed_loop t ~clients:1 ~requests_per_client:(List.length ops) ~gen in
+  let _ = RT_sched.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length ops) ~gen in
   RT_sched.run_until t (RT_sched.now t +. 500.0);
   let st i = RT_sched.R.state (RT_sched.replica t i) in
   let enc i = Sched.encode_state (st i) in
@@ -218,14 +218,18 @@ let test_scheduler_replicated_consistent () =
 (* ------------------------------------------------------------------ *)
 (* Latency ordering (the headline §4.1 relationship). *)
 
+let noop_item = function
+  | Original -> Runtime.Unreplicated Noop.Noop_write
+  | Read -> Runtime.Do Noop.Noop_read
+  | _ -> Runtime.Do Noop.Noop_write
+
 let noop_rrt rtype =
   let t =
     RT_noop.create ~cfg:(Config.default ~n:3) ~scenario:Scenario.sysnet ~seed:7 ()
   in
-  let op = match rtype with Read -> Noop.Noop_read | _ -> Noop.Noop_write in
   let results =
-    RT_noop.run_closed_loop t ~clients:1 ~requests_per_client:50 ~gen:(fun ~client:_ () ->
-        Some (rtype, Noop.encode_op op))
+    RT_noop.run_closed_loop_ops t ~clients:1 ~requests_per_client:50
+      ~gen:(fun ~client:_ () -> Some (noop_item rtype))
   in
   let lats = RT_noop.latencies results in
   Array.fold_left ( +. ) 0.0 lats /. Float.of_int (Array.length lats)
@@ -255,10 +259,9 @@ let test_execution_cost_parallelism () =
     let sc = Scenario.uniform ~latency:(Grid_sim.Latency.Constant 1.0) () in
     let cfg = Config.make ~n:3 ~execution_cost_ms:5.0 () in
     let t = RT_noop.create ~cfg ~scenario:sc () in
-    let op = match rtype with Read -> Noop.Noop_read | _ -> Noop.Noop_write in
     let results =
-      RT_noop.run_closed_loop t ~clients:1 ~requests_per_client:10 ~gen:(fun ~client:_ () ->
-          Some (rtype, Noop.encode_op op))
+      RT_noop.run_closed_loop_ops t ~clients:1 ~requests_per_client:10
+        ~gen:(fun ~client:_ () -> Some (noop_item rtype))
     in
     let lats = RT_noop.latencies results in
     Array.fold_left ( +. ) 0.0 lats /. Float.of_int (Array.length lats)
@@ -271,7 +274,7 @@ let test_five_replicas () =
   let cfg = Config.make ~n:5 ~record_history:true () in
   let t = RT_counter.create ~cfg ~scenario:(Scenario.uniform ~n:5 ()) () in
   let results =
-    RT_counter.run_closed_loop t ~clients:2 ~requests_per_client:10
+    RT_counter.run_closed_loop_ops t ~clients:2 ~requests_per_client:10
       ~gen:(counter_gen (List.init 10 (fun _ -> Counter.Add 1)))
   in
   Alcotest.(check int) "completed" 20 results.total_completed;
@@ -286,7 +289,7 @@ let test_single_replica () =
   let cfg = Config.default ~n:1 in
   let t = RT_counter.create ~cfg ~scenario:(Scenario.uniform ~n:1 ()) () in
   let results =
-    RT_counter.run_closed_loop t ~clients:1 ~requests_per_client:5
+    RT_counter.run_closed_loop_ops t ~clients:1 ~requests_per_client:5
       ~gen:(counter_gen (List.init 5 (fun _ -> Counter.Add 2)))
   in
   Alcotest.(check int) "completed" 5 results.total_completed;
@@ -404,13 +407,13 @@ let prop_replicated_kv_equals_reference =
       let t = RT_kv.create ~seed ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
       let remaining = ref ops in
       let _ =
-        RT_kv.run_closed_loop t ~clients:1 ~requests_per_client:(List.length ops)
+        RT_kv.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length ops)
           ~gen:(fun ~client:_ () ->
             match !remaining with
             | [] -> None
             | op :: rest ->
               remaining := rest;
-              Some (Write, Kv.encode_op op))
+              Some (Runtime.Do op))
       in
       RT_kv.run_until t (RT_kv.now t +. 500.0);
       List.for_all
@@ -445,13 +448,13 @@ let prop_replicated_broker_replicas_identical =
       let t = RT_broker.create ~seed ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
       let remaining = ref ops in
       let _ =
-        RT_broker.run_closed_loop t ~clients:1 ~requests_per_client:(List.length ops)
+        RT_broker.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length ops)
           ~gen:(fun ~client:_ () ->
             match !remaining with
             | [] -> None
             | op :: rest ->
               remaining := rest;
-              Some (Write, Broker.encode_op op))
+              Some (Runtime.Do op))
       in
       RT_broker.run_until t (RT_broker.now t +. 500.0);
       let enc i = Broker.encode_state (RT_broker.R.state (RT_broker.replica t i)) in
@@ -485,13 +488,13 @@ let prop_replicated_leases_identical =
       let t = RT_lease.create ~seed ~cfg:(base_cfg ()) ~scenario:(Scenario.uniform ()) () in
       let remaining = ref ops in
       let _ =
-        RT_lease.run_closed_loop t ~clients:1 ~requests_per_client:(List.length ops)
+        RT_lease.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length ops)
           ~gen:(fun ~client:_ () ->
             match !remaining with
             | [] -> None
             | op :: rest ->
               remaining := rest;
-              Some (Write, Lease.encode_op op))
+              Some (Runtime.Do op))
       in
       RT_lease.run_until t (RT_lease.now t +. 500.0);
       let enc i = Lease.encode_state (RT_lease.R.state (RT_lease.replica t i)) in
@@ -506,7 +509,7 @@ let test_log_bounded_by_snapshot_window () =
   let t = RT_counter.create ~cfg ~scenario:(Scenario.uniform ()) () in
   let per_client = 20 * interval in
   let results =
-    RT_counter.run_closed_loop t ~clients ~requests_per_client:per_client
+    RT_counter.run_closed_loop_ops t ~clients ~requests_per_client:per_client
       ~gen:(counter_gen (List.init per_client (fun _ -> Counter.Add 1)))
   in
   Alcotest.(check int) "all completed" (clients * per_client) results.total_completed;

@@ -19,11 +19,11 @@ let submit t c rtype ~payload =
 
 let cfg () = Config.make ~n:3 ~record_history:true ()
 
-(* A transaction script: ops as Txn_op, then Txn_commit whose payload
-   carries the op count (the leader aborts on mismatch). *)
+(* A transaction script: ops inside the transaction, then its commit
+   carrying the op count (the leader aborts on mismatch). *)
 let txn_items ~tid ops =
-  List.map (fun op -> (Txn_op tid, Kv.encode_op op)) ops
-  @ [ (Txn_commit tid, Wire.encode (fun e -> Wire.Encoder.uint e (List.length ops))) ]
+  List.map (fun op -> Grid_runtime.Runtime.In_txn (tid, op)) ops
+  @ [ Grid_runtime.Runtime.Commit_txn { tid; ops = List.length ops } ]
 
 let gen_of items ~client:_ =
   let remaining = ref items in
@@ -37,7 +37,7 @@ let gen_of items ~client:_ =
 let run_items ?(scenario = Scenario.uniform ()) ?(cfg = cfg ()) items =
   let t = RT.create ~cfg ~scenario () in
   let results =
-    RT.run_closed_loop t ~clients:1 ~requests_per_client:(List.length items)
+    RT.run_closed_loop_ops t ~clients:1 ~requests_per_client:(List.length items)
       ~gen:(gen_of items)
   in
   RT.run_until t (RT.now t +. 500.0);
@@ -65,9 +65,10 @@ let test_txn_commit_atomic () =
 
 let test_txn_abort_discards () =
   let items =
-    List.map (fun op -> (Txn_op 1, Kv.encode_op op))
-      [ Kv.Put { key = "x"; value = "doomed" } ]
-    @ [ (Txn_abort 1, "") ]
+    [
+      Grid_runtime.Runtime.In_txn (1, Kv.Put { key = "x"; value = "doomed" });
+      Grid_runtime.Runtime.Abort_txn 1;
+    ]
   in
   let t, results = run_items items in
   Alcotest.(check int) "replied" 2 results.total_completed;
