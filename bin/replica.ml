@@ -46,7 +46,7 @@ let run id cluster service storage wire_version verbose =
     let module Tcp = Grid_net.Tcp_node.Make (S) in
     let handle =
       Tcp.start_replica ~cfg ~id ~port ~peers ?storage:(Option.map fst storage)
-        ~max_wire_version:wire_version ()
+        ?recovered:(Option.bind storage snd) ~max_wire_version:wire_version ()
     in
     Printf.printf "replica %d (%s service, wire <= v%d) listening on port %d\n%!"
       id S.name wire_version port;

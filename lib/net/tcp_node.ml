@@ -735,7 +735,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     r_loop : Thread.t;
   }
 
-  let start_replica ~cfg ~id ~port ~peers ?storage ?obs ?(flight_capacity = 2048)
+  let start_replica ~cfg ~id ~port ~peers ?storage ?recovered ?obs ?(flight_capacity = 2048)
       ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
     let actor = "r" ^ string_of_int id in
     (* Flight recorder: unless the caller supplies a recorder, keep a
@@ -769,9 +769,16 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
     Unix.listen listener 64;
     Unix.set_nonblock listener;
-    (* Engine access is confined to the loop thread; bootstrap through an
-       injected thunk. *)
-    inject core (fun () -> run_actions core (R.bootstrap replica));
+    (* Engine access is confined to the loop thread; bootstrap (or
+       reload the recovered image and restart, which applies the lease
+       blackout) through an injected thunk. *)
+    inject core (fun () ->
+        run_actions core
+          (match recovered with
+          | None -> R.bootstrap replica
+          | Some p ->
+            R.load replica p;
+            R.restart replica ~now:(now_ms ())));
     (* Resharding visibility (DESIGN.md §17): gauges track the replica's
        partition-map epoch and migration progress; refreshed after every
        handled input (four stores, no lookup). *)

@@ -100,6 +100,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     port:int ->
     peers:(int * Unix.sockaddr) list ->
     ?storage:Grid_paxos.Storage.t ->
+    ?recovered:Grid_paxos.Storage.persisted ->
     ?obs:Grid_obs.Span.Recorder.t ->
     ?flight_capacity:int ->
     ?backoff_base_ms:float ->
@@ -110,7 +111,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** Bind [port], bootstrap the replica engine, and serve until
       {!stop_replica}; the same port answers admin HTTP requests
       ([/metrics], [/health], [/flightrec]). [peers] maps the other
-      replica ids to their addresses. [obs] receives the engine's
+      replica ids to their addresses. [recovered] is the image
+      {!Grid_paxos.Storage.file} read back from [storage]: the engine
+      loads it (promise, accepted entries, committed state) and restarts
+      as after a crash instead of booting fresh. [obs] receives the engine's
       lifecycle spans and the transport's message events, timed on the
       wall clock (ms since the epoch); when omitted, the node keeps its
       own always-on flight recorder over the last [flight_capacity]

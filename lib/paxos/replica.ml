@@ -797,6 +797,23 @@ module Make (S : Service_intf.S) = struct
     Hashtbl.reset t.exec_table;
     acts
 
+  (* Adopt [ballot] if it is above our promise: step down from any
+     leadership or candidacy, then persist the promise. Returns the
+     demotion's actions (none when the promise already covers [ballot]).
+     A leadership's or candidacy's ballot always equals the promise
+     (both are set together, and every raise of the promise goes through
+     here), so "above the promise" is "above our own ballot". *)
+  let adopt_promise t ballot =
+    if Ballot.compare ballot t.promised <= 0 then []
+    else begin
+      let demoted =
+        match t.role with Leader _ | Candidate _ -> step_down t | Follower -> []
+      in
+      t.promised <- ballot;
+      t.storage.persist_promise ballot;
+      demoted
+    end
+
   (* Propose [proposal] at [instance]; a single-replica group has its
      quorum at once. *)
   let rec start_accept t (l : leadership) ~instance ~proposal ~post_state ~to_send =
@@ -1389,17 +1406,8 @@ module Make (S : Service_intf.S) = struct
          grant expires on this clock. *)
       [ send ~dst:src (Reject { promised = t.promised }) ]
     else if Ballot.compare ballot t.promised >= 0 then begin
-      (* A higher (or equal, on retry) ballot deposes us. *)
-      let demoted =
-        match t.role with
-        | Leader l when Ballot.compare ballot l.l_ballot > 0 -> step_down t
-        | Candidate c when Ballot.compare ballot c.c_ballot > 0 -> step_down t
-        | _ -> []
-      in
-      if Ballot.compare ballot t.promised > 0 then begin
-        t.promised <- ballot;
-        t.storage.persist_promise ballot
-      end;
+      (* A higher ballot deposes us; an equal one is a retry. *)
+      let demoted = adopt_promise t ballot in
       t.candidate_since <- None;
       let my_cp = Plog.commit_point t.log in
       let snapshot =
@@ -1435,16 +1443,9 @@ module Make (S : Service_intf.S) = struct
     heard t ~from:ballot.Ballot.holder ~now;
     observe_round t ballot.round;
     if Ballot.compare ballot t.promised >= 0 then begin
-      let demoted =
-        match t.role with
-        | Leader l when not (Ballot.equal ballot l.l_ballot) -> step_down t
-        | Candidate c when Ballot.compare ballot c.c_ballot >= 0 -> step_down t
-        | _ -> []
-      in
-      if Ballot.compare ballot t.promised > 0 then begin
-        t.promised <- ballot;
-        t.storage.persist_promise ballot
-      end;
+      (* An equal ballot is our leader's (never our own: nobody sends
+         itself an Accept). *)
+      let demoted = adopt_promise t ballot in
       if Plog.accept t.log ~instance ~ballot proposal then
         t.storage.persist_entry ~instance ~ballot proposal;
       demoted @ [ send ~dst:src (Accept_ack { ballot; instance }) ]
@@ -1528,15 +1529,10 @@ module Make (S : Service_intf.S) = struct
 
   let handle_reject t ~promised:their_promise =
     observe_round t their_promise.Ballot.round;
-    if Ballot.compare their_promise t.promised > 0 then begin
-      t.promised <- their_promise;
-      t.storage.persist_promise their_promise;
-      match t.role with
-      | Leader _ | Candidate _ ->
-        step_down t @ [ note "deposed by ballot %a" Ballot.pp their_promise ]
-      | Follower -> []
-    end
-    else []
+    match t.role with
+    | (Leader _ | Candidate _) when Ballot.compare their_promise t.promised > 0 ->
+      adopt_promise t their_promise @ [ note "deposed by ballot %a" Ballot.pp their_promise ]
+    | _ -> adopt_promise t their_promise
 
   (* ------------------------------------------------------------------ *)
   (* Timers                                                              *)
@@ -1689,21 +1685,7 @@ module Make (S : Service_intf.S) = struct
            makes this replica more conservative) and spreads knowledge of
            the current leadership, so a recovered old leader defers to
            the incumbent instead of deposing it (§3.6 stability). *)
-        let demoted =
-          if Ballot.compare their_promise t.promised > 0 then begin
-            let acts =
-              match t.role with
-              | Leader l when Ballot.compare their_promise l.l_ballot > 0 -> step_down t
-              | Candidate c when Ballot.compare their_promise c.c_ballot > 0 ->
-                step_down t
-              | _ -> []
-            in
-            t.promised <- their_promise;
-            t.storage.persist_promise their_promise;
-            acts
-          end
-          else []
-        in
+        let demoted = adopt_promise t their_promise in
         (* Lease grant (follower side): a heartbeat from the replica we
            are promised to starts or renews a grant. The enforcement
            window only ever extends; the anchor tracks the newest

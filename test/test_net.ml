@@ -960,6 +960,92 @@ let test_one_thread_per_client () =
             if added > 8 then Alcotest.failf "8 clients added %d threads" added))
   end
 
+(* A replica restarted over its file store loads the recovered image:
+   all three replicas commit, all stop, and one comes back alone. With no
+   peer to catch up from, it must report the commit point, state and
+   ballot it had before the stop. *)
+let test_restart_loads_image () =
+  let dir = Filename.temp_file "grid_restart" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
+  let peers_of i =
+    List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
+  in
+  let cfg =
+    Config.make ~n:3 ~hb_period_ms:10.0 ~suspicion_ms:60.0 ~stability_ms:20.0
+      ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
+  in
+  let start i =
+    let storage, recovered, _ =
+      Grid_paxos.Storage.file ~path:(Filename.concat dir ("r" ^ string_of_int i))
+    in
+    Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ~storage
+      ?recovered ()
+  in
+  let ballot_round i =
+    let _, body = http_get ports.(i) "/health" in
+    let key = {|"ballot":{"round":|} in
+    let rec find j =
+      if j + String.length key > String.length body then
+        Alcotest.failf "no ballot in /health: %s" body
+      else if String.sub body j (String.length key) = key then j + String.length key
+      else find (j + 1)
+    in
+    Scanf.sscanf (String.sub body (find 0) 12) "%d" Fun.id
+  in
+  let wait what cond =
+    let deadline = Unix.gettimeofday () +. 10.0 in
+    while not (cond ()) do
+      if Unix.gettimeofday () > deadline then Alcotest.failf "timed out: %s" what;
+      Thread.delay 0.02
+    done
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () ->
+      let replicas = Array.init 3 start in
+      let before =
+        Fun.protect
+          ~finally:(fun () -> Array.iter Tcp.stop_replica replicas)
+          (fun () ->
+            wait "leader" (fun () -> Array.exists Tcp.replica_is_leader replicas);
+            let client =
+              Tcp.start_client ~id:1
+                ~replicas:(List.map (fun i -> (i, addr i)) [ 0; 1; 2 ])
+                ()
+            in
+            Fun.protect
+              ~finally:(fun () -> Tcp.stop_client client)
+              (fun () ->
+                for k = 1 to 5 do
+                  match Tcp.call_op client (Counter.Add k) ~timeout_s:5.0 with
+                  | Some reply -> Alcotest.(check bool) "write ok" true (reply.status = Ok)
+                  | None -> Alcotest.failf "write %d timed out" k
+                done);
+            wait "replicas converge" (fun () ->
+                Array.for_all
+                  (fun r -> Tcp.replica_commit_point r = 5 && Tcp.replica_state r = 15)
+                  replicas);
+            Array.init 3 (fun i ->
+                (Tcp.replica_commit_point replicas.(i), Tcp.replica_state replicas.(i),
+                 ballot_round i)))
+      in
+      let i = 1 in
+      let cp, state, round = before.(i) in
+      let r = start i in
+      Fun.protect
+        ~finally:(fun () -> Tcp.stop_replica r)
+        (fun () ->
+          Alcotest.(check int) "commit point survives the restart" cp
+            (Tcp.replica_commit_point r);
+          Alcotest.(check int) "state survives the restart" state (Tcp.replica_state r);
+          Alcotest.(check bool) "ballot round does not go back" true
+            (ballot_round i >= round)))
+
 let suite =
   [
     ( "net.framing",
@@ -992,5 +1078,7 @@ let suite =
         Alcotest.test_case "output to a peer that stops reading is bounded" `Slow
           test_unread_peer_bounded;
         Alcotest.test_case "one thread per client session" `Slow test_one_thread_per_client;
+        Alcotest.test_case "a restarted replica loads its recovered image" `Slow
+          test_restart_loads_image;
       ] );
   ]
