@@ -735,8 +735,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     r_loop : Thread.t;
   }
 
-  let start_replica ~cfg ~id ~port ~peers ?storage ?recovered ?obs ?(flight_capacity = 2048)
-      ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
+  let start_replica ~cfg ~id ~port ~peers ?storage ?recovered ?obs
+      ?(flight_capacity = 2048) ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
     let actor = "r" ^ string_of_int id in
     (* Flight recorder: unless the caller supplies a recorder, keep a
        bounded always-on one — the last [flight_capacity] events are a
