@@ -8,8 +8,8 @@
     and recoveries at any step.
 
     This version adds a nemesis: per-delivery duplication and reordering
-    dice, torn-persist crashes (the process dies inside a storage write,
-    so the record is lost and the engine step never completes), silent
+    dice, torn-persist crashes (the process dies at the first store write
+    of a step, so that step's records and messages are all lost), silent
     loss of metadata records, and crash-consistent recovery — a revived
     replica is rebuilt from its persisted image via {!Replica.load}, not
     from its in-memory carcass. Every fault that fires is recorded in a
@@ -64,15 +64,17 @@ let pp_plan ppf plan =
 type nemesis = {
   crash_prob : float;  (** per-step probability of a crash (recover: 2x window) *)
   torn_frac : float;
-      (** fraction of crashes that are torn: the victim dies inside its
-          next storage persist instead of between steps *)
+      (** fraction of crashes that are torn: the victim dies at the first
+          store write of its next persisting step instead of between
+          steps *)
   dup_prob : float;  (** per-delivery probability of re-enqueuing a copy *)
   reorder_prob : float;
       (** per-delivery probability of delivering from the middle of the
           channel instead of its head *)
   meta_drop_prob : float;
       (** per-persist probability that a commit-point or snapshot record
-          is silently lost (always repairable; see {!Grid_paxos.Storage}) *)
+          is silently lost (always repairable from the entry log and
+          peers) *)
   drift_prob : float;
       (** per-step probability that one replica's clock jumps to a fresh
           offset from virtual time *)
@@ -151,6 +153,43 @@ type outcome = {
       (** one line per violation, in firing order *)
 }
 
+(* ------------------------------------------------------------------ *)
+(* Storage faults                                                      *)
+
+type persist_fate = Torn | Landed of { dropped : int; rest : action list }
+
+(* A tear is the process dying at the step's first store write: no
+   record of the step lands and none of its sends or timers happen,
+   exactly a death between write and fsync-ack. It rolls one die, as
+   every storage fault decision does. A drop is a lost fsync on a
+   commit-point or snapshot record, whose loss recovery can always
+   repair from the entry log and peers; promise and entry records always
+   land. *)
+let persist_step store ~rng ~tear ~drop_prob actions =
+  let records, rest =
+    List.partition_map (function Persist p -> Left p | a -> Right a) actions
+  in
+  if records = [] then Landed { dropped = 0; rest }
+  else if tear then begin
+    ignore (Rng.float rng 1.0);
+    Torn
+  end
+  else begin
+    let dropped =
+      List.fold_left
+        (fun n p ->
+          match p with
+          | (Commit_point _ | Snapshot _)
+            when drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob ->
+            n + 1
+          | _ ->
+            Grid_paxos.Storage.apply store p;
+            n)
+        0 records
+    in
+    Landed { dropped; rest }
+  end
+
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
 
@@ -166,7 +205,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     down : bool array;
     stores : Grid_paxos.Storage.t array;
     reads : (unit -> Grid_paxos.Storage.persisted) array;
-    ctls : Grid_paxos.Storage.fault_ctl array;
+    dice : Rng.t array;  (* per-replica storage fault dice *)
+    armed : bool array;  (* a torn crash waits for the replica's next write *)
+    mutable drop_prob : float;  (* meta-record loss; 0 while draining *)
+    mutable torn : int;
+    mutable dropped : int;
     (* FIFO queue per directed pair, keyed (src, dst); client requests
        travel through these too, so the nemesis dice apply to them. *)
     channels : (int * int, msg Queue.t) Hashtbl.t;
@@ -238,33 +281,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     Queue.transfer prefix q;
     x
 
-  let exec_actions sched i actions =
-    List.iter
-      (function
-        | Send { dst; msg } ->
-          if node_is_client dst then begin
-            match msg with
-            (* [Retry] (redirect) and [Overloaded] (admission pushback)
-               are not completions: the closed-loop client keeps the
-               request pending and retransmits it. Only final statuses
-               enter the observed-reply history. *)
-            | Reply_msg { status = Overloaded _; _ } ->
-              sched.shed <- sched.shed + 1
-            | Reply_msg r when status_is_final r.status ->
-              let key =
-                (Grid_util.Ids.Client_id.to_int r.req.client, r.req.seq)
-              in
-              if not (Hashtbl.mem sched.reply_times key) then
-                Hashtbl.replace sched.reply_times key sched.vnow;
-              sched.replies <- r :: sched.replies
-            | _ -> ()
-          end
-          else enqueue sched ~src:i ~dst msg
-        | After { delay; timer } ->
-          sched.timers <- (i, timer, sched.vnow +. delay) :: sched.timers
-        | Note _ -> ())
-      actions
-
   let mark_down sched i =
     if not sched.down.(i) then begin
       sched.down.(i) <- true;
@@ -273,16 +289,50 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       sched.timers <- List.filter (fun (j, _, _) -> j <> i) sched.timers
     end
 
-  (* A torn crash arms the victim's storage: its next persist raises
-     {!Grid_paxos.Storage.Crashed} and [dispatch] converts that into the
-     actual crash — the record is lost and the step's actions never
-     execute, exactly a death between write and fsync-ack. *)
+  (* The step's records go to the replica's store under the fault dice
+     before any of its messages or timers; a torn step is the crash. *)
+  let exec_actions sched i actions =
+    match
+      persist_step sched.stores.(i) ~rng:sched.dice.(i) ~tear:sched.armed.(i)
+        ~drop_prob:sched.drop_prob actions
+    with
+    | Torn ->
+      sched.torn <- sched.torn + 1;
+      sched.armed.(i) <- false;
+      mark_down sched i
+    | Landed { dropped; rest } ->
+      sched.dropped <- sched.dropped + dropped;
+      List.iter
+        (function
+          | Send { dst; msg } ->
+            if node_is_client dst then begin
+              match msg with
+              (* [Retry] (redirect) and [Overloaded] (admission pushback)
+                 are not completions: the closed-loop client keeps the
+                 request pending and retransmits it. Only final statuses
+                 enter the observed-reply history. *)
+              | Reply_msg { status = Overloaded _; _ } ->
+                sched.shed <- sched.shed + 1
+              | Reply_msg r when status_is_final r.status ->
+                let key =
+                  (Grid_util.Ids.Client_id.to_int r.req.client, r.req.seq)
+                in
+                if not (Hashtbl.mem sched.reply_times key) then
+                  Hashtbl.replace sched.reply_times key sched.vnow;
+                sched.replies <- r :: sched.replies
+              | _ -> ()
+            end
+            else enqueue sched ~src:i ~dst msg
+          | After { delay; timer } ->
+            sched.timers <- (i, timer, sched.vnow +. delay) :: sched.timers
+          | Persist _ | Note _ -> ())
+        rest
+
+  (* A torn crash is armed: it strikes when the victim next writes to
+     its store ([exec_actions]). *)
   let crash_replica sched victim ~torn =
-    if torn then sched.ctls.(victim).tear_rate <- 1.0
-    else begin
-      sched.ctls.(victim).tear_rate <- 0.0;
-      mark_down sched victim
-    end
+    sched.armed.(victim) <- torn;
+    if not torn then mark_down sched victim
 
   (* The wire model: encode with the link's negotiated codec, decode the
      bytes back, deliver the decoded message. A roundtrip failure is an
@@ -313,11 +363,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let dispatch sched i input =
     if not sched.down.(i) then
-      match R.handle sched.replicas.(i) ~now:(sched.vnow +. sched.skew.(i)) input with
-      | actions -> exec_actions sched i actions
-      | exception Grid_paxos.Storage.Crashed ->
-        sched.ctls.(i).tear_rate <- 0.0;
-        mark_down sched i
+      exec_actions sched i
+        (R.handle sched.replicas.(i) ~now:(sched.vnow +. sched.skew.(i)) input)
 
   (* ---------------------------------------------------------------- *)
   (* Durability oracle                                                 *)
@@ -356,10 +403,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      invariant the nemesis exists to attack. *)
   let revive sched back =
     refresh_oracle sched;
-    sched.ctls.(back).tear_rate <- 0.0;
     let r =
       R.create ~cfg:sched.cfg ~id:back ~seed:(sched.base_seed + back)
-        ~storage:sched.stores.(back) ~obs:sched.obs ~watchdog:sched.wd ()
+        ~obs:sched.obs ~watchdog:sched.wd ()
     in
     R.load r (sched.reads.(back) ());
     sched.replicas.(back) <- r;
@@ -597,32 +643,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
           invalid_arg (Printf.sprintf "Mcheck: unknown wire version %d" version);
         Hashtbl.replace upgrades_tbl step (victim, version))
       upgrades;
-    let stores = Array.make cfg.n (Grid_paxos.Storage.null ()) in
-    let reads =
-      Array.make cfg.n (fun () ->
-          {
-            Grid_paxos.Storage.promised = Ballot.zero;
-            entries = [];
-            commit_point = 0;
-            snapshot = None;
-          })
+    let stores, reads =
+      Array.split (Array.init cfg.n (fun _ -> Grid_paxos.Storage.memory ()))
     in
-    let ctls =
-      Array.init cfg.n (fun _ ->
-          { Grid_paxos.Storage.tear_rate = 0.0; drop_rate = 0.0;
-            drop_meta_only = true; torn = 0; dropped = 0 })
-    in
-    for i = 0 to cfg.n - 1 do
-      let mem, read = Grid_paxos.Storage.memory () in
-      let store, ctl =
-        Grid_paxos.Storage.faulty
-          ~rng:(Rng.of_int ((seed * 31) + i))
-          ~drop_rate:meta_drop_prob ~drop_meta_only:true mem
-      in
-      stores.(i) <- store;
-      reads.(i) <- read;
-      ctls.(i) <- ctl
-    done;
     let wd_detail = ref [] in
     let wd =
       Grid_obs.Watchdog.create
@@ -637,12 +660,15 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         cfg;
         replicas =
           Array.init cfg.n (fun i ->
-              R.create ~cfg ~id:i ~seed:(seed + i) ~storage:stores.(i) ~obs
-                ~watchdog:wd ());
+              R.create ~cfg ~id:i ~seed:(seed + i) ~obs ~watchdog:wd ());
         down = Array.make cfg.n false;
         stores;
         reads;
-        ctls;
+        dice = Array.init cfg.n (fun i -> Rng.of_int ((seed * 31) + i));
+        armed = Array.make cfg.n false;
+        drop_prob = meta_drop_prob;
+        torn = 0;
+        dropped = 0;
         channels = Hashtbl.create 32;
         timers = [];
         vnow = 0.0;
@@ -754,11 +780,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
        we keep injecting unanswered requests and scheduling until all are
        answered or the budget runs out. *)
     sched.mode <- Record { nem = no_faults; frng = Rng.of_int seed };
-    Array.iter
-      (fun ctl ->
-        ctl.Grid_paxos.Storage.tear_rate <- 0.0;
-        ctl.drop_rate <- 0.0)
-      sched.ctls;
+    Array.fill sched.armed 0 cfg.n false;
+    sched.drop_prob <- 0.0;
     for i = 0 to cfg.n - 1 do
       if sched.down.(i) then revive sched i
     done;
@@ -874,10 +897,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       all_replied;
       plan;
       crashes = sched.crashes;
-      torn_persists =
-        Array.fold_left (fun n c -> n + c.Grid_paxos.Storage.torn) 0 sched.ctls;
-      meta_dropped =
-        Array.fold_left (fun n c -> n + c.Grid_paxos.Storage.dropped) 0 sched.ctls;
+      torn_persists = sched.torn;
+      meta_dropped = sched.dropped;
       duplicated = count (function Duplicate_at _ -> true | _ -> false);
       reordered = count (function Reorder_at _ -> true | _ -> false);
       drifted = count (function Drift_at _ -> true | _ -> false);

@@ -9,9 +9,9 @@
     - {b crashes and recoveries} at any step — recovery is
       crash-consistent: the replica is rebuilt from its persisted image
       via {!Grid_paxos.Replica.Make.load}, not from the in-memory object;
-    - {b torn persists}: a crash can instead be armed to strike inside
-      the victim's next storage write ({!Grid_paxos.Storage.Crashed}),
-      so the record is lost and the engine step never completes;
+    - {b torn persists}: a crash can instead be armed to strike at the
+      victim's next store write ({!persist_step}): the records and the
+      messages of that engine step are all lost;
     - {b metadata loss}: commit-point and snapshot records silently
       dropped on the way to disk (always repairable);
     - {b duplication}: a delivered message is re-enqueued at its
@@ -60,7 +60,7 @@ type nemesis = {
   reorder_prob : float;  (** per-delivery FIFO-escape probability *)
   meta_drop_prob : float;
       (** per-persist probability of silently losing a commit-point or
-          snapshot record (see {!Grid_paxos.Storage.fault_ctl}) *)
+          snapshot record (see {!persist_step}) *)
   drift_prob : float;
       (** per-step probability that one replica's clock jumps to a fresh
           offset; dice for it roll only when positive, so plans recorded
@@ -128,6 +128,27 @@ type outcome = {
           oracles, asserted silent on green schedules *)
   watchdog_detail : string list;  (** one line per violation, firing order *)
 }
+
+(** {1 Storage faults} *)
+
+type persist_fate =
+  | Torn  (** the step died at its first record: nothing of it survives *)
+  | Landed of { dropped : int; rest : Grid_paxos.Types.action list }
+      (** every record was written but [dropped] commit-point or snapshot
+          records; [rest] are the step's other actions, in order *)
+
+val persist_step :
+  Grid_paxos.Storage.t ->
+  rng:Grid_util.Rng.t ->
+  tear:bool ->
+  drop_prob:float ->
+  Grid_paxos.Types.action list ->
+  persist_fate
+(** Apply one engine step's {!Grid_paxos.Types.Persist} records to a
+    store under the fault dice. With [tear], a step with any record is
+    [Torn]; a step without records passes through. Otherwise each
+    commit-point or snapshot record is lost with probability
+    [drop_prob]; promise and entry records always land. *)
 
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)

@@ -225,9 +225,10 @@ type core = {
   obs : Span.Recorder.t;  (* spans timed on the wall clock (ms) *)
   actor : string;
   meters : net_meters;
+  store : Grid_paxos.Storage.t option;  (* a replica's stable storage *)
 }
 
-let create_core ?(obs = Span.Recorder.disabled)
+let create_core ?(obs = Span.Recorder.disabled) ~store
     ?(backoff_base_ms = default_backoff_base_ms)
     ?(backoff_cap_ms = default_backoff_cap_ms)
     ?(max_wire_version = Wire_codec.latest_version) ~node_id ~actor ~addresses
@@ -261,6 +262,7 @@ let create_core ?(obs = Span.Recorder.disabled)
     obs;
     actor;
     meters = make_meters ~peers:(List.map fst addresses) ();
+    store;
   }
 
 let wake core = try ignore (Unix.write_substring core.pipe_w "x" 0 1) with _ -> ()
@@ -435,6 +437,10 @@ let run_actions core actions =
     (function
       | Send { dst; msg } -> send_msg core ~dst msg
       | After { delay; timer } -> arm_timer core ~due:(now_ms () +. delay) timer
+      | Persist p ->
+        (* A step's records come before its sends: written here, they are
+           on the store before any send is queued. *)
+        Option.iter (fun store -> Grid_paxos.Storage.apply store p) core.store
       | Note s ->
         if Span.Recorder.enabled core.obs then
           Span.Recorder.note core.obs ~time:(now_ms ()) ~actor:core.actor s)
@@ -748,8 +754,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       | None -> Span.Recorder.create ~capacity:flight_capacity ~enabled:true ()
     in
     let core =
-      create_core ~obs ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
-        ~node_id:id ~actor ~addresses:peers ()
+      create_core ~obs ~store:storage ?backoff_base_ms ?backoff_cap_ms
+        ?max_wire_version ~node_id:id ~actor ~addresses:peers ()
     in
     (* Online invariant checks: counted in this node's registry and noted
        into the flight recorder, so /metrics and /flightrec both carry the
@@ -763,7 +769,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
             (Printf.sprintf "watchdog %s: %s" check detail))
         ()
     in
-    let replica = R.create ~cfg ~id ?storage ~obs ~actor ~watchdog () in
+    let replica = R.create ~cfg ~id ~obs ~actor ~watchdog () in
     let listener = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
     Unix.setsockopt listener SO_REUSEADDR true;
     Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
@@ -884,7 +890,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       Client.create ~id:cid ~replicas:(List.map fst replicas) ~retry_ms ?obs ()
     in
     let core =
-      create_core ?obs ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
+      create_core ?obs ~store:None ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
         ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
         ~addresses:replicas ()
     in

@@ -112,7 +112,9 @@ module Make (S : Service_intf.S) = struct
     rid : int;
     mutable now : float;  (* driver time of the input being handled *)
     rng : Rng.t;
-    storage : Storage.t;
+    mutable persisted : persist list;
+        (* store writes of the step being handled, newest first; [handle]
+           returns them ahead of the step's other actions *)
     log : Plog.t;
     mutable promised : Ballot.t;
     mutable role : role;
@@ -160,7 +162,7 @@ module Make (S : Service_intf.S) = struct
     wd : Watchdog.monitor;  (* runtime invariant checks; one-branch when off *)
   }
 
-  let create ~cfg ~id ?(storage = Storage.null ()) ?seed ?(obs = Span.Recorder.disabled)
+  let create ~cfg ~id ?seed ?(obs = Span.Recorder.disabled)
       ?actor ?(watchdog = Watchdog.disabled) () =
     let seed = match seed with Some s -> s | None -> 0x5eed + id in
     let actor = match actor with Some a -> a | None -> "r" ^ string_of_int id in
@@ -169,7 +171,7 @@ module Make (S : Service_intf.S) = struct
       rid = id;
       now = 0.0;
       rng = Rng.of_int seed;
-      storage;
+      persisted = [];
       log = Plog.create ();
       promised = Ballot.zero;
       role = Follower;
@@ -260,6 +262,7 @@ module Make (S : Service_intf.S) = struct
   let quorum t = Config.quorum t.cfg
 
   let note fmt = Format.kasprintf (fun s -> Note s) fmt
+  let persist t p = t.persisted <- p :: t.persisted
 
   let observe_round t round = if round > t.round_seen then t.round_seen <- round
   let heard t ~from ~now = if from >= 0 && from < t.cfg.n then t.last_heard.(from) <- now
@@ -376,8 +379,8 @@ module Make (S : Service_intf.S) = struct
          it has yet to apply, and those must stay in the log until it
          does. *)
       if t.commits_seen mod t.cfg.snapshot_interval = 0 then begin
-        t.storage.persist_snapshot
-          (Snapshot.encode { (current_snapshot t) with commit_point = instance });
+        persist t
+          (Snapshot (Snapshot.encode { (current_snapshot t) with commit_point = instance }));
         Plog.prune_below t.log instance
       end
 
@@ -386,8 +389,8 @@ module Make (S : Service_intf.S) = struct
       t.app_state <- S.decode_state snap.state;
       Committed.restore t.tables snap;
       Plog.install_commit_point t.log snap.commit_point;
-      t.storage.persist_commit snap.commit_point;
-      t.storage.persist_snapshot (Snapshot.encode snap)
+      persist t (Commit_point snap.commit_point);
+      persist t (Snapshot (Snapshot.encode snap))
     end
 
   (* ------------------------------------------------------------------ *)
@@ -810,7 +813,7 @@ module Make (S : Service_intf.S) = struct
         match t.role with Leader _ | Candidate _ -> step_down t | Follower -> []
       in
       t.promised <- ballot;
-      t.storage.persist_promise ballot;
+      persist t (Promise ballot);
       demoted
     end
 
@@ -821,7 +824,7 @@ module Make (S : Service_intf.S) = struct
     let acks = Bitset.create t.cfg.n in
     Bitset.set acks t.rid;
     ignore (Plog.accept t.log ~instance ~ballot:l.l_ballot proposal);
-    t.storage.persist_entry ~instance ~ballot:l.l_ballot proposal;
+    persist t (Entry { instance; ballot = l.l_ballot; proposal });
     let fl =
       {
         fl_instance = instance;
@@ -842,7 +845,7 @@ module Make (S : Service_intf.S) = struct
   and do_commit t (l : leadership) (fl : inflight) =
     span_requests t Span.Accept_quorum ~instance:fl.fl_instance fl.fl_proposal.requests;
     ignore (Plog.commit t.log ~instance:fl.fl_instance);
-    t.storage.persist_commit (Plog.commit_point t.log);
+    persist t (Commit_point (Plog.commit_point t.log));
     t.app_state <- fl.fl_post_state;
     let prepared_before = Hashtbl.length t.tables.prepared in
     let frozen_before = t.tables.frozen in
@@ -1368,7 +1371,7 @@ module Make (S : Service_intf.S) = struct
     t.round_seen <- t.round_seen + 1;
     let ballot = Ballot.make ~round:t.round_seen ~holder:t.rid in
     t.promised <- ballot;
-    t.storage.persist_promise ballot;
+    persist t (Promise ballot);
     let acks = Bitset.create t.cfg.n in
     Bitset.set acks t.rid;
     let merged = Hashtbl.create 8 in
@@ -1447,7 +1450,7 @@ module Make (S : Service_intf.S) = struct
          itself an Accept). *)
       let demoted = adopt_promise t ballot in
       if Plog.accept t.log ~instance ~ballot proposal then
-        t.storage.persist_entry ~instance ~ballot proposal;
+        persist t (Entry { instance; ballot; proposal });
       demoted @ [ send ~dst:src (Accept_ack { ballot; instance }) ]
     end
     else [ send ~dst:src (Reject { promised = t.promised }) ]
@@ -1494,7 +1497,7 @@ module Make (S : Service_intf.S) = struct
       else begin
         apply_committed t ~mode:Live ~from:(before + 1);
         let after_cp = Plog.commit_point t.log in
-        t.storage.persist_commit after_cp;
+        persist t (Commit_point after_cp);
         (* A commit beyond our contiguous prefix means we missed earlier
            instances: fetch a snapshot. *)
         if after_cp < instance then
@@ -1662,7 +1665,7 @@ module Make (S : Service_intf.S) = struct
 
   (* The inline-E path passes nan as [now]; substitute the driver time so
      services always observe a real clock. *)
-  let handle t ~now input =
+  let step t ~now input =
     t.now <- now;
     match input with
     | Timer timer -> (
@@ -1750,6 +1753,16 @@ module Make (S : Service_intf.S) = struct
         (* Semi-passive wire traffic is handled by Semi_passive.Make. *)
         [])
 
+  (* The step's store writes come first, in the order it made them, so a
+     driver makes them durable before anything that depends on them
+     leaves. *)
+  let with_persists t actions =
+    let ps = t.persisted in
+    t.persisted <- [];
+    List.fold_left (fun acc p -> Persist p :: acc) actions ps
+
+  let handle t ~now input = with_persists t (step t ~now input)
+
   let restart t ~now =
     t.now <- now;
     (* A crashed process sends nothing; drop the demotion replies. *)
@@ -1768,7 +1781,8 @@ module Make (S : Service_intf.S) = struct
     t.candidate_since <- None;
     Array.fill t.last_heard 0 t.cfg.n neg_infinity;
     heard t ~from:t.rid ~now;
-    bootstrap t
+    (* [load]'s re-persist of its snapshot comes out here. *)
+    with_persists t (bootstrap t)
 
   let load t (p : Storage.persisted) =
     t.promised <- p.promised;

@@ -51,7 +51,6 @@ module Make (S : Service_intf.S) : sig
   val create :
     cfg:Config.t ->
     id:int ->
-    ?storage:Storage.t ->
     ?seed:int ->
     ?obs:Grid_obs.Span.Recorder.t ->
     ?actor:string ->
@@ -73,16 +72,22 @@ module Make (S : Service_intf.S) : sig
       feeding inputs. *)
 
   val handle : t -> now:float -> Types.input -> Types.action list
+  (** One step. The promise, entries, commit point and snapshots the step
+      must make durable come first, as {!Types.Persist} actions in the
+      order it made them; the driver applies them (or ignores them when
+      it keeps no store) before any of the step's sends leave. *)
 
   val restart : t -> now:float -> Types.action list
   (** Simulate a crash-recovery that loses volatile state: leadership,
       candidacies, pending reads and transactions are dropped; the log,
       promise and committed state (the durable part) survive. Returns the
-      bootstrap timers. *)
+      bootstrap timers, after the records a preceding {!load} re-persisted. *)
 
   val load : t -> Storage.persisted -> unit
   (** Install a persisted image (from {!Storage.file} or
-      {!Storage.memory}) into a freshly created replica. *)
+      {!Storage.memory}) into a freshly created replica. A snapshot in the
+      image is persisted again; those records come out with the next
+      {!restart} or {!handle}. *)
 
   (** {1 Introspection} *)
 

@@ -20,19 +20,6 @@ type recovery_report = {
   log_truncated : bool;
 }
 
-let clean_report =
-  {
-    frames_ok = 0;
-    records_dropped = 0;
-    bytes_salvaged = 0;
-    bytes_dropped = 0;
-    torn_tail = false;
-    interior_corruption = false;
-    snapshot_used = false;
-    snapshot_corrupt = false;
-    log_truncated = false;
-  }
-
 let pp_report ppf r =
   Format.fprintf ppf
     "frames=%d dropped=%d salvaged=%dB lost=%dB torn=%b interior=%b snap=%b snap_bad=%b \
@@ -47,13 +34,11 @@ type t = {
   persist_snapshot : string -> unit;
 }
 
-let null () =
-  {
-    persist_promise = (fun _ -> ());
-    persist_entry = (fun ~instance:_ ~ballot:_ _ -> ());
-    persist_commit = (fun _ -> ());
-    persist_snapshot = (fun _ -> ());
-  }
+let apply t = function
+  | Types.Promise b -> t.persist_promise b
+  | Entry { instance; ballot; proposal } -> t.persist_entry ~instance ~ballot proposal
+  | Commit_point cp -> t.persist_commit cp
+  | Snapshot s -> t.persist_snapshot s
 
 let memory () =
   let promised = ref Types.Ballot.zero in
@@ -269,51 +254,7 @@ let file ~path =
   (store, recovered, report)
 
 (* ------------------------------------------------------------------ *)
-(* Nemesis: fault-injecting storage wrapper and file-corruption helpers *)
-
-exception Crashed
-
-type fault_ctl = {
-  mutable tear_rate : float;
-  mutable drop_rate : float;
-  mutable drop_meta_only : bool;
-  mutable torn : int;
-  mutable dropped : int;
-}
-
-let faulty ~rng ?(tear_rate = 0.0) ?(drop_rate = 0.0) ?(drop_meta_only = true) inner =
-  let ctl = { tear_rate; drop_rate; drop_meta_only; torn = 0; dropped = 0 } in
-  (* A tear models the process dying mid-write: the record is lost AND
-     control never returns to the engine (we raise), so no action guarded
-     by this persist can be emitted — which is what keeps tear injection
-     sound for the safety checkers. A drop models a lost fsync: the call
-     "succeeds" but the record never hits the platter; unless
-     [drop_meta_only] is cleared this only afflicts commit-point and
-     snapshot records, whose loss recovery can always repair from the
-     entry log and peers. *)
-  let gate ~meta k =
-    if ctl.tear_rate > 0.0 && Rng.float rng 1.0 < ctl.tear_rate then begin
-      ctl.torn <- ctl.torn + 1;
-      raise Crashed
-    end
-    else if
-      ctl.drop_rate > 0.0
-      && ((not ctl.drop_meta_only) || meta)
-      && Rng.float rng 1.0 < ctl.drop_rate
-    then ctl.dropped <- ctl.dropped + 1
-    else k ()
-  in
-  let store =
-    {
-      persist_promise = (fun b -> gate ~meta:false (fun () -> inner.persist_promise b));
-      persist_entry =
-        (fun ~instance ~ballot p ->
-          gate ~meta:false (fun () -> inner.persist_entry ~instance ~ballot p));
-      persist_commit = (fun cp -> gate ~meta:true (fun () -> inner.persist_commit cp));
-      persist_snapshot = (fun s -> gate ~meta:true (fun () -> inner.persist_snapshot s));
-    }
-  in
-  (store, ctl)
+(* Nemesis: file-corruption helpers *)
 
 (* Damage a closed log file in place, as a crash or failing disk would.
    Both return [false] when the file is missing or too small to damage. *)

@@ -2,17 +2,19 @@
 
     The protocol requires three things to survive a crash: the promised
     ballot, accepted log entries, and the commit point (plus a state
-    snapshot so recovery does not replay from the beginning). Storage is
-    a record of synchronous persist hooks so engines stay pure; three
-    backends are provided:
+    snapshot so recovery does not replay from the beginning). The engine
+    emits these as {!Types.Persist} actions and each driver applies them
+    to its store with {!apply}, before the sends of the same step leave.
+    Two backends are provided:
 
-    - {!null}: persists nothing (benchmarks — the paper's evaluation does
-      not model disk latency either);
     - {!memory}: keeps the persisted image in memory (crash-recovery
-      tests that simulate losing volatile state only);
-    - {!file}: an append-only CRC-protected log plus snapshot file;
-    - {!faulty}: a nemesis wrapper over any backend that injects torn
-      writes (crash mid-persist) and lost fsyncs. *)
+      tests and the model checker, which simulate losing volatile state
+      only);
+    - {!file}: an append-only CRC-protected log plus snapshot file.
+
+    A driver with no store ignores the records. Storage faults (torn
+    writes, lost fsyncs) belong to the model checker's nemesis
+    ([Mcheck.persist_step]); {!tear_log} damages a real log file. *)
 
 type persisted = {
   promised : Types.Ballot.t;
@@ -28,7 +30,8 @@ type t = {
   persist_snapshot : string -> unit;
 }
 
-val null : unit -> t
+val apply : t -> Types.persist -> unit
+(** Write one record through the matching hook. *)
 
 val memory : unit -> t * (unit -> persisted)
 (** The second component reads back the current persisted image. *)
@@ -47,7 +50,6 @@ type recovery_report = {
   log_truncated : bool;  (** the log was cut back to its valid prefix *)
 }
 
-val clean_report : recovery_report
 val pp_report : Format.formatter -> recovery_report -> unit
 
 val file : path:string -> t * persisted option * recovery_report
@@ -62,35 +64,6 @@ val file : path:string -> t * persisted option * recovery_report
     snapshot catch-up path. *)
 
 (** {1 Nemesis} *)
-
-exception Crashed
-(** Raised by a {!faulty} store to model the process dying mid-persist:
-    the record is lost and the engine step that issued it never completes,
-    so no message guarded by the persist escapes — which is what makes
-    torn-write injection sound for the safety checkers. *)
-
-type fault_ctl = {
-  mutable tear_rate : float;  (** probability a persist raises {!Crashed} *)
-  mutable drop_rate : float;  (** probability a persist is silently lost *)
-  mutable drop_meta_only : bool;
-      (** restrict drops to commit-point/snapshot records, whose loss is
-          always repairable (defaults to [true]; dropping promise or entry
-          records models real fsync lies but can genuinely break Paxos's
-          durability contract — only safe for degradation experiments) *)
-  mutable torn : int;  (** counters, for assertions and reports *)
-  mutable dropped : int;
-}
-
-val faulty :
-  rng:Grid_util.Rng.t ->
-  ?tear_rate:float ->
-  ?drop_rate:float ->
-  ?drop_meta_only:bool ->
-  t ->
-  t * fault_ctl
-(** Wrap a store with seeded fault dice. Rates default to [0.]; mutate
-    the returned {!fault_ctl} to steer injection mid-run (e.g. disable
-    tearing during a drain phase). *)
 
 val tear_log : path:string -> rng:Grid_util.Rng.t -> bool
 (** Chop 1–64 random trailing bytes off [path ^ ".log"], as a crash mid

@@ -313,6 +313,15 @@ let decode_proposal d : proposal =
 (** A log entry carried in recovery messages. *)
 type recovery_entry = { instance : int; ballot : Ballot.t; proposal : proposal }
 
+(** What must be on stable storage before the sends of the step that
+    produced it leave: the promise, an accepted entry, the commit point,
+    or an encoded {!Snapshot.t}. *)
+type persist =
+  | Promise of Ballot.t
+  | Entry of recovery_entry
+  | Commit_point of int
+  | Snapshot of string
+
 type msg =
   | Client_req of request
   | Reply_msg of reply
@@ -677,6 +686,9 @@ let client_of_node node = Ids.Client_id.of_int (node - client_node_base)
 type action =
   | Send of { dst : int; msg : msg }
   | After of { delay : float; timer : timer }
+  | Persist of persist
+      (** a store write; a step's [Persist]s come before its [Send]s and
+          [After]s. Drivers without a store ignore them. *)
   | Note of string  (** trace hint; drivers may log or ignore *)
 
 let send ~dst msg = Send { dst; msg }
@@ -685,4 +697,8 @@ let after ~delay timer = After { delay; timer }
 let pp_action ppf = function
   | Send { dst; msg } -> Format.fprintf ppf "send->%d %a" dst pp_msg msg
   | After { delay; timer } -> Format.fprintf ppf "after %.3f %a" delay pp_timer timer
+  | Persist (Promise b) -> Format.fprintf ppf "persist promise %a" Ballot.pp b
+  | Persist (Entry e) -> Format.fprintf ppf "persist entry %d@%a" e.instance Ballot.pp e.ballot
+  | Persist (Commit_point cp) -> Format.fprintf ppf "persist commit_point %d" cp
+  | Persist (Snapshot s) -> Format.fprintf ppf "persist snapshot (%dB)" (String.length s)
   | Note s -> Format.fprintf ppf "note %s" s

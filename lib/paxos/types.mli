@@ -150,6 +150,15 @@ val decode_proposal : Grid_codec.Wire.Decoder.t -> proposal
 (** A log entry carried in recovery messages. *)
 type recovery_entry = { instance : int; ballot : Ballot.t; proposal : proposal }
 
+(** What must be on stable storage before the sends of the step that
+    produced it leave: the promise, an accepted entry, the commit point,
+    or an encoded {!Snapshot.t}. *)
+type persist =
+  | Promise of Ballot.t
+  | Entry of recovery_entry
+  | Commit_point of int
+  | Snapshot of string
+
 type msg =
   | Client_req of request
   | Reply_msg of reply
@@ -265,6 +274,9 @@ val client_of_node : int -> Grid_util.Ids.Client_id.t
 type action =
   | Send of { dst : int; msg : msg }
   | After of { delay : float; timer : timer }
+  | Persist of persist
+      (** a store write; a step's [Persist]s come before its [Send]s and
+          [After]s. Drivers without a store ignore them. *)
   | Note of string  (** trace hint; drivers may log or ignore *)
 
 val send : dst:int -> msg -> action

@@ -118,6 +118,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
              if (not t.down.(i)) && t.incarnation.(i) = armed_in then
                dispatch_replica t i
                  (R.handle t.replicas.(i) ~now:(rnow t i) (Timer timer))))
+    | Persist _ -> ()  (* the simulator keeps no store *)
     | Note s ->
       Span.Recorder.note t.obs ~time:(Engine.now t.eng) ~actor:t.replica_actors.(i) s
 
@@ -143,6 +144,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
                      Client.handle slot.client ~now:(Engine.now t.eng) (Timer timer)
                    in
                    dispatch_client t node actions reply))
+        | Persist _, _ -> ()
         | Note s, slot ->
           let actor =
             match slot with Some sl -> sl.actor | None -> Printf.sprintf "n%d" node

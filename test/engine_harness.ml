@@ -14,6 +14,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   type t = {
     replicas : Replica.t array;
+    stores : Grid_paxos.Storage.t option array;
     (* Undelivered messages, in send order. *)
     mutable pending : (int * int * msg) list;  (* (src, dst, msg) *)
     mutable timers : (int * timer) list;
@@ -21,7 +22,18 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     mutable now : float;
   }
 
+  (* Every step's records must precede its sends and timers: the harness
+     fails any test whose engine breaks that order. *)
   let absorb t i actions =
+    ignore
+      (List.fold_left
+         (fun sent a ->
+           match a with
+           | Persist _ when sent ->
+             Alcotest.failf "replica %d: a Persist follows a Send or After" i
+           | Send _ | After _ -> true
+           | Persist _ | Note _ -> sent)
+         false actions);
     List.iter
       (function
         | Send { dst; msg } ->
@@ -32,16 +44,18 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
           end
           else t.pending <- t.pending @ [ (i, dst, msg) ]
         | After { timer; _ } -> t.timers <- t.timers @ [ (i, timer) ]
+        | Persist p -> Option.iter (fun s -> Grid_paxos.Storage.apply s p) t.stores.(i)
         | Note _ -> ())
       actions
 
   (* [storage i] is replica [i]'s store (default: none). *)
-  let create ?(n = 3) ?(cfg_tweak = Fun.id) ?(storage = fun _ -> Grid_paxos.Storage.null ()) () =
+  let create ?(n = 3) ?(cfg_tweak = Fun.id) ?(storage = fun _ -> None) () =
     let cfg = cfg_tweak (Grid_paxos.Config.make ~n ~record_history:true ()) in
-    let replicas =
-      Array.init n (fun i -> Replica.create ~cfg ~id:i ~seed:(100 + i) ~storage:(storage i) ())
+    let replicas = Array.init n (fun i -> Replica.create ~cfg ~id:i ~seed:(100 + i) ()) in
+    let t =
+      { replicas; stores = Array.init n storage; pending = []; timers = []; replies = [];
+        now = 0.0 }
     in
-    let t = { replicas; pending = []; timers = []; replies = []; now = 0.0 } in
     Array.iteri (fun i r -> absorb t i (Replica.bootstrap r)) replicas;
     t
 

@@ -146,6 +146,60 @@ let test_mcheck_deterministic_replay () =
   Alcotest.(check int) "same timer fires" o1.timer_fires o2.timer_fires;
   Alcotest.(check (array int)) "same commit points" o1.committed o2.committed
 
+(* The model checker's storage dice, one engine step at a time: a torn
+   step loses every record from its first on, with its sends and
+   timers, while earlier steps' records stay; meta drops hit only
+   commit-point and snapshot records. *)
+let test_mcheck_persist_dice () =
+  let module Storage = Grid_paxos.Storage in
+  let ballot round = Ballot.make ~round ~holder:0 in
+  let entry =
+    { instance = 1; ballot = ballot 2;
+      proposal = { requests = [ mk_req 1 ]; update = Full "s"; replies = [] } }
+  in
+  let send = Send { dst = 1; msg = Reject { promised = ballot 2 } } in
+  let timer = After { delay = 1.0; timer = Hb_tick } in
+  let store, read = Storage.memory () in
+  let rng = Grid_util.Rng.of_int 3 in
+  let step ?(tear = false) ?(drop_prob = 0.0) actions =
+    Grid_check.Mcheck.persist_step store ~rng ~tear ~drop_prob actions
+  in
+  let landed what ~dropped ~rest = function
+    | Grid_check.Mcheck.Landed l ->
+      Alcotest.(check int) (what ^ ": dropped") dropped l.dropped;
+      Alcotest.(check bool) (what ^ ": other actions kept in order") true (l.rest = rest)
+    | Torn -> Alcotest.failf "%s: unexpected tear" what
+  in
+  (* No dice armed: every record lands. *)
+  landed "clean step" ~dropped:0 ~rest:[ send; timer ]
+    (step [ Persist (Promise (ballot 2)); Persist (Commit_point 1); send; timer ]);
+  (* Armed tear: a step without records passes; the next one with
+     records dies whole. *)
+  landed "no records to tear" ~dropped:0 ~rest:[ send ] (step ~tear:true [ send ]);
+  (match
+     step ~tear:true
+       [ Persist (Promise (ballot 3)); Persist (Entry entry); Persist (Commit_point 5);
+         send; timer ]
+   with
+  | Torn -> ()
+  | Landed _ -> Alcotest.fail "an armed tear must strike the step's first record");
+  let p = read () in
+  Alcotest.(check bool) "earlier promise stays" true (Ballot.equal (ballot 2) p.promised);
+  Alcotest.(check int) "earlier commit point stays" 1 p.commit_point;
+  Alcotest.(check int) "torn entry lost" 0 (List.length p.entries);
+  (* Meta drops: commit-point and snapshot records vanish, but the
+     promise and entry records the durability contract depends on land. *)
+  landed "meta drops" ~dropped:2 ~rest:[ send ]
+    (step ~drop_prob:1.0
+       [ Persist (Commit_point 4); Persist (Snapshot "gone"); Persist (Entry entry);
+         Persist (Promise (ballot 3)); send ]);
+  let p = read () in
+  Alcotest.(check int) "commit dropped" 1 p.commit_point;
+  Alcotest.(check (option string)) "snapshot dropped" None p.snapshot;
+  Alcotest.(check int) "entry persisted despite drop dice" 1 (List.length p.entries);
+  Alcotest.(check bool) "promise persisted despite drop dice" true
+    (Ballot.equal (ballot 3) p.promised)
+
 (* Convert model-checker replies into a counter history: each client's
    ops are sequential (program order via invocation windows), ordering
    across clients unknown, so cross-client events overlap fully. A
@@ -312,6 +366,7 @@ let suite =
         Alcotest.test_case "150 crashy schedules" `Slow test_mcheck_with_crashes;
         Alcotest.test_case "seeded replay is deterministic" `Quick
           test_mcheck_deterministic_replay;
+        Alcotest.test_case "storage dice tear and drop" `Quick test_mcheck_persist_dice;
         Alcotest.test_case "reply histories linearizable" `Slow
           test_mcheck_reads_linearizable;
       ] );

@@ -243,18 +243,22 @@ let test_file_storage_reload () =
       (* Phase 1: drive a replica directly through the engine API with a
          file store, simulating the leader's persistence. *)
       let store, _, _ = Storage.file ~path in
-      let r = Replica.create ~cfg:c ~id:0 ~storage:store () in
+      let r = Replica.create ~cfg:c ~id:0 () in
       ignore (Replica.bootstrap r);
+      (* Apply each step's records to the store; the sends go nowhere. *)
+      let persist acts =
+        List.iter (function Persist p -> Storage.apply store p | _ -> ()) acts
+      in
       (* Manufacture commits by feeding the engine a full leader cycle:
          promote r0 to leader via timers, then have clients write. *)
-      let fire timer = ignore (Replica.handle r ~now:0.0 (Timer timer)) in
+      let fire timer = persist (Replica.handle r ~now:0.0 (Timer timer)) in
       fire Suspicion_tick;
-      ignore (Replica.handle r ~now:100.0 (Timer Suspicion_tick));
-      ignore (Replica.handle r ~now:200.0 (Timer (Stability_check 0)));
+      persist (Replica.handle r ~now:100.0 (Timer Suspicion_tick));
+      persist (Replica.handle r ~now:200.0 (Timer (Stability_check 0)));
       (* r0 is now candidate; feed prepare acks from 1 and 2. *)
       let b = Replica.ballot r in
       let ack src =
-        ignore
+        persist
           (Replica.handle r ~now:210.0
              (Receive
                 {
@@ -275,10 +279,10 @@ let test_file_storage_reload () =
             trace = no_trace;
           }
         in
-        ignore
+        persist
           (Replica.handle r ~now:(220.0 +. Float.of_int seq)
              (Receive { src = client_node req.id.client; msg = Client_req req }));
-        ignore
+        persist
           (Replica.handle r ~now:(221.0 +. Float.of_int seq)
              (Receive
                 {

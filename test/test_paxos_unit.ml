@@ -318,13 +318,28 @@ let test_storage_file_latest_entry_wins () =
           (List.hd e.proposal.requests).payload
       | _ -> Alcotest.fail "expected single entry")
 
+(* A driver without a store ignores the engine's records; one with a
+   store writes each through its hook. *)
 let test_storage_null () =
-  let store = Storage.null () in
-  store.persist_promise (ballot 1);
-  store.persist_entry ~instance:1 ~ballot:(ballot 1) (mk_proposal ());
-  store.persist_commit 1;
-  store.persist_snapshot "s"
-(* nothing to assert: just must not fail *)
+  let records =
+    [
+      Types.Promise (ballot 1);
+      Entry { instance = 1; ballot = ballot 1; proposal = mk_proposal () };
+      Commit_point 1;
+      Snapshot "s";
+    ]
+  in
+  let drive store =
+    List.iter (fun p -> Option.iter (fun s -> Storage.apply s p) store) records
+  in
+  drive None;
+  let mem, read = Storage.memory () in
+  drive (Some mem);
+  let p = read () in
+  Alcotest.(check bool) "promise" true (Ballot.equal (ballot 1) p.promised);
+  Alcotest.(check int) "entries" 1 (List.length p.entries);
+  Alcotest.(check int) "commit point" 1 p.commit_point;
+  Alcotest.(check (option string)) "snapshot" (Some "s") p.snapshot
 
 (* Recovery edges: what the report says and what survives when the log
    is torn, bit-flipped, or missing. *)
@@ -431,34 +446,6 @@ let test_storage_snapshot_corrupt () =
       | Some p ->
         Alcotest.(check (option string)) "fell back to log replay" None p.snapshot;
         Alcotest.(check int) "commit from log" 5 p.commit_point)
-
-let test_storage_faulty_wrapper () =
-  let inner, read = Storage.memory () in
-  let store, ctl = Storage.faulty ~rng:(Grid_util.Rng.of_int 3) inner in
-  (* No rates armed: transparent. *)
-  store.persist_promise (ballot 2);
-  Alcotest.(check bool) "passthrough" true (Ballot.equal (ballot 2) (read ()).promised);
-  (* Armed tear: the persist dies mid-write, the record is lost. *)
-  ctl.Storage.tear_rate <- 1.0;
-  Alcotest.check_raises "torn persist raises" Storage.Crashed (fun () ->
-      store.persist_commit 1);
-  Alcotest.(check int) "tear counted" 1 ctl.torn;
-  Alcotest.(check int) "record lost" 0 (read ()).commit_point;
-  ctl.tear_rate <- 0.0;
-  (* Meta-only drops: commit/snapshot records vanish silently, but the
-     promise and entry records the durability contract depends on land. *)
-  ctl.drop_rate <- 1.0;
-  store.persist_commit 4;
-  store.persist_snapshot "gone";
-  store.persist_entry ~instance:1 ~ballot:(ballot 2) (mk_proposal ());
-  store.persist_promise (ballot 3);
-  let p = read () in
-  Alcotest.(check int) "commit dropped" 0 p.commit_point;
-  Alcotest.(check (option string)) "snapshot dropped" None p.snapshot;
-  Alcotest.(check int) "entry persisted despite drop dice" 1 (List.length p.entries);
-  Alcotest.(check bool) "promise persisted despite drop dice" true
-    (Ballot.equal (ballot 3) p.promised);
-  Alcotest.(check int) "drops counted" 2 ctl.dropped
 
 (* ------------------------------------------------------------------ *)
 (* Snapshot *)
@@ -602,8 +589,6 @@ let suite =
         Alcotest.test_case "snapshot-only recovery" `Quick test_storage_snapshot_only;
         Alcotest.test_case "corrupt snapshot falls back to log" `Quick
           test_storage_snapshot_corrupt;
-        Alcotest.test_case "faulty wrapper tears and drops" `Quick
-          test_storage_faulty_wrapper;
       ] );
     ( "paxos.footprint",
       Alcotest.test_case "wildcard and empty" `Quick test_footprint_cases

@@ -65,7 +65,7 @@ let recovered_equals_live ~snapshot_interval () =
   let mem, read = Storage.memory () in
   let t =
     H.create ~cfg_tweak:(fun _ -> cfg)
-      ~storage:(fun i -> if i = 1 then mem else Storage.null ())
+      ~storage:(fun i -> if i = 1 then Some mem else None)
       ()
   in
   H.elect t 0;
@@ -124,10 +124,93 @@ let recovered_equals_live ~snapshot_interval () =
     (fun r -> Alcotest.(check int) "no new instance" 11 (Replica.commit_point r))
     t.replicas
 
+(* Persistence as engine actions, end to end over a scenario that makes
+   every kind of record: election promises, a leader's and followers'
+   accepts and commits, periodic snapshots, a catch-up snapshot install,
+   and [load] + [restart]. The harness fails the test if any action list
+   has a [Persist] after a [Send] or [After]; here each replica's records
+   go to a memory store, and that image must load back into the live
+   replica's commit point and state. *)
+let persists_recover_live () =
+  let cfg = Config.make ~n:3 ~record_history:true ~snapshot_interval:3 () in
+  let written = ref [] in
+  (* A memory store that also notes which replica wrote which record kind. *)
+  let store i =
+    let mem, read = Storage.memory () in
+    let note kind = written := (i, kind) :: !written in
+    ( {
+        Storage.persist_promise = (fun b -> note `Promise; mem.persist_promise b);
+        persist_entry =
+          (fun ~instance ~ballot p ->
+            note `Entry;
+            mem.persist_entry ~instance ~ballot p);
+        persist_commit = (fun cp -> note `Commit; mem.persist_commit cp);
+        persist_snapshot = (fun s -> note `Snapshot; mem.persist_snapshot s);
+      },
+      read )
+  in
+  let stores = Array.init 3 store in
+  let t = H.create ~cfg_tweak:(fun _ -> cfg) ~storage:(fun i -> Some (fst stores.(i))) () in
+  let wrote i kind = List.mem (i, kind) !written in
+  let write ?(filter = fun _ _ _ -> true) seq =
+    H.submit t (H.client_request ~seq ~rtype:Write ~payload:(put (Printf.sprintf "k%d" seq)) ());
+    H.deliver_all ~filter t;
+    H.drop t ~filter:(fun src dst msg -> not (filter src dst msg));
+    ignore (H.take_replies t)
+  in
+  H.elect t 0;
+  Alcotest.(check bool) "candidate and voters persist promises" true
+    (wrote 0 `Promise && wrote 1 `Promise && wrote 2 `Promise);
+  List.iter write [ 1; 2 ];
+  (* Replica 2 misses instances 3-5, then learns of 6 and catches up
+     from the leader's snapshot. *)
+  List.iter (write ~filter:(fun _ dst _ -> dst <> 2)) [ 3; 4; 5 ];
+  Alcotest.(check int) "replica 2 behind" 2 (Replica.commit_point t.replicas.(2));
+  write 6;
+  Alcotest.(check int) "replica 2 caught up" 6 (Replica.commit_point t.replicas.(2));
+  let snapshot_cp i =
+    match ((snd stores.(i)) ()).snapshot with
+    | Some s -> (Grid_paxos.Snapshot.decode s).commit_point
+    | None -> 0
+  in
+  Alcotest.(check int) "catch-up snapshot persisted" 6 (snapshot_cp 2);
+  List.iter write [ 7; 8; 9 ];
+  Alcotest.(check bool) "leader persists entries, commits and snapshots" true
+    (wrote 0 `Entry && wrote 0 `Commit && wrote 0 `Snapshot);
+  Alcotest.(check bool) "followers persist entries and commits" true
+    (wrote 1 `Entry && wrote 1 `Commit && wrote 2 `Entry && wrote 2 `Commit);
+  Alcotest.(check int) "periodic snapshot" 9 (snapshot_cp 1);
+  let recovers i =
+    let live = t.replicas.(i) in
+    let back = Replica.create ~cfg ~id:i ~seed:(100 + i) () in
+    Replica.load back ((snd stores.(i)) ());
+    Alcotest.(check int)
+      (Printf.sprintf "replica %d commit point" i)
+      (Replica.commit_point live) (Replica.commit_point back);
+    Alcotest.(check string)
+      (Printf.sprintf "replica %d state" i)
+      (Kv.encode_state (Replica.state live))
+      (Kv.encode_state (Replica.state back));
+    back
+  in
+  List.iter (fun i -> ignore (recovers i)) [ 0; 1; 2 ];
+  (* Replica 2 restarts from its image: [load]'s re-persisted snapshot
+     comes out with [restart]'s timers, and the store still recovers. *)
+  let back = recovers 2 in
+  t.replicas.(2) <- back;
+  written := [];
+  H.absorb t 2 (Replica.restart back ~now:t.now);
+  Alcotest.(check bool) "restart re-persists the loaded snapshot" true (wrote 2 `Snapshot);
+  ignore (recovers 2);
+  write 10;
+  List.iter (fun i -> ignore (recovers i)) [ 0; 1; 2 ]
+
 let suite =
   [
     ( "replica.recovery",
       [
+        Alcotest.test_case "persists precede sends and recover the live replica" `Quick
+          persists_recover_live;
         Alcotest.test_case "recovered = live (log replay only)" `Quick
           (recovered_equals_live ~snapshot_interval:1000);
         Alcotest.test_case "recovered = live (snapshot + replay)" `Quick

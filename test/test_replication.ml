@@ -319,7 +319,7 @@ let test_ship_fallback_accounted_as_full () =
     (fun ship ->
       let cfg = Config.make ~n:1 ~record_history:true ~ship () in
       let storage, persisted = Grid_paxos.Storage.memory () in
-      let r = R_diffless.create ~cfg ~id:0 ~storage () in
+      let r = R_diffless.create ~cfg ~id:0 () in
       (* Minimal event loop for the solo replica: fire armed timers in
          virtual-time order until it elects itself. *)
       let now = ref 0.0 in
@@ -328,6 +328,7 @@ let test_ship_fallback_accounted_as_full () =
         List.iter
           (function
             | After { timer; delay } -> timers := (!now +. delay, timer) :: !timers
+            | Persist p -> Grid_paxos.Storage.apply storage p
             | Send _ | Note _ -> ())
           acts
       in
