@@ -794,18 +794,19 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     done;
     let all_replied = pending_count () = 0 in
     refresh_oracle sched;
+    (* The first reply each (client, seq) saw: what the client acted on. *)
+    let first : (int * int, reply) Hashtbl.t = Hashtbl.create 16 in
+    List.iter
+      (fun (r : reply) ->
+        let key = (Grid_util.Ids.Client_id.to_int r.req.client, r.req.seq) in
+        if not (Hashtbl.mem first key) then Hashtbl.replace first key r)
+      (List.rev sched.replies);
     (* Stale-read oracle: the first reply a client saw for each read must
        equal that read evaluated on some committed state at or after the
        read's watermark — i.e. the read reflects every write committed
        before it was issued. Sound for deterministic read results (all
        built-in services); the leased fast path must not weaken this. *)
     let stale_reads =
-      let first : (int * int, reply) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun (r : reply) ->
-          let key = (Grid_util.Ids.Client_id.to_int r.req.client, r.req.seq) in
-          if not (Hashtbl.mem first key) then Hashtbl.replace first key r)
-        (List.rev sched.replies);
       let max_i = oracle_max () in
       let read_rng = Rng.of_int seed in
       let result_on st op =
@@ -844,12 +845,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
        appear in some committed instance of the union oracle. A shed
        request never gets an [Ok], so overload cannot mask a loss. *)
     let lost_admitted =
-      let first : (int * int, reply) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun (r : reply) ->
-          let key = (Grid_util.Ids.Client_id.to_int r.req.client, r.req.seq) in
-          if not (Hashtbl.mem first key) then Hashtbl.replace first key r)
-        (List.rev sched.replies);
       Hashtbl.fold
         (fun ((client, seq) as key) (r : reply) acc ->
           let is_write =

@@ -761,9 +761,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
        into the flight recorder, so /metrics and /flightrec both carry the
        violation story. *)
     let watchdog =
-      Grid_obs.Watchdog.create
-        ~fail_stop:cfg.Grid_paxos.Config.watchdog_fail_stop
-        ~metrics:core.meters.registry
+      Grid_obs.Watchdog.create ~metrics:core.meters.registry
         ~on_violation:(fun ~check ~detail ->
           Span.Recorder.note obs ~time:(now_ms ()) ~actor
             (Printf.sprintf "watchdog %s: %s" check detail))

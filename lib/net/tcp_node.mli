@@ -123,8 +123,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       own always-on flight recorder over the last [flight_capacity]
       events (default 2048). The replica also reports to an online
       invariant watchdog ({!Grid_obs.Watchdog}) whose counters live in
-      {!replica_metrics} and which honours
-      [cfg.watchdog_fail_stop]. [backoff_base_ms]/[backoff_cap_ms] bound
+      {!replica_metrics}. [backoff_base_ms]/[backoff_cap_ms] bound
       the reconnect backoff toward dead peers (defaults 20/2000).
       [max_wire_version] caps the wire-protocol version this node
       advertises (default {!Grid_paxos.Wire_codec.latest_version});

@@ -68,13 +68,6 @@ type t = {
           [0] (the default) means unbounded. Writes arriving when the
           queue is full are shed with [Overloaded]; reads are shed
           already at half this depth (read-shedding priority). *)
-  watchdog_fail_stop : bool;
-      (** when the online invariant watchdogs ({!Grid_obs.Watchdog}) are
-          wired in, a violation raises instead of only counting: the
-          replica halts rather than keep serving from a state it just
-          proved inconsistent. Off by default — counters plus the
-          [grid_watchdog_violations_total] metric are the production
-          posture. *)
 }
 
 let default ~n =
@@ -98,13 +91,12 @@ let default ~n =
     clock_skew_bound_ms = 5.0;
     max_inflight = 0;
     max_queue = 0;
-    watchdog_fail_stop = false;
   }
 
 let make ?base ?n ?execution_cost_ms ?accept_retry_ms ?prepare_retry_ms ?hb_period_ms
     ?suspicion_ms ?stability_ms ?client_retry_ms ?record_history ?ship ?snapshot_interval
     ?max_batch ?coordination ?disable_dedup ?lease_ms ?clock_skew_bound_ms ?max_inflight
-    ?max_queue ?watchdog_fail_stop () =
+    ?max_queue () =
   let base =
     match base with
     | Some b -> b
@@ -132,7 +124,6 @@ let make ?base ?n ?execution_cost_ms ?accept_retry_ms ?prepare_retry_ms ?hb_peri
     clock_skew_bound_ms = v base.clock_skew_bound_ms clock_skew_bound_ms;
     max_inflight = v base.max_inflight max_inflight;
     max_queue = v base.max_queue max_queue;
-    watchdog_fail_stop = v base.watchdog_fail_stop watchdog_fail_stop;
   }
 
 let with_n t n = make ~base:t ~n ()

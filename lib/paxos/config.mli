@@ -72,11 +72,6 @@ type t = private {
           [0] (the default) means unbounded. Writes arriving when the
           queue is full are shed with [Overloaded]; reads are shed
           already at half this depth (read-shedding priority). *)
-  watchdog_fail_stop : bool;
-      (** when the online invariant watchdogs ([Grid_obs.Watchdog]) are
-          wired in, a violation raises instead of only counting: the
-          replica halts rather than keep serving from a state it just
-          proved inconsistent. Off by default. *)
 }
 
 val default : n:int -> t
@@ -103,7 +98,6 @@ val make :
   ?clock_skew_bound_ms:float ->
   ?max_inflight:int ->
   ?max_queue:int ->
-  ?watchdog_fail_stop:bool ->
   unit ->
   t
 (** Smart constructor: start from [base] (default [default ~n], where [n]

@@ -91,7 +91,6 @@ module Make (S : Service_intf.S) : sig
 
   (** {1 Introspection} *)
 
-  val id : t -> int
   val is_leader : t -> bool
 
   val role_name : t -> string

@@ -49,7 +49,6 @@ module Make (S : Service_intf.S) = struct
       history = [];
     }
 
-  let id t = t.rid
   let decided_count t = t.applied
   let state t = t.app_state
   let committed_updates t = List.rev t.history

@@ -32,7 +32,6 @@ module Make (S : Service_intf.S) : sig
 
   (** {1 Introspection} *)
 
-  val id : t -> int
   val decided_count : t -> int
   val state : t -> S.state
   val committed_updates : t -> (int * Types.request list * string) list

@@ -178,7 +178,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     let watchdog =
       match watchdog with
       | Some w -> w
-      | None -> Watchdog.create ~fail_stop:cfg.watchdog_fail_stop ~metrics ()
+      | None -> Watchdog.create ~metrics ()
     in
     let replicas =
       Array.init cfg.n (fun i ->

@@ -50,8 +50,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
       [watchdog] is the sink for the replicas' online invariant checks
       ({!Grid_obs.Watchdog}); by default the runtime creates its own,
-      registered in {!metrics} and honouring
-      [cfg.watchdog_fail_stop]. The sharded runtime passes one sink to
+      registered in {!metrics}. The sharded runtime passes one sink to
       all groups so the lease mutual-exclusion view spans shards. *)
 
   (** {1 Accessors} *)

@@ -571,6 +571,54 @@ let test_leadership_loss_returns_retry () =
     Alcotest.fail
       (Printf.sprintf "expected one Retry reply on deposition, got %d" (List.length l))
 
+let test_stale_exec_timer_ignored () =
+  (* An execution timer armed under one leadership must not run its
+     batch under a later one: stepping down forgets the deferred work,
+     and tokens only ever increase, so the old timer matches nothing —
+     not even the token the new leadership's own batch holds. *)
+  let t =
+    H.create ~cfg_tweak:(fun c -> Grid_paxos.Config.make ~base:c ~execution_cost_ms:5.0 ()) ()
+  in
+  H.elect t 0;
+  H.submit t (H.client_request ~seq:1 ~rtype:Write ~payload:(add 5) ());
+  let exec_timer (j, timer) =
+    match timer with Exec_done tok when j = 0 -> Some tok | _ -> None
+  in
+  let old_tok =
+    match List.filter_map exec_timer t.H.timers with
+    | [ tok ] -> tok
+    | l -> Alcotest.failf "expected one armed execution timer, got %d" (List.length l)
+  in
+  let b = Replica.ballot t.replicas.(0) in
+  H.feed t 0
+    (Receive
+       {
+         src = 1;
+         msg =
+           Prepare
+             { ballot = Ballot.make ~round:(b.round + 1) ~holder:1; commit_point = 0 };
+       });
+  Alcotest.(check bool) "deposed before the timer fires" false
+    (Replica.is_leader t.replicas.(0));
+  takeover t 0;
+  (* The new leadership's first write holds the pipeline behind its own
+     execution timer. *)
+  H.submit t (H.client_request ~seq:2 ~rtype:Write ~payload:(add 7) ());
+  Alcotest.(check bool) "old timer fires" true
+    (H.fire t 0 (function Exec_done tok -> tok = old_tok | _ -> false));
+  Alcotest.(check bool) "the old batch sends no Accept" false
+    (List.mem "accept" (H.pending_kinds t));
+  Alcotest.(check int) "nothing committed" 0 (Replica.commit_point t.replicas.(0));
+  Alcotest.(check bool) "new timer fires" true
+    (H.fire t 0 (function Exec_done _ -> true | _ -> false));
+  H.deliver_all t;
+  (match H.take_replies t with
+  | [ r ] ->
+    Alcotest.(check bool) "new write acknowledged" true (r.status = Ok && r.req.seq = 2);
+    Alcotest.(check int) "only the new write applied" 7 (Counter.decode_result r.payload)
+  | l -> Alcotest.failf "expected one reply, got %d" (List.length l));
+  Alcotest.(check int) "new leadership commits" 1 (Replica.commit_point t.replicas.(0))
+
 (* ------------------------------------------------------------------ *)
 (* Leader leases                                                       *)
 
@@ -741,6 +789,8 @@ let suite =
           test_confirm_requires_current_ballot;
         Alcotest.test_case "leadership loss returns Retry" `Quick
           test_leadership_loss_returns_retry;
+        Alcotest.test_case "stale execution timer ignored" `Quick
+          test_stale_exec_timer_ignored;
       ] );
     ( "replica.lease",
       [
