@@ -207,13 +207,16 @@ end)
 type core = {
   node_id : int;
   max_wire_version : int;  (* highest version advertised in hellos *)
-  mutex : Mutex.t;  (* guards [thunks] *)
+  mutex : Mutex.t;  (* guards [thunks], [stop] and [pipe_closed] *)
   thunks : (unit -> unit) Queue.t;  (* injected work, run on the loop thread *)
   timers : Timer_heap.t;
   mutable timer_seq : int;
   mutable socks : conn list;  (* every open socket *)
   to_peer : (int, conn) Hashtbl.t;  (* the socket a peer's sends go to *)
   mutable stop : bool;
+  mutable pipe_closed : bool;
+      (* the wake pipe is closed and its fd numbers may already name
+         another file: nothing may write to [pipe_w] *)
   pipe_r : Unix.file_descr;
   pipe_w : Unix.file_descr;
   addresses : (int * Unix.sockaddr) list;
@@ -252,6 +255,7 @@ let create_core ?(obs = Span.Recorder.disabled) ~store
     socks = [];
     to_peer = Hashtbl.create 8;
     stop = false;
+    pipe_closed = false;
     pipe_r;
     pipe_w;
     addresses;
@@ -265,15 +269,21 @@ let create_core ?(obs = Span.Recorder.disabled) ~store
     store;
   }
 
-let wake core = try ignore (Unix.write_substring core.pipe_w "x" 0 1) with _ -> ()
-
 let with_lock core f =
   Mutex.lock core.mutex;
   Fun.protect ~finally:(fun () -> Mutex.unlock core.mutex) f
 
+(* Under [core.mutex], so a wake never races the pipe's close. *)
+let wake core =
+  if not core.pipe_closed then try ignore (Unix.write_substring core.pipe_w "x" 0 1) with _ -> ()
+
+(* Every thunk [inject] accepts runs on the loop thread, before the loop
+   exits if the node is stopping; once it is stopped, [inject] refuses. *)
 let inject core thunk =
-  with_lock core (fun () -> Queue.add thunk core.thunks);
-  wake core
+  with_lock core (fun () ->
+      if core.stop then invalid_arg "Tcp_node.inject: node stopped";
+      Queue.add thunk core.thunks;
+      wake core)
 
 (* Run [f] on the node's loop thread and wait for its result: engine
    and socket state are confined to that thread, so introspection (admin
@@ -556,6 +566,10 @@ let http_thread routes fd prefix =
        | None ->
          http_response ~status:"404 Not Found" ~content_type:"text/plain"
            "not found\n"
+       | exception Invalid_argument _ ->
+         (* The node stopped while this request was in flight. *)
+         http_response ~status:"503 Service Unavailable" ~content_type:"text/plain"
+           "stopped\n"
      in
      ignore (Unix.write_substring fd response 0 (String.length response))
    with Unix.Unix_error _ -> ());
@@ -656,6 +670,15 @@ let event_loop ?listen core handle =
     | _ -> drain_pipe ()
     | exception Unix.Unix_error _ -> ()
   in
+  let run_thunks () =
+    let thunks =
+      with_lock core (fun () ->
+          let l = List.of_seq (Queue.to_seq core.thunks) in
+          Queue.clear core.thunks;
+          l)
+    in
+    List.iter (fun thunk -> thunk ()) thunks
+  in
   let rec fire_timers () =
     match Timer_heap.min_elt core.timers with
     | Some (d, _, timer) when d <= now_ms () ->
@@ -665,13 +688,7 @@ let event_loop ?listen core handle =
     | _ -> ()
   in
   while not core.stop do
-    let thunks =
-      with_lock core (fun () ->
-          let l = List.of_seq (Queue.to_seq core.thunks) in
-          Queue.clear core.thunks;
-          l)
-    in
-    List.iter (fun thunk -> thunk ()) thunks;
+    run_thunks ();
     fire_timers ();
     List.iter (flush core) core.socks;
     let now = now_ms () in
@@ -720,13 +737,31 @@ let event_loop ?listen core handle =
           | _ -> ())
         core.socks
   done;
+  (* Thunks injected before the stop still run (their sends die with
+     the sockets below), so no [run_on_loop] caller waits forever. *)
+  run_thunks ();
   List.iter (fun c -> try Unix.close c.fd with _ -> ()) core.socks;
   core.socks <- [];
   Option.iter (fun (l, _) -> try Unix.close l with _ -> ()) listen
 
-let shutdown core =
-  core.stop <- true;
-  wake core
+(* Stop a node and release what it holds: its loop closes the sockets
+   and the listener on the way out, then the wake pipe goes, under the
+   mutex so that a late [wake] writes nothing into a reused fd number.
+   Without the close every node leaks two fds, and a process that churns
+   nodes keeps growing its fd table, which Linux does by waiting out an
+   RCU grace period with every thread stalled. *)
+let stop_node core loop =
+  with_lock core (fun () ->
+      core.stop <- true;
+      wake core);
+  (try Thread.join loop with _ -> ());
+  with_lock core (fun () ->
+      if not core.pipe_closed then begin
+        core.pipe_closed <- true;
+        (try Unix.close core.pipe_r with _ -> ());
+        try Unix.close core.pipe_w with _ -> ()
+      end);
+  release_meters core.meters
 
 (* ------------------------------------------------------------------ *)
 
@@ -753,9 +788,20 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       | Some o -> o
       | None -> Span.Recorder.create ~capacity:flight_capacity ~enabled:true ()
     in
+    (* Bound before the node opens its wake pipe: a start that fails (a
+       port in use, a bad version cap) leaves nothing open. *)
+    let listener = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
     let core =
-      create_core ~obs ~store:storage ?backoff_base_ms ?backoff_cap_ms
-        ?max_wire_version ~node_id:id ~actor ~addresses:peers ()
+      try
+        Unix.setsockopt listener SO_REUSEADDR true;
+        Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
+        Unix.listen listener 64;
+        Unix.set_nonblock listener;
+        create_core ~obs ~store:storage ?backoff_base_ms ?backoff_cap_ms
+          ?max_wire_version ~node_id:id ~actor ~addresses:peers ()
+      with e ->
+        Unix.close listener;
+        raise e
     in
     (* Online invariant checks: counted in this node's registry and noted
        into the flight recorder, so /metrics and /flightrec both carry the
@@ -768,11 +814,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         ()
     in
     let replica = R.create ~cfg ~id ~obs ~actor ~watchdog () in
-    let listener = Unix.socket ~cloexec:true PF_INET SOCK_STREAM 0 in
-    Unix.setsockopt listener SO_REUSEADDR true;
-    Unix.bind listener (ADDR_INET (Unix.inet_addr_loopback, port));
-    Unix.listen listener 64;
-    Unix.set_nonblock listener;
     (* Engine access is confined to the loop thread; bootstrap (or
        reload the recovered image and restart, which applies the lease
        blackout) through an injected thunk. *)
@@ -866,10 +907,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_watchdog h = h.r_watchdog
   let replica_peer_versions h = on_loop h (fun () -> peer_versions h.r_core)
 
-  let stop_replica h =
-    shutdown h.r_core;
-    (try Thread.join h.r_loop with _ -> ());
-    release_meters h.r_core.meters
+  let stop_replica h = stop_node h.r_core h.r_loop
 
   type client_handle = {
     c_core : core;
@@ -914,52 +952,56 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      {!call_op}, which derives both from the service signature — callers
      never build wire payloads by hand. The submit runs on the loop
      thread, which reports its outcome through [c_submitted] while this
-     thread polls. *)
+     thread polls. A stopped client refuses the submit: [None] at once. *)
   let call h rtype ~payload ~timeout_s =
     Mutex.lock h.c_mutex;
     h.c_reply := None;
     h.c_submitted := `Pending;
     Mutex.unlock h.c_mutex;
-    inject h.c_core (fun () ->
-        let outcome, actions =
-          match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
-          | `Sent actions ->
-            (`Sent (Option.get (Client.outstanding h.client)).id, actions)
-          | `Busy -> (`Busy, [])
-        in
-        Mutex.lock h.c_mutex;
-        h.c_submitted := outcome;
-        Mutex.unlock h.c_mutex;
-        run_actions h.c_core actions);
-    let deadline = Unix.gettimeofday () +. timeout_s in
-    Mutex.lock h.c_mutex;
-    let rec wait () =
-      match (!(h.c_submitted), !(h.c_reply)) with
-      | `Busy, _ ->
-        (* An earlier call timed out and its request is still
-           outstanding: the closed-loop client takes no other until that
-           one completes. *)
-        Mutex.unlock h.c_mutex;
-        None
-      (* Only the reply to this call's request: a late reply to an
-         earlier, timed-out one may land in [c_reply] too. *)
-      | `Sent id, Some r when Grid_util.Ids.Request_id.equal r.req id ->
-        Mutex.unlock h.c_mutex;
-        Some r
-      | _ ->
-        if Unix.gettimeofday () > deadline then begin
+    match
+      inject h.c_core (fun () ->
+          let outcome, actions =
+            match Client.submit h.client ~now:(now_ms ()) rtype ~payload with
+            | `Sent actions ->
+              (`Sent (Option.get (Client.outstanding h.client)).id, actions)
+            | `Busy -> (`Busy, [])
+          in
+          Mutex.lock h.c_mutex;
+          h.c_submitted := outcome;
+          Mutex.unlock h.c_mutex;
+          run_actions h.c_core actions)
+    with
+    | exception Invalid_argument _ -> None
+    | () ->
+      let deadline = Unix.gettimeofday () +. timeout_s in
+      Mutex.lock h.c_mutex;
+      let rec wait () =
+        match (!(h.c_submitted), !(h.c_reply)) with
+        | `Busy, _ ->
+          (* An earlier call timed out and its request is still
+             outstanding: the closed-loop client takes no other until that
+             one completes. *)
           Mutex.unlock h.c_mutex;
           None
-        end
-        else begin
-          (* Condition has no timed wait in the stdlib: poll briefly. *)
+        (* Only the reply to this call's request: a late reply to an
+           earlier, timed-out one may land in [c_reply] too. *)
+        | `Sent id, Some r when Grid_util.Ids.Request_id.equal r.req id ->
           Mutex.unlock h.c_mutex;
-          Thread.delay 0.002;
-          Mutex.lock h.c_mutex;
-          wait ()
-        end
-    in
-    wait ()
+          Some r
+        | _ ->
+          if Unix.gettimeofday () > deadline then begin
+            Mutex.unlock h.c_mutex;
+            None
+          end
+          else begin
+            (* Condition has no timed wait in the stdlib: poll briefly. *)
+            Mutex.unlock h.c_mutex;
+            Thread.delay 0.002;
+            Mutex.lock h.c_mutex;
+            wait ()
+          end
+      in
+      wait ()
 
   (* Typed entrypoint: classification and encoding stay inside the
      library. *)
@@ -973,8 +1015,5 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let client_metrics h = h.c_core.meters.registry
   let client_peer_versions h = run_on_loop h.c_core (fun () -> peer_versions h.c_core)
 
-  let stop_client h =
-    shutdown h.c_core;
-    (try Thread.join h.c_loop with _ -> ());
-    release_meters h.c_core.meters
+  let stop_client h = stop_node h.c_core h.c_loop
 end

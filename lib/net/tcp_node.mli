@@ -152,8 +152,15 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** [(peer, negotiated wire version)] for every live connection. *)
 
   val stop_replica : replica_handle -> unit
-  (** Stop the loops, close the listener and connections, and release the
-      per-peer gauges from the node's registry. *)
+  (** Stop the loop, close the listener, the connections and the node's
+      wake pipe, and release the per-peer gauges from the node's
+      registry. The [storage] given to {!start_replica} stays open: it
+      is the caller's. Afterwards the accessors that run on the loop
+      ([replica_is_leader], [replica_commit_point], [replica_state],
+      [replica_peer_versions]) raise [Invalid_argument] instead of
+      waiting; [replica_metrics] and [replica_watchdog] still answer.
+      A replica whose start raises (its port in use) leaves no
+      descriptor open. *)
 
   type client_handle
 
@@ -188,7 +195,8 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       submitted, never a late reply to an earlier one. The client is
       closed-loop: a timed-out request stays outstanding (and keeps
       being retransmitted) until it completes, and until then every
-      [call_op] returns [None] at once without submitting anything. *)
+      [call_op] returns [None] at once without submitting anything.
+      On a stopped client, [call_op] also returns [None] at once. *)
 
   val client_metrics : client_handle -> Grid_obs.Metrics.t
 
@@ -196,4 +204,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** [(replica, negotiated wire version)] for every live connection. *)
 
   val stop_client : client_handle -> unit
+  (** Stop the loop and close the connections and the wake pipe, as
+      {!stop_replica} does; [client_peer_versions] then raises
+      [Invalid_argument]. *)
 end

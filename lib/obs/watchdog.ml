@@ -350,6 +350,8 @@ let read_replied m ~client ~seq ~watermark ~exec_point =
    lease-local read) while another replica's claim is still live — with
    [slack_ms] of allowance for the configured clock-skew bound — means
    two leaders both believed they could answer reads locally. *)
+let enabled m = m.sink.enabled
+
 let lease_claimed m ~now ~until ~slack_ms =
   if m.sink.enabled then begin
     let s = m.sink in

@@ -81,6 +81,10 @@ val read_replied : monitor -> client:int -> seq:int -> watermark:int -> exec_poi
 (** Flags [stale_read] if a read is answered from a state behind the
     commit point it was admitted at ([exec_point < watermark]). *)
 
+val enabled : monitor -> bool
+(** Whether this monitor's sink checks anything: a caller whose argument
+    costs more than the check's one branch computes it only then. *)
+
 val lease_claimed : monitor -> now:float -> until:float -> slack_ms:float -> unit
 (** Flags [lease_conflict] if this replica claims the read lease (serves
     a lease-local read valid [until] its local clock reaches that time)

@@ -609,8 +609,9 @@ module Make (S : Service_intf.S) = struct
         (* Lease fast path: execution alone completes the read — no
            confirm round, zero protocol messages. *)
         span_request t ~instance:(-1) ~detail:"" Span.Lease_local r;
-        Watchdog.lease_claimed t.wd ~now:t.now ~until:(lease_horizon t l)
-          ~slack_ms:(2.0 *. t.cfg.clock_skew_bound_ms)
+        if Watchdog.enabled t.wd then
+          Watchdog.lease_claimed t.wd ~now:t.now ~until:(lease_horizon t l)
+            ~slack_ms:(2.0 *. t.cfg.clock_skew_bound_ms)
       end
       else
         (* The lease lapsed (or was never held): fall back to the confirm

@@ -1046,6 +1046,99 @@ let test_restart_loads_image () =
           Alcotest.(check bool) "ballot round does not go back" true
             (ballot_round i >= round)))
 
+(* ------------------------------------------------------------------ *)
+(* Node lifecycle: a stopped node gives back every descriptor it opened,
+   and its handle fails fast instead of waiting on a loop that is gone. *)
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+let test_stop_releases_fds () =
+  (* Each node's wake pipe must close with it: a process that churns
+     nodes would otherwise grow its fd table without bound. *)
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    let ports = Array.init 3 (fun _ -> free_port ()) in
+    with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+      (fun _ ->
+        let clients =
+          List.init 8 (fun id ->
+              Tcp.start_client ~id:(id + 1)
+                ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+                ())
+        in
+        Fun.protect
+          ~finally:(fun () -> List.iter Tcp.stop_client clients)
+          (fun () -> List.iter (fun c -> write_ok c 1) clients));
+    Alcotest.(check int) "open fds after 3 replicas and 8 clients stop" before (open_fds ());
+    (* A start that fails to bind leaves nothing open either. *)
+    let port = free_port () in
+    let busy = listen_on port in
+    Fun.protect
+      ~finally:(fun () -> Unix.close busy)
+      (fun () ->
+        let before = open_fds () in
+        (match Tcp.start_replica ~cfg:fast_cfg ~id:0 ~port ~peers:[] () with
+        | r ->
+          Tcp.stop_replica r;
+          Alcotest.fail "a replica bound a port in use"
+        | exception Unix.Unix_error (EADDRINUSE, _, _) -> ());
+        Alcotest.(check int) "open fds after a failed start" before (open_fds ()))
+  end
+
+let test_stopped_client_fails_fast () =
+  (* The next file opened after a stop may take the freed pipe's fd
+     numbers: a call on the stopped handle must not write its wake byte
+     there, and must not wait out its timeout. *)
+  let ports = Array.init 3 (fun _ -> free_port ()) in
+  with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+    (fun _ ->
+      let client =
+        Tcp.start_client ~id:1
+          ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ])
+          ()
+      in
+      write_ok client 1;
+      Tcp.stop_client client;
+      let r, w = Unix.pipe ~cloexec:true () in
+      Fun.protect
+        ~finally:(fun () ->
+          Unix.close r;
+          Unix.close w)
+        (fun () ->
+          Unix.set_nonblock r;
+          let t0 = Unix.gettimeofday () in
+          Alcotest.(check bool) "no reply from a stopped client" true
+            (Tcp.call_op client (Counter.Add 2) ~timeout_s:5.0 = None);
+          Alcotest.(check bool) "the call returns at once" true
+            (Unix.gettimeofday () -. t0 < 1.0);
+          match Unix.read r (Bytes.create 8) 0 8 with
+          | n -> Alcotest.failf "%d stray bytes in a reused fd" n
+          | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) -> ()))
+
+let test_stopped_replica_fails_fast () =
+  within "accessor on a stopped replica" 5.0 (fun () ->
+      let port = free_port () in
+      let r = Tcp.start_replica ~cfg:fast_cfg ~id:0 ~port ~peers:[] () in
+      (* An admin request whose line completes only after the stop: its
+         responder thread asks the stopped loop for /health. *)
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      Fun.protect
+        ~finally:(fun () -> Unix.close fd)
+        (fun () ->
+          Unix.connect fd (loopback port);
+          let send s = ignore (Unix.write_substring fd s 0 (String.length s)) in
+          send "GET /health";
+          Thread.delay 0.1;
+          Tcp.stop_replica r;
+          (match Tcp.replica_is_leader r with
+          | _ -> Alcotest.fail "replica_is_leader answered after the stop"
+          | exception Invalid_argument _ -> ());
+          send " HTTP/1.0\r\n\r\n";
+          let buf = Bytes.create 64 in
+          let n = Unix.read fd buf 0 64 in
+          Alcotest.(check bool) "an admin request caught by the stop gets 503" true
+            (String.starts_with ~prefix:"HTTP/1.0 503" (Bytes.sub_string buf 0 n))))
+
 let suite =
   [
     ( "net.framing",
@@ -1080,5 +1173,10 @@ let suite =
         Alcotest.test_case "one thread per client session" `Slow test_one_thread_per_client;
         Alcotest.test_case "a restarted replica loads its recovered image" `Slow
           test_restart_loads_image;
+        Alcotest.test_case "stopped nodes leave no fd open" `Slow test_stop_releases_fds;
+        Alcotest.test_case "a stopped client's call returns None at once" `Slow
+          test_stopped_client_fails_fast;
+        Alcotest.test_case "a stopped replica's accessors raise" `Slow
+          test_stopped_replica_fails_fast;
       ] );
   ]
