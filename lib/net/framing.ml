@@ -160,10 +160,13 @@ type writer = { frames : string Queue.t; mutable off : int; mutable bytes : int 
 let writer () = { frames = Queue.create (); off = 0; bytes = 0 }
 let queued w = w.bytes
 
+let add_raw w s =
+  Queue.add s w.frames;
+  w.bytes <- w.bytes + String.length s
+
 let add_frame w payload =
   let s = frame payload in
-  Queue.add s w.frames;
-  w.bytes <- w.bytes + String.length s;
+  add_raw w s;
   String.length s
 
 let flush w fd =
@@ -205,12 +208,16 @@ let decode_hello payload =
 
 let read_hello fd = Result.bind (read_frame fd) decode_hello
 
-(* One negotiated connection speaks exactly one codec; the transport
-   instantiates this per peer after the hello exchange. Both directions
-   report the on-wire byte count (header + payload + CRC) so the
-   transport can feed its byte counters without re-measuring. *)
+module type CODEC = sig
+  val encode : Grid_paxos.Types.msg -> string
+  val decode : string -> (Grid_paxos.Types.msg * int, read_error) result
+end
+
+(* One negotiated connection speaks exactly one codec, picked by [codec]
+   after the hello exchange. Both directions report the on-wire byte
+   count (header + payload + CRC) so the transport can feed its byte
+   counters without re-measuring. *)
 module Codec (W : Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) = struct
-  let version = W.version
   let encode = W.encode
   let write_msg fd msg = write_frame fd (W.encode msg)
 
@@ -222,3 +229,12 @@ module Codec (W : Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) = struct
 
   let read_msg fd = Result.bind (read_frame fd) decode
 end
+
+module Codec_v1 = Codec (Grid_paxos.Wire_codec.V1)
+module Codec_v2 = Codec (Grid_paxos.Wire_codec.V2)
+
+let codec version : (module CODEC) =
+  match version with
+  | 1 -> (module Codec_v1)
+  | 2 -> (module Codec_v2)
+  | v -> invalid_arg (Printf.sprintf "Framing.codec: version %d" v)

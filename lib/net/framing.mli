@@ -81,6 +81,9 @@ val writer : unit -> writer
 val add_frame : writer -> string -> int
 (** Append one frame (payload without CRC) and return its on-wire size. *)
 
+val add_raw : writer -> string -> unit
+(** Append bytes as they are, unframed (an admin HTTP reply). *)
+
 val queued : writer -> int
 (** Bytes not yet written. *)
 
@@ -104,18 +107,27 @@ val hello : node_id:int -> max_version:int -> string
 val decode_hello : string -> (int * int, read_error) result
 (** {!read_hello} on a payload already read. *)
 
-(** Per-connection message codec, instantiated with the negotiated
-    {!Grid_codec.Wire_intf.WIRE} version. Both directions report the
-    on-wire byte count (frame header + payload + CRC trailer) for the
+(** A connection's message codec. Both directions report the on-wire
+    byte count (frame header + payload + CRC trailer) for the
     transport's byte counters. *)
-module Codec (W : Grid_codec.Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) : sig
-  val version : int
+module type CODEC = sig
   val encode : Grid_paxos.Types.msg -> string
   (** The frame payload, for {!add_frame}. *)
 
   val decode : string -> (Grid_paxos.Types.msg * int, read_error) result
   (** A payload from {!next_frame}, with its on-wire size. *)
+end
+
+(** The codec of one {!Grid_codec.Wire_intf.WIRE} version, with blocking
+    one-message reads and writes. *)
+module Codec (W : Grid_codec.Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) : sig
+  include CODEC
 
   val write_msg : Unix.file_descr -> Grid_paxos.Types.msg -> int
   val read_msg : Unix.file_descr -> (Grid_paxos.Types.msg * int, read_error) result
 end
+
+val codec : int -> (module CODEC)
+(** The codec a handshake settled on, by negotiated wire version (see
+    {!Grid_paxos.Wire_codec.negotiate}). Raises [Invalid_argument] for a
+    version this build does not speak. *)

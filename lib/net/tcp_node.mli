@@ -1,5 +1,7 @@
 (** TCP runtime: hosts the same pure protocol engines that run on the
-    simulator over real sockets.
+    simulator over real sockets. This module holds the two roles, the
+    replica node and the client session; both run over {!Transport},
+    which owns the sockets and the loop.
 
     {b Thread model.} Each node (a replica or a client session) runs
     exactly one loop thread. It [select]s over a wake pipe, the
@@ -8,8 +10,9 @@
     injected (client calls, introspection), fires due timers, flushes
     every output queue, waits in [select], then reads each readable
     socket once and hands every complete frame to the engine. So all of
-    a round's sends leave together, after all of its inputs. The only
-    other threads are short-lived admin HTTP responders (below).
+    a round's sends leave together, after all of its inputs. Admin HTTP
+    requests (below) are answered by the same thread: a node starts no
+    other.
 
     {b Non-blocking I/O.} Every socket is non-blocking and nothing in
     the loop blocks but [select]:
@@ -72,9 +75,13 @@
     The loop classifies a new connection by its first bytes as they
     arrive: a protocol hello starts with a tiny length byte, an HTTP
     request with [GET ]/[HEAD]/[POST]; a short method-like prefix waits
-    up to 50 ms for the rest before it is trusted. An HTTP socket, with
-    the bytes already read, goes back to blocking mode and to a
-    short-lived thread running a minimal HTTP/1.0 responder.
+    up to 50 ms for the rest before it is trusted. An HTTP socket stays
+    with the loop, which buffers its request line (a line longer than
+    4 KiB is answered with its first 4 KiB), answers from the node's
+    state in place through the socket's output queue, and closes the
+    socket once the answer has left: a minimal HTTP/1.0 responder. A
+    request that stalls mid-line costs its descriptor, nothing more; one
+    still arriving when the node stops is answered [503].
     [GET /metrics] serves the node's registry in Prometheus exposition
     format, [GET /health] a one-line JSON summary (role, ballot, commit
     point, lease, admission queue depths, watchdog violations, wire
@@ -143,7 +150,11 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       sent/received, per-kind bytes, decode errors, dial attempts and
       failures, established connections, per-peer backoff and wire
       version) and the watchdog violation counters. Served by
-      [GET /metrics]. *)
+      [GET /metrics]. The replica's four resharding gauges
+      ([grid_reshard_epoch], [grid_reshard_migrating],
+      [grid_reshard_moved_ranges], [grid_reshard_imported_items]) are
+      set when [GET /metrics] is served, their only reader: read from
+      this registry directly they hold the values of the last scrape. *)
 
   val replica_watchdog : replica_handle -> Grid_obs.Watchdog.t
   (** The node's online invariant sink; zero on healthy runs. *)
@@ -152,8 +163,9 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** [(peer, negotiated wire version)] for every live connection. *)
 
   val stop_replica : replica_handle -> unit
-  (** Stop the loop, close the listener, the connections and the node's
-      wake pipe, and release the per-peer gauges from the node's
+  (** Stop the loop, answer [503] to any admin request still arriving,
+      close the listener, the connections and the node's wake pipe, and
+      release the per-peer gauges from the node's
       registry. The [storage] given to {!start_replica} stays open: it
       is the caller's. Afterwards the accessors that run on the loop
       ([replica_is_leader], [replica_commit_point], [replica_state],

@@ -198,8 +198,51 @@ let free_port () =
   Unix.close fd;
   port
 
+(* Loopback ports for a 3-replica cluster. Each is held by a probe socket
+   bound with SO_REUSEADDR and not listening until its owner has bound
+   it: Linux's ephemeral allocator skips a bound port, so no dial can
+   take it in between, while a replica binding with SO_REUSEADDR still
+   can. A probe closed at once, as in [free_port], leaves that window
+   open, and the replica's bind fails with EADDRINUSE. *)
+type reserved = { ports : int array; probes : Unix.file_descr option array }
+
+let reserve_ports () =
+  let probe () =
+    let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+    Unix.setsockopt fd SO_REUSEADDR true;
+    Unix.bind fd (ADDR_INET (Unix.inet_addr_loopback, 0));
+    fd
+  in
+  let probes = Array.init 3 (fun _ -> probe ()) in
+  let port fd = match Unix.getsockname fd with ADDR_INET (_, p) -> p | _ -> assert false in
+  { ports = Array.map port probes; probes = Array.map Option.some probes }
+
+(* Port [i]'s owner has bound it: its probe closes. *)
+let claimed r i =
+  Option.iter Unix.close r.probes.(i);
+  r.probes.(i) <- None
+
+(* Every 3-replica start: [start i] for each of [ids], claiming each port
+   once its replica is up. If a start raises, the replicas already
+   started are stopped and every probe closes. *)
+let start_replicas r start stop ids =
+  let started = ref [] in
+  match
+    List.iter
+      (fun i ->
+        started := start i :: !started;
+        claimed r i)
+      ids
+  with
+  | () -> List.rev !started
+  | exception e ->
+    List.iter stop !started;
+    Array.iteri (fun i _ -> claimed r i) r.probes;
+    raise e
+
 let test_loopback_cluster () =
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -209,9 +252,9 @@ let test_loopback_cluster () =
       ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
   in
   let replicas =
-    List.map
+    start_replicas r
       (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
-      [ 0; 1; 2 ]
+      Tcp.stop_replica [ 0; 1; 2 ]
   in
   Fun.protect
     ~finally:(fun () -> List.iter Tcp.stop_replica replicas)
@@ -265,7 +308,8 @@ let test_loopback_mixed_versions () =
   (* One replica capped at wire V1 (an un-upgraded build): connections
      touching it negotiate V1, the V2↔V2 pair keeps V2, and the cluster
      still commits. *)
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -276,11 +320,11 @@ let test_loopback_mixed_versions () =
   in
   let version_of = function 1 -> 1 | _ -> 2 in
   let replicas =
-    List.map
+    start_replicas r
       (fun i ->
         Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i)
           ~max_wire_version:(version_of i) ())
-      [ 0; 1; 2 ]
+      Tcp.stop_replica [ 0; 1; 2 ]
   in
   Fun.protect
     ~finally:(fun () -> List.iter Tcp.stop_replica replicas)
@@ -389,7 +433,8 @@ let contains haystack needle =
   scan 0
 
 let test_admin_endpoint () =
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -399,9 +444,9 @@ let test_admin_endpoint () =
       ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
   in
   let replicas =
-    List.map
+    start_replicas r
       (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
-      [ 0; 1; 2 ]
+      Tcp.stop_replica [ 0; 1; 2 ]
   in
   Fun.protect
     ~finally:(fun () -> List.iter Tcp.stop_replica replicas)
@@ -555,7 +600,8 @@ let test_loopback_duplicate_request () =
      table: the leader resends the cached reply and the op is not applied
      a second time. Speaks the wire protocol directly so both copies
      carry the identical request id. *)
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -565,9 +611,9 @@ let test_loopback_duplicate_request () =
       ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
   in
   let replicas =
-    List.map
+    start_replicas r
       (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
-      [ 0; 1; 2 ]
+      Tcp.stop_replica [ 0; 1; 2 ]
   in
   Fun.protect
     ~finally:(fun () -> List.iter Tcp.stop_replica replicas)
@@ -648,7 +694,8 @@ let test_loopback_duplicate_request () =
 (* A 3-replica loopback cluster with a leader elected and one client
    connected: [f ~stop ~leader client], where [stop i] stops replica [i]. *)
 let with_cluster f =
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -658,7 +705,10 @@ let with_cluster f =
       ~client_retry_ms:150.0 ~accept_retry_ms:50.0 ()
   in
   let replicas =
-    Array.init 3 (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
+    Array.of_list
+      (start_replicas r
+         (fun i -> Tcp.start_replica ~cfg ~id:i ~port:ports.(i) ~peers:(peers_of i) ())
+         Tcp.stop_replica [ 0; 1; 2 ])
   in
   let stopped = Array.make 3 false in
   let stop i =
@@ -794,10 +844,10 @@ let fast_cfg =
 
 let loopback port = Unix.ADDR_INET (Unix.inet_addr_loopback, port)
 
-(* Replicas [ids] of a 3-replica cluster on [ports], with a leader. *)
-let with_replicas (type h) (start : int -> h) (is_leader : h -> bool) (stop : h -> unit)
+(* Replicas [ids] of a 3-replica cluster on [r.ports], with a leader. *)
+let with_replicas (type h) r (start : int -> h) (is_leader : h -> bool) (stop : h -> unit)
     ids f =
-  let hs = List.map start ids in
+  let hs = start_replicas r start stop ids in
   Fun.protect
     ~finally:(fun () -> List.iter stop hs)
     (fun () ->
@@ -824,12 +874,14 @@ let test_mute_peer () =
   (* Replica 2 is a listener that never accepts or answers: a stopped
      process. The dials to it must not stall the live replicas' loops. *)
   within "mute peer" 5.0 (fun () ->
-      let ports = Array.init 3 (fun _ -> free_port ()) in
+      let r = reserve_ports () in
+      let ports = r.ports in
       let mute = listen_on ports.(2) in
+      claimed r 2;
       Fun.protect
         ~finally:(fun () -> Unix.close mute)
         (fun () ->
-          with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1 ]
+          with_replicas r (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1 ]
             (fun _ ->
               let client =
                 Tcp.start_client ~id:1
@@ -842,8 +894,9 @@ let test_idle_connection () =
   (* A raw connection to replica 0 that never sends a byte must not keep
      the replica from accepting and serving a later client. *)
   within "idle connection" 5.0 (fun () ->
-      let ports = Array.init 3 (fun _ -> free_port ()) in
-      with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+      let r = reserve_ports () in
+      let ports = r.ports in
+      with_replicas r (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
         (fun _ ->
           let idle = Unix.socket PF_INET SOCK_STREAM 0 in
           Fun.protect
@@ -875,8 +928,10 @@ let test_unread_peer_bounded () =
   (* Replica 2 completes the hello and never reads again. The leader's
      queue toward it must stay under the bound, dropping what does not
      fit, while the cluster keeps serving 64 KiB writes. *)
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let stuck = listen_on ports.(2) in
+  claimed r 2;
   Unix.setsockopt_int stuck SO_RCVBUF 4096;
   let stop = Atomic.make false and held = ref [] in
   let acceptor =
@@ -905,7 +960,7 @@ let test_unread_peer_bounded () =
         let peers = List.filter_map (fun j -> if j = i then None else Some (j, loopback ports.(j))) [ 0; 1; 2 ] in
         Tcp_kv.start_replica ~cfg:fast_cfg ~id:i ~port:ports.(i) ~peers ()
       in
-      with_replicas start Tcp_kv.replica_is_leader Tcp_kv.stop_replica [ 0; 1 ] (fun hs ->
+      with_replicas r start Tcp_kv.replica_is_leader Tcp_kv.stop_replica [ 0; 1 ] (fun hs ->
           let leader = List.find Tcp_kv.replica_is_leader hs in
           let registry = Tcp_kv.replica_metrics leader in
           let client =
@@ -942,8 +997,9 @@ let test_one_thread_per_client () =
   (* Each client session is one loop thread: no reader thread per
      connection, on either end. *)
   if Sys.file_exists "/proc/self/task" then begin
-    let ports = Array.init 3 (fun _ -> free_port ()) in
-    with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+    let r = reserve_ports () in
+    let ports = r.ports in
+    with_replicas r (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
       (fun _ ->
         let before = threads () in
         let clients =
@@ -968,7 +1024,8 @@ let test_restart_loads_image () =
   let dir = Filename.temp_file "grid_restart" "" in
   Sys.remove dir;
   Unix.mkdir dir 0o755;
-  let ports = Array.init 3 (fun _ -> free_port ()) in
+  let r = reserve_ports () in
+  let ports = r.ports in
   let addr i = Unix.ADDR_INET (Unix.inet_addr_loopback, ports.(i)) in
   let peers_of i =
     List.filter_map (fun j -> if j = i then None else Some (j, addr j)) [ 0; 1; 2 ]
@@ -1007,7 +1064,7 @@ let test_restart_loads_image () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Unix.rmdir dir)
     (fun () ->
-      let replicas = Array.init 3 start in
+      let replicas = Array.of_list (start_replicas r start Tcp.stop_replica [ 0; 1; 2 ]) in
       let before =
         Fun.protect
           ~finally:(fun () -> Array.iter Tcp.stop_replica replicas)
@@ -1057,8 +1114,9 @@ let test_stop_releases_fds () =
      nodes would otherwise grow its fd table without bound. *)
   if Sys.file_exists "/proc/self/fd" then begin
     let before = open_fds () in
-    let ports = Array.init 3 (fun _ -> free_port ()) in
-    with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+    let r = reserve_ports () in
+    let ports = r.ports in
+    with_replicas r (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
       (fun _ ->
         let clients =
           List.init 8 (fun id ->
@@ -1089,8 +1147,9 @@ let test_stopped_client_fails_fast () =
   (* The next file opened after a stop may take the freed pipe's fd
      numbers: a call on the stopped handle must not write its wake byte
      there, and must not wait out its timeout. *)
-  let ports = Array.init 3 (fun _ -> free_port ()) in
-  with_replicas (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+  let r = reserve_ports () in
+  let ports = r.ports in
+  with_replicas r (start_counter ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
     (fun _ ->
       let client =
         Tcp.start_client ~id:1
@@ -1119,8 +1178,8 @@ let test_stopped_replica_fails_fast () =
   within "accessor on a stopped replica" 5.0 (fun () ->
       let port = free_port () in
       let r = Tcp.start_replica ~cfg:fast_cfg ~id:0 ~port ~peers:[] () in
-      (* An admin request whose line completes only after the stop: its
-         responder thread asks the stopped loop for /health. *)
+      (* An admin request whose line is still arriving at the stop: the
+         loop answers it on its way out, before it closes the socket. *)
       let fd = Unix.socket PF_INET SOCK_STREAM 0 in
       Fun.protect
         ~finally:(fun () -> Unix.close fd)
@@ -1138,6 +1197,113 @@ let test_stopped_replica_fails_fast () =
           let n = Unix.read fd buf 0 64 in
           Alcotest.(check bool) "an admin request caught by the stop gets 503" true
             (String.starts_with ~prefix:"HTTP/1.0 503" (Bytes.sub_string buf 0 n))))
+
+(* ------------------------------------------------------------------ *)
+(* Admin requests are served by the loop: outside input costs a socket
+   and a bounded buffer, never a thread. *)
+
+(* Everything [fd] receives until the peer closes; a peer that resets
+   after its answer counts as closed too. *)
+let read_to_close fd =
+  Unix.setsockopt_float fd SO_RCVTIMEO 5.0;
+  let buf = Buffer.create 1024 and chunk = Bytes.create 4096 in
+  let rec go () =
+    match Unix.read fd chunk 0 4096 with
+    | 0 -> ()
+    | n ->
+      Buffer.add_subbytes buf chunk 0 n;
+      go ()
+    | exception Unix.Unix_error (ECONNRESET, _, _) -> ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK), _, _) ->
+      Alcotest.fail "the admin socket was not closed"
+  in
+  go ();
+  Buffer.contents buf
+
+let occurrences haystack needle =
+  let k = String.length needle in
+  let rec count i acc =
+    if i + k > String.length haystack then acc
+    else count (i + 1) (if String.sub haystack i k = needle then acc + 1 else acc)
+  in
+  count 0 0
+
+(* A client session of the cluster on [ports], for the span of [f]. *)
+let with_client ports f =
+  let client =
+    Tcp.start_client ~id:1 ~replicas:(List.map (fun i -> (i, loopback ports.(i))) [ 0; 1; 2 ]) ()
+  in
+  Fun.protect ~finally:(fun () -> Tcp.stop_client client) (fun () -> f client)
+
+let test_stalled_admin_requests () =
+  (* Eight admin requests that stall mid-line must not pin a thread each,
+     nor keep the loop from serving admin requests and the protocol;
+     stopping the replica answers and closes them. *)
+  if Sys.file_exists "/proc/self/task" && Sys.file_exists "/proc/self/fd" then begin
+    let fds_before = open_fds () in
+    let r = reserve_ports () in
+    let stalled = ref [] in
+    let stall () =
+      let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+      stalled := fd :: !stalled;
+      Unix.connect fd (loopback r.ports.(0));
+      ignore (Unix.write_substring fd "GET /hea" 0 8)
+    in
+    let scrape path = ignore (http_get r.ports.(0) path) in
+    let answers =
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun fd -> try Unix.close fd with _ -> ()) !stalled)
+        (fun () ->
+          with_replicas r (start_counter r.ports) Tcp.replica_is_leader Tcp.stop_replica
+            [ 0; 1; 2 ] (fun _ ->
+              with_client r.ports (fun client ->
+                  write_ok client 1;
+                  let before = threads () in
+                  for _ = 1 to 8 do stall () done;
+                  Thread.delay 0.2;
+                  let status, _ = http_get r.ports.(0) "/health" in
+                  Alcotest.(check bool) "health answers beside stalled requests" true
+                    (contains status "200");
+                  write_ok client 2;
+                  let added = threads () - before in
+                  if added > 0 then
+                    Alcotest.failf "8 stalled admin requests added %d threads" added;
+                  for _ = 1 to 20 do
+                    scrape "/metrics";
+                    scrape "/health"
+                  done;
+                  let added = threads () - before in
+                  if added > 0 then Alcotest.failf "20 scrapes added %d threads" added));
+          List.map read_to_close !stalled)
+    in
+    List.iter
+      (fun raw ->
+        Alcotest.(check bool) "a stalled request caught by the stop gets 503" true
+          (String.starts_with ~prefix:"HTTP/1.0 503" raw))
+      answers;
+    Alcotest.(check int) "open fds after the stop" fds_before (open_fds ())
+  end
+
+let test_long_request_line () =
+  (* A request line that never ends is answered once it passes the 4 KiB
+     cap, with its truncated path, and its socket closes. *)
+  let r = reserve_ports () in
+  with_replicas r (start_counter r.ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+    (fun _ ->
+      with_client r.ports (fun client ->
+          write_ok client 1;
+          let fd = Unix.socket PF_INET SOCK_STREAM 0 in
+          Fun.protect
+            ~finally:(fun () -> Unix.close fd)
+            (fun () ->
+              Unix.connect fd (loopback r.ports.(0));
+              let req = "GET /" ^ String.make 8192 'x' in
+              ignore (Unix.write_substring fd req 0 (String.length req));
+              let raw = read_to_close fd in
+              Alcotest.(check int) "one response" 1 (occurrences raw "HTTP/1.0");
+              Alcotest.(check bool) "the truncated path is not found" true
+                (String.starts_with ~prefix:"HTTP/1.0 404" raw));
+          write_ok client 2))
 
 let suite =
   [
@@ -1178,5 +1344,9 @@ let suite =
           test_stopped_client_fails_fast;
         Alcotest.test_case "a stopped replica's accessors raise" `Slow
           test_stopped_replica_fails_fast;
+        Alcotest.test_case "a stalled admin request pins no thread" `Slow
+          test_stalled_admin_requests;
+        Alcotest.test_case "an over-long request line is bounded" `Slow
+          test_long_request_line;
       ] );
   ]
