@@ -84,12 +84,21 @@ val crc32 : ?crc:int32 -> string -> int32
 (** CRC-32 (IEEE 802.3 polynomial, reflected). [?crc] continues a running
     checksum. *)
 
+val crc32_sub : string -> int -> int -> int
+(** [crc32_sub s pos len] is the CRC-32 of [len] bytes of [s] from [pos],
+    as a native int in \[0, 2{^32}): it allocates nothing. *)
+
 val with_crc : string -> string
 (** Append a 4-byte little-endian CRC32 trailer. *)
 
 val check_crc : string -> string
 (** Validate and strip the trailer added by {!with_crc}; raises
     {!Decode_error} on mismatch or truncation. *)
+
+val check_crc_sub : string -> int -> int -> string
+(** [check_crc_sub s pos len] is {!check_crc} of [len] bytes of [s] from
+    [pos], checked in place: only the returned body is copied. Error
+    positions count from [pos]. *)
 
 (** {1 Convenience} *)
 

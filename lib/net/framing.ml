@@ -23,8 +23,10 @@ let bad_len len = Corrupt { pos = 0; msg = Printf.sprintf "bad frame length %d" 
 let eof_in_header = Corrupt { pos = 0; msg = "eof inside frame header" }
 let eof_in_body = Corrupt { pos = 0; msg = "eof inside frame body" }
 
-let check_body body =
-  match Wire.check_crc body with
+(* The frame body at [s.[pos .. pos + len)], checked in place: only its
+   payload is copied. *)
+let check_body s pos len =
+  match Wire.check_crc_sub s pos len with
   | payload -> Ok payload
   | exception Wire.Decode_error { pos; msg } -> Error (Corrupt { pos; msg })
 
@@ -42,7 +44,7 @@ let frame payload =
   let b = Bytes.create (n + 8) in
   set_len b 0 (n + 4);
   Bytes.blit_string payload 0 b 4 n;
-  set_len b (n + 4) (Int32.to_int (Wire.crc32 payload));
+  set_len b (n + 4) (Wire.crc32_sub payload 0 n);
   Bytes.unsafe_to_string b
 
 let really_write fd s =
@@ -83,7 +85,7 @@ let read_frame fd =
       let body = Bytes.create len in
       match really_read fd body len with
       | `Short _ -> Error eof_in_body
-      | `Full -> check_body (Bytes.unsafe_to_string body))
+      | `Full -> check_body (Bytes.unsafe_to_string body) 0 len)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental reader: bytes in [buf.[lo..hi)], frames parsed off the
@@ -144,9 +146,10 @@ let next_frame r =
     if len < 4 || len > max_frame then Some (Error (bad_len len))
     else if buffered r < 4 + len then None
     else begin
-      let body = Bytes.sub_string r.buf (r.lo + 4) len in
-      r.lo <- r.lo + 4 + len;
-      Some (check_body body)
+      let pos = r.lo + 4 in
+      r.lo <- pos + len;
+      (* the string view of [buf] does not outlive this call *)
+      Some (check_body (Bytes.unsafe_to_string r.buf) pos len)
     end
 
 let eof_error r =

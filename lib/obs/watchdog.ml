@@ -128,20 +128,30 @@ let fire t which detail =
    with gaps wherever the client's reads or failed calls used a seq.
 
    - Per-client windows. A client's window is one int array
-     [| head; len; seq; instance; seq; instance; ... |]: its [len]
-     remembered keys as ascending (seq, instance) pairs in a circular
-     part starting at pair [head]. A seq above the client's last is
-     appended; lookup is a binary search, with the last pair checked
-     first. Only ascending seqs join a window, so its pairs are in
-     insertion order and the oldest is at [head]. A window starts at one
-     pair and is re-cut to [fit len] pairs (an eighth to spare) when full
-     or under three quarters full, so past a few keys it costs at most
-     8/3 words per key whatever the gaps between seqs, and an append
-     that fits allocates nothing.
+     [| head; len; seq_base; inst_base; key; key; ... |]: its [len]
+     remembered keys, ascending by seq, in a circular part starting at
+     key [head]. A key is one int: its seq's offset from [seq_base] in
+     the high bits and its instance's offset from [inst_base] in the low
+     [ibits]. A seq above the client's last is appended; lookup is a
+     binary search on the seq offsets, with the last key checked first.
+     Only ascending seqs join a window, so its keys are in insertion
+     order and the oldest is at [head]. A window starts at one key and
+     is re-cut to [fit len] keys (an eighth to spare) when full or under
+     three quarters full, so past a few keys it costs at most 4/3 words
+     per key whatever the gaps between seqs, and an append that fits
+     allocates nothing.
+   - Re-basing. A re-cut re-bases the window on its oldest seq and its
+     lowest instance. An append whose offsets do not fit re-cuts the
+     window first, so a long-lived client's offsets never run out;
+     a key that still does not fit (its seq 2^31 or more above the
+     window's oldest, or instances 2^31 apart in one window) takes the
+     side table. A re-record at an instance that does not fit keeps its
+     key in the window with the instance field [escaped], and the
+     instance in the side table.
    - The eviction ring. One int per remembered key in insertion order,
      naming the client whose window holds it (or [side_mark]); it doubles
      up to [capacity]. Evicting the front entry drops that window's
-     oldest pair, so the oldest distinct key goes first, exactly as with a
+     oldest key, so the oldest distinct key goes first, exactly as with a
      FIFO of keys.
    - The side table: boxed keys with their own FIFO, for a seq at or
      below its client's last. A 2PC decision commits the branch's op
@@ -163,7 +173,7 @@ type monitor = {
          the actor label ("s1/r0" -> "s1/", plain "r0" -> ""), since
          every group leases independently *)
   capacity : int;
-  windows : int array Itbl.t;  (* client -> [| head; len; seq; instance; ... |] *)
+  windows : int array Itbl.t;  (* client -> [| head; len; seq_base; inst_base; key; ... |] *)
   mutable ring : int array;
   mutable ring_head : int;
   mutable ring_len : int;  (* = remembered keys *)
@@ -192,40 +202,80 @@ let monitor ?(capacity = 65536) sink ~actor =
     side_order = Queue.create ();
   }
 
-let pairs w = (Array.length w - 2) / 2
+(* Key packing: both offsets are below [span]; an instance field of
+   [escaped] sends the lookup to the side table. *)
+let ibits = 31
+let span = 1 lsl ibits
+let escaped = span - 1
+let header = 4
 
-(* Index in [w] of the seq of its [k]-th oldest pair. *)
-let pair w k =
-  let i = w.(0) + k and n = pairs w in
-  2 + (2 * if i >= n then i - n else i)
+let keys w = Array.length w - header
 
-(* The pairs a window re-cut for [len] keys gets. *)
+(* Index in [w] of its [k]-th oldest key. *)
+let slot w k =
+  let i = w.(0) + k and n = keys w in
+  header + if i >= n then i - n else i
+
+let seq_at w p = w.(2) + (w.(p) lsr ibits)
+let field w p = w.(p) land escaped
+
+(* [x - base] when that lies in [0, lim), else -1 (also on overflow). *)
+let offset x base lim =
+  let d = x - base in
+  if x >= base && d >= 0 && d < lim then d else -1
+
+(* The key packing [seq] and [instance] in [w], or -1 if they do not fit. *)
+let pack w ~seq ~instance =
+  let s = offset seq w.(2) span and i = offset instance w.(3) escaped in
+  if s < 0 || i < 0 then -1 else (s lsl ibits) lor i
+
+(* The keys a window re-cut for [len] keys has room for. *)
 let fit len = len + (len / 8) + 1
 
-(* Index in [w] of the pair holding [seq], or -1. *)
+(* Index in [w] of the key holding [seq], or -1. *)
 let window_pos w seq =
-  let last = pair w (w.(1) - 1) in
-  if seq >= w.(last) then if seq = w.(last) then last else -1
+  let d = offset seq w.(2) span in
+  let last = slot w (w.(1) - 1) in
+  if d < 0 then -1
+  else if d >= w.(last) lsr ibits then if d = w.(last) lsr ibits then last else -1
   else begin
-    (* the pair is among the oldest [len - 1], if anywhere *)
+    (* the key is among the oldest [len - 1], if anywhere *)
     let rec search lo hi =
       if lo >= hi then -1
       else
         let mid = (lo + hi) / 2 in
-        let p = pair w mid in
-        if w.(p) = seq then p else if w.(p) < seq then search (mid + 1) hi else search lo mid
+        let p = slot w mid in
+        let s = w.(p) lsr ibits in
+        if s = d then p else if s < d then search (mid + 1) hi else search lo mid
     in
     search 0 (w.(1) - 1)
   end
 
-(* [w]'s pairs moved, oldest first, into a window of [cap] pairs. *)
-let relocate w cap =
-  let w' = Array.make (2 + (2 * cap)) 0 in
-  w'.(1) <- w.(1);
-  for k = 0 to w.(1) - 1 do
-    let p = pair w k in
-    w'.(2 + (2 * k)) <- w.(p);
-    w'.(3 + (2 * k)) <- w.(p + 1)
+(* [w]'s keys moved, oldest first, into a window of [cap] keys re-based
+   on its oldest seq and its lowest instance, lowered to [instance] if
+   every instance then still fits. *)
+let relocate ?(instance = max_int) w cap =
+  let len = w.(1) in
+  let lo = ref max_int and hi = ref 0 in
+  for k = 0 to len - 1 do
+    let f = field w (slot w k) in
+    if f <> escaped then begin
+      lo := min !lo (w.(3) + f);
+      hi := max !hi (w.(3) + f)
+    end
+  done;
+  let base = if max !hi instance - instance < escaped then min !lo instance else !lo in
+  let w' = Array.make (header + cap) 0 in
+  let oldest = w.(slot w 0) lsr ibits in
+  w'.(1) <- len;
+  w'.(2) <- w.(2) + oldest;
+  w'.(3) <- base;
+  for k = 0 to len - 1 do
+    let p = slot w k in
+    let f = field w p in
+    w'.(header + k) <-
+      (((w.(p) lsr ibits) - oldest) lsl ibits)
+      lor if f = escaped then escaped else w.(3) + f - base
   done;
   w'
 
@@ -235,7 +285,9 @@ let find m ~client ~seq =
     match Itbl.find m.windows client with
     | w ->
       let p = window_pos w seq in
-      if p < 0 then absent else w.(p + 1)
+      if p < 0 then absent
+      else if field w p = escaped then Hashtbl.find m.side (client, seq)
+      else w.(3) + field w p
     | exception Not_found -> absent
   in
   if i <> absent || Hashtbl.length m.side = 0 then i
@@ -247,25 +299,29 @@ let window_add m ~client ~seq ~instance =
   &&
   match Itbl.find m.windows client with
   | exception Not_found ->
-    Itbl.add m.windows client [| 0; 1; seq; instance |];
+    Itbl.add m.windows client [| 0; 1; seq; instance; 0 |];
     true
   | w ->
     let len = w.(1) in
-    if seq <= w.(pair w (len - 1)) then false
+    if seq <= seq_at w (slot w (len - 1)) then false
     else begin
       let w =
-        if 2 + (2 * len) < Array.length w then w
+        if len < keys w && pack w ~seq ~instance >= 0 then w
+        else if offset seq (seq_at w (slot w 0)) span < 0 then
+          w (* no re-base brings this seq within reach: [pack] fails below *)
         else begin
-          let w' = relocate w (fit len) in
+          let w' = relocate ~instance w (fit len) in
           Itbl.replace m.windows client w';
           w'
         end
       in
-      let p = pair w len in
-      w.(p) <- seq;
-      w.(p + 1) <- instance;
-      w.(1) <- len + 1;
-      true
+      let key = pack w ~seq ~instance in
+      key >= 0
+      && begin
+        w.(slot w len) <- key;
+        w.(1) <- len + 1;
+        true
+      end
     end
 
 let push m entry =
@@ -289,10 +345,12 @@ let evict_oldest m =
   if c = side_mark then Hashtbl.remove m.side (Queue.take m.side_order)
   else begin
     let w = Itbl.find m.windows c in
+    let p = slot w 0 in
+    if field w p = escaped then Hashtbl.remove m.side (c, seq_at w p);
     let len = w.(1) - 1 in
     if len = 0 then Itbl.remove m.windows c
     else begin
-      let cap = pairs w in
+      let cap = keys w in
       w.(0) <- (if w.(0) + 1 = cap then 0 else w.(0) + 1);
       w.(1) <- len;
       if 4 * len < 3 * cap && fit len < cap then Itbl.replace m.windows c (relocate w (fit len))
@@ -314,7 +372,11 @@ let remember m ~client ~seq ~instance ~prev =
   else if prev <> instance then
     (* a re-record at another instance: the rare violation path *)
     match Itbl.find_opt m.windows client with
-    | Some w when window_pos w seq >= 0 -> w.(window_pos w seq + 1) <- instance
+    | Some w when window_pos w seq >= 0 ->
+      let p = window_pos w seq and i = offset instance w.(3) escaped in
+      if i >= 0 then Hashtbl.remove m.side (client, seq)
+      else Hashtbl.replace m.side (client, seq) instance;
+      w.(p) <- w.(p) - field w p + if i >= 0 then i else escaped
     | _ -> Hashtbl.replace m.side (client, seq) instance
 
 (* Seeding (log replay at recovery, or a known-good commit fed by a

@@ -105,6 +105,11 @@ module Make (S : Service_intf.S) : sig
       snapshot, so this stays near [cfg.snapshot_interval] plus the
       instances in flight however long the replica runs. *)
 
+  val footprint_window : t -> int
+  (** Committed footprints held for T-Paxos conflict checks. Only a
+      leader with a transaction branch open keeps any (at most 2048);
+      a follower, or a leader with no open branch, holds none. *)
+
   val state : t -> S.state
   (** Latest committed service state. *)
 

@@ -132,7 +132,8 @@ module Make (S : Service_intf.S) = struct
     (* execution-cost deferral *)
     exec_table : (int, exec_work) Hashtbl.t;
     mutable exec_next : int;
-    (* T-Paxos conflict window: footprints of recently committed instances *)
+    (* T-Paxos conflict window: footprints of the instances committed
+       while this replica leads with a branch open *)
     recent_footprints : (int, Footprint.t) Hashtbl.t;
     tables : Committed.t;
         (* dedup, 2PC and reshard participant tables, derived from
@@ -212,6 +213,7 @@ module Make (S : Service_intf.S) = struct
   let promised t = t.promised
   let commit_point t = Plog.commit_point t.log
   let log_entries t = Plog.entry_count t.log
+  let footprint_window t = Hashtbl.length t.recent_footprints
   let state t = t.app_state
   let is_leader t = match t.role with Leader _ -> true | _ -> false
 
@@ -341,26 +343,34 @@ module Make (S : Service_intf.S) = struct
       (fun (r : request) ->
         watch t.wd ~client:(Ids.Client_id.to_int r.id.client) ~seq:r.id.seq ~instance)
       p.requests;
-    (* Footprints for T-Paxos conflict detection: derived from the ops. *)
-    let footprint =
-      List.fold_left
-        (fun fp (r : request) ->
-          match r.rtype with
-          | Read | Txn_commit _ | Txn_abort _ | Txn_prepare _
-          | Reshard_freeze _ | Reshard_install _ | Reshard_commit _
-          | Reshard_abort _ ->
-            fp
-          | Write | Original | Txn_op _ -> Footprint.union fp (op_footprint r))
-        Footprint.empty p.requests
-    in
-    Hashtbl.replace t.recent_footprints instance footprint;
-    (* Bound the window. *)
-    if Hashtbl.length t.recent_footprints > 2048 then begin
-      let cp = Plog.commit_point t.log in
-      Hashtbl.filter_map_inplace
-        (fun i v -> if i < cp - 1024 then None else Some v)
-        t.recent_footprints
-    end;
+    (* The T-Paxos conflict window. Only a leader's open branches scan
+       it, each over the instances committed since it opened, and every
+       one of those commits while the branch is in [l_txns] (a parked
+       branch goes back within the same step; [step_down] empties the
+       table). So it is kept only while this replica leads with a branch
+       open, and is otherwise empty. *)
+    (match t.role with
+    | Leader l when Hashtbl.length l.l_txns > 0 ->
+      let footprint =
+        List.fold_left
+          (fun fp (r : request) ->
+            match r.rtype with
+            | Read | Txn_commit _ | Txn_abort _ | Txn_prepare _
+            | Reshard_freeze _ | Reshard_install _ | Reshard_commit _
+            | Reshard_abort _ ->
+              fp
+            | Write | Original | Txn_op _ -> Footprint.union fp (op_footprint r))
+          Footprint.empty p.requests
+      in
+      Hashtbl.replace t.recent_footprints instance footprint;
+      (* Bound the window. *)
+      if Hashtbl.length t.recent_footprints > 2048 then begin
+        let cp = Plog.commit_point t.log in
+        Hashtbl.filter_map_inplace
+          (fun i v -> if i < cp - 1024 then None else Some v)
+          t.recent_footprints
+      end
+    | _ -> if Hashtbl.length t.recent_footprints > 0 then Hashtbl.reset t.recent_footprints);
     if t.cfg.record_history then
       t.history <- (instance, p.requests, S.encode_state t.app_state) :: t.history;
     match mode with

@@ -78,16 +78,18 @@ let encode_record tag body =
       Wire.Encoder.uint e tag;
       body e)
 
+let output_le32 oc n =
+  for i = 0 to 3 do
+    output_byte oc ((n lsr (8 * i)) land 0xFF)
+  done
+
+(* The header, the payload and its CRC trailer, written straight to the
+   channel. *)
 let write_frame oc payload =
-  let framed = Wire.with_crc payload in
-  let len = String.length framed in
-  let hdr = Bytes.create 4 in
-  Bytes.set hdr 0 (Char.chr (len land 0xFF));
-  Bytes.set hdr 1 (Char.chr ((len lsr 8) land 0xFF));
-  Bytes.set hdr 2 (Char.chr ((len lsr 16) land 0xFF));
-  Bytes.set hdr 3 (Char.chr ((len lsr 24) land 0xFF));
-  output_bytes oc hdr;
-  output_string oc framed;
+  let n = String.length payload in
+  output_le32 oc (n + 4);
+  output_string oc payload;
+  output_le32 oc (Wire.crc32_sub payload 0 n);
   flush oc
 
 (* Read the longest valid prefix of CRC-framed records. Returns the

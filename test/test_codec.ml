@@ -129,6 +129,33 @@ let test_with_check_crc () =
     | _ -> false
     | exception Wire.Decode_error _ -> true)
 
+(* The trailer is the check value, little-endian; a body inside a larger
+   buffer checks in place, with error positions counted from its start. *)
+let test_crc_in_place () =
+  Alcotest.(check string) "trailer bytes" "123456789\x26\x39\xf4\xcb"
+    (Wire.with_crc "123456789");
+  Alcotest.(check int) "crc32_sub = crc32" 0xCBF43926 (Wire.crc32_sub "xx123456789y" 2 9);
+  let buf = "hdr" ^ Wire.with_crc "body" ^ "tail" in
+  Alcotest.(check string) "sub-range body" "body" (Wire.check_crc_sub buf 3 8);
+  Alcotest.(check bool) "mismatch at the trailer" true
+    (match Wire.check_crc_sub buf 2 8 with
+    | _ -> false
+    | exception Wire.Decode_error { pos; _ } -> pos = 4)
+
+(* The CRC runs on native ints: a checksum over 4 KiB allocates at most
+   its boxed result, not a box per byte. *)
+let test_crc_allocation () =
+  let s = String.init 4096 (fun i -> Char.chr (i land 0xFF)) in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let w = words (fun () -> ignore (Sys.opaque_identity (Wire.crc32 s))) in
+  if w > 8. then Alcotest.failf "crc32 over 4 KiB allocated %.0f words" w;
+  let w = words (fun () -> ignore (Sys.opaque_identity (Wire.crc32_sub s 0 4096))) in
+  if w > 8. then Alcotest.failf "crc32_sub over 4 KiB allocated %.0f words" w
+
 (* Property tests *)
 
 let prop_uint_roundtrip =
@@ -207,6 +234,8 @@ let suite =
         Alcotest.test_case "empty" `Quick test_crc_empty;
         Alcotest.test_case "incremental" `Quick test_crc_incremental;
         Alcotest.test_case "frame roundtrip + corruption" `Quick test_with_check_crc;
+        Alcotest.test_case "in place" `Quick test_crc_in_place;
+        Alcotest.test_case "4 KiB allocates a few words" `Quick test_crc_allocation;
       ] );
     ( "codec.properties",
       qcheck

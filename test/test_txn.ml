@@ -215,6 +215,59 @@ let test_txn_read_only_vs_wildcard () =
   Alcotest.(check bool) "read-only branch commits" true
     (Hashtbl.find_opt statuses (1, 2) = Some Ok)
 
+(* The conflict window holds footprints only while a branch is open on
+   the leader: a follower, and a leader with no open branch, hold none.
+   A plain write committed before a branch opens does not make it
+   conflict; one committed while it is open does. *)
+let test_txn_window_only_while_branch_open () =
+  let t = RT.create ~cfg:(cfg ()) ~scenario:(Scenario.uniform ()) () in
+  let leader = Option.get (RT.await_leader t) in
+  let statuses = Hashtbl.create 8 in
+  let mk id =
+    RT.add_client t ~id
+      ~on_reply:(fun reply -> Hashtbl.replace statuses (id, reply.req.seq) reply.status)
+      ()
+  in
+  let c1 = mk 1 and c2 = mk 2 in
+  let step () = RT.run_until t (RT.now t +. 50.0) in
+  let put c key = submit t c Write ~payload:(Kv.encode_op (Kv.Put { key; value = "w" })) in
+  let windows () = List.init 3 (fun i -> RT.R.footprint_window (RT.replica t i)) in
+  let commit_one tid =
+    submit t c1 (Txn_commit tid) ~payload:(Wire.encode (fun e -> Wire.Encoder.uint e 1))
+  in
+  (* plain writes, no branch open: every window stays empty *)
+  put c2 "k";
+  step ();
+  put c2 "j";
+  step ();
+  Alcotest.(check (list int)) "no branch: all windows empty" [ 0; 0; 0 ] (windows ());
+  (* a branch on "k" opens after the write to "k" committed, and commits *)
+  submit t c1 (Txn_op 1) ~payload:(Kv.encode_op (Kv.Put { key = "k"; value = "t1" }));
+  step ();
+  put c2 "j";
+  step ();
+  Alcotest.(check (list int)) "branch open: the leader holds one footprint"
+    (List.init 3 (fun i -> if i = leader then 1 else 0))
+    (windows ());
+  commit_one 1;
+  step ();
+  Alcotest.(check bool) "write before the branch: no conflict" true
+    (Hashtbl.find statuses (1, 2) = Ok);
+  Alcotest.(check (list int)) "branch closed: all windows empty" [ 0; 0; 0 ] (windows ());
+  (* a write to "k" commits while the next branch on "k" is open *)
+  submit t c1 (Txn_op 2) ~payload:(Kv.encode_op (Kv.Put { key = "k"; value = "t2" }));
+  step ();
+  put c2 "k";
+  step ();
+  commit_one 2;
+  step ();
+  Alcotest.(check bool) "write while the branch is open: conflict" true
+    (Hashtbl.find statuses (1, 4) = Txn_conflict);
+  (* a conflict commits nothing: the next commit finds no branch open *)
+  put c2 "j";
+  step ();
+  Alcotest.(check (list int)) "next commit: all windows empty" [ 0; 0; 0 ] (windows ())
+
 let test_txn_leader_switch_aborts () =
   (* §3.6: if the leader switches mid-transaction, the new leader has no
      branch and must abort the commit. *)
@@ -283,6 +336,8 @@ let suite =
         Alcotest.test_case "disjoint txns both commit" `Quick test_txn_disjoint_no_conflict;
         Alcotest.test_case "read-only branch ignores a wildcard write" `Quick
           test_txn_read_only_vs_wildcard;
+        Alcotest.test_case "conflict window only while a branch is open" `Quick
+          test_txn_window_only_while_branch_open;
         Alcotest.test_case "leader switch aborts (§3.6)" `Quick
           test_txn_leader_switch_aborts;
         Alcotest.test_case "sequential transactions" `Quick test_txn_multiple_sequential;

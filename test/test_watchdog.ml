@@ -161,10 +161,11 @@ end
 type kind = Record | Seed | Ack
 
 (* How an operation picks its seq relative to its client's highest seq
-   so far: the next one, a little or far ahead (gaps), at or just behind
-   it (re-records, and out-of-order commits as when a 2PC decision's ops
-   commit after the prepare), or an absolute small seq. *)
-type pick = Next | Ahead | Far | Behind | Small
+   so far: the next one, a little or far ahead (gaps), 2^30 or more or
+   2^32 and more ahead (past what a window's seq offsets reach), at or
+   just behind it (re-records, and out-of-order commits as when a 2PC
+   decision's ops commit after the prepare), or an absolute small seq. *)
+type pick = Next | Ahead | Far | Huge | Jump | Behind | Small
 
 type op = { kind : kind; client : int; pick : pick; delta : int; instance : int }
 
@@ -173,14 +174,33 @@ let gen_history =
   let kind = frequency [ (6, pure Record); (1, pure Seed); (2, pure Ack) ] in
   let pick =
     frequency
-      [ (6, pure Next); (2, pure Ahead); (1, pure Far); (4, pure Behind); (1, pure Small) ]
+      [
+        (6, pure Next);
+        (2, pure Ahead);
+        (1, pure Far);
+        (1, pure Huge);
+        (1, pure Jump);
+        (4, pure Behind);
+        (1, pure Small);
+      ]
+  in
+  (* mostly a few small instances, so re-records collide, plus instances
+     at 2^30, 2^32 and max_int, which no one window's offsets span *)
+  let instance =
+    frequency
+      [
+        (8, int_bound 3);
+        (1, map (fun d -> (1 lsl 30) + d) (int_bound 3));
+        (1, map (fun d -> (1 lsl 32) + d) (int_bound 3));
+        (1, map (fun d -> max_int - d) (int_bound 3));
+      ]
   in
   let op =
     map
       (fun (kind, client, pick, delta, instance) -> { kind; client; pick; delta; instance })
       (tup5 kind (int_bound 3) pick
          (frequency [ (3, int_bound 4); (1, int_bound 40) ])
-         (int_bound 3))
+         instance)
   in
   pair (int_range 1 12) (list_size (int_bound 400) op)
 
@@ -196,6 +216,8 @@ let print_history (capacity, ops) =
               | Next -> "next"
               | Ahead -> "ahead+"
               | Far -> "far+"
+              | Huge -> "huge+"
+              | Jump -> "jump+"
               | Behind -> "behind-"
               | Small -> "seq=")
               o.delta o.instance)
@@ -216,6 +238,8 @@ let prop_matches_model =
             | Next -> h + 1
             | Ahead -> h + 1 + o.delta
             | Far -> h + 1000 * (o.delta + 1)
+            | Huge -> h + ((1 lsl 30) * (o.delta + 1))
+            | Jump -> h + (1 lsl 32) + o.delta
             | Behind -> h - o.delta
             | Small -> o.delta
           in
@@ -262,20 +286,27 @@ let test_eviction_boundary () =
   check_eviction_boundary ~keys:65536 ()
 
 (* Heap words the monitor holds per remembered key. A key in a window
-   costs three (its seq and instance there, its client in the ring) plus
-   the window's spare pairs, at most a third of its keys. *)
+   costs two (its packed seq and instance there, its client in the ring)
+   plus the window's spare keys, at most a third of its keys. *)
 let words_per_key m ~keys = float (Obj.reachable_words (Obj.repr m)) /. float keys
 
 let test_memory_per_key () =
   let t = Watchdog.create () in
-  (* two sessions committing every seq in order: windows plus the ring *)
-  let m = Watchdog.monitor t ~actor:"r0" in
-  for seq = 1 to 100_000 do
-    Watchdog.record_commit m ~client:0 ~seq ~instance:(2 * seq);
-    Watchdog.record_commit m ~client:1 ~seq ~instance:((2 * seq) + 1)
-  done;
-  let w = words_per_key m ~keys:65536 in
-  if w > 3.5 then Alcotest.failf "2 clients x 100k commits: %.3f words per key > 3.5" w;
+  (* two sessions committing every seq in order: windows plus the ring;
+     again with seqs past 2^40 and instances past 2^41, which a window's
+     offsets reach as well as small ones *)
+  List.iter
+    (fun base ->
+      let m = Watchdog.monitor t ~actor:"r0" in
+      for seq = base + 1 to base + 100_000 do
+        Watchdog.record_commit m ~client:0 ~seq ~instance:(2 * seq);
+        Watchdog.record_commit m ~client:1 ~seq ~instance:((2 * seq) + 1)
+      done;
+      let w = words_per_key m ~keys:65536 in
+      if w > 2.25 then
+        Alcotest.failf "2 clients x 100k commits from seq %d: %.3f words per key > 2.25"
+          (base + 1) w)
+    [ 0; 1 lsl 40 ];
   (* two read-mostly sessions: one seq per call, but only about one call
      in ten (the writes) commits, so committed seqs are ~10 apart *)
   let m = Watchdog.monitor t ~actor:"r0" in
@@ -289,7 +320,7 @@ let test_memory_per_key () =
     end
   done;
   let w = words_per_key m ~keys:65536 in
-  if w > 3.5 then Alcotest.failf "2 clients, 90%% reads: %.3f words per key > 3.5" w;
+  if w > 2.25 then Alcotest.failf "2 clients, 90%% reads: %.3f words per key > 2.25" w;
   (* an open-loop session pool: one commit from each of 65536 clients *)
   let m = Watchdog.monitor t ~actor:"r0" in
   for client = 1 to 65536 do
