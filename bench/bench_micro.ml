@@ -64,43 +64,70 @@ let test_plog_append =
            ignore (Plog.commit log ~instance:i)
          done))
 
-let test_snapshot =
-  Test.make ~name:"snapshot: encode+decode"
-    (Staged.stage
-       (let snap =
-          {
-            Grid_paxos.Snapshot.commit_point = 100;
-            state = String.make 256 's';
-            dedup =
-              List.init 16 (fun c ->
-                  ( c,
-                    { Types.req = Ids.Request_id.make ~client:(Ids.Client_id.of_int c) ~seq:9;
-                      status = Types.Ok;
-                      payload = "ok" } ));
-            prepared = [];
-            outcomes = [];
-            reshard = "";
-          }
-        in
-        fun () ->
-          ignore (Grid_paxos.Snapshot.decode (Grid_paxos.Snapshot.encode snap))))
+let snapshot_roundtrip =
+  let snap =
+    {
+      Grid_paxos.Snapshot.commit_point = 100;
+      state = String.make 256 's';
+      dedup =
+        List.init 16 (fun c ->
+            ( c,
+              { Types.req = Ids.Request_id.make ~client:(Ids.Client_id.of_int c) ~seq:9;
+                status = Types.Ok;
+                payload = "ok" } ));
+      prepared = [];
+      outcomes = [];
+      reshard = "";
+    }
+  in
+  fun () -> ignore (Grid_paxos.Snapshot.decode (Grid_paxos.Snapshot.encode snap))
+
+let test_snapshot = Test.make ~name:"snapshot: encode+decode" (Staged.stage snapshot_roundtrip)
+
+(* A periodic snapshot of a 4096-key store (32-byte values, ~170 KB
+   state) as a replica writes one: the state encoded into an encoder
+   kept across calls, then copied once into the record. *)
+let snapshot_kv =
+  let module Kv = Grid_services.Kv_store in
+  let st =
+    {
+      Kv.version = 4096;
+      entries =
+        Kv.Smap.of_seq
+          (Seq.init 4096 (fun k ->
+               (Printf.sprintf "k%04d" k, Printf.sprintf "%-32s" (string_of_int k))));
+    }
+  in
+  let snap =
+    { Grid_paxos.Snapshot.commit_point = 100; state = ""; dedup = []; prepared = [];
+      outcomes = []; reshard = "" }
+  in
+  let state = Wire.Encoder.create () in
+  fun () ->
+    Wire.Encoder.clear state;
+    Kv.encode_state_into state st;
+    ignore (Sys.opaque_identity (Grid_paxos.Snapshot.encode_with ~state snap))
+
+let test_snapshot_kv =
+  Test.make ~name:"snapshot: encode, 4096-key kv" (Staged.stage snapshot_kv)
 
 (* Two sessions committing in order against a full table (the default
    65536 keys): every call remembers one key and evicts the oldest. *)
+let watchdog_commit =
+  let m = Grid_obs.Watchdog.monitor (Grid_obs.Watchdog.create ()) ~actor:"r0" in
+  let next = ref 0 in
+  let commit () =
+    let k = !next in
+    next := k + 1;
+    Grid_obs.Watchdog.record_commit m ~client:(k land 1) ~seq:(k lsr 1) ~instance:k
+  in
+  for _ = 1 to 65536 do
+    commit ()
+  done;
+  commit
+
 let test_watchdog_commit =
-  Test.make ~name:"watchdog: record_commit, full table"
-    (Staged.stage
-       (let m = Grid_obs.Watchdog.monitor (Grid_obs.Watchdog.create ()) ~actor:"r0" in
-        let next = ref 0 in
-        let commit () =
-          let k = !next in
-          next := k + 1;
-          Grid_obs.Watchdog.record_commit m ~client:(k land 1) ~seq:(k lsr 1) ~instance:k
-        in
-        for _ = 1 to 65536 do
-          commit ()
-        done;
-        commit))
+  Test.make ~name:"watchdog: record_commit, full table" (Staged.stage watchdog_commit)
 
 (* The batch gate's footprint checks: a 3-key transaction branch against
    a full batch ([max_batch] = 6 single-key writes) with no key in common
@@ -174,15 +201,44 @@ let benchmark test =
   in
   results
 
+(* Words one call allocates, over [runs] calls after one warm-up: all
+   of them, and those in blocks over 256 words, which OCaml allocates
+   straight in the major heap ([major_words - promoted_words], read
+   after a minor collection and a major slice bring both up to date). *)
+let words_per_call ?(runs = 1000) fn =
+  let counters () =
+    Gc.minor ();
+    ignore (Gc.major_slice 0);
+    let s = Gc.quick_stat () in
+    (s.minor_words, s.major_words -. s.promoted_words)
+  in
+  fn ();
+  let minor0, direct0 = counters () in
+  for _ = 1 to runs do
+    fn ()
+  done;
+  let minor1, direct1 = counters () in
+  let per x = Printf.sprintf "%.0f" (x /. float runs) in
+  (per (minor1 -. minor0 +. direct1 -. direct0), per (direct1 -. direct0))
+
 let run ~quick:_ ~only =
   if only = None || only = Some "micro" then begin
     Experiment.section "micro — data-structure microbenchmarks (bechamel)";
     let table =
       Grid_util.Text_table.create
-        ~columns:[ ("Benchmark", Grid_util.Text_table.Left); ("ns/op", Grid_util.Text_table.Right) ]
+        ~columns:
+          [
+            ("Benchmark", Grid_util.Text_table.Left);
+            ("ns/op", Grid_util.Text_table.Right);
+            ("words/op", Grid_util.Text_table.Right);
+            ("in blocks > 256 words", Grid_util.Text_table.Right);
+          ]
     in
     List.iter
-      (fun test ->
+      (fun (test, fn) ->
+        let words, direct =
+          match fn with Some fn -> words_per_call fn | None -> ("", "")
+        in
         let results = benchmark test in
         Hashtbl.iter
           (fun name ols ->
@@ -191,19 +247,20 @@ let run ~quick:_ ~only =
               | Some (e :: _) -> Printf.sprintf "%.1f" e
               | _ -> "n/a"
             in
-            Grid_util.Text_table.add_row table [ name; estimate ])
+            Grid_util.Text_table.add_row table [ name; estimate; words; direct ])
           results)
       [
-        test_encode_proposal;
-        test_decode_proposal;
-        test_crc;
-        test_heap;
-        test_plog_append;
-        test_snapshot;
-        test_watchdog_commit;
-        test_fp_overlaps;
-        test_fp_hits_ranges;
-        test_reader;
+        (test_encode_proposal, None);
+        (test_decode_proposal, None);
+        (test_crc, None);
+        (test_heap, None);
+        (test_plog_append, None);
+        (test_snapshot, Some snapshot_roundtrip);
+        (test_snapshot_kv, Some snapshot_kv);
+        (test_watchdog_commit, Some watchdog_commit);
+        (test_fp_overlaps, None);
+        (test_fp_hits_ranges, None);
+        (test_reader, None);
       ];
     print_string (Grid_util.Text_table.render table)
   end

@@ -7,31 +7,25 @@ module Encoder = struct
 
   let create ?(initial_size = 64) () = Buffer.create initial_size
 
+  (* The varint bytes of [z], its bits read as unsigned. A top-level
+     loop rather than a local closure, so writing an int allocates
+     nothing. *)
+  let rec varint t z =
+    if z land lnot 0x7F = 0 then Buffer.add_char t (Char.chr z)
+    else begin
+      Buffer.add_char t (Char.chr (0x80 lor (z land 0x7F)));
+      varint t (z lsr 7)
+    end
+
   let uint t n =
     if n < 0 then invalid_arg "Wire.Encoder.uint: negative";
-    let rec go n =
-      if n < 0x80 then Buffer.add_char t (Char.chr n)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (n land 0x7F)));
-        go (n lsr 7)
-      end
-    in
-    go n
+    varint t n
 
   let int t n =
     (* Zigzag: map small-magnitude signed ints to small unsigned ints. The
-       logical shifts keep this correct for min_int. *)
-    let z = (n lsl 1) lxor (n asr (Sys.int_size - 1)) in
-    (* [z] may have the top bit set; emit as up to 10 varint bytes treating
-       it as unsigned. *)
-    let rec go z =
-      if z land lnot 0x7F = 0 then Buffer.add_char t (Char.chr z)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (z land 0x7F)));
-        go (z lsr 7)
-      end
-    in
-    go z
+       logical shifts keep this correct for min_int. [z] may have the top
+       bit set: up to 10 varint bytes. *)
+    varint t ((n lsl 1) lxor (n asr (Sys.int_size - 1)))
 
   let int64 t v =
     for i = 0 to 7 do
@@ -61,6 +55,8 @@ module Encoder = struct
     Array.iter enc a
 
   let raw t s = Buffer.add_string t s
+  let blit t dst pos = Buffer.blit t 0 dst pos (Buffer.length t)
+  let clear = Buffer.clear
   let length = Buffer.length
   let contents = Buffer.contents
 end

@@ -42,6 +42,14 @@ module Encoder : sig
   val raw : t -> string -> unit
   (** Append bytes with no length prefix (for already-framed payloads). *)
 
+  val blit : t -> bytes -> int -> unit
+  (** [blit t dst pos] copies the bytes written to [t] so far into [dst]
+      from [pos]. *)
+
+  val clear : t -> unit
+  (** Forget every byte written but keep the storage, so an encoder
+      reused across values of similar size grows once. *)
+
   val length : t -> int
   val contents : t -> string
 end

@@ -126,33 +126,50 @@ let fire t which detail =
    first. It runs on every commit in every replica, so it is laid out for
    what a replica sees: each client's seqs commit in ascending order,
    with gaps wherever the client's reads or failed calls used a seq.
+   No block it allocates is over 256 words, so every one starts in the
+   minor heap and none is copied whole as the table grows: OCaml
+   allocates larger blocks straight in the major heap, whose memory the
+   allocator is slow to hand back.
 
-   - Per-client windows. A client's window is one int array
-     [| head; len; seq_base; inst_base; key; key; ... |]: its [len]
+   - Per-client segments. A segment is one int array
+     [| head; len; seq_base; inst_base; key; key; ... |]: [len]
      remembered keys, ascending by seq, in a circular part starting at
      key [head]. A key is one int: its seq's offset from [seq_base] in
      the high bits and its instance's offset from [inst_base] in the low
-     [ibits]. A seq above the client's last is appended; lookup is a
-     binary search on the seq offsets, with the last key checked first.
-     Only ascending seqs join a window, so its keys are in insertion
-     order and the oldest is at [head]. A window starts at one key and
-     is re-cut to [fit len] keys (an eighth to spare) when full or under
-     three quarters full, so past a few keys it costs at most 4/3 words
-     per key whatever the gaps between seqs, and an append that fits
-     allocates nothing.
-   - Re-basing. A re-cut re-bases the window on its oldest seq and its
-     lowest instance. An append whose offsets do not fit re-cuts the
-     window first, so a long-lived client's offsets never run out;
-     a key that still does not fit (its seq 2^31 or more above the
-     window's oldest, or instances 2^31 apart in one window) takes the
-     side table. A re-record at an instance that does not fit keeps its
-     key in the window with the instance field [escaped], and the
-     instance in the side table.
+     [ibits]. A client's keys live in its newest segment and, once that
+     has filled [seg_keys] keys, in a FIFO of its older segments, oldest
+     first. Only ascending seqs join, so a client's keys across its
+     segments are in insertion order and its oldest key is the front of
+     its oldest segment.
+   - The newest segment. A seq above the client's last is appended; a
+     lookup checks the last key, then bisects. The first segment starts
+     at one key and is re-cut to [fit len] keys (an eighth to spare, at
+     most [seg_keys]) when full or, while it is the client's only one,
+     under three quarters full; so a small client costs one small array.
+     When it is full at [seg_keys] keys it joins the older FIFO and a
+     fresh full-size segment starts at the next key.
+   - Older segments are not appended to or re-cut. A lookup walks them
+     only for a seq below the newest segment's seq base, which is then
+     its oldest key: it is not evicted from while older segments exist.
+     Eviction drops their front key and frees a segment once it is
+     empty, so a client wastes at most one segment's spare slots there.
+     A freed segment is kept (up to [max_spares]) for the next fresh
+     one, so a table at capacity allocates nothing.
+   - Re-basing. Every segment has its own bases; a re-cut of the newest
+     moves them to its oldest seq and lowest instance. An append whose
+     offsets do not fit re-cuts it first; a key that still does not fit
+     (its seq 2^31 or more above the segment's oldest, or instances 2^31
+     apart in one segment) takes the side table. A re-record at an
+     instance that does not fit keeps its key in its segment with the
+     instance field [escaped], and the instance in the side table.
    - The eviction ring. One int per remembered key in insertion order,
-     naming the client whose window holds it (or [side_mark]); it doubles
-     up to [capacity]. Evicting the front entry drops that window's
-     oldest key, so the oldest distinct key goes first, exactly as with a
-     FIFO of keys.
+     naming the client whose segments hold it (or [side_mark]), kept in a
+     FIFO of [ring_chunk]-slot chunks: a chunk is added when the newest
+     fills and dropped when eviction has passed its last slot, kept for
+     the next one. The ring is never copied and holds at most two partly
+     used chunks.
+     Evicting the front entry drops that client's oldest key, so the
+     oldest distinct key goes first, exactly as with a FIFO of keys.
    - The side table: boxed keys with their own FIFO, for a seq at or
      below its client's last. A 2PC decision commits the branch's op
      requests after the same client's later prepare has committed, so
@@ -160,7 +177,27 @@ let fire t which detail =
 
    Instances are Paxos log positions, hence never -1. *)
 
-module Itbl = Hashtbl.Make (Int)
+(* Client-keyed tables, hashed inline: three lookups run on every
+   commit, and the generic [Hashtbl.hash] is a C call. The multiply and
+   fold spread nearby ids over the low bits the table indexes by. *)
+module Itbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+
+  let hash x =
+    let h = x * 0x2545F4914F6CDD1D in
+    (h lxor (h lsr 32)) land max_int
+end)
+
+(* A FIFO of blocks with its oldest one field away: [first] ([none] when
+   empty), then [rest], oldest first. *)
+type fifo = { mutable first : int array; rest : int array Queue.t }
+
+let none = [||]
+let fifo () = { first = none; rest = Queue.create () }
+let fifo_add f b = if f.first == none then f.first <- b else Queue.add b f.rest
+let fifo_drop f = f.first <- (if Queue.is_empty f.rest then none else Queue.take f.rest)
 
 let absent = -1
 let side_mark = min_int (* a ring entry naming the side FIFO's front *)
@@ -173,13 +210,30 @@ type monitor = {
          the actor label ("s1/r0" -> "s1/", plain "r0" -> ""), since
          every group leases independently *)
   capacity : int;
-  windows : int array Itbl.t;  (* client -> [| head; len; seq_base; inst_base; key; ... |] *)
-  mutable ring : int array;
-  mutable ring_head : int;
+  windows : int array Itbl.t;  (* client -> its newest segment *)
+  older : fifo Itbl.t;
+      (* client -> its older segments, oldest first; only clients that
+         filled a segment have an entry *)
+  spares : int array array;
+  mutable n_spares : int;
+      (* older segments freed, the first [n_spares] of [spares]: fresh
+         segments reuse them *)
+  ring : fifo;  (* the eviction ring's chunks *)
+  mutable spare_chunk : int array;  (* the last chunk dropped, or [none] *)
+  mutable ring_tail : int array;  (* the newest chunk *)
+  mutable tail_len : int;  (* entries written to it *)
+  mutable ring_head : int;  (* the oldest entry's slot in the oldest chunk *)
   mutable ring_len : int;  (* = remembered keys *)
   side : (int * int, int) Hashtbl.t;  (* (client, seq) -> instance *)
   side_order : (int * int) Queue.t;
 }
+
+(* Block sizes: a segment and a ring chunk are 256 words each, the most
+   the minor heap takes. *)
+let header = 4
+let seg_keys = 256 - header
+let ring_chunk = 256
+let max_spares = 8
 
 let monitor ?(capacity = 65536) sink ~actor =
   let group =
@@ -195,7 +249,13 @@ let monitor ?(capacity = 65536) sink ~actor =
     group;
     capacity;
     windows = Itbl.create 64;
-    ring = Array.make (min capacity 16) 0;
+    older = Itbl.create 16;
+    spares = Array.make max_spares none;
+    n_spares = 0;
+    ring = fifo ();
+    spare_chunk = none;
+    ring_tail = none;
+    tail_len = ring_chunk;
     ring_head = 0;
     ring_len = 0;
     side = Hashtbl.create 16;
@@ -207,7 +267,6 @@ let monitor ?(capacity = 65536) sink ~actor =
 let ibits = 31
 let span = 1 lsl ibits
 let escaped = span - 1
-let header = 4
 
 let keys w = Array.length w - header
 
@@ -229,14 +288,15 @@ let pack w ~seq ~instance =
   let s = offset seq w.(2) span and i = offset instance w.(3) escaped in
   if s < 0 || i < 0 then -1 else (s lsl ibits) lor i
 
-(* The keys a window re-cut for [len] keys has room for. *)
-let fit len = len + (len / 8) + 1
+(* The keys a newest segment re-cut for [len] keys has room for. *)
+let fit len = min seg_keys (len + (len / 8) + 1)
 
-(* Index in [w] of the key holding [seq], or -1. *)
+(* Index in [w] of the key holding [seq]; else -2 if [seq] is below
+   [w]'s seq base, -1 if not. *)
 let window_pos w seq =
   let d = offset seq w.(2) span in
   let last = slot w (w.(1) - 1) in
-  if d < 0 then -1
+  if d < 0 then if seq < w.(2) then -2 else -1
   else if d >= w.(last) lsr ibits then if d = w.(last) lsr ibits then last else -1
   else begin
     (* the key is among the oldest [len - 1], if anywhere *)
@@ -251,7 +311,7 @@ let window_pos w seq =
     search 0 (w.(1) - 1)
   end
 
-(* [w]'s keys moved, oldest first, into a window of [cap] keys re-based
+(* [w]'s keys moved, oldest first, into a segment of [cap] keys re-based
    on its oldest seq and its lowest instance, lowered to [instance] if
    every instance then still fits. *)
 let relocate ?(instance = max_int) w cap =
@@ -279,19 +339,64 @@ let relocate ?(instance = max_int) w cap =
   done;
   w'
 
-(* The instance remembered for the key, or [absent]. *)
+(* The older segment of [client] whose keys may hold [seq], or [none]:
+   the newest one that starts at or below it. *)
+let older_segment m ~client ~seq =
+  match Itbl.find m.older client with
+  | exception Not_found -> none
+  | q ->
+    let pick s o = if seq >= seq_at o (slot o 0) then o else s in
+    Queue.fold pick (pick none q.first) q.rest
+
+(* The segment of [client] whose keys may hold [seq], or [none]. A
+   client with older segments has not been evicted from since its newest
+   one started, so that one's seq base is its oldest key: only a seq
+   below the base can be in an older segment. *)
+let segment m ~client ~seq =
+  match Itbl.find m.windows client with
+  | exception Not_found -> none
+  | w ->
+    if window_pos w seq <> -2 || Itbl.length m.older = 0 then w
+    else older_segment m ~client ~seq
+
+let instance_at m w p ~client ~seq =
+  if field w p = escaped then Hashtbl.find m.side (client, seq) else w.(3) + field w p
+
+(* The instance remembered for the key, or [absent]: {!segment} with the
+   newest segment's lookup done once. *)
 let find m ~client ~seq =
   let i =
     match Itbl.find m.windows client with
+    | exception Not_found -> absent
     | w ->
       let p = window_pos w seq in
-      if p < 0 then absent
-      else if field w p = escaped then Hashtbl.find m.side (client, seq)
-      else w.(3) + field w p
-    | exception Not_found -> absent
+      if p >= 0 then instance_at m w p ~client ~seq
+      else if p = -1 || Itbl.length m.older = 0 then absent
+      else begin
+        let o = older_segment m ~client ~seq in
+        let p = if o == none then -1 else window_pos o seq in
+        if p < 0 then absent else instance_at m o p ~client ~seq
+      end
   in
   if i <> absent || Hashtbl.length m.side = 0 then i
   else Option.value (Hashtbl.find_opt m.side (client, seq)) ~default:absent
+
+(* A full-size segment: a spare, or a new one. Its key slots are not
+   cleared: only the first [len] are ever read. *)
+let take_spare m =
+  if m.n_spares = 0 then Array.make (header + seg_keys) 0
+  else begin
+    m.n_spares <- m.n_spares - 1;
+    let w = m.spares.(m.n_spares) in
+    m.spares.(m.n_spares) <- none;
+    w
+  end
+
+(* Store [key], packed for [w], as [w]'s newest; [w] has room. *)
+let append w key =
+  let len = w.(1) in
+  w.(slot w len) <- key;
+  w.(1) <- len + 1
 
 (* Append a key whose seq is above its client's last. *)
 let window_add m ~client ~seq ~instance =
@@ -305,57 +410,97 @@ let window_add m ~client ~seq ~instance =
     let len = w.(1) in
     if seq <= seq_at w (slot w (len - 1)) then false
     else begin
-      let w =
-        if len < keys w && pack w ~seq ~instance >= 0 then w
-        else if offset seq (seq_at w (slot w 0)) span < 0 then
-          w (* no re-base brings this seq within reach: [pack] fails below *)
-        else begin
-          let w' = relocate ~instance w (fit len) in
-          Itbl.replace m.windows client w';
-          w'
-        end
-      in
-      let key = pack w ~seq ~instance in
-      key >= 0
-      && begin
-        w.(slot w len) <- key;
-        w.(1) <- len + 1;
+      let key = if len < keys w then pack w ~seq ~instance else -1 in
+      if key >= 0 then begin
+        append w key;
         true
+      end
+      else if len = seg_keys then begin
+        (* the newest segment is full: it joins the older ones, and a
+           fresh one based on this key starts *)
+        (match Itbl.find m.older client with
+        | q -> fifo_add q w
+        | exception Not_found ->
+          let q = fifo () in
+          fifo_add q w;
+          Itbl.add m.older client q);
+        let w' = take_spare m in
+        w'.(0) <- 0;
+        w'.(1) <- 1;
+        w'.(2) <- seq;
+        w'.(3) <- instance;
+        w'.(header) <- 0;
+        Itbl.replace m.windows client w';
+        true
+      end
+      else if offset seq (seq_at w (slot w 0)) span < 0 then
+        false (* no re-base brings this seq within reach *)
+      else begin
+        let w' = relocate ~instance w (fit len) in
+        Itbl.replace m.windows client w';
+        let key = pack w' ~seq ~instance in
+        key >= 0
+        && begin
+          append w' key;
+          true
+        end
       end
     end
 
 let push m entry =
-  let n = Array.length m.ring in
-  if m.ring_len = n then begin
-    (* only reached below capacity: [remember] evicts at capacity first *)
-    let r = Array.make (min m.capacity (2 * n)) 0 in
-    Array.blit m.ring m.ring_head r 0 (n - m.ring_head);
-    Array.blit m.ring 0 r (n - m.ring_head) m.ring_head;
-    m.ring <- r;
-    m.ring_head <- 0
+  if m.tail_len = ring_chunk then begin
+    let c = if m.spare_chunk == none then Array.make ring_chunk 0 else m.spare_chunk in
+    m.spare_chunk <- none;
+    fifo_add m.ring c;
+    m.ring_tail <- c;
+    m.tail_len <- 0
   end;
-  let n = Array.length m.ring and i = m.ring_head + m.ring_len in
-  m.ring.(if i >= n then i - n else i) <- entry;
+  m.ring_tail.(m.tail_len) <- entry;
+  m.tail_len <- m.tail_len + 1;
   m.ring_len <- m.ring_len + 1
 
+(* Drop the oldest key of segment [w]; whether [w] is left empty. *)
+let drop_front m ~client w =
+  let p = slot w 0 in
+  if field w p = escaped then Hashtbl.remove m.side (client, seq_at w p);
+  w.(0) <- (if w.(0) + 1 = keys w then 0 else w.(0) + 1);
+  w.(1) <- w.(1) - 1;
+  w.(1) = 0
+
+(* The oldest key of a client with no older segments. *)
+let evict_newest m c =
+  let w = Itbl.find m.windows c in
+  if drop_front m ~client:c w then Itbl.remove m.windows c
+  else begin
+    let len = w.(1) and cap = keys w in
+    if 4 * len < 3 * cap && fit len < cap then Itbl.replace m.windows c (relocate w (fit len))
+  end
+
 let evict_oldest m =
-  let c = m.ring.(m.ring_head) in
-  m.ring_head <- (m.ring_head + 1) mod Array.length m.ring;
+  let front = m.ring.first in
+  let c = front.(m.ring_head) in
+  m.ring_head <- m.ring_head + 1;
+  if m.ring_head = ring_chunk then begin
+    m.spare_chunk <- front;
+    fifo_drop m.ring;
+    m.ring_head <- 0
+  end;
   m.ring_len <- m.ring_len - 1;
   if c = side_mark then Hashtbl.remove m.side (Queue.take m.side_order)
-  else begin
-    let w = Itbl.find m.windows c in
-    let p = slot w 0 in
-    if field w p = escaped then Hashtbl.remove m.side (c, seq_at w p);
-    let len = w.(1) - 1 in
-    if len = 0 then Itbl.remove m.windows c
-    else begin
-      let cap = keys w in
-      w.(0) <- (if w.(0) + 1 = cap then 0 else w.(0) + 1);
-      w.(1) <- len;
-      if 4 * len < 3 * cap && fit len < cap then Itbl.replace m.windows c (relocate w (fit len))
-    end
-  end
+  else if Itbl.length m.older = 0 then evict_newest m c
+  else
+    match Itbl.find m.older c with
+    | exception Not_found -> evict_newest m c
+    | q ->
+      let w = q.first in
+      if drop_front m ~client:c w then begin
+        fifo_drop q;
+        if m.n_spares < max_spares then begin
+          m.spares.(m.n_spares) <- w;
+          m.n_spares <- m.n_spares + 1
+        end;
+        if q.first == none then Itbl.remove m.older c
+      end
 
 (* Store the key's instance, given what [find] returned for it. *)
 let remember m ~client ~seq ~instance ~prev =
@@ -369,15 +514,18 @@ let remember m ~client ~seq ~instance ~prev =
       push m side_mark
     end
   end
-  else if prev <> instance then
+  else if prev <> instance then begin
     (* a re-record at another instance: the rare violation path *)
-    match Itbl.find_opt m.windows client with
-    | Some w when window_pos w seq >= 0 ->
-      let p = window_pos w seq and i = offset instance w.(3) escaped in
+    let w = segment m ~client ~seq in
+    let p = if w == none then -1 else window_pos w seq in
+    if p < 0 then Hashtbl.replace m.side (client, seq) instance
+    else begin
+      let i = offset instance w.(3) escaped in
       if i >= 0 then Hashtbl.remove m.side (client, seq)
       else Hashtbl.replace m.side (client, seq) instance;
       w.(p) <- w.(p) - field w p + if i >= 0 then i else escaped
-    | _ -> Hashtbl.replace m.side (client, seq) instance
+    end
+  end
 
 (* Seeding (log replay at recovery, or a known-good commit fed by a
    driver) records without checking: these commits were already

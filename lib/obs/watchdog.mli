@@ -54,20 +54,23 @@ val monitor : ?capacity:int -> t -> actor:string -> monitor
     positions (non-negative).
 
     Layout: each client's keys that commit in ascending seq order live in
-    a per-client window, a circular [int array] searched by bisection and
-    re-cut with an eighth to spare as it fills or empties. A key there is
-    one int: its seq and its instance packed as offsets from the
-    window's bases, which every re-cut moves to its oldest seq and lowest
-    instance, so no seq or instance is too large to pack. One
-    insertion-order ring of client ids (doubling up to [capacity]) picks
-    the window whose oldest key goes next. A key at or below its client's
-    highest seq — a 2PC decision commits a branch's op requests after the
-    same client's later prepare — goes to a boxed side table with its own
-    FIFO, marked in the ring, as does a key whose offsets do not fit even
-    after a re-cut (a seq 2{^31} past the oldest in its window). About
-    2.1 heap words per key for a few clients whatever the gaps between
-    their committed seqs, about 11.5 for one key per client, and no
-    allocation on an append that fits. *)
+    its segments, circular [int array]s searched by bisection: the
+    newest, re-cut with an eighth to spare as it grows, and once that
+    holds 252 keys a FIFO of older full ones, each freed when eviction
+    empties it. A key there is one int: its seq and its instance packed
+    as offsets from its segment's bases, which every re-cut moves to its
+    oldest seq and lowest instance, so no seq or instance is too large
+    to pack. One insertion-order ring of client ids, a FIFO of 256-slot
+    chunks, picks the client whose oldest key goes next. A key at or
+    below its client's highest seq — a 2PC decision commits a branch's
+    op requests after the same client's later prepare — goes to a boxed
+    side table with its own FIFO, marked in the ring, as does a key whose
+    offsets do not fit even after a re-cut (a seq 2{^31} past the oldest
+    in its segment). No block is over 256 words, so none is allocated
+    straight in the major heap, and none is ever copied whole. About 2.07
+    heap words per key for a few clients whatever the gaps between their
+    committed seqs, about 11.5 for one key per client, and no allocation
+    on an append that fits; freed segments and chunks are reused. *)
 
 val seed_commit : monitor -> client:int -> seq:int -> instance:int -> unit
 (** Record a commit without checking: log replay at recovery, where the

@@ -10,6 +10,7 @@ module Bitset = Grid_util.Bitset
 module Ids = Grid_util.Ids
 module Span = Grid_obs.Span
 module Watchdog = Grid_obs.Watchdog
+module Wire = Grid_codec.Wire
 
 module Make (S : Service_intf.S) = struct
   type work =
@@ -135,6 +136,9 @@ module Make (S : Service_intf.S) = struct
     (* T-Paxos conflict window: footprints of the instances committed
        while this replica leads with a branch open *)
     recent_footprints : (int, Footprint.t) Hashtbl.t;
+    mutable state_enc : Wire.Encoder.t;
+        (* the periodic snapshot's state, encoded into this encoder kept
+           across snapshots while it holds at most [kept_state_bytes] *)
     tables : Committed.t;
         (* dedup, 2PC and reshard participant tables, derived from
            committed instances only: exactly as durable as the log *)
@@ -179,6 +183,7 @@ module Make (S : Service_intf.S) = struct
       exec_table = Hashtbl.create 16;
       exec_next = 0;
       recent_footprints = Hashtbl.create 64;
+      state_enc = Wire.Encoder.create ();
       tables = Committed.create ();
       history = [];
       commits_seen = 0;
@@ -325,6 +330,13 @@ module Make (S : Service_intf.S) = struct
 
   type commit_mode = Live | Replay
 
+  (* The largest snapshot state whose encoder is kept for the next
+     snapshot. Reuse saves copying a small state out of a growing buffer
+     into blocks that stay in the allocator's arenas; a larger buffer
+     comes from mmap and goes back to the system when freed, so keeping
+     it would only hold resident memory. *)
+  let kept_state_bytes = 65536
+
   (* The one commit path: everything a replica derives from committed
      [instance], whose update [t.app_state] already reflects, whether the
      leader commits it, a follower learns it or [load] replays it. Only
@@ -382,8 +394,14 @@ module Make (S : Service_intf.S) = struct
          it has yet to apply, and those must stay in the log until it
          does. *)
       if t.commits_seen mod t.cfg.snapshot_interval = 0 then begin
+        Wire.Encoder.clear t.state_enc;
+        S.encode_state_into t.state_enc t.app_state;
         persist t
-          (Snapshot (Snapshot.encode { (current_snapshot t) with commit_point = instance }));
+          (Snapshot
+             (Snapshot.encode_with ~state:t.state_enc
+                (Committed.snapshot t.tables ~commit_point:instance ~state:"")));
+        if Wire.Encoder.length t.state_enc > kept_state_bytes then
+          t.state_enc <- Wire.Encoder.create ();
         Plog.prune_below t.log instance
       end
 

@@ -60,6 +60,14 @@ module type S = sig
   val encode_result : result -> string
   val decode_result : string -> result
   val encode_state : state -> string
+
+  val encode_state_into : Grid_codec.Wire.Encoder.t -> state -> unit
+  (** Append the bytes of {!encode_state} to an encoder. The replica
+      encodes the state of its periodic snapshots this way, into an
+      encoder it reuses, so the state's bytes are not copied out of a
+      growing buffer. [encode_state] is
+      [Wire.encode (fun e -> encode_state_into e st)]. *)
+
   val decode_state : string -> state
 
   (** {1 Optional delta shipping} *)

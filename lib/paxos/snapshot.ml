@@ -26,26 +26,49 @@ type t = {
           images persisted before resharding existed *)
 }
 
+(* The fields after the state. *)
+let encode_tables e t =
+  Wire.Encoder.list e
+    (fun (client, reply) ->
+      Wire.Encoder.uint e client;
+      Types.encode_reply e reply)
+    t.dedup;
+  Wire.Encoder.list e
+    (fun (tid, branch) ->
+      Wire.Encoder.uint e tid;
+      Wire.Encoder.string e branch)
+    t.prepared;
+  Wire.Encoder.list e
+    (fun (tid, committed) ->
+      Wire.Encoder.uint e tid;
+      Wire.Encoder.bool e committed)
+    t.outcomes;
+  Wire.Encoder.string e t.reshard
+
+(* [t]'s bytes with the state's (its length, then its bytes) taken from
+   the encoder [state] instead of [t.state], which is not read. They are
+   built in one string of their exact size: a replica encodes its state
+   into an encoder it keeps, so a large state is copied once per
+   snapshot, and no second encoder grows to hold it. *)
+let encode_with ~state t =
+  let n = Wire.Encoder.length state in
+  let head =
+    Wire.encode (fun e ->
+        Wire.Encoder.uint e t.commit_point;
+        Wire.Encoder.uint e n)
+  in
+  let tables = Wire.encode (fun e -> encode_tables e t) in
+  let h = String.length head in
+  let b = Bytes.create (h + n + String.length tables) in
+  Bytes.blit_string head 0 b 0 h;
+  Wire.Encoder.blit state b h;
+  Bytes.blit_string tables 0 b (h + n) (String.length tables);
+  Bytes.unsafe_to_string b
+
 let encode t =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e t.commit_point;
-      Wire.Encoder.string e t.state;
-      Wire.Encoder.list e
-        (fun (client, reply) ->
-          Wire.Encoder.uint e client;
-          Types.encode_reply e reply)
-        t.dedup;
-      Wire.Encoder.list e
-        (fun (tid, branch) ->
-          Wire.Encoder.uint e tid;
-          Wire.Encoder.string e branch)
-        t.prepared;
-      Wire.Encoder.list e
-        (fun (tid, committed) ->
-          Wire.Encoder.uint e tid;
-          Wire.Encoder.bool e committed)
-        t.outcomes;
-      Wire.Encoder.string e t.reshard)
+  let state = Wire.Encoder.create ~initial_size:(String.length t.state) () in
+  Wire.Encoder.raw state t.state;
+  encode_with ~state t
 
 let decode s =
   Wire.decode s (fun d ->

@@ -246,9 +246,11 @@ let file ~path =
         (fun cp -> write_frame oc (encode_record rec_commit (fun e -> Wire.Encoder.uint e cp)));
       persist_snapshot =
         (fun s ->
+          (* the bytes of [Wire.with_crc s], written without building them *)
           let tmp = snap_path ^ ".tmp" in
           let soc = open_out_bin tmp in
-          output_string soc (Wire.with_crc s);
+          output_string soc s;
+          output_le32 soc (Wire.crc32_sub s 0 (String.length s));
           close_out soc;
           Sys.rename tmp snap_path);
     }

@@ -42,7 +42,8 @@ let decode_op s =
 
 let encode_result r = Wire.encode (fun e -> Wire.Encoder.int e r)
 let decode_result s = Wire.decode s Wire.Decoder.int
-let encode_state = encode_result
+let encode_state_into e st = Wire.Encoder.int e st
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 let decode_state = decode_result
 let diff ~old_state:_ st = Some (encode_state st)
 let patch _ s = decode_state s

@@ -273,26 +273,27 @@ let decode_result s =
       | 5 -> Error (Wire.Decoder.string d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "sched result %d" n }))
 
-let encode_state st =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e st.next_seq;
-      Wire.Encoder.list e
-        (fun (m, l) ->
-          Wire.Encoder.uint e m;
-          Wire.Encoder.uint e l)
-        (Imap.bindings st.machines);
-      Wire.Encoder.list e
-        (fun (id, j) ->
-          Wire.Encoder.uint e id;
-          Wire.Encoder.int e j.priority;
-          Wire.Encoder.float e j.arrival;
-          Wire.Encoder.uint e j.submitted_seq)
-        (Imap.bindings st.pending);
-      Wire.Encoder.list e
-        (fun (j, m) ->
-          Wire.Encoder.uint e j;
-          Wire.Encoder.uint e m)
-        st.assignments)
+let encode_state_into e st =
+  Wire.Encoder.uint e st.next_seq;
+  Wire.Encoder.list e
+    (fun (m, l) ->
+      Wire.Encoder.uint e m;
+      Wire.Encoder.uint e l)
+    (Imap.bindings st.machines);
+  Wire.Encoder.list e
+    (fun (id, j) ->
+      Wire.Encoder.uint e id;
+      Wire.Encoder.int e j.priority;
+      Wire.Encoder.float e j.arrival;
+      Wire.Encoder.uint e j.submitted_seq)
+    (Imap.bindings st.pending);
+  Wire.Encoder.list e
+    (fun (j, m) ->
+      Wire.Encoder.uint e j;
+      Wire.Encoder.uint e m)
+    st.assignments
+
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->

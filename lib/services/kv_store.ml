@@ -137,14 +137,18 @@ let decode_result s =
       | 3 -> Count (Wire.Decoder.uint d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "kv result %d" n }))
 
-let encode_state st =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e st.version;
-      Wire.Encoder.list e
-        (fun (k, v) ->
-          Wire.Encoder.string e k;
-          Wire.Encoder.string e v)
-        (Smap.bindings st.entries))
+(* The bindings as a length-prefixed list, written straight from the
+   map: the same bytes as [Wire.Encoder.list] over [Smap.bindings]. *)
+let encode_state_into e st =
+  Wire.Encoder.uint e st.version;
+  Wire.Encoder.uint e (Smap.cardinal st.entries);
+  Smap.iter
+    (fun k v ->
+      Wire.Encoder.string e k;
+      Wire.Encoder.string e v)
+    st.entries
+
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->

@@ -226,15 +226,16 @@ let decode_result s =
       | 6 -> Count (Wire.Decoder.uint d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "lease result %d" n }))
 
-let encode_state st =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e st.grants;
-      Wire.Encoder.list e
-        (fun (resource, l) ->
-          Wire.Encoder.string e resource;
-          Wire.Encoder.uint e l.holder;
-          Wire.Encoder.float e l.until)
-        (Smap.bindings st.leases))
+let encode_state_into e st =
+  Wire.Encoder.uint e st.grants;
+  Wire.Encoder.list e
+    (fun (resource, l) ->
+      Wire.Encoder.string e resource;
+      Wire.Encoder.uint e l.holder;
+      Wire.Encoder.float e l.until)
+    (Smap.bindings st.leases)
+
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->

@@ -62,10 +62,11 @@ let decode_op s =
 let encode_result () = ""
 let decode_result _ = ()
 
-let encode_state st =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e st.writes;
-      Wire.Encoder.string e st.padding)
+let encode_state_into e st =
+  Wire.Encoder.uint e st.writes;
+  Wire.Encoder.string e st.padding
+
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->

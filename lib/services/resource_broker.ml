@@ -277,14 +277,15 @@ let decode_result s =
       | 6 -> Error (Wire.Decoder.string d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "broker result %d" n }))
 
-let encode_state st =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e st.selections;
-      Wire.Encoder.list e
-        (fun (rid, r) ->
-          Wire.Encoder.uint e rid;
-          encode_resource e r)
-        (Imap.bindings st.resources))
+let encode_state_into e st =
+  Wire.Encoder.uint e st.selections;
+  Wire.Encoder.list e
+    (fun (rid, r) ->
+      Wire.Encoder.uint e rid;
+      encode_resource e r)
+    (Imap.bindings st.resources)
+
+let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->

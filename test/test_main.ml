@@ -7,6 +7,7 @@ let () =
          Test_util.suite;
          Test_obs.suite;
          Test_watchdog.suite;
+         Test_alloc.suite;
          Test_codec.suite;
          Test_wire.suite;
          Test_sim.suite;

@@ -289,6 +289,30 @@ let test_storage_file_roundtrip () =
           Alcotest.(check string) "payload" "x" (List.hd e.proposal.requests).payload
         | _ -> Alcotest.fail "expected one entry"))
 
+(* The file store writes a snapshot's body and then its CRC trailer
+   without building the framed string: the [.snap] file must still hold
+   exactly [Wire.with_crc s], the last snapshot must win, and it must
+   recover through a reopened store. *)
+let test_storage_snap_file_bytes () =
+  with_tmp (fun path ->
+      let store, _, _ = Storage.file ~path in
+      let long = String.init 5000 (fun i -> Char.chr (i land 0xFF)) and short = "snap-2" in
+      let read_snap () =
+        let ic = open_in_bin (path ^ ".snap") in
+        let b = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        b
+      in
+      store.persist_snapshot long;
+      Alcotest.(check string) "first .snap" (Wire.with_crc long) (read_snap ());
+      store.persist_snapshot short;
+      Alcotest.(check string) "second .snap" (Wire.with_crc short) (read_snap ());
+      let _, recovered, report = Storage.file ~path in
+      Alcotest.(check bool) "snapshot used" true report.snapshot_used;
+      match recovered with
+      | Some p -> Alcotest.(check (option string)) "recovered" (Some short) p.snapshot
+      | None -> Alcotest.fail "expected recovery")
+
 let test_storage_file_torn_tail () =
   with_tmp (fun path ->
       let store, _, _ = Storage.file ~path in
@@ -579,6 +603,7 @@ let suite =
       [
         Alcotest.test_case "memory roundtrip" `Quick test_storage_memory;
         Alcotest.test_case "file roundtrip" `Quick test_storage_file_roundtrip;
+        Alcotest.test_case ".snap bytes = with_crc" `Quick test_storage_snap_file_bytes;
         Alcotest.test_case "torn tail tolerated" `Quick test_storage_file_torn_tail;
         Alcotest.test_case "latest entry wins" `Quick test_storage_file_latest_entry_wins;
         Alcotest.test_case "null storage" `Quick test_storage_null;

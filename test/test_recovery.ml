@@ -205,6 +205,62 @@ let persists_recover_live () =
   write 10;
   List.iter (fun i -> ignore (recovers i)) [ 0; 1; 2 ]
 
+(* Periodic snapshots encode the state into an encoder each replica
+   keeps and clears for the next one, and replaces once the state
+   outgrows 64 KiB. Every snapshot a follower persists, as its state
+   grows past that (12 values of 6 000 bytes) and then shrinks, must be
+   the bytes [Snapshot.encode] gives for the same record (so nothing is
+   left over from a longer one: [decode] also rejects trailing bytes),
+   with the state the replica had at the snapshot's commit point. *)
+let periodic_snapshots_reuse_their_encoder () =
+  let cfg = Config.make ~n:3 ~record_history:true ~snapshot_interval:2 () in
+  let mem, _ = Storage.memory () in
+  let snaps = ref [] in
+  let store =
+    {
+      mem with
+      persist_snapshot =
+        (fun s ->
+          snaps := s :: !snaps;
+          mem.persist_snapshot s);
+    }
+  in
+  let t =
+    H.create ~cfg_tweak:(fun _ -> cfg) ~storage:(fun i -> if i = 1 then Some store else None) ()
+  in
+  H.elect t 0;
+  let run seq op =
+    H.submit t (H.client_request ~client:1 ~seq ~rtype:Write ~payload:(Kv.encode_op op) ());
+    H.deliver_all t;
+    ignore (H.take_replies t)
+  in
+  let key i = Printf.sprintf "k%02d" i in
+  for i = 0 to 11 do
+    run (i + 1) (Kv.Put { key = key i; value = String.make 6000 'v' })
+  done;
+  for i = 0 to 11 do
+    run (i + 13) (Kv.Del (key i))
+  done;
+  let history = Replica.committed_updates t.replicas.(1) in
+  Alcotest.(check int) "a snapshot every second commit" 12 (List.length !snaps);
+  List.iter
+    (fun s ->
+      let snap = Grid_paxos.Snapshot.decode s in
+      Alcotest.(check string) "Snapshot.encode bytes" s (Grid_paxos.Snapshot.encode snap);
+      let _, _, state = List.find (fun (i, _, _) -> i = snap.commit_point) history in
+      Alcotest.(check string) "state at the commit point" state snap.state)
+    !snaps;
+  (* the same through one encoder used directly, longest state first *)
+  let state = Wire.Encoder.create () in
+  List.iter
+    (fun s ->
+      let snap = Grid_paxos.Snapshot.decode s in
+      Wire.Encoder.clear state;
+      Wire.Encoder.raw state snap.state;
+      Alcotest.(check string) "encode_with on a reused encoder" s
+        (Grid_paxos.Snapshot.encode_with ~state { snap with state = "" }))
+    (List.sort (fun a b -> compare (String.length b) (String.length a)) !snaps)
+
 let suite =
   [
     ( "replica.recovery",
@@ -215,5 +271,7 @@ let suite =
           (recovered_equals_live ~snapshot_interval:1000);
         Alcotest.test_case "recovered = live (snapshot + replay)" `Quick
           (recovered_equals_live ~snapshot_interval:3);
+        Alcotest.test_case "periodic snapshots reuse their encoder" `Quick
+          periodic_snapshots_reuse_their_encoder;
       ] );
   ]

@@ -426,6 +426,67 @@ let prop_kv_replay_matches_apply =
         ops
       |> snd)
 
+(* ------------------------------------------------------------------ *)
+(* State codecs written into an encoder *)
+
+module Wire = Grid_codec.Wire
+module Lease = Grid_services.Lease_manager
+
+(* [encode_state_into] appends exactly the bytes of [encode_state], after
+   whatever the encoder already holds: the replica writes its periodic
+   snapshots with it, catch-up and state shipping with [encode_state]. *)
+let into_matches (type s) (module S : Grid_paxos.Service_intf.S with type state = s)
+    (st : s) =
+  let e = Wire.Encoder.create () in
+  Wire.Encoder.raw e "head";
+  S.encode_state_into e st;
+  String.equal (Wire.Encoder.contents e) ("head" ^ S.encode_state st)
+  && String.equal (S.encode_state st) (Wire.encode (fun e -> S.encode_state_into e st))
+  && String.equal (S.encode_state (S.decode_state (S.encode_state st))) (S.encode_state st)
+
+let test_encode_state_into () =
+  let rng = Rng.of_int 3 in
+  let check name ok = Alcotest.(check bool) name true ok in
+  let noop s op = (Noop.apply ~rng ~now:1.0 s op).state
+  and sched s op = (Sched.apply ~rng ~now:1.0 s op).state
+  and lease s op = (Lease.apply ~rng ~now:1.0 s op).state in
+  check "noop"
+    (into_matches (module Noop)
+       (List.fold_left noop (Noop.initial ()) [ Noop.Noop_write; Noop.Noop_sized_write 300 ]));
+  List.iter (fun n -> check "counter" (into_matches (module Counter) n)) [ 0; -7; max_int ];
+  check "broker" (into_matches (module Broker) (broker_with_resources ()));
+  check "scheduler"
+    (into_matches (module Sched)
+       (List.fold_left sched (sched_base ())
+          [ Sched.Submit { job = 10; priority = 0 }; Sched.Submit { job = 11; priority = 5 };
+            Sched.Examine ]));
+  check "lease manager"
+    (into_matches (module Lease)
+       (List.fold_left lease (Lease.initial ())
+          [ Lease.Acquire { resource = "gpu"; holder = 1; ttl_ms = 50.0 };
+            Lease.Acquire { resource = "cpu"; holder = 2; ttl_ms = 10.0 } ]));
+  check "kv, empty" (into_matches (module Kv) (Kv.initial ()))
+
+(* The kv state's bytes as [encode_state] wrote them before it walked the
+   map: the bindings as a [Wire.Encoder.list]. *)
+let kv_state_as_list (st : Kv.state) =
+  Wire.encode (fun e ->
+      Wire.Encoder.uint e st.version;
+      Wire.Encoder.list e
+        (fun (k, v) ->
+          Wire.Encoder.string e k;
+          Wire.Encoder.string e v)
+        (Kv.Smap.bindings st.entries))
+
+let prop_kv_encode_state_into =
+  QCheck2.Test.make ~name:"kv state codec: into = encode_state = bindings list" ~count:300
+    QCheck2.Gen.(
+      pair (int_bound 1_000_000)
+        (list_size (int_bound 200) (pair (string_size (int_bound 12)) (string_size (int_bound 300)))))
+    (fun (version, bindings) ->
+      let st = { Kv.version; entries = Kv.Smap.of_seq (List.to_seq bindings) } in
+      into_matches (module Kv) st && String.equal (Kv.encode_state st) (kv_state_as_list st))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -471,4 +532,7 @@ let suite =
       :: Alcotest.test_case "version bumps" `Quick test_kv_version_bumps
       :: qcheck [ prop_kv_diff_patch; prop_kv_codec_roundtrip; prop_kv_replay_matches_apply ]
     );
+    ( "services.state_codec",
+      Alcotest.test_case "encode_state_into = encode_state" `Quick test_encode_state_into
+      :: qcheck [ prop_kv_encode_state_into ] );
   ]

@@ -223,40 +223,107 @@ let print_history (capacity, ops) =
               o.delta o.instance)
           ops))
 
+(* Run a history on a monitor and on the model side by side; whether
+   their dup and lost-ack counts agree after every operation. *)
+let matches_model (capacity, ops) =
+  let t = Watchdog.create () in
+  let m = Watchdog.monitor ~capacity t ~actor:"r0" in
+  let model = Model.create capacity in
+  let hi = Array.make 4 0 in
+  List.for_all
+    (fun o ->
+      let h = hi.(o.client) in
+      let seq =
+        match o.pick with
+        | Next -> h + 1
+        | Ahead -> h + 1 + o.delta
+        | Far -> h + 1000 * (o.delta + 1)
+        | Huge -> h + ((1 lsl 30) * (o.delta + 1))
+        | Jump -> h + (1 lsl 32) + o.delta
+        | Behind -> h - o.delta
+        | Small -> o.delta
+      in
+      hi.(o.client) <- max h seq;
+      let client = o.client and key = (o.client, seq) in
+      (match o.kind with
+      | Record ->
+        Watchdog.record_commit m ~client ~seq ~instance:o.instance;
+        Model.record model key o.instance
+      | Seed ->
+        Watchdog.seed_commit m ~client ~seq ~instance:o.instance;
+        Model.remember model key o.instance
+      | Ack ->
+        Watchdog.write_acked m ~client ~seq;
+        Model.ack model key);
+      Watchdog.dup_commits t = model.dups && Watchdog.lost_acks t = model.lost)
+    ops
+
 let prop_matches_model =
   QCheck2.Test.make ~name:"commit table matches the Hashtbl+Queue model" ~count:2000
-    ~print:print_history gen_history (fun (capacity, ops) ->
-      let t = Watchdog.create () in
-      let m = Watchdog.monitor ~capacity t ~actor:"r0" in
-      let model = Model.create capacity in
-      let hi = Array.make 4 0 in
-      List.for_all
-        (fun o ->
-          let h = hi.(o.client) in
-          let seq =
-            match o.pick with
-            | Next -> h + 1
-            | Ahead -> h + 1 + o.delta
-            | Far -> h + 1000 * (o.delta + 1)
-            | Huge -> h + ((1 lsl 30) * (o.delta + 1))
-            | Jump -> h + (1 lsl 32) + o.delta
-            | Behind -> h - o.delta
-            | Small -> o.delta
-          in
-          hi.(o.client) <- max h seq;
-          let client = o.client and key = (o.client, seq) in
-          (match o.kind with
-          | Record ->
-            Watchdog.record_commit m ~client ~seq ~instance:o.instance;
-            Model.record model key o.instance
-          | Seed ->
-            Watchdog.seed_commit m ~client ~seq ~instance:o.instance;
-            Model.remember model key o.instance
-          | Ack ->
-            Watchdog.write_acked m ~client ~seq;
-            Model.ack model key);
-          Watchdog.dup_commits t = model.dups && Watchdog.lost_acks t = model.lost)
-        ops)
+    ~print:print_history gen_history matches_model
+
+(* A client's keys fill segments of 252 keys each. These histories
+   interleave long in-order runs, which span several segments, with the
+   picks above, whose [Behind] reaches back into older segments; the
+   capacities, a few segments' worth and rarely a multiple of 252, make
+   eviction empty and free older segments and cut inside one. *)
+let seg = 252
+
+let gen_segment_history =
+  let open QCheck2.Gen in
+  let run =
+    map
+      (fun (client, n, i0) ->
+        List.init n (fun j ->
+            { kind = Record; client; pick = Next; delta = 0; instance = i0 + j }))
+      (triple (int_bound 3) (int_range 1 (4 * seg)) (int_bound 100_000))
+  in
+  let pick =
+    frequency [ (4, pure Behind); (2, pure Next); (1, pure Ahead); (1, pure Small) ]
+  in
+  let kind = frequency [ (4, pure Record); (1, pure Seed); (3, pure Ack) ] in
+  let single =
+    map
+      (fun (kind, client, pick, delta, instance) ->
+        [ { kind; client; pick; delta; instance } ])
+      (tup5 kind (int_bound 3) pick
+         (frequency [ (1, int_bound (5 * seg)); (1, oneofl [ seg - 1; seg; seg + 1; 2 * seg ]) ])
+         (int_bound 3))
+  in
+  pair
+    (frequency [ (1, pure (3 * seg)); (4, int_range (seg / 2) (6 * seg)) ])
+    (map List.concat (list_size (int_range 1 30) (frequency [ (1, run); (3, single) ])))
+
+let prop_segments_match_model =
+  QCheck2.Test.make ~name:"multi-segment windows match the model" ~count:150
+    ~print:print_history gen_segment_history matches_model
+
+(* The segment cases deterministically: one client commits 3.5
+   segments in order under a capacity that ends inside the fourth; acks,
+   re-records and seeds then land in its older segments, on both sides
+   of segment boundaries and on evicted keys. Two more segments' worth of
+   commits evict and free the oldest segments, and the probes run
+   again. *)
+let test_segment_cases () =
+  let capacity = (3 * seg) + 100 in
+  let record ?(kind = Record) client pick delta instance =
+    { kind; client; pick; delta; instance }
+  in
+  let run client n i0 = List.init n (fun j -> record client Next 0 (i0 + j)) in
+  let keys = (3 * seg) + (seg / 2) in
+  let probes =
+    List.concat_map
+      (fun d ->
+        [
+          record ~kind:Ack 0 Behind d 0;
+          record 0 Behind d 7;
+          record ~kind:Seed 0 Behind d 9;
+          record 0 Behind d 9;
+        ])
+      [ 0; 1; seg - 1; seg; seg + 1; (2 * seg) + 5; capacity - 1; capacity; keys - 1 ]
+  in
+  let ops = run 0 keys 1000 @ run 1 10 0 @ probes @ run 0 (2 * seg) 5000 @ probes in
+  Alcotest.(check bool) "agrees with the model" true (matches_model (capacity, ops))
 
 (* At the eviction boundary: after [capacity + 1] distinct keys the first
    is forgotten (its ack counts as lost, committing it again is no
@@ -285,9 +352,12 @@ let test_eviction_boundary () =
   (* the default bound is 65536 keys *)
   check_eviction_boundary ~keys:65536 ()
 
-(* Heap words the monitor holds per remembered key. A key in a window
+(* Heap words the monitor holds per remembered key. A key in a segment
    costs two (its packed seq and instance there, its client in the ring)
-   plus the window's spare keys, at most a third of its keys. *)
+   plus the spare slots: a first segment's, at most a third of its keys,
+   and past that the unused slots of a client's newest and oldest
+   segments and of two ring chunks. Measured: 2.06 words per key for
+   both two-client tables below, 11.5 for one-key clients. *)
 let words_per_key m ~keys = float (Obj.reachable_words (Obj.repr m)) /. float keys
 
 let test_memory_per_key () =
@@ -354,6 +424,8 @@ let suite =
     ( "watchdog.table",
       [
         QCheck_alcotest.to_alcotest prop_matches_model;
+        QCheck_alcotest.to_alcotest prop_segments_match_model;
+        Alcotest.test_case "segment cases" `Quick test_segment_cases;
         Alcotest.test_case "eviction boundary" `Quick test_eviction_boundary;
         Alcotest.test_case "memory per key" `Quick test_memory_per_key;
       ] );
