@@ -28,14 +28,36 @@ let sample_proposal : Types.proposal =
 let encoded_proposal = Wire.encode (fun e -> Types.encode_proposal e sample_proposal)
 let crc_payload = String.make 1024 'x'
 
+let encode_proposal () =
+  ignore (Sys.opaque_identity (Wire.encode (fun e -> Types.encode_proposal e sample_proposal)))
+
+let decode_proposal () =
+  ignore (Sys.opaque_identity (Wire.decode encoded_proposal Types.decode_proposal))
+
 let test_encode_proposal =
-  Test.make ~name:"codec: encode proposal"
-    (Staged.stage (fun () ->
-         ignore (Wire.encode (fun e -> Types.encode_proposal e sample_proposal))))
+  Test.make ~name:"codec: encode proposal" (Staged.stage encode_proposal)
 
 let test_decode_proposal =
-  Test.make ~name:"codec: decode proposal"
-    (Staged.stage (fun () -> ignore (Wire.decode encoded_proposal Types.decode_proposal)))
+  Test.make ~name:"codec: decode proposal" (Staged.stage decode_proposal)
+
+(* A write-sized [Accept] as the TCP transport ships it, in V2: one
+   request with a 64-byte payload, a 40-byte delta, the reply aligned
+   with the request. *)
+module WC = Grid_paxos.Wire_codec
+
+let v2_accept =
+  Types.Accept
+    {
+      ballot = Types.Ballot.make ~round:2 ~holder:0;
+      instance = 1000;
+      proposal = { sample_proposal with update = Types.Delta (String.make 40 'd') };
+    }
+
+let encoded_v2_accept = WC.V2.encode v2_accept
+let v2_encode () = ignore (Sys.opaque_identity (WC.V2.encode v2_accept))
+let v2_decode () = ignore (Sys.opaque_identity (WC.V2.decode encoded_v2_accept))
+let test_v2_encode = Test.make ~name:"wire v2: encode Accept" (Staged.stage v2_encode)
+let test_v2_decode = Test.make ~name:"wire v2: decode Accept" (Staged.stage v2_decode)
 
 let test_crc =
   Test.make ~name:"codec: crc32 1KiB"
@@ -250,8 +272,10 @@ let run ~quick:_ ~only =
             Grid_util.Text_table.add_row table [ name; estimate; words; direct ])
           results)
       [
-        (test_encode_proposal, None);
-        (test_decode_proposal, None);
+        (test_encode_proposal, Some encode_proposal);
+        (test_decode_proposal, Some decode_proposal);
+        (test_v2_encode, Some v2_encode);
+        (test_v2_decode, Some v2_decode);
         (test_crc, None);
         (test_heap, None);
         (test_plog_append, None);

@@ -233,11 +233,6 @@ module Codec (W : Wire_intf.WIRE with type msg = Grid_paxos.Types.msg) = struct
   let read_msg fd = Result.bind (read_frame fd) decode
 end
 
-module Codec_v1 = Codec (Grid_paxos.Wire_codec.V1)
-module Codec_v2 = Codec (Grid_paxos.Wire_codec.V2)
-
 let codec version : (module CODEC) =
-  match version with
-  | 1 -> (module Codec_v1)
-  | 2 -> (module Codec_v2)
-  | v -> invalid_arg (Printf.sprintf "Framing.codec: version %d" v)
+  let module W = (val Grid_paxos.Wire_codec.of_version_exn version) in
+  (module Codec (W))

@@ -150,22 +150,40 @@ let pp_request ppf r =
   Format.fprintf ppf "%a:%a(%d bytes)" Ids.Request_id.pp r.id pp_rtype r.rtype
     (String.length r.payload)
 
-let encode_request e (r : request) =
+(* Request and proposal bodies come in one layout per record, with the
+   fields a wire version may leave out behind flags: [traced] for the
+   trace context, [aligned] for reply ids that repeat the request ids
+   position by position. The unflagged names write every field, as
+   version 1 and the storage records do. *)
+
+let encode_request_with e ~traced (r : request) =
   Wire.Encoder.uint e (Ids.Client_id.to_int r.id.client);
   Wire.Encoder.uint e r.id.seq;
   encode_rtype e r.rtype;
   Wire.Encoder.string e r.payload;
-  Wire.Encoder.uint e r.trace.tid;
-  Wire.Encoder.string e r.trace.parent
+  if traced then begin
+    Wire.Encoder.uint e r.trace.tid;
+    Wire.Encoder.string e r.trace.parent
+  end
 
-let decode_request d : request =
+let decode_request_with d ~traced : request =
   let client = Ids.Client_id.of_int (Wire.Decoder.uint d) in
   let seq = Wire.Decoder.uint d in
   let rtype = decode_rtype d in
   let payload = Wire.Decoder.string d in
-  let tid = Wire.Decoder.uint d in
-  let parent = Wire.Decoder.string d in
-  { id = Ids.Request_id.make ~client ~seq; rtype; payload; trace = { tid; parent } }
+  let trace =
+    if traced then
+      let tid = Wire.Decoder.uint d in
+      let parent = Wire.Decoder.string d in
+      { tid; parent }
+    else no_trace
+  in
+  { id = Ids.Request_id.make ~client ~seq; rtype; payload; trace }
+
+let encode_request e r = encode_request_with e ~traced:true r
+let decode_request d = decode_request_with d ~traced:true
+let encode_untraced_request e r = encode_request_with e ~traced:false r
+let decode_untraced_request d = decode_request_with d ~traced:false
 
 type status =
   | Ok
@@ -299,16 +317,49 @@ let decode_state_update d ~(requests : request list) =
     new leader can re-answer duplicate requests it never executed. *)
 type proposal = { requests : request list; update : state_update; replies : reply list }
 
-let encode_proposal e (p : proposal) =
-  Wire.Encoder.list e (encode_request e) p.requests;
+(* The request codec is picked by name rather than closed over
+   [traced], so a proposal allocates no more than its layout needs. *)
+let encode_proposal_with e ~traced ~aligned (p : proposal) =
+  Wire.Encoder.list e
+    (if traced then encode_request e else encode_untraced_request e)
+    p.requests;
   encode_state_update e p.update;
-  Wire.Encoder.list e (encode_reply e) p.replies
+  if aligned then
+    Wire.Encoder.list e
+      (fun (rp : reply) ->
+        encode_status e rp.status;
+        Wire.Encoder.string e rp.payload)
+      p.replies
+  else Wire.Encoder.list e (encode_reply e) p.replies
 
-let decode_proposal d : proposal =
-  let requests = Wire.Decoder.list d decode_request in
+let decode_proposal_with d ~traced ~aligned : proposal =
+  let requests =
+    Wire.Decoder.list d (if traced then decode_request else decode_untraced_request)
+  in
   let update = decode_state_update d ~requests in
-  let replies = Wire.Decoder.list d decode_reply in
+  let replies =
+    if aligned then begin
+      let pairs =
+        Wire.Decoder.list d (fun d ->
+            let status = decode_status d in
+            let payload = Wire.Decoder.string d in
+            (status, payload))
+      in
+      if List.length pairs <> List.length requests then
+        raise
+          (Wire.Decode_error
+             { pos = Wire.Decoder.pos d;
+               msg = "aligned replies do not match the request count" });
+      List.map2
+        (fun (rq : request) (status, payload) -> { req = rq.id; status; payload })
+        requests pairs
+    end
+    else Wire.Decoder.list d decode_reply
+  in
   { requests; update; replies }
+
+let encode_proposal e p = encode_proposal_with e ~traced:true ~aligned:false p
+let decode_proposal d = decode_proposal_with d ~traced:true ~aligned:false
 
 (** A log entry carried in recovery messages. *)
 type recovery_entry = { instance : int; ballot : Ballot.t; proposal : proposal }
@@ -392,165 +443,6 @@ let msg_tag = function
   | Sp_propose _ -> 13
   | Sp_ack _ -> 14
   | Sp_decide _ -> 15
-
-(* The body codec below is protocol version 1: the seed's unversioned
-   encoding, kept byte-identical so a V1-capped node interoperates with
-   every build since the seed. Version 2 (compact header, flag-gated
-   fields) lives in {!Wire_codec}. *)
-
-let encode_msg e = function
-  | Client_req r ->
-    Wire.Encoder.uint e 0;
-    encode_request e r
-  | Reply_msg r ->
-    Wire.Encoder.uint e 1;
-    encode_reply e r
-  | Prepare { ballot; commit_point } ->
-    Wire.Encoder.uint e 2;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e commit_point
-  | Prepare_ack { ballot; commit_point; snapshot; accepted } ->
-    Wire.Encoder.uint e 3;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e commit_point;
-    Wire.Encoder.option e (Wire.Encoder.string e) snapshot;
-    Wire.Encoder.list e
-      (fun (entry : recovery_entry) ->
-        Wire.Encoder.uint e entry.instance;
-        Ballot.encode e entry.ballot;
-        encode_proposal e entry.proposal)
-      accepted
-  | Accept { ballot; instance; proposal } ->
-    Wire.Encoder.uint e 4;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e instance;
-    encode_proposal e proposal
-  | Accept_ack { ballot; instance } ->
-    Wire.Encoder.uint e 5;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e instance
-  | Reject { promised } ->
-    Wire.Encoder.uint e 6;
-    Ballot.encode e promised
-  | Commit { ballot; instance } ->
-    Wire.Encoder.uint e 7;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e instance
-  | Read_confirm { ballot; req; lease_anchor } ->
-    Wire.Encoder.uint e 8;
-    Ballot.encode e ballot;
-    Wire.Encoder.uint e (Ids.Client_id.to_int req.client);
-    Wire.Encoder.uint e req.seq;
-    Wire.Encoder.float e lease_anchor
-  | Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor } ->
-    Wire.Encoder.uint e 9;
-    Wire.Encoder.uint e round_seen;
-    Wire.Encoder.uint e commit_point;
-    Ballot.encode e promised;
-    Wire.Encoder.float e sent_at;
-    Wire.Encoder.float e lease_anchor
-  | Catchup_req { from_instance } ->
-    Wire.Encoder.uint e 10;
-    Wire.Encoder.uint e from_instance
-  | Catchup { snapshot } ->
-    Wire.Encoder.uint e 11;
-    Wire.Encoder.string e snapshot
-  | Sp_estimate { instance; round; estimate } ->
-    Wire.Encoder.uint e 12;
-    Wire.Encoder.uint e instance;
-    Wire.Encoder.uint e round;
-    Wire.Encoder.option e
-      (fun (p, r) ->
-        encode_proposal e p;
-        Wire.Encoder.uint e r)
-      estimate
-  | Sp_propose { instance; round; proposal } ->
-    Wire.Encoder.uint e 13;
-    Wire.Encoder.uint e instance;
-    Wire.Encoder.uint e round;
-    encode_proposal e proposal
-  | Sp_ack { instance; round } ->
-    Wire.Encoder.uint e 14;
-    Wire.Encoder.uint e instance;
-    Wire.Encoder.uint e round
-  | Sp_decide { instance; proposal } ->
-    Wire.Encoder.uint e 15;
-    Wire.Encoder.uint e instance;
-    encode_proposal e proposal
-
-let decode_msg d =
-  match Wire.Decoder.uint d with
-  | 0 -> Client_req (decode_request d)
-  | 1 -> Reply_msg (decode_reply d)
-  | 2 ->
-    let ballot = Ballot.decode d in
-    let commit_point = Wire.Decoder.uint d in
-    Prepare { ballot; commit_point }
-  | 3 ->
-    let ballot = Ballot.decode d in
-    let commit_point = Wire.Decoder.uint d in
-    let snapshot = Wire.Decoder.option d Wire.Decoder.string in
-    let accepted =
-      Wire.Decoder.list d (fun d ->
-          let instance = Wire.Decoder.uint d in
-          let ballot = Ballot.decode d in
-          let proposal = decode_proposal d in
-          { instance; ballot; proposal })
-    in
-    Prepare_ack { ballot; commit_point; snapshot; accepted }
-  | 4 ->
-    let ballot = Ballot.decode d in
-    let instance = Wire.Decoder.uint d in
-    let proposal = decode_proposal d in
-    Accept { ballot; instance; proposal }
-  | 5 ->
-    let ballot = Ballot.decode d in
-    let instance = Wire.Decoder.uint d in
-    Accept_ack { ballot; instance }
-  | 6 -> Reject { promised = Ballot.decode d }
-  | 7 ->
-    let ballot = Ballot.decode d in
-    let instance = Wire.Decoder.uint d in
-    Commit { ballot; instance }
-  | 8 ->
-    let ballot = Ballot.decode d in
-    let client = Ids.Client_id.of_int (Wire.Decoder.uint d) in
-    let seq = Wire.Decoder.uint d in
-    let lease_anchor = Wire.Decoder.float d in
-    Read_confirm { ballot; req = Ids.Request_id.make ~client ~seq; lease_anchor }
-  | 9 ->
-    let round_seen = Wire.Decoder.uint d in
-    let commit_point = Wire.Decoder.uint d in
-    let promised = Ballot.decode d in
-    let sent_at = Wire.Decoder.float d in
-    let lease_anchor = Wire.Decoder.float d in
-    Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor }
-  | 10 -> Catchup_req { from_instance = Wire.Decoder.uint d }
-  | 11 -> Catchup { snapshot = Wire.Decoder.string d }
-  | 12 ->
-    let instance = Wire.Decoder.uint d in
-    let round = Wire.Decoder.uint d in
-    let estimate =
-      Wire.Decoder.option d (fun d ->
-          let p = decode_proposal d in
-          let r = Wire.Decoder.uint d in
-          (p, r))
-    in
-    Sp_estimate { instance; round; estimate }
-  | 13 ->
-    let instance = Wire.Decoder.uint d in
-    let round = Wire.Decoder.uint d in
-    let proposal = decode_proposal d in
-    Sp_propose { instance; round; proposal }
-  | 14 ->
-    let instance = Wire.Decoder.uint d in
-    let round = Wire.Decoder.uint d in
-    Sp_ack { instance; round }
-  | 15 ->
-    let instance = Wire.Decoder.uint d in
-    let proposal = decode_proposal d in
-    Sp_decide { instance; proposal }
-  | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "bad msg tag %d" n })
 
 (* Approximate wire size, for the simulator's bandwidth model: payload
    bytes plus a small fixed header per field. *)

@@ -82,8 +82,14 @@ type request = {
 }
 
 val pp_request : Format.formatter -> request -> unit
+val encode_request_with : Grid_codec.Wire.Encoder.t -> traced:bool -> request -> unit
+val decode_request_with : Grid_codec.Wire.Decoder.t -> traced:bool -> request
+(** The request layout. [traced = false] leaves out the trace context,
+    which then decodes as {!no_trace}. *)
+
 val encode_request : Grid_codec.Wire.Encoder.t -> request -> unit
 val decode_request : Grid_codec.Wire.Decoder.t -> request
+(** Every field present: version 1's layout and the storage records'. *)
 
 type status =
   | Ok
@@ -144,8 +150,19 @@ val decode_state_update : Grid_codec.Wire.Decoder.t -> requests:request list -> 
     new leader can re-answer duplicate requests it never executed. *)
 type proposal = { requests : request list; update : state_update; replies : reply list }
 
+val encode_proposal_with :
+  Grid_codec.Wire.Encoder.t -> traced:bool -> aligned:bool -> proposal -> unit
+
+val decode_proposal_with :
+  Grid_codec.Wire.Decoder.t -> traced:bool -> aligned:bool -> proposal
+(** The proposal layout. [traced] applies to every request. [aligned]
+    leaves out each reply's request id, which must then equal the id of
+    the request at the same position; the decoder restores it and
+    raises [Decode_error] when the counts differ. *)
+
 val encode_proposal : Grid_codec.Wire.Encoder.t -> proposal -> unit
 val decode_proposal : Grid_codec.Wire.Decoder.t -> proposal
+(** Every field present, as {!encode_request}. *)
 
 (** A log entry carried in recovery messages. *)
 type recovery_entry = { instance : int; ballot : Ballot.t; proposal : proposal }
@@ -215,15 +232,8 @@ type msg =
 
 val msg_tag : msg -> int
 (** Stable on-wire constructor tag, shared by every codec version;
-    never renumbered. *)
-
-(** Version-1 message body codec: the seed's unversioned encoding,
-    kept byte-identical for rolling-upgrade compatibility. The TCP
-    transport goes through {!Wire_codec} instead, which wraps this as
-    [V1] and adds the compact-header [V2]. *)
-
-val encode_msg : Grid_codec.Wire.Encoder.t -> msg -> unit
-val decode_msg : Grid_codec.Wire.Decoder.t -> msg
+    never renumbered. The message bodies are encoded by {!Wire_codec},
+    over the request and proposal layouts above. *)
 
 (** Approximate wire sizes, for the simulator's bandwidth model: payload
     bytes plus a small fixed header per field. *)

@@ -2,30 +2,41 @@
     {!Grid_codec.Wire_intf.WIRE} signature the transport is functorized
     over.
 
-    {b V1} is the seed's unversioned encoding, byte-identical to what
-    every build since the seed has spoken: no header, first byte is the
-    message-tag varint (always [< 0x10]).
+    There is one body codec per message ({!encode_body},
+    {!decode_body}), over the request and proposal layouts of {!Types}.
+    Three flags say which optional fields a body carries:
+    {ul
+     {- [traced]: every request body carries its [tid]/[parent] trace
+        context; when clear it is left out and decodes as
+        {!Types.no_trace};}
+     {- [lease]: a [Read_confirm] or [Heartbeat] carries its
+        [lease_anchor]; when clear the 8-byte float is left out and
+        decodes as [nan];}
+     {- [aligned]: every proposal's replies line up 1:1 with its
+        requests, so reply bodies leave out the request-id echo.}}
+    A wire version is a setting of these flags plus how the tag is
+    framed:
 
-    {b V2} prefixes a two-byte compact header and uses it to drop the
+    {b V1} is the seed's unversioned encoding, byte-identical to what
+    every build since the seed has spoken: no header, the
+    message-tag varint (always [< 0x10]), then the body with every field
+    present ([traced], [lease], not [aligned]).
+
+    {b V2} prefixes a two-byte compact header whose flags drop the
     fields that are almost always absent on the hot path:
 
     - byte 0: magic nibble [0xA] | version nibble [2]
       ({!Grid_codec.Wire_intf.header_byte});
     - byte 1: constructor tag (low nibble; [0xF] escapes to a varint for
-      future tags) | per-message flags (bits 4–6):
-      {ul
-       {- [TRACED]: some carried request has a live trace context; when
-          clear, every request body omits its [tid]/[parent] fields;}
-       {- [LEASE]: the message's [lease_anchor] is present; when clear
-          the 8-byte float is omitted and decodes as [nan];}
-       {- [ALIGNED]: every proposal's replies line up 1:1 with its
-          requests, so reply bodies omit the request-id echo.}}
+      future tags) | the flags [TRACED] (bit 4), [LEASE] (bit 5) and
+      [ALIGNED] (bit 6). Bit 7 is reserved and rejected.
 
-    Bodies otherwise reuse the V1 field encodings, so the two codecs
-    share all scalar layouts. A V2 frame read by the V1 decoder fails
-    its tag check ([0xA2] is not a known tag) and a V1 frame read by the
-    V2 decoder fails the magic check — misnegotiation yields a typed
-    decode error, never a garbage message.
+    The decoder reads every flag from the header, so a body that
+    disagrees with its flags (a lease float with [LEASE] clear, or none
+    with it set) fails as trailing bytes or a truncation. A V2 frame
+    read by the V1 decoder fails its tag check ([0xA2] is not a known
+    tag) and a V1 frame read by the V2 decoder fails the magic check —
+    misnegotiation yields a typed decode error, never a garbage message.
 
     Version negotiation: the dial-time hello exchange carries each
     side's highest supported version and both sides settle on the
@@ -44,14 +55,158 @@ let negotiate ~local_max ~peer_max =
   let v = min local_max peer_max in
   if v >= min_version then Some v else None
 
+let encode_body e ~traced ~aligned ~lease = function
+  | Client_req r -> encode_request_with e ~traced r
+  | Reply_msg r -> encode_reply e r
+  | Prepare { ballot; commit_point } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e commit_point
+  | Prepare_ack { ballot; commit_point; snapshot; accepted } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e commit_point;
+    Wire.Encoder.option e (Wire.Encoder.string e) snapshot;
+    Wire.Encoder.list e
+      (fun (entry : recovery_entry) ->
+        Wire.Encoder.uint e entry.instance;
+        Ballot.encode e entry.ballot;
+        encode_proposal_with e ~traced ~aligned entry.proposal)
+      accepted
+  | Accept { ballot; instance; proposal } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e instance;
+    encode_proposal_with e ~traced ~aligned proposal
+  | Accept_ack { ballot; instance } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e instance
+  | Reject { promised } -> Ballot.encode e promised
+  | Commit { ballot; instance } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e instance
+  | Read_confirm { ballot; req; lease_anchor } ->
+    Ballot.encode e ballot;
+    Wire.Encoder.uint e (Ids.Client_id.to_int req.client);
+    Wire.Encoder.uint e req.seq;
+    if lease then Wire.Encoder.float e lease_anchor
+  | Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor } ->
+    Wire.Encoder.uint e round_seen;
+    Wire.Encoder.uint e commit_point;
+    Ballot.encode e promised;
+    Wire.Encoder.float e sent_at;
+    if lease then Wire.Encoder.float e lease_anchor
+  | Catchup_req { from_instance } -> Wire.Encoder.uint e from_instance
+  | Catchup { snapshot } -> Wire.Encoder.string e snapshot
+  | Sp_estimate { instance; round; estimate } ->
+    Wire.Encoder.uint e instance;
+    Wire.Encoder.uint e round;
+    Wire.Encoder.option e
+      (fun (p, r) ->
+        encode_proposal_with e ~traced ~aligned p;
+        Wire.Encoder.uint e r)
+      estimate
+  | Sp_propose { instance; round; proposal } ->
+    Wire.Encoder.uint e instance;
+    Wire.Encoder.uint e round;
+    encode_proposal_with e ~traced ~aligned proposal
+  | Sp_ack { instance; round } ->
+    Wire.Encoder.uint e instance;
+    Wire.Encoder.uint e round
+  | Sp_decide { instance; proposal } ->
+    Wire.Encoder.uint e instance;
+    encode_proposal_with e ~traced ~aligned proposal
+
+(* [tag_pos] is where the tag starts in the frame, which an unknown tag's
+   error names. *)
+let decode_body d ~tag ~tag_pos ~traced ~aligned ~lease =
+  match tag with
+  | 0 -> Client_req (decode_request_with d ~traced)
+  | 1 -> Reply_msg (decode_reply d)
+  | 2 ->
+    let ballot = Ballot.decode d in
+    let commit_point = Wire.Decoder.uint d in
+    Prepare { ballot; commit_point }
+  | 3 ->
+    let ballot = Ballot.decode d in
+    let commit_point = Wire.Decoder.uint d in
+    let snapshot = Wire.Decoder.option d Wire.Decoder.string in
+    let accepted =
+      Wire.Decoder.list d (fun d ->
+          let instance = Wire.Decoder.uint d in
+          let ballot = Ballot.decode d in
+          let proposal = decode_proposal_with d ~traced ~aligned in
+          { instance; ballot; proposal })
+    in
+    Prepare_ack { ballot; commit_point; snapshot; accepted }
+  | 4 ->
+    let ballot = Ballot.decode d in
+    let instance = Wire.Decoder.uint d in
+    let proposal = decode_proposal_with d ~traced ~aligned in
+    Accept { ballot; instance; proposal }
+  | 5 ->
+    let ballot = Ballot.decode d in
+    let instance = Wire.Decoder.uint d in
+    Accept_ack { ballot; instance }
+  | 6 -> Reject { promised = Ballot.decode d }
+  | 7 ->
+    let ballot = Ballot.decode d in
+    let instance = Wire.Decoder.uint d in
+    Commit { ballot; instance }
+  | 8 ->
+    let ballot = Ballot.decode d in
+    let client = Ids.Client_id.of_int (Wire.Decoder.uint d) in
+    let seq = Wire.Decoder.uint d in
+    let lease_anchor = if lease then Wire.Decoder.float d else Float.nan in
+    Read_confirm { ballot; req = Ids.Request_id.make ~client ~seq; lease_anchor }
+  | 9 ->
+    let round_seen = Wire.Decoder.uint d in
+    let commit_point = Wire.Decoder.uint d in
+    let promised = Ballot.decode d in
+    let sent_at = Wire.Decoder.float d in
+    let lease_anchor = if lease then Wire.Decoder.float d else Float.nan in
+    Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor }
+  | 10 -> Catchup_req { from_instance = Wire.Decoder.uint d }
+  | 11 -> Catchup { snapshot = Wire.Decoder.string d }
+  | 12 ->
+    let instance = Wire.Decoder.uint d in
+    let round = Wire.Decoder.uint d in
+    let estimate =
+      Wire.Decoder.option d (fun d ->
+          let p = decode_proposal_with d ~traced ~aligned in
+          let r = Wire.Decoder.uint d in
+          (p, r))
+    in
+    Sp_estimate { instance; round; estimate }
+  | 13 ->
+    let instance = Wire.Decoder.uint d in
+    let round = Wire.Decoder.uint d in
+    let proposal = decode_proposal_with d ~traced ~aligned in
+    Sp_propose { instance; round; proposal }
+  | 14 ->
+    let instance = Wire.Decoder.uint d in
+    let round = Wire.Decoder.uint d in
+    Sp_ack { instance; round }
+  | 15 ->
+    let instance = Wire.Decoder.uint d in
+    let proposal = decode_proposal_with d ~traced ~aligned in
+    Sp_decide { instance; proposal }
+  | n ->
+    raise (Wire.Decode_error { pos = tag_pos; msg = Printf.sprintf "bad msg tag %d" n })
+
 module V1 = struct
   type msg = Types.msg
 
   let version = 1
-  let encode m = Wire.encode (fun e -> encode_msg e m)
+
+  let encode m =
+    Wire.encode (fun e ->
+        Wire.Encoder.uint e (msg_tag m);
+        encode_body e ~traced:true ~aligned:false ~lease:true m)
 
   let decode s =
-    match Wire.decode s decode_msg with
+    match
+      Wire.decode s (fun d ->
+          let tag = Wire.Decoder.uint d in
+          decode_body d ~tag ~tag_pos:0 ~traced:true ~aligned:false ~lease:true)
+    with
     | m -> Stdlib.Ok m
     | exception Wire.Decode_error { pos; msg } ->
       Error { Wire_intf.version = 1; pos; msg }
@@ -67,21 +222,16 @@ module V2 = struct
   let f_lease = 0x20
   let f_aligned = 0x40
 
-  (* ---------------------------------------------------------------- *)
-  (* Flag computation *)
-
   let request_traced (r : request) = r.trace.tid <> 0 || r.trace.parent <> ""
-
-  let proposal_requests (p : proposal) = p.requests
 
   let msg_requests = function
     | Client_req r -> [ r ]
     | Accept { proposal; _ } | Sp_propose { proposal; _ } | Sp_decide { proposal; _ }
       ->
-      proposal_requests proposal
-    | Sp_estimate { estimate = Some (p, _); _ } -> proposal_requests p
+      proposal.requests
+    | Sp_estimate { estimate = Some (p, _); _ } -> p.requests
     | Prepare_ack { accepted; _ } ->
-      List.concat_map (fun (e : recovery_entry) -> proposal_requests e.proposal) accepted
+      List.concat_map (fun (e : recovery_entry) -> e.proposal.requests) accepted
     | _ -> []
 
   let msg_proposals = function
@@ -104,233 +254,22 @@ module V2 = struct
       not (Float.is_nan lease_anchor)
     | _ -> false
 
-  (* ---------------------------------------------------------------- *)
-  (* Bodies: V1 field encodings with the flag-gated fields elided *)
-
-  let encode_request_v2 e ~traced (r : request) =
-    Wire.Encoder.uint e (Ids.Client_id.to_int r.id.client);
-    Wire.Encoder.uint e r.id.seq;
-    encode_rtype e r.rtype;
-    Wire.Encoder.string e r.payload;
-    if traced then begin
-      Wire.Encoder.uint e r.trace.tid;
-      Wire.Encoder.string e r.trace.parent
-    end
-
-  let decode_request_v2 d ~traced : request =
-    let client = Ids.Client_id.of_int (Wire.Decoder.uint d) in
-    let seq = Wire.Decoder.uint d in
-    let rtype = decode_rtype d in
-    let payload = Wire.Decoder.string d in
-    let trace =
-      if traced then
-        let tid = Wire.Decoder.uint d in
-        let parent = Wire.Decoder.string d in
-        { tid; parent }
-      else no_trace
-    in
-    { id = Ids.Request_id.make ~client ~seq; rtype; payload; trace }
-
-  let encode_proposal_v2 e ~traced ~aligned (p : proposal) =
-    Wire.Encoder.list e (encode_request_v2 e ~traced) p.requests;
-    encode_state_update e p.update;
-    if aligned then
-      (* Reply ids are implied positionally by the request list. *)
-      Wire.Encoder.list e
-        (fun (rp : reply) ->
-          encode_status e rp.status;
-          Wire.Encoder.string e rp.payload)
-        p.replies
-    else Wire.Encoder.list e (encode_reply e) p.replies
-
-  let decode_proposal_v2 d ~traced ~aligned : proposal =
-    let requests = Wire.Decoder.list d (fun d -> decode_request_v2 d ~traced) in
-    let update = decode_state_update d ~requests in
-    let replies =
-      if aligned then begin
-        let pairs =
-          Wire.Decoder.list d (fun d ->
-              let status = decode_status d in
-              let payload = Wire.Decoder.string d in
-              (status, payload))
-        in
-        if List.length pairs <> List.length requests then
-          raise
-            (Wire.Decode_error
-               { pos = Wire.Decoder.pos d;
-                 msg = "aligned replies do not match the request count" });
-        List.map2
-          (fun (rq : request) (status, payload) -> { req = rq.id; status; payload })
-          requests pairs
-      end
-      else Wire.Decoder.list d decode_reply
-    in
-    { requests; update; replies }
-
-  let encode_body e ~traced ~aligned = function
-    | Client_req r -> encode_request_v2 e ~traced r
-    | Reply_msg r -> encode_reply e r
-    | Prepare { ballot; commit_point } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e commit_point
-    | Prepare_ack { ballot; commit_point; snapshot; accepted } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e commit_point;
-      Wire.Encoder.option e (Wire.Encoder.string e) snapshot;
-      Wire.Encoder.list e
-        (fun (entry : recovery_entry) ->
-          Wire.Encoder.uint e entry.instance;
-          Ballot.encode e entry.ballot;
-          encode_proposal_v2 e ~traced ~aligned entry.proposal)
-        accepted
-    | Accept { ballot; instance; proposal } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e instance;
-      encode_proposal_v2 e ~traced ~aligned proposal
-    | Accept_ack { ballot; instance } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e instance
-    | Reject { promised } -> Ballot.encode e promised
-    | Commit { ballot; instance } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e instance
-    | Read_confirm { ballot; req; lease_anchor } ->
-      Ballot.encode e ballot;
-      Wire.Encoder.uint e (Ids.Client_id.to_int req.client);
-      Wire.Encoder.uint e req.seq;
-      if not (Float.is_nan lease_anchor) then Wire.Encoder.float e lease_anchor
-    | Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor } ->
-      Wire.Encoder.uint e round_seen;
-      Wire.Encoder.uint e commit_point;
-      Ballot.encode e promised;
-      Wire.Encoder.float e sent_at;
-      if not (Float.is_nan lease_anchor) then Wire.Encoder.float e lease_anchor
-    | Catchup_req { from_instance } -> Wire.Encoder.uint e from_instance
-    | Catchup { snapshot } -> Wire.Encoder.string e snapshot
-    | Sp_estimate { instance; round; estimate } ->
-      Wire.Encoder.uint e instance;
-      Wire.Encoder.uint e round;
-      Wire.Encoder.option e
-        (fun (p, r) ->
-          encode_proposal_v2 e ~traced ~aligned p;
-          Wire.Encoder.uint e r)
-        estimate
-    | Sp_propose { instance; round; proposal } ->
-      Wire.Encoder.uint e instance;
-      Wire.Encoder.uint e round;
-      encode_proposal_v2 e ~traced ~aligned proposal
-    | Sp_ack { instance; round } ->
-      Wire.Encoder.uint e instance;
-      Wire.Encoder.uint e round
-    | Sp_decide { instance; proposal } ->
-      Wire.Encoder.uint e instance;
-      encode_proposal_v2 e ~traced ~aligned proposal
-
-  let decode_body d ~tag ~traced ~aligned =
-    match tag with
-    | 0 -> Client_req (decode_request_v2 d ~traced)
-    | 1 -> Reply_msg (decode_reply d)
-    | 2 ->
-      let ballot = Ballot.decode d in
-      let commit_point = Wire.Decoder.uint d in
-      Prepare { ballot; commit_point }
-    | 3 ->
-      let ballot = Ballot.decode d in
-      let commit_point = Wire.Decoder.uint d in
-      let snapshot = Wire.Decoder.option d Wire.Decoder.string in
-      let accepted =
-        Wire.Decoder.list d (fun d ->
-            let instance = Wire.Decoder.uint d in
-            let ballot = Ballot.decode d in
-            let proposal = decode_proposal_v2 d ~traced ~aligned in
-            { instance; ballot; proposal })
-      in
-      Prepare_ack { ballot; commit_point; snapshot; accepted }
-    | 4 ->
-      let ballot = Ballot.decode d in
-      let instance = Wire.Decoder.uint d in
-      let proposal = decode_proposal_v2 d ~traced ~aligned in
-      Accept { ballot; instance; proposal }
-    | 5 ->
-      let ballot = Ballot.decode d in
-      let instance = Wire.Decoder.uint d in
-      Accept_ack { ballot; instance }
-    | 6 -> Reject { promised = Ballot.decode d }
-    | 7 ->
-      let ballot = Ballot.decode d in
-      let instance = Wire.Decoder.uint d in
-      Commit { ballot; instance }
-    | 8 ->
-      let ballot = Ballot.decode d in
-      let client = Ids.Client_id.of_int (Wire.Decoder.uint d) in
-      let seq = Wire.Decoder.uint d in
-      let lease_anchor =
-        if Wire.Decoder.at_end d then Float.nan else Wire.Decoder.float d
-      in
-      Read_confirm { ballot; req = Ids.Request_id.make ~client ~seq; lease_anchor }
-    | 9 ->
-      let round_seen = Wire.Decoder.uint d in
-      let commit_point = Wire.Decoder.uint d in
-      let promised = Ballot.decode d in
-      let sent_at = Wire.Decoder.float d in
-      let lease_anchor =
-        if Wire.Decoder.at_end d then Float.nan else Wire.Decoder.float d
-      in
-      Heartbeat { round_seen; commit_point; promised; sent_at; lease_anchor }
-    | 10 -> Catchup_req { from_instance = Wire.Decoder.uint d }
-    | 11 -> Catchup { snapshot = Wire.Decoder.string d }
-    | 12 ->
-      let instance = Wire.Decoder.uint d in
-      let round = Wire.Decoder.uint d in
-      let estimate =
-        Wire.Decoder.option d (fun d ->
-            let p = decode_proposal_v2 d ~traced ~aligned in
-            let r = Wire.Decoder.uint d in
-            (p, r))
-      in
-      Sp_estimate { instance; round; estimate }
-    | 13 ->
-      let instance = Wire.Decoder.uint d in
-      let round = Wire.Decoder.uint d in
-      let proposal = decode_proposal_v2 d ~traced ~aligned in
-      Sp_propose { instance; round; proposal }
-    | 14 ->
-      let instance = Wire.Decoder.uint d in
-      let round = Wire.Decoder.uint d in
-      Sp_ack { instance; round }
-    | 15 ->
-      let instance = Wire.Decoder.uint d in
-      let proposal = decode_proposal_v2 d ~traced ~aligned in
-      Sp_decide { instance; proposal }
-    | n ->
-      raise
-        (Wire.Decode_error { pos = 1; msg = Printf.sprintf "bad msg tag %d" n })
-
-  (* The lease flag is only read back through the body codecs above (an
-     absent float decodes as [nan] because the body ends early), so it
-     needs no explicit plumbing: [at_end] arbitrates. Trailing-byte
-     detection still holds — a lease float present without the flag
-     would decode, but the flag is set exactly when the float is
-     written, so the two sides agree by construction and corruption is
-     caught by the frame CRC plus the field decoders. *)
-
   let encode (m : msg) =
     let traced = List.exists request_traced (msg_requests m) in
     let proposals = msg_proposals m in
     let aligned = proposals <> [] && List.for_all proposal_aligned proposals in
-    let lease = msg_lease_present m in
     let tag = msg_tag m in
     let flags =
       (if traced then f_traced else 0)
       lor (if aligned then f_aligned else 0)
-      lor if lease then f_lease else 0
+      lor if msg_lease_present m then f_lease else 0
     in
     Wire.encode (fun e ->
         Wire.Encoder.char e (Wire_intf.header_byte ~version);
         let nibble = if tag < 0xF then tag else 0xF in
         Wire.Encoder.char e (Char.chr (nibble lor flags));
         if tag >= 0xF then Wire.Encoder.uint e (tag - 0xF);
-        encode_body e ~traced ~aligned m)
+        encode_body e ~traced ~aligned ~lease:(flags land f_lease <> 0) m)
 
   let decode s =
     match
@@ -348,11 +287,12 @@ module V2 = struct
       let b = Char.code (Wire.Decoder.char d) in
       if b land 0x80 <> 0 then
         raise (Wire.Decode_error { pos = 1; msg = "reserved flag bit set" });
-      let traced = b land f_traced <> 0 in
-      let aligned = b land f_aligned <> 0 in
       let nibble = b land 0xF in
       let tag = if nibble < 0xF then nibble else 0xF + Wire.Decoder.uint d in
-      let m = decode_body d ~tag ~traced ~aligned in
+      let m =
+        decode_body d ~tag ~tag_pos:1 ~traced:(b land f_traced <> 0)
+          ~aligned:(b land f_aligned <> 0) ~lease:(b land f_lease <> 0)
+      in
       Wire.Decoder.expect_end d;
       m
     with

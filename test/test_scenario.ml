@@ -169,9 +169,9 @@ let gen_msg =
 let prop_msg_roundtrip =
   QCheck2.Test.make ~name:"every msg variant roundtrips on the wire" ~count:500 gen_msg
     (fun m ->
-      let encoded = Wire.encode (fun e -> encode_msg e m) in
-      let decoded = Wire.decode encoded decode_msg in
-      decoded = m)
+      match Grid_paxos.Wire_codec.V1.(decode (encode m)) with
+      | Stdlib.Ok decoded -> decoded = m
+      | Stdlib.Error _ -> false)
 
 let prop_msg_size_positive =
   QCheck2.Test.make ~name:"msg_size positive and bounded by encoding" ~count:300 gen_msg

@@ -9,10 +9,10 @@
      reserved flag bits, cross-version rejection) behaves as
      DESIGN.md §15 specifies.
 
-   Message equality goes through the canonical V1 body encoding rather
-   than [(=)]: lease anchors and heartbeat clocks are floats that can be
-   [nan], and [nan <> nan] would fail structural comparison on messages
-   that are byte-identical on the wire. *)
+   Message equality goes through the V1 frame (every field present, no
+   header) rather than [(=)]: lease anchors and heartbeat clocks are
+   floats that can be [nan], and [nan <> nan] would fail structural
+   comparison on messages that are byte-identical on the wire. *)
 
 module Types = Grid_paxos.Types
 module WC = Grid_paxos.Wire_codec
@@ -23,9 +23,9 @@ module Ids = Grid_util.Ids
 let codecs =
   [ (module WC.V1 : Wire_intf.WIRE with type msg = Types.msg); (module WC.V2) ]
 
-(* Canonical bytes of a message: the V1 body encoding (no header). Equal
-   canon = equal message, nan-safe. *)
-let canon m = Wire.encode (fun e -> Types.encode_msg e m)
+(* Canonical bytes of a message: its V1 frame. Equal canon = equal
+   message, nan-safe. *)
+let canon = WC.V1.encode
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive constructor samples. *)
@@ -201,6 +201,22 @@ let test_v2_header_validation () =
   Bytes.set future 0 (Wire_intf.header_byte ~version:3);
   Alcotest.(check bool) "future version rejected" true
     (is_error (WC.V2.decode (Bytes.to_string future)));
+  (* The LEASE flag says whether the lease float is there: a body that
+     disagrees with it either way is malformed, not a different valid
+     message. *)
+  let flip_lease m =
+    let s = Bytes.of_string (WC.V2.encode m) in
+    Bytes.set s 1 (Char.chr (Char.code (Bytes.get s 1) lxor 0x20));
+    Bytes.to_string s
+  in
+  List.iter
+    (fun (name, m) ->
+      Alcotest.(check bool) (name ^ " with its LEASE bit flipped rejected") true
+        (is_error (WC.V2.decode (flip_lease m))))
+    (List.filter
+       (fun (_, m) ->
+         match m with Types.Read_confirm _ | Types.Heartbeat _ -> true | _ -> false)
+       sample_msgs);
   (* Degenerate inputs. *)
   List.iter
     (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
@@ -405,8 +421,7 @@ let prop_cross_version_agreement =
 
 (* Decoding never raises: every mangled input yields Ok or a typed
    Error. (An [Ok] is legitimate — a flip inside a payload string is a
-   different valid message; a truncation at a flag-gated tail decodes
-   with the field absent.) *)
+   different valid message.) *)
 let total_decode (module W : Wire_intf.WIRE with type msg = Types.msg) s =
   match W.decode s with
   | Stdlib.Ok _ | Stdlib.Error _ -> true
@@ -443,6 +458,69 @@ let prop_garbage_total (module W : Wire_intf.WIRE with type msg = Types.msg) =
     Gen.(string_size (int_bound 64))
     (fun s -> total_decode (module W) s)
 
+(* ------------------------------------------------------------------ *)
+(* Golden bytes. The roundtrip properties above would still pass if an
+   encoder and its decoder changed layout together; this digest pins the
+   bytes themselves. It covers both versions' frames for every sample
+   and for 1,000 seeded random messages, the storage layouts of a
+   request, a proposal, a snapshot and a prepared branch, and the
+   [{version; pos; msg}] of a fixed set of malformed frames. A change
+   that alters any of them breaks rolling upgrades and persisted images,
+   so the constant must only ever change with a new wire version. *)
+
+let golden_digest = "dc4a00d90e90fc7c1927ffce5bf035a9"
+
+let golden_bytes () =
+  let b = Buffer.create 65536 in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  let random = Gen.generate ~rand:(Random.State.make [| 33 |]) ~n:1000 gen_msg in
+  List.iter
+    (fun m ->
+      add (WC.V1.encode m);
+      add (WC.V2.encode m))
+    (List.map snd sample_msgs @ random);
+  add (Wire.encode (fun e -> Types.encode_request e (req ~trace:traced 9)));
+  add (Wire.encode (fun e -> Types.encode_proposal e proposal_aligned));
+  add (Wire.encode (fun e -> Types.encode_proposal e proposal_misaligned));
+  add
+    (Grid_paxos.Snapshot.encode
+       { commit_point = 64; state = "kv-state"; dedup = [ (4, reply 3) ];
+         prepared = [ (11, "branch") ]; outcomes = [ (10, true); (12, false) ];
+         reshard = "rs" });
+  add
+    (Grid_paxos.Committed.encode_prepared
+       { p_ops = [ (req 1, Some "w"); (req ~rtype:(Types.Txn_op 2) 2, None) ];
+         p_replies = [ reply 1; reply 2 ];
+         p_footprint = Grid_paxos.Footprint.of_keys [ "kv/a"; "kv/b" ] });
+  let accept = Types.Accept { ballot; instance = 42; proposal = proposal_aligned } in
+  let v1 = WC.V1.encode accept and v2 = WC.V2.encode accept in
+  let reserved = Bytes.of_string v2 in
+  Bytes.set reserved 1 (Char.chr (Char.code v2.[1] lor 0x80));
+  let malformed =
+    [ String.sub v1 0 (String.length v1 / 2);
+      String.sub v2 0 (String.length v2 / 2);
+      "\x10"; "\x80\x01"; "\xA2\x0F\x01"; v1; Bytes.to_string reserved; "" ]
+  in
+  List.iter
+    (fun s ->
+      List.iter
+        (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
+          match W.decode s with
+          | Stdlib.Ok m -> add ("ok " ^ canon m)
+          | Stdlib.Error { version; pos; msg } ->
+            add (Printf.sprintf "error %d %d %s" version pos msg))
+        codecs)
+    malformed;
+  Buffer.contents b
+
+let test_golden_bytes () =
+  Alcotest.(check string) "digest of every pinned encoding" golden_digest
+    (Digest.to_hex (Digest.string (golden_bytes ())))
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -463,6 +541,8 @@ let suite =
           test_sign_bit_flip_is_typed_error;
         Alcotest.test_case "a witness over a batch is rejected" `Quick
           test_witness_batch_rejected;
+        Alcotest.test_case "golden bytes of both versions and storage" `Quick
+          test_golden_bytes;
       ] );
     ( "wire.properties",
       qcheck
