@@ -43,7 +43,8 @@ let dump_trace file events =
   Format.printf "trace: %d events -> %s@." (List.length events) file
 
 (* Run one seed per selected service, then re-run it from the recorded
-   fault plan and insist the replay reproduces the outcome exactly. *)
+   fault plan and insist the replay reproduces the outcome exactly: the
+   same plan, replies, deliveries, commit points and timer fires. *)
 let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump =
   let ok = ref true in
   List.iter
@@ -72,14 +73,14 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
         (String.concat ";" (Array.to_list (Array.map string_of_int o.committed)));
       Format.printf "  plan (%d events): %a@." (List.length o.plan) Mcheck.pp_plan
         o.plan;
-      let r =
-        let module H = (val Stress.harness service) in
-        fst
-          (H.replay_plan ~steps ~meta_drop_prob:nem.Mcheck.meta_drop_prob
-             ~disable_dedup ~cfg_tweak ~seed ~plan:o.plan ())
+      let r, _ =
+        Stress.run_one ~service ~steps ~nemesis:nem ~disable_dedup ~cfg_tweak
+          ~shrink:false ~plan:o.plan ~seed ()
       in
       if
-        r.Mcheck.delivered = o.delivered
+        r.Mcheck.plan = o.plan
+        && r.replies = o.replies
+        && r.delivered = o.delivered
         && r.committed = o.committed
         && r.timer_fires = o.timer_fires
       then Format.printf "  replay from plan: deterministic (identical outcome)@."
@@ -102,13 +103,11 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
    the injected faults are essential, so the minimal plan pins them. *)
 let run_plant ~seed ~steps ~nem ~attempts =
   let nem = { nem with Mcheck.dup_prob = Float.max nem.Mcheck.dup_prob 0.15 } in
-  let faultless_passes s =
-    let _, reasons =
-      Stress.Counter_harness.replay_plan ~steps
-        ~meta_drop_prob:nem.Mcheck.meta_drop_prob ~disable_dedup:true ~seed:s
-        ~plan:[] ()
-    in
-    reasons = []
+  let fails ~seed plan =
+    snd
+      (Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis:nem
+         ~disable_dedup:true ~shrink:false ~plan ~seed ())
+    <> None
   in
   let rec hunt s fallback =
     if s >= seed + attempts then fallback
@@ -118,7 +117,7 @@ let run_plant ~seed ~steps ~nem ~attempts =
           ~disable_dedup:true ~shrink:true ~seed:s ()
       in
       match failure with
-      | Some f when faultless_passes s -> Some f
+      | Some f when not (fails ~seed:s []) -> Some f
       | Some f -> hunt (s + 1) (if fallback = None then Some f else fallback)
       | None -> hunt (s + 1) fallback
   in
@@ -134,13 +133,7 @@ let run_plant ~seed ~steps ~nem ~attempts =
     print_failures [ f ];
     (match f.shrunk with
     | Some shrunk ->
-      let o, reasons =
-        Stress.Counter_harness.replay_plan ~steps
-          ~meta_drop_prob:nem.Mcheck.meta_drop_prob ~disable_dedup:true
-          ~seed:f.seed ~plan:shrunk ()
-      in
-      ignore o;
-      if reasons <> [] then begin
+      if fails ~seed:f.seed shrunk then begin
         Format.printf
           "minimal failing schedule: seed %d, %d of %d fault events@." f.seed
           (List.length shrunk) (List.length f.plan);

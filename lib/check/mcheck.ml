@@ -13,12 +13,17 @@
     loss of metadata records, and crash-consistent recovery — a revived
     replica is rebuilt from its persisted image via {!Replica.load}, not
     from its in-memory carcass. Every fault that fires is recorded in a
-    {!plan} keyed by scheduler step, so a failing run can be replayed
-    exactly and then shrunk to a minimal failing schedule.
+    {!plan}, at most one per (scheduler step, fault site), so a failing
+    run can be replayed exactly and then shrunk to a minimal failing
+    schedule.
 
     Each run uses one seed; scheduling choices and fault dice draw from
-    two separate RNG streams so that replaying a recorded plan (no dice)
-    leaves the scheduling stream — and hence the schedule — unchanged. *)
+    two separate RNG streams. Each fault site makes one decision ([fault])
+    that either rolls the fault dice or, given a plan, reads it; the
+    fault's effect is written once, after that decision. Replaying a
+    recorded plan therefore rolls no fault dice and leaves the scheduling
+    stream — and hence the schedule — unchanged. The per-replica storage
+    dice roll in both modes. *)
 
 module Rng = Grid_util.Rng
 open Grid_paxos.Types
@@ -40,10 +45,16 @@ type fault_event =
 
 type plan = fault_event list
 
-let fault_step = function
-  | Crash_at { step; _ } | Recover_at { step; _ }
-  | Duplicate_at { step } | Reorder_at { step; _ } | Drift_at { step; _ }
-  | Upgrade_at { step; _ } -> step
+(* Where in a step a fault is decided: the step's nemesis event, or the
+   reorder and the duplicate of the message it delivers. A plan holds at
+   most one event per (step, site). *)
+type site = Nemesis | Reorder | Duplicate
+
+let fault_key = function
+  | Crash_at { step; _ } | Recover_at { step; _ } | Drift_at { step; _ }
+  | Upgrade_at { step; _ } -> (step, Nemesis)
+  | Reorder_at { step; _ } -> (step, Reorder)
+  | Duplicate_at { step } -> (step, Duplicate)
 
 let pp_fault ppf = function
   | Crash_at { step; victim; torn } ->
@@ -193,12 +204,11 @@ let persist_step store ~rng ~tear ~drop_prob actions =
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
 
-  type mode =
-    | Record of { nem : nemesis; frng : Rng.t }
-    | Replay of (int, fault_event) Hashtbl.t
+  (* Where fault decisions come from: the fault dice, or a plan. *)
+  type mode = Record of Rng.t | Replay of (int * site, fault_event) Hashtbl.t
 
   type sched = {
-    rng : Rng.t;  (* scheduling choices only; fault dice use frng *)
+    rng : Rng.t;  (* scheduling choices only; fault dice are in [mode] *)
     base_seed : int;
     cfg : Grid_paxos.Config.t;
     replicas : R.t array;
@@ -207,7 +217,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     reads : (unit -> Grid_paxos.Storage.persisted) array;
     dice : Rng.t array;  (* per-replica storage fault dice *)
     armed : bool array;  (* a torn crash waits for the replica's next write *)
-    mutable drop_prob : float;  (* meta-record loss; 0 while draining *)
+    (* The dice's rates; [no_faults] while draining. A replay reads only
+       its [meta_drop_prob], for the storage dice. *)
+    mutable nem : nemesis;
     mutable torn : int;
     mutable dropped : int;
     (* FIFO queue per directed pair, keyed (src, dst); client requests
@@ -223,7 +235,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     mutable delivered : int;
     mutable timer_fires : int;
     mutable nstep : int;
-    mutable mode : mode;
+    mode : mode;
     mutable plan_rev : fault_event list;
     (* Wire-version model: [Some versions] runs every delivered message
        through the codec negotiated for its link — min of the endpoints'
@@ -235,7 +247,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
        mode; replay takes its [Upgrade_at]s from the plan instead. *)
     upgrades_tbl : (int, int * int) Hashtbl.t;
     mutable wire_errors : string list;
-    mutable upgraded : int;
     (* instance -> (request key, encoded state after): the union of every
        committed update any incarnation of any replica has reported. *)
     oracle : (int, string * string) Hashtbl.t;
@@ -257,6 +268,13 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   }
 
   let record sched ev = sched.plan_rev <- ev :: sched.plan_rev
+
+  (* The one fault decision at [site] of this step: [roll] the dice at
+     the current rates when recording, read the plan when replaying. *)
+  let fault sched site roll =
+    match sched.mode with
+    | Record frng -> roll sched.nem frng
+    | Replay tbl -> Hashtbl.find_opt tbl (sched.nstep, site)
 
   let enqueue sched ~src ~dst msg =
     let q =
@@ -294,7 +312,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let exec_actions sched i actions =
     match
       persist_step sched.stores.(i) ~rng:sched.dice.(i) ~tear:sched.armed.(i)
-        ~drop_prob:sched.drop_prob actions
+        ~drop_prob:sched.nem.meta_drop_prob actions
     with
     | Torn ->
       sched.torn <- sched.torn + 1;
@@ -438,8 +456,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      under a binary that speaks [version]. An already-down victim just
      has its version changed; it picks it up when it recovers. *)
   let apply_upgrade sched ~victim ~version =
-    record sched (Upgrade_at { step = sched.nstep; victim; version });
-    sched.upgraded <- sched.upgraded + 1;
     (match sched.wire with Some w -> w.(victim) <- version | None -> ());
     if not sched.down.(victim) then begin
       crash_replica sched victim ~torn:false;
@@ -461,82 +477,63 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      3-replica group always keeps a quorum. *)
   let max_down = 1
 
-  (* Crash/recovery decision for this step; [true] if it consumed the
-     step. Recording draws from the fault RNG; replay consults the plan
-     and rolls no dice, leaving the scheduling stream aligned. *)
-  let nemesis_step sched =
-    let down_count =
-      Array.fold_left (fun n d -> if d then n + 1 else n) 0 sched.down
-    in
-    match sched.mode with
-    | Record _ when Hashtbl.mem sched.upgrades_tbl sched.nstep ->
-      (* Scripted rolling upgrades fire at their exact step, ahead of the
-         dice, so a recorded plan replays them from its [Upgrade_at]s. *)
-      let victim, version = Hashtbl.find sched.upgrades_tbl sched.nstep in
-      apply_upgrade sched ~victim ~version;
-      true
-    | Record { nem; frng }
-      when nem.drift_prob > 0.0 && Rng.float frng 1.0 < nem.drift_prob ->
-      (* The drift dice roll only when drift is enabled, so existing
-         seeds and recorded plans replay unchanged. *)
+  let replicas sched ~down =
+    List.filter
+      (fun i -> sched.down.(i) = down)
+      (Grid_paxos.Config.replica_ids sched.cfg)
+
+  (* The dice for this step's nemesis event. Scripted rolling upgrades
+     fire at their exact step, ahead of the dice. The drift dice roll
+     only when drift is enabled, so seeds explored without drift keep
+     their schedules; then one crash roll picks a crash, a recovery or
+     nothing. *)
+  let roll_nemesis sched nem frng =
+    let step = sched.nstep in
+    let down_count = List.length (replicas sched ~down:true) in
+    match Hashtbl.find_opt sched.upgrades_tbl step with
+    | Some (victim, version) -> Some (Upgrade_at { step; victim; version })
+    | None when nem.drift_prob > 0.0 && Rng.float frng 1.0 < nem.drift_prob ->
       let victim = Rng.int frng sched.cfg.n in
       let offset_ms = Rng.float frng (2.0 *. nem.drift_max_ms) -. nem.drift_max_ms in
-      record sched (Drift_at { step = sched.nstep; victim; offset_ms });
-      sched.skew.(victim) <- offset_ms;
-      true
-    | Record { nem; frng } when nem.crash_prob > 0.0 ->
+      Some (Drift_at { step; victim; offset_ms })
+    | None when nem.crash_prob > 0.0 ->
       let roll = Rng.float frng 1.0 in
       if roll < nem.crash_prob && down_count < max_down then begin
-        let live =
-          List.filter
-            (fun i -> not sched.down.(i))
-            (Grid_paxos.Config.replica_ids sched.cfg)
-        in
-        match live with
-        | [] -> false
-        | _ ->
-          let victim = Rng.pick_list frng live in
-          let torn = nem.torn_frac > 0.0 && Rng.float frng 1.0 < nem.torn_frac in
-          record sched (Crash_at { step = sched.nstep; victim; torn });
+        let victim = Rng.pick_list frng (replicas sched ~down:false) in
+        let torn = nem.torn_frac > 0.0 && Rng.float frng 1.0 < nem.torn_frac in
+        Some (Crash_at { step; victim; torn })
+      end
+      else if roll < 2.0 *. nem.crash_prob && down_count > 0 then
+        let victim = Rng.pick_list frng (replicas sched ~down:true) in
+        Some (Recover_at { step; victim })
+      else None
+    | None -> None
+
+  (* This step's nemesis event, if any; [true] if it consumed the step.
+     Best effort under shrinking: an event whose precondition no longer
+     holds (victim already down / already up) is skipped. *)
+  let nemesis_step sched =
+    match fault sched Nemesis (roll_nemesis sched) with
+    | None -> false
+    | Some ev ->
+      let fired =
+        match ev with
+        | Crash_at { victim; torn; _ } when not sched.down.(victim) ->
           crash_replica sched victim ~torn;
           true
-      end
-      else if roll < 2.0 *. nem.crash_prob && down_count > 0 then begin
-        let dead =
-          List.filter
-            (fun i -> sched.down.(i))
-            (Grid_paxos.Config.replica_ids sched.cfg)
-        in
-        match dead with
-        | [] -> false
-        | _ ->
-          let back = Rng.pick_list frng dead in
-          record sched (Recover_at { step = sched.nstep; victim = back });
-          revive sched back;
+        | Recover_at { victim; _ } when sched.down.(victim) ->
+          revive sched victim;
           true
-      end
-      else false
-    | Record _ -> false
-    | Replay tbl -> (
-      (* Best effort under shrinking: an event whose precondition no
-         longer holds (victim already down / already up) is skipped. *)
-      match Hashtbl.find_opt tbl sched.nstep with
-      | Some (Crash_at { victim; torn; _ }) when not sched.down.(victim) ->
-        record sched (Crash_at { step = sched.nstep; victim; torn });
-        crash_replica sched victim ~torn;
-        true
-      | Some (Recover_at { victim; _ }) when sched.down.(victim) ->
-        record sched (Recover_at { step = sched.nstep; victim });
-        revive sched victim;
-        true
-      | Some (Drift_at { victim; offset_ms; _ }) ->
-        record sched (Drift_at { step = sched.nstep; victim; offset_ms });
-        sched.skew.(victim) <- offset_ms;
-        true
-      | Some (Upgrade_at { victim; version; _ }) ->
-        apply_upgrade sched ~victim ~version;
-        true
-      | _ -> false)
+        | Drift_at { victim; offset_ms; _ } ->
+          sched.skew.(victim) <- offset_ms;
+          true
+        | Upgrade_at { victim; version; _ } ->
+          apply_upgrade sched ~victim ~version;
+          true
+        | _ -> false
+      in
+      if fired then record sched ev;
+      fired
 
   (* One scheduling step: a nemesis event, a message delivery (possibly
      reordered within its channel, possibly duplicated), or a timer
@@ -552,40 +549,35 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         | _ ->
           let src, dst = Rng.pick_list sched.rng pairs in
           let q = Hashtbl.find sched.channels (src, dst) in
+          let reorder nem frng =
+            if
+              Queue.length q >= 2
+              && nem.reorder_prob > 0.0
+              && Rng.float frng 1.0 < nem.reorder_prob
+            then
+              let depth = 1 + Rng.int frng (Queue.length q - 1) in
+              Some (Reorder_at { step = sched.nstep; depth })
+            else None
+          in
           let msg =
-            match sched.mode with
-            | Record { nem; frng } ->
-              if
-                Queue.length q >= 2
-                && nem.reorder_prob > 0.0
-                && Rng.float frng 1.0 < nem.reorder_prob
-              then begin
-                let depth = 1 + Rng.int frng (Queue.length q - 1) in
-                record sched (Reorder_at { step = sched.nstep; depth });
-                take_nth q depth
-              end
-              else Queue.take q
-            | Replay tbl -> (
-              match Hashtbl.find_opt tbl sched.nstep with
-              | Some (Reorder_at { depth; _ }) when Queue.length q >= 2 ->
-                record sched (Reorder_at { step = sched.nstep; depth });
-                take_nth q depth
-              | _ -> Queue.take q)
+            match fault sched Reorder reorder with
+            | Some (Reorder_at { depth; _ } as ev) when Queue.length q >= 2 ->
+              record sched ev;
+              take_nth q depth
+            | _ -> Queue.take q
           in
           (* Duplication re-enqueues the message at the channel's tail: a
              retransmitted copy that arrives again later. *)
-          (match sched.mode with
-          | Record { nem; frng } ->
-            if nem.dup_prob > 0.0 && Rng.float frng 1.0 < nem.dup_prob then begin
-              record sched (Duplicate_at { step = sched.nstep });
-              Queue.add msg q
-            end
-          | Replay tbl -> (
-            match Hashtbl.find_opt tbl sched.nstep with
-            | Some (Duplicate_at _) ->
-              record sched (Duplicate_at { step = sched.nstep });
-              Queue.add msg q
-            | _ -> ()));
+          let duplicate nem frng =
+            if nem.dup_prob > 0.0 && Rng.float frng 1.0 < nem.dup_prob then
+              Some (Duplicate_at { step = sched.nstep })
+            else None
+          in
+          (match fault sched Duplicate duplicate with
+          | Some ev ->
+            record sched ev;
+            Queue.add msg q
+          | None -> ());
           (match wire_roundtrip sched ~src ~dst msg with
           | Some msg ->
             sched.delivered <- sched.delivered + 1;
@@ -614,10 +606,26 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   (* ---------------------------------------------------------------- *)
   (* Runs                                                              *)
 
-  let run_mode ?(obs = Grid_obs.Span.Recorder.disabled) ~seed ~steps
-      ~meta_drop_prob ~disable_dedup ~cfg_tweak ~requests ~wire_versions
-      ~upgrades ~mode () =
+  (* Typed request triple: the class comes from [S.classify] and the
+     payload from [S.encode_op], so callers never build wire strings. *)
+  let request client op =
+    ( client,
+      (match S.classify op with `Read -> Read | `Write -> Write),
+      S.encode_op op )
+
+  let explore ?(obs = Grid_obs.Span.Recorder.disabled) ?(seed = 1)
+      ?(steps = 5_000) ?(nemesis = no_faults) ?(disable_dedup = false)
+      ?(cfg_tweak = Fun.id) ?(requests = []) ?wire_versions ?(upgrades = [])
+      ?plan () =
     let rng = Rng.of_int seed in
+    let mode =
+      match plan with
+      | None -> Record (Rng.of_int (seed lxor 0x6e656d))
+      | Some plan ->
+        let tbl = Hashtbl.create (List.length plan) in
+        List.iter (fun ev -> Hashtbl.replace tbl (fault_key ev) ev) plan;
+        Replay tbl
+    in
     let cfg : Grid_paxos.Config.t =
       cfg_tweak (Grid_paxos.Config.make ~n:3 ~record_history:true ~disable_dedup ())
     in
@@ -666,7 +674,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         reads;
         dice = Array.init cfg.n (fun i -> Rng.of_int ((seed * 31) + i));
         armed = Array.make cfg.n false;
-        drop_prob = meta_drop_prob;
+        nem = nemesis;
         torn = 0;
         dropped = 0;
         channels = Hashtbl.create 32;
@@ -682,7 +690,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         wire;
         upgrades_tbl;
         wire_errors = [];
-        upgraded = 0;
         oracle = Hashtbl.create 64;
         committed_ids = Hashtbl.create 64;
         reply_times = Hashtbl.create 32;
@@ -776,12 +783,12 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       if pending_count () > 0 && Rng.int sched.rng 10 = 0 then ignore (inject ())
       else ignore (step sched)
     done;
-    (* Drain: the nemesis stops, everyone is disarmed and recovered, and
-       we keep injecting unanswered requests and scheduling until all are
-       answered or the budget runs out. *)
-    sched.mode <- Record { nem = no_faults; frng = Rng.of_int seed };
+    (* Drain: the fault dice stop, everyone is disarmed and recovered,
+       and we keep injecting unanswered requests and scheduling until all
+       are answered or the budget runs out. A replay keeps reading its
+       plan, so a scripted upgrade recorded here replays too. *)
+    sched.nem <- no_faults;
     Array.fill sched.armed 0 cfg.n false;
-    sched.drop_prob <- 0.0;
     for i = 0 to cfg.n - 1 do
       if sched.down.(i) then revive sched i
     done;
@@ -897,33 +904,10 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       duplicated = count (function Duplicate_at _ -> true | _ -> false);
       reordered = count (function Reorder_at _ -> true | _ -> false);
       drifted = count (function Drift_at _ -> true | _ -> false);
-      upgraded = sched.upgraded;
+      upgraded = count (function Upgrade_at _ -> true | _ -> false);
       shed = sched.shed;
       wire_errors = List.rev sched.wire_errors;
       watchdog_violations = Grid_obs.Watchdog.violations sched.wd;
       watchdog_detail = List.rev !wd_detail;
     }
-
-  (* Typed request triple: the class comes from [S.classify] and the
-     payload from [S.encode_op], so callers never build wire strings. *)
-  let request client op =
-    ( client,
-      (match S.classify op with `Read -> Read | `Write -> Write),
-      S.encode_op op )
-
-  let explore ?obs ?(seed = 1) ?(steps = 5_000) ?(nemesis = no_faults)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ?(upgrades = []) () =
-    run_mode ?obs ~seed ~steps ~meta_drop_prob:nemesis.meta_drop_prob
-      ~disable_dedup ~cfg_tweak ~requests ~wire_versions ~upgrades
-      ~mode:(Record { nem = nemesis; frng = Rng.of_int (seed lxor 0x6e656d) })
-      ()
-
-  let replay ?obs ?(seed = 1) ?(steps = 5_000) ?(meta_drop_prob = 0.0)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(requests = [])
-      ?wire_versions ~plan () =
-    let tbl = Hashtbl.create (List.length plan) in
-    List.iter (fun ev -> Hashtbl.replace tbl (fault_step ev) ev) plan;
-    run_mode ?obs ~seed ~steps ~meta_drop_prob ~disable_dedup ~cfg_tweak
-      ~requests ~wire_versions ~upgrades:[] ~mode:(Replay tbl) ()
 end

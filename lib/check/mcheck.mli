@@ -25,11 +25,14 @@
     Client requests travel through the same schedulable channels as
     protocol messages, so the nemesis applies to them too.
 
-    Every fault that fires is recorded in a {!plan} keyed by scheduler
-    step. Scheduling choices and fault dice draw from separate RNG
-    streams, so {!Make.replay} of a recorded plan rolls no dice and
-    reproduces the run exactly; {!shrink_plan} then greedily drops plan
-    events to find a minimal failing schedule. *)
+    Every fault that fires is recorded in a {!plan}, at most one event
+    per scheduler step and fault site (the step's nemesis event, the
+    delivered message's reorder, its duplicate). Each site makes one
+    decision that either rolls the fault dice or reads the plan, and
+    scheduling choices draw from a separate RNG stream, so
+    {!Make.explore} with the [plan] of a recorded run rolls no fault dice
+    and reproduces the run exactly; {!shrink_plan} then greedily drops
+    plan events to find a minimal failing schedule. *)
 
 (** {1 Fault plans} *)
 
@@ -63,8 +66,8 @@ type nemesis = {
           snapshot record (see {!persist_step}) *)
   drift_prob : float;
       (** per-step probability that one replica's clock jumps to a fresh
-          offset; dice for it roll only when positive, so plans recorded
-          without drift replay unchanged *)
+          offset; dice for it roll only when positive, so seeds explored
+          without drift keep their schedules *)
   drift_max_ms : float;  (** drifted offsets are uniform in [-max, +max] *)
 }
 
@@ -73,7 +76,7 @@ val no_faults : nemesis
 val shrink_plan : still_fails:(plan -> bool) -> plan -> plan
 (** Greedy event removal to a fixed point: drop any event whose removal
     keeps [still_fails] true. The predicate should replay the schedule
-    deterministically (see {!Make.replay}). *)
+    deterministically (see [plan] in {!Make.explore}). *)
 
 (** {1 Outcomes} *)
 
@@ -106,7 +109,9 @@ type outcome = {
   timer_fires : int;
   all_replied : bool;
       (** every injected request got a reply by the end of the drain *)
-  plan : plan;  (** the faults that actually fired, in order *)
+  plan : plan;
+      (** the faults that actually fired, in order; at most one per
+          (step, site) *)
   crashes : int;
   torn_persists : int;
   meta_dropped : int;
@@ -168,6 +173,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?requests:(int * Grid_paxos.Types.rtype * string) list ->
     ?wire_versions:int array ->
     ?upgrades:(int * int * int) list ->
+    ?plan:plan ->
     unit ->
     outcome
   (** Explore one schedule over a 3-replica group. [obs] receives the
@@ -191,24 +197,14 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       rolling upgrades as [(step, victim, version)] triples: at [step]
       the victim is bounced crash-consistently and comes back speaking
       [version] — the mixed-version cluster scenario. Roundtrip
-      failures land in [wire_errors] and fail the run. *)
+      failures land in [wire_errors] and fail the run.
 
-  val replay :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?seed:int ->
-    ?steps:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?requests:(int * Grid_paxos.Types.rtype * string) list ->
-    ?wire_versions:int array ->
-    plan:plan ->
-    unit ->
-    outcome
-  (** Re-run a schedule applying faults from [plan] instead of dice
-      (including any [Upgrade_at] events the recording produced; pass
-      the same [wire_versions] as the recording).
-      With the plan and parameters of a recorded run, the replay is
-      exact; with a shrunk plan it is best-effort (events whose
-      preconditions no longer hold are skipped). *)
+      [plan] replays a schedule: every fault decision (crash, recovery,
+      drift, upgrade, reorder, duplicate) is read from the plan instead
+      of rolled, so the fault dice and the [upgrades] script are not
+      consulted and [nemesis] supplies only [meta_drop_prob], the rate
+      of the per-replica storage dice, which roll as when recording.
+      With the plan and the other arguments of a recorded run, the
+      replay is exact; with a shrunk plan it is best-effort (events
+      whose preconditions no longer hold are skipped). *)
 end

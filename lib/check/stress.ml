@@ -250,34 +250,7 @@ module type SPEC = sig
   val lin_ok : (int * rtype * string) list -> reply list -> bool
 end
 
-module type HARNESS = sig
-  val requests_for : seed:int -> (int * rtype * string) list
-
-  val run_one :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?steps:int ->
-    ?nemesis:Mcheck.nemesis ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    ?shrink:bool ->
-    seed:int ->
-    unit ->
-    Mcheck.outcome * failure option
-
-  val replay_plan :
-    ?steps:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    seed:int ->
-    plan:Mcheck.plan ->
-    unit ->
-    Mcheck.outcome * string list
-end
-
-module Harness (Spec : SPEC) : HARNESS = struct
+module Harness (Spec : SPEC) = struct
   module MC = Mcheck.Make (Spec.S)
 
   let requests_for ~seed = Spec.gen_requests (Rng.of_int ((seed * 7919) + 17))
@@ -316,40 +289,28 @@ module Harness (Spec : SPEC) : HARNESS = struct
     agreement @ o.durability @ o.stale_reads @ o.lost_admitted @ bounded_latency
     @ lin @ watchdog
 
-  (* Run one seeded schedule; on failure optionally shrink its fault plan
-     to a minimal one that still fails (under deterministic replay with
-     the same seed and workload). *)
+  (* Run one seeded schedule, or replay [plan] under the seed's workload;
+     on failure optionally shrink its fault plan to a minimal one that
+     still fails (under deterministic replay through this same path). *)
   let run_one ?obs ?(steps = 1_200) ?(nemesis = default_nemesis)
       ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?admitted_p99_bound_ms
-      ?(shrink = true) ~seed () =
+      ?(shrink = true) ?plan ~seed () =
     let requests = requests_for ~seed in
-    let o =
-      MC.explore ?obs ~seed ~steps ~nemesis ~disable_dedup ~cfg_tweak ~requests ()
+    let run ?obs ?plan () =
+      MC.explore ?obs ~seed ~steps ~nemesis ~disable_dedup ~cfg_tweak ~requests
+        ?plan ()
     in
+    let o = run ?obs ?plan () in
     match reasons_of ?admitted_p99_bound_ms requests o with
     | [] -> (o, None)
     | reasons ->
-      let still_fails plan =
-        let r =
-          MC.replay ~seed ~steps ~meta_drop_prob:nemesis.meta_drop_prob
-            ~disable_dedup ~cfg_tweak ~requests ~plan ()
-        in
-        reasons_of ?admitted_p99_bound_ms requests r <> []
+      let still_fails p =
+        reasons_of ?admitted_p99_bound_ms requests (run ~plan:p ()) <> []
       in
       let shrunk =
         if shrink then Some (Mcheck.shrink_plan ~still_fails o.plan) else None
       in
       (o, Some { seed; service = Spec.which; reasons; plan = o.plan; shrunk })
-
-  let replay_plan ?(steps = 1_200) ?(meta_drop_prob = 0.0)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?admitted_p99_bound_ms ~seed
-      ~plan () =
-    let requests = requests_for ~seed in
-    let o =
-      MC.replay ~seed ~steps ~meta_drop_prob ~disable_dedup ~cfg_tweak ~requests
-        ~plan ()
-    in
-    (o, reasons_of ?admitted_p99_bound_ms requests o)
 end
 
 module Counter_harness = Harness (struct
@@ -381,13 +342,10 @@ module Overload_harness = Harness (struct
   let lin_ok = counter_lin_ok
 end)
 
-let harness = function
-  | Counter_service -> (module Counter_harness : HARNESS)
-  | Kv_service -> (module Kv_harness : HARNESS)
-
 let run_one ~service =
-  let module H = (val harness service) in
-  H.run_one
+  match service with
+  | Counter_service -> Counter_harness.run_one
+  | Kv_service -> Kv_harness.run_one
 
 (* ------------------------------------------------------------------ *)
 (* Batches                                                             *)

@@ -14,9 +14,10 @@
       the invariant the leader-lease fast path must preserve under clock
       drift and leader failovers.
 
-    Failing schedules are replayed deterministically from their recorded
-    fault {!Mcheck.plan} and greedily shrunk to a minimal plan that still
-    fails. *)
+    Failing schedules are replayed from their recorded fault
+    {!Mcheck.plan} through the same [run_one] path ([?plan]) and greedily
+    shrunk to a minimal plan that still fails. The replay of a recorded
+    plan is exact; the replay of a shrunk one is best-effort. *)
 
 type service = Counter_service | Kv_service
 
@@ -79,6 +80,7 @@ val run_one :
   ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
   ?admitted_p99_bound_ms:float ->
   ?shrink:bool ->
+  ?plan:Mcheck.plan ->
   seed:int ->
   unit ->
   Mcheck.outcome * failure option
@@ -86,7 +88,11 @@ val run_one :
     mixed reads and writes, derived from the seed). [obs] receives the
     replicas' lifecycle spans (deterministic per seed). [disable_dedup]
     plants the double-commit bug for shrinker demonstrations; [cfg_tweak]
-    edits the group config, e.g. to enable leader leases. *)
+    edits the group config, e.g. to enable leader leases. [plan] replays
+    that fault plan instead of rolling the fault dice (see
+    {!Mcheck.Make.explore}); pass the recording's other arguments too,
+    and [~shrink:false] to check a replay without shrinking it again.
+    The run passed iff no failure is returned. *)
 
 val run :
   ?services:service list ->
@@ -125,47 +131,6 @@ val run_overload :
     admitted requests stays under [admitted_p99_bound_ms] (virtual ms,
     default 120 s). The returned summary's [shed] counts the pushbacks
     actually exercised. *)
-
-(** A per-service harness, for targeted tests (replaying a specific
-    plan, custom shrink predicates). *)
-module type HARNESS = sig
-  val requests_for : seed:int -> (int * Grid_paxos.Types.rtype * string) list
-
-  val run_one :
-    ?obs:Grid_obs.Span.Recorder.t ->
-    ?steps:int ->
-    ?nemesis:Mcheck.nemesis ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    ?shrink:bool ->
-    seed:int ->
-    unit ->
-    Mcheck.outcome * failure option
-
-  val replay_plan :
-    ?steps:int ->
-    ?meta_drop_prob:float ->
-    ?disable_dedup:bool ->
-    ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-    ?admitted_p99_bound_ms:float ->
-    seed:int ->
-    plan:Mcheck.plan ->
-    unit ->
-    Mcheck.outcome * string list
-  (** Replay a plan under the seed's workload; returns the outcome and
-      the violation reasons (empty = passed). *)
-end
-
-module Counter_harness : HARNESS
-module Kv_harness : HARNESS
-
-module Overload_harness : HARNESS
-(** The counter service under {!run_overload}'s write-heavy workload. *)
-
-val harness : service -> (module HARNESS)
-(** The default-workload harness of a service ({!Counter_harness} or
-    {!Kv_harness}). *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -31,6 +31,17 @@
       future tags) | the flags [TRACED] (bit 4), [LEASE] (bit 5) and
       [ALIGNED] (bit 6). Bit 7 is reserved and rejected.
 
+    The flags are a function of the message ([flags_of]): [TRACED] iff
+    some request it carries has a trace, [ALIGNED] iff it carries
+    proposals and each one's replies answer its requests in order,
+    [LEASE] iff it carries a lease anchor. So [TRACED] can be set only
+    on [Client_req], [Prepare_ack], [Accept], [Sp_estimate],
+    [Sp_propose] and [Sp_decide]; [ALIGNED] only on those but
+    [Client_req]; [LEASE] only on [Read_confirm] and [Heartbeat]. The
+    decoder rejects, at the flag byte, a frame whose flags differ from
+    those of the message it decodes to: a flipped or stray flag never
+    decodes to a valid message, and a message's header byte is unique.
+
     The decoder reads every flag from the header, so a body that
     disagrees with its flags (a lease float with [LEASE] clear, or none
     with it set) fails as trailing bytes or a truncation. A V2 frame
@@ -254,22 +265,24 @@ module V2 = struct
       not (Float.is_nan lease_anchor)
     | _ -> false
 
-  let encode (m : msg) =
-    let traced = List.exists request_traced (msg_requests m) in
+  let flags_of (m : msg) =
     let proposals = msg_proposals m in
-    let aligned = proposals <> [] && List.for_all proposal_aligned proposals in
+    (if List.exists request_traced (msg_requests m) then f_traced else 0)
+    lor (if proposals <> [] && List.for_all proposal_aligned proposals then
+           f_aligned
+         else 0)
+    lor if msg_lease_present m then f_lease else 0
+
+  let encode (m : msg) =
     let tag = msg_tag m in
-    let flags =
-      (if traced then f_traced else 0)
-      lor (if aligned then f_aligned else 0)
-      lor if msg_lease_present m then f_lease else 0
-    in
+    let flags = flags_of m in
     Wire.encode (fun e ->
         Wire.Encoder.char e (Wire_intf.header_byte ~version);
         let nibble = if tag < 0xF then tag else 0xF in
         Wire.Encoder.char e (Char.chr (nibble lor flags));
         if tag >= 0xF then Wire.Encoder.uint e (tag - 0xF);
-        encode_body e ~traced ~aligned ~lease:(flags land f_lease <> 0) m)
+        encode_body e ~traced:(flags land f_traced <> 0)
+          ~aligned:(flags land f_aligned <> 0) ~lease:(flags land f_lease <> 0) m)
 
   let decode s =
     match
@@ -293,6 +306,16 @@ module V2 = struct
         decode_body d ~tag ~tag_pos:1 ~traced:(b land f_traced <> 0)
           ~aligned:(b land f_aligned <> 0) ~lease:(b land f_lease <> 0)
       in
+      let flags = flags_of m in
+      if flags <> b land 0x70 then
+        raise
+          (Wire.Decode_error
+             {
+               pos = 1;
+               msg =
+                 Printf.sprintf "flags 0x%02x, the message's are 0x%02x"
+                   (b land 0x70) flags;
+             });
       Wire.Decoder.expect_end d;
       m
     with

@@ -334,13 +334,29 @@ let test_mcheck_upgrade_replay_deterministic () =
        (function Grid_check.Mcheck.Upgrade_at _ -> true | _ -> false)
        o1.plan);
   let o2 =
-    MC.replay ~seed:42 ~steps:1_500 ~requests:mc_requests
-      ~wire_versions:[| 1; 1; 1 |] ~plan:o1.plan ()
+    MC.explore ~seed:42 ~steps:1_500 ~nemesis ~requests:mc_requests
+      ~wire_versions:[| 1; 1; 1 |] ~upgrades ~plan:o1.plan ()
   in
+  Alcotest.(check bool) "same plan" true (o1.plan = o2.plan);
   Alcotest.(check int) "same upgrades" o1.upgraded o2.upgraded;
   Alcotest.(check int) "same deliveries" o1.delivered o2.delivered;
   Alcotest.(check (array int)) "same commit points" o1.committed o2.committed;
   Alcotest.(check (list string)) "replay also wire-clean" [] o2.wire_errors
+
+let test_mcheck_drain_upgrade_replays () =
+  (* A scripted upgrade scheduled after the nemesis stops fires during
+     the drain; the drain turns the fault dice off but a replay keeps
+     reading its plan, so the upgrade replays there too. *)
+  let run ?plan () =
+    MC.explore ~seed:42 ~steps:100 ~requests:mc_requests
+      ~wire_versions:[| 1; 1; 1 |] ~upgrades:[ (110, 1, 2) ] ?plan ()
+  in
+  let o1 = run () in
+  Alcotest.(check int) "the drain's upgrade fired" 1 o1.upgraded;
+  let o2 = run ~plan:o1.plan () in
+  Alcotest.(check bool) "same plan" true (o1.plan = o2.plan);
+  Alcotest.(check int) "same deliveries" o1.delivered o2.delivered;
+  Alcotest.(check (array int)) "same commit points" o1.committed o2.committed
 
 let suite =
   [
@@ -378,5 +394,7 @@ let suite =
           test_mcheck_rolling_upgrade;
         Alcotest.test_case "upgrade plans replay deterministically" `Quick
           test_mcheck_upgrade_replay_deterministic;
+        Alcotest.test_case "an upgrade in the drain replays" `Quick
+          test_mcheck_drain_upgrade_replays;
       ] );
   ]

@@ -39,28 +39,60 @@ let test_stress_batch () =
      stayed silent alongside the offline oracles. *)
   Alcotest.(check int) "watchdogs silent" 0 summary.watchdog_violations
 
-(* A recorded fault plan replays to the identical outcome. *)
+(* Every recorded fault plan holds every invariant and replays to the
+   identical outcome: seeds 1-150 of both services under the default
+   nemesis, and of kv under the lease nemesis (clock drift). Many of
+   these plans fire a reorder and a duplicate at the same delivery
+   step. *)
 let test_stress_replay_deterministic () =
+  let lease c =
+    Grid_paxos.Config.make ~base:c ~lease_ms:50.0 ~clock_skew_bound_ms:10.0 ()
+  in
+  let tiers =
+    [
+      ("counter", Stress.Counter_service, Stress.default_nemesis, Fun.id);
+      ("kv", Stress.Kv_service, Stress.default_nemesis, Fun.id);
+      ("kv+lease", Stress.Kv_service, Stress.lease_nemesis, lease);
+    ]
+  in
+  let diverged = ref [] in
   List.iter
-    (fun service ->
-      let seed = 42 in
-      let o, failure = Stress.run_one ~service ~steps:1_200 ~seed () in
-      (match failure with
-      | Some f -> Alcotest.failf "seed %d failed: %a" seed Stress.pp_failure f
-      | None -> ());
-      let r =
-        let module H = (val Stress.harness service) in
-        fst
-          (H.replay_plan ~steps:1_200
-             ~meta_drop_prob:Stress.default_nemesis.Mcheck.meta_drop_prob ~seed
-             ~plan:o.plan ())
-      in
-      Alcotest.(check int) "same deliveries" o.delivered r.Mcheck.delivered;
-      Alcotest.(check int) "same timer fires" o.timer_fires r.timer_fires;
-      Alcotest.(check (array int)) "same commit points" o.committed r.committed;
-      Alcotest.(check int) "same replies" (List.length o.replies)
-        (List.length r.replies))
-    [ Stress.Counter_service; Stress.Kv_service ]
+    (fun (name, service, nemesis, cfg_tweak) ->
+      for seed = 1 to 150 do
+        let run ?plan () =
+          match
+            Stress.run_one ~service ~steps:1_200 ~nemesis ~cfg_tweak
+              ~shrink:false ?plan ~seed ()
+          with
+          | o, None -> o
+          | _, Some f ->
+            Alcotest.failf "%s seed %d%s failed: %a" name seed
+              (if plan = None then "" else " (replay)")
+              Stress.pp_failure f
+        in
+        let o = run () in
+        let r = run ~plan:o.plan () in
+        let differs =
+          List.filter_map
+            (fun (field, same) -> if same then None else Some field)
+            [
+              ("plan", r.Mcheck.plan = o.plan);
+              ("replies", r.replies = o.replies);
+              ("delivered", r.delivered = o.delivered);
+              ("committed", r.committed = o.committed);
+              ("timer_fires", r.timer_fires = o.timer_fires);
+              ("meta_dropped", r.meta_dropped = o.meta_dropped);
+              ("torn_persists", r.torn_persists = o.torn_persists);
+            ]
+        in
+        if differs <> [] then
+          diverged :=
+            Printf.sprintf "%s seed %d (%s)" name seed (String.concat "," differs)
+            :: !diverged
+      done)
+    tiers;
+  Alcotest.(check (list string)) "replays that differ from their run" []
+    (List.rev !diverged)
 
 (* Plant the dedup bug: with the table disabled, a duplicated client
    request that lands after its first commit commits again. Find a seed
@@ -71,10 +103,12 @@ let test_stress_planted_dedup_shrinks () =
   let steps = 1_000 in
   let nemesis = { Stress.default_nemesis with Mcheck.dup_prob = 0.15 } in
   let replay_reasons ~seed ~plan =
-    snd
-      (Stress.Counter_harness.replay_plan ~steps
-         ~meta_drop_prob:nemesis.Mcheck.meta_drop_prob ~disable_dedup:true ~seed
-         ~plan ())
+    match
+      Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis
+        ~disable_dedup:true ~shrink:false ~plan ~seed ()
+    with
+    | _, Some f -> f.reasons
+    | _, None -> []
   in
   let rec hunt seed =
     if seed > 60 then

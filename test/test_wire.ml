@@ -217,6 +217,40 @@ let test_v2_header_validation () =
        (fun (_, m) ->
          match m with Types.Read_confirm _ | Types.Heartbeat _ -> true | _ -> false)
        sample_msgs);
+  (* A flag the message has nothing for would leave a second encoding of
+     it, and a bit flip that lands there would go unnoticed; each is a
+     typed error at the flag byte. So is a frame whose flags fit its tag
+     but not its content: a V1 body (every request traced, no proposal
+     aligned) behind a V2 header. *)
+  let at_pos_1 name s =
+    match WC.V2.decode s with
+    | Stdlib.Error e -> Alcotest.(check int) (name ^ " rejected at pos 1") 1 e.pos
+    | Stdlib.Ok _ -> Alcotest.failf "%s decoded" name
+  in
+  let with_flag flag m =
+    let s = Bytes.of_string (WC.V2.encode m) in
+    Bytes.set s 1 (Char.chr (Char.code (Bytes.get s 1) lor flag));
+    Bytes.to_string s
+  in
+  List.iter
+    (fun (name, flag, m) -> at_pos_1 name (with_flag flag m))
+    [
+      ("TRACED on commit", 0x10, Types.Commit { ballot; instance = 7 });
+      ("ALIGNED on client_req", 0x40, Types.Client_req (req 1));
+      ("LEASE on accept", 0x20, m);
+      ("TRACED on an empty estimate", 0x10,
+       Types.Sp_estimate { instance = 7; round = 1; estimate = None });
+      ("ALIGNED on an empty prepare_ack", 0x40,
+       Types.Prepare_ack { ballot; commit_point = 41; snapshot = None; accepted = [] });
+      ("TRACED on an accept without requests", 0x10,
+       Types.Accept
+         { ballot; instance = 7;
+           proposal = { requests = []; update = Types.Delta "d"; replies = [] } });
+    ];
+  let v1 = WC.V1.encode m in
+  at_pos_1 "v1 accept body behind a TRACED v2 header"
+    (Printf.sprintf "%c%c%s" s.[0] (Char.chr (Types.msg_tag m lor 0x10))
+       (String.sub v1 1 (String.length v1 - 1)));
   (* Degenerate inputs. *)
   List.iter
     (fun (module W : Wire_intf.WIRE with type msg = Types.msg) ->
