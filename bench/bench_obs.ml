@@ -26,13 +26,13 @@ module Noop = Grid_services.Noop
 module RT = Runtime.Make (Noop)
 
 let clients = 4
-let flight_capacity = 2048 (* tcp_node's always-on flight recorder *)
+let flight_events = Grid_net.Tcp_node.flight_recorder_events
 
 type cfg = Off | Flight | Full
 
 let cfg_name = function
   | Off -> "trace off"
-  | Flight -> Printf.sprintf "flight recorder (cap %d)" flight_capacity
+  | Flight -> Printf.sprintf "flight recorder (cap %d)" flight_events
   | Full -> "full trace (cap 65536)"
 
 (* One timed run: [clients] closed-loop clients, [reqs] writes each.
@@ -42,7 +42,7 @@ let cfg_name = function
 let run_trial ~cfg:c ~seed ~reqs =
   let cfg = Config.default ~n:3 in
   let trace = c <> Off in
-  let trace_capacity = match c with Flight -> Some flight_capacity | _ -> None in
+  let trace_capacity = match c with Flight -> Some flight_events | _ -> None in
   let t0 = Sys.time () in
   let t = RT.create ~cfg ~scenario:Scenario.sysnet ~seed ~trace ?trace_capacity () in
   let results =

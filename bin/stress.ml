@@ -19,17 +19,6 @@ let services_of = function
   | `Kv -> [ Stress.Kv_service ]
   | `Both -> [ Stress.Counter_service; Stress.Kv_service ]
 
-let nemesis ~crash ~torn ~dup ~reorder ~meta_drop ~drift ~drift_max =
-  {
-    Mcheck.crash_prob = crash;
-    torn_frac = torn;
-    dup_prob = dup;
-    reorder_prob = reorder;
-    meta_drop_prob = meta_drop;
-    drift_prob = drift;
-    drift_max_ms = drift_max;
-  }
-
 let print_failures failures =
   List.iter
     (fun f -> Format.printf "FAIL %a@." Stress.pp_failure f)
@@ -43,9 +32,9 @@ let dump_trace file events =
   Format.printf "trace: %d events -> %s@." (List.length events) file
 
 (* Run one seed per selected service, then re-run it from the recorded
-   fault plan and insist the replay reproduces the outcome exactly: the
-   same plan, replies, deliveries, commit points and timer fires. *)
-let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump =
+   fault plan and insist the replay reproduces the outcome exactly
+   ({!Stress.replay_differences}). *)
+let run_single ~services ~seed ~steps ~nem ~cfg_tweak ~trace_dump =
   let ok = ref true in
   List.iter
     (fun service ->
@@ -55,8 +44,7 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
         | Some _ -> Some (Grid_obs.Span.Recorder.create ~enabled:true ())
       in
       let o, failure =
-        Stress.run_one ~service ?obs ~steps ~nemesis:nem ~disable_dedup ~cfg_tweak
-          ~shrink:true ~seed ()
+        Stress.run_one ~service ?obs ~steps ~nemesis:nem ~cfg_tweak ~seed ()
       in
       (match (trace_dump, obs) with
       | Some file, Some obs ->
@@ -74,20 +62,14 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
       Format.printf "  plan (%d events): %a@." (List.length o.plan) Mcheck.pp_plan
         o.plan;
       let r, _ =
-        Stress.run_one ~service ~steps ~nemesis:nem ~disable_dedup ~cfg_tweak
-          ~shrink:false ~plan:o.plan ~seed ()
+        Stress.run_one ~service ~steps ~nemesis:nem ~cfg_tweak ~shrink:false
+          ~plan:o.plan ~seed ()
       in
-      if
-        r.Mcheck.plan = o.plan
-        && r.replies = o.replies
-        && r.delivered = o.delivered
-        && r.committed = o.committed
-        && r.timer_fires = o.timer_fires
-      then Format.printf "  replay from plan: deterministic (identical outcome)@."
-      else begin
-        Format.printf "  replay from plan DIVERGED@.";
-        ok := false
-      end;
+      (match Stress.replay_differences o r with
+      | [] -> Format.printf "  replay from plan: deterministic (identical outcome)@."
+      | fields ->
+        Format.printf "  replay from plan DIVERGED (%s)@." (String.concat ", " fields);
+        ok := false);
       match failure with
       | None -> Format.printf "  all invariants hold@."
       | Some f ->
@@ -102,7 +84,7 @@ let run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
    can straddle a commit) shrink to an empty plan; prefer a seed where
    the injected faults are essential, so the minimal plan pins them. *)
 let run_plant ~seed ~steps ~nem ~attempts =
-  let nem = { nem with Mcheck.dup_prob = Float.max nem.Mcheck.dup_prob 0.15 } in
+  let nem = { nem with Mcheck.dup_prob = 0.15 } in
   let fails ~seed plan =
     snd
       (Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis:nem
@@ -156,12 +138,11 @@ let batch_progress ~quiet =
           Format.printf "  ... %d schedules, %d failing@." s.schedules
             (List.length s.failures))
 
-let run_batch ~services ~schedules ~base_seed ~steps ~nem ~disable_dedup
-    ~cfg_tweak ~shrink ~quiet =
+let run_batch ~services ~schedules ~base_seed ~steps ~nem ~cfg_tweak ~quiet =
   let progress = batch_progress ~quiet in
   let summary =
-    Stress.run ~services ~schedules ~base_seed ~steps ~nemesis:nem ~disable_dedup
-      ~cfg_tweak ~shrink ?progress ()
+    Stress.run ~services ~schedules ~base_seed ~steps ~nemesis:nem ~cfg_tweak
+      ?progress ()
   in
   Format.printf "%a@." Stress.pp_summary summary;
   print_failures summary.failures;
@@ -170,13 +151,9 @@ let run_batch ~services ~schedules ~base_seed ~steps ~nem ~disable_dedup
 (* The overload tier: counter service, write-heavy workload, tiny
    admission window, crash-doubled nemesis, plus the admitted-loss and
    bounded-admitted-p99 oracles on every schedule. *)
-let run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue ~shrink
-    ~quiet =
+let run_overload ~schedules ~base_seed ~steps ~quiet =
   let progress = batch_progress ~quiet in
-  let summary =
-    Stress.run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue
-      ~shrink ?progress ()
-  in
+  let summary = Stress.run_overload ~schedules ~base_seed ~steps ?progress () in
   Format.printf "%a@." Stress.pp_summary summary;
   print_failures summary.failures;
   if summary.shed = 0 then begin
@@ -220,10 +197,12 @@ let run_sharded tier ~schedules ~base_seed ~quiet =
     1
   | None -> if summary.failures = [] then 0 else 1
 
-let main schedules seed base_seed steps service crash torn dup reorder meta_drop
-    drift drift_max lease_ms plant_dedup overload xshard reshard max_inflight
-    max_queue disable_dedup no_shrink quiet trace_dump =
-  let nem = nemesis ~crash ~torn ~dup ~reorder ~meta_drop ~drift ~drift_max in
+let main schedules seed base_seed steps service drift lease_ms plant_dedup
+    overload xshard reshard quiet trace_dump =
+  let nem =
+    if drift > 0.0 then { Stress.lease_nemesis with drift_prob = drift }
+    else Stress.default_nemesis
+  in
   let cfg_tweak =
     if lease_ms > 0.0 then fun c -> Grid_paxos.Config.make ~base:c ~lease_ms ()
     else Fun.id
@@ -235,16 +214,11 @@ let main schedules seed base_seed steps service crash torn dup reorder meta_drop
     match seed with
     | Some seed -> run_sharded_one tier ~seed ~trace_dump
     | None -> run_sharded tier ~schedules ~base_seed ~quiet)
-  else if overload then
-    run_overload ~schedules ~base_seed ~steps ~max_inflight ~max_queue
-      ~shrink:(not no_shrink) ~quiet
+  else if overload then run_overload ~schedules ~base_seed ~steps ~quiet
   else
     match seed with
-    | Some seed ->
-      run_single ~services ~seed ~steps ~nem ~disable_dedup ~cfg_tweak ~trace_dump
-    | None ->
-      run_batch ~services ~schedules ~base_seed ~steps ~nem ~disable_dedup
-        ~cfg_tweak ~shrink:(not no_shrink) ~quiet
+    | Some seed -> run_single ~services ~seed ~steps ~nem ~cfg_tweak ~trace_dump
+    | None -> run_batch ~services ~schedules ~base_seed ~steps ~nem ~cfg_tweak ~quiet
 
 let schedules_arg =
   Arg.(
@@ -279,18 +253,11 @@ let service_arg =
 let rate name doc default =
   Arg.(value & opt float default & info [ name ] ~docv:"P" ~doc)
 
-let crash_arg = rate "crash" "Per-step crash probability." 0.002
-let torn_arg = rate "torn" "Fraction of crashes that are torn persists." 0.3
-let dup_arg = rate "dup" "Per-delivery duplication probability." 0.03
-let reorder_arg = rate "reorder" "Per-delivery reordering probability." 0.03
-
-let meta_drop_arg =
-  rate "meta-drop" "Per-persist metadata (commit/snapshot) loss probability." 0.05
-
-let drift_arg = rate "drift" "Per-step clock-drift probability." 0.0
-
-let drift_max_arg =
-  rate "drift-max-ms" "Maximum clock-drift offset in milliseconds." 2.0
+let drift_arg =
+  rate "drift"
+    "Per-step clock-drift probability (offsets up to 2 ms) on top of the \
+     default fault mix."
+    0.0
 
 let lease_ms_arg =
   rate "lease-ms"
@@ -313,7 +280,7 @@ let overload_arg =
            under a write-heavy open-loop workload with a tiny admission window \
            and a crash-doubled nemesis, checking the admitted-loss and bounded \
            admitted-p99 oracles on every schedule. Honours --schedules, \
-           --base-seed, --steps, --max-inflight, --max-queue and --no-shrink.")
+           --base-seed, --steps and --quiet.")
 
 let xshard_arg =
   Arg.(
@@ -343,26 +310,6 @@ let reshard_arg =
            owner. Honours --schedules, --base-seed and --quiet, or --seed \
            (one schedule) with --trace-dump.")
 
-let max_inflight_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "max-inflight" ] ~docv:"N"
-        ~doc:"Overload tier: leader read-admission window (0 = unlimited).")
-
-let max_queue_arg =
-  Arg.(
-    value & opt int 2
-    & info [ "max-queue" ] ~docv:"N"
-        ~doc:"Overload tier: leader write-queue bound (0 = unlimited).")
-
-let disable_dedup_arg =
-  Arg.(
-    value & flag
-    & info [ "disable-dedup" ] ~doc:"Run the batch with the dedup table disabled.")
-
-let no_shrink_arg =
-  Arg.(value & flag & info [ "no-shrink" ] ~doc:"Do not shrink failing schedules.")
-
 let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"No progress output.")
 
 let trace_dump_arg =
@@ -381,10 +328,7 @@ let cmd =
     (Cmd.info "grid-stress" ~doc)
     Term.(
       const main $ schedules_arg $ seed_arg $ base_seed_arg $ steps_arg
-      $ service_arg $ crash_arg $ torn_arg $ dup_arg $ reorder_arg
-      $ meta_drop_arg $ drift_arg $ drift_max_arg $ lease_ms_arg $ plant_arg
-      $ overload_arg $ xshard_arg $ reshard_arg $ max_inflight_arg
-      $ max_queue_arg $ disable_dedup_arg
-      $ no_shrink_arg $ quiet_arg $ trace_dump_arg)
+      $ service_arg $ drift_arg $ lease_ms_arg $ plant_arg $ overload_arg
+      $ xshard_arg $ reshard_arg $ quiet_arg $ trace_dump_arg)
 
 let () = exit (Cmd.eval' cmd)

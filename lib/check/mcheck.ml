@@ -482,6 +482,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       (fun i -> sched.down.(i) = down)
       (Grid_paxos.Config.replica_ids sched.cfg)
 
+  let down_count sched = List.length (replicas sched ~down:true)
+
   (* The dice for this step's nemesis event. Scripted rolling upgrades
      fire at their exact step, ahead of the dice. The drift dice roll
      only when drift is enabled, so seeds explored without drift keep
@@ -489,7 +491,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      nothing. *)
   let roll_nemesis sched nem frng =
     let step = sched.nstep in
-    let down_count = List.length (replicas sched ~down:true) in
+    let down_count = down_count sched in
     match Hashtbl.find_opt sched.upgrades_tbl step with
     | Some (victim, version) -> Some (Upgrade_at { step; victim; version })
     | None when nem.drift_prob > 0.0 && Rng.float frng 1.0 < nem.drift_prob ->
@@ -511,14 +513,17 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   (* This step's nemesis event, if any; [true] if it consumed the step.
      Best effort under shrinking: an event whose precondition no longer
-     holds (victim already down / already up) is skipped. *)
+     holds (victim already down / already up, or [max_down] replicas
+     already down) is skipped and not recorded, so a shrunk plan stays
+     inside the fault model the dice generate. *)
   let nemesis_step sched =
     match fault sched Nemesis (roll_nemesis sched) with
     | None -> false
     | Some ev ->
       let fired =
         match ev with
-        | Crash_at { victim; torn; _ } when not sched.down.(victim) ->
+        | Crash_at { victim; torn; _ }
+          when (not sched.down.(victim)) && down_count sched < max_down ->
           crash_replica sched victim ~torn;
           true
         | Recover_at { victim; _ } when sched.down.(victim) ->

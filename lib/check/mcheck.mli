@@ -205,6 +205,8 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       consulted and [nemesis] supplies only [meta_drop_prob], the rate
       of the per-replica storage dice, which roll as when recording.
       With the plan and the other arguments of a recorded run, the
-      replay is exact; with a shrunk plan it is best-effort (events
-      whose preconditions no longer hold are skipped). *)
+      replay is exact; with a shrunk plan it is best-effort: an event
+      whose precondition no longer holds (its victim already down or
+      up, or a crash while another replica is down) is skipped and left
+      out of the outcome's plan. *)
 end

@@ -33,11 +33,6 @@ val lease_nemesis : Mcheck.nemesis
     exercising leader leases; pair it with a [cfg_tweak] that sets
     {!Grid_paxos.Config.t.lease_ms}. *)
 
-val overload_nemesis : Mcheck.nemesis
-(** {!default_nemesis} with the crash rate doubled, for the overload
-    tier: shed requests and backoff retransmissions must survive leader
-    churn without losing an acknowledged write. *)
-
 type failure = {
   seed : int;
   service : service;
@@ -71,6 +66,12 @@ type summary = {
 val admitted_p99 : Mcheck.outcome -> float
 (** p99 of {!Mcheck.outcome.admitted_latencies} ([0.] when empty). *)
 
+val replay_differences : Mcheck.outcome -> Mcheck.outcome -> string list
+(** [replay_differences run replay] names the outcome fields in which a
+    replay of [run]'s plan differs from [run]: ["plan"], ["replies"],
+    ["delivered"], ["committed"], ["timer_fires"], ["meta_dropped"],
+    ["torn_persists"]. Empty iff the replay was exact. *)
+
 val run_one :
   service:service ->
   ?obs:Grid_obs.Span.Recorder.t ->
@@ -78,7 +79,6 @@ val run_one :
   ?nemesis:Mcheck.nemesis ->
   ?disable_dedup:bool ->
   ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-  ?admitted_p99_bound_ms:float ->
   ?shrink:bool ->
   ?plan:Mcheck.plan ->
   seed:int ->
@@ -100,37 +100,31 @@ val run :
   ?base_seed:int ->
   ?steps:int ->
   ?nemesis:Mcheck.nemesis ->
-  ?disable_dedup:bool ->
   ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-  ?shrink:bool ->
   ?progress:(summary -> unit) ->
   unit ->
   summary
 (** [run ()] spreads [schedules] seeds ([base_seed], [base_seed+1], …)
     round-robin over [services] (default: counter and kv) and aggregates
-    the results. *)
+    the results. A failing schedule is shrunk. *)
 
 val run_overload :
   ?schedules:int ->
   ?base_seed:int ->
   ?steps:int ->
-  ?nemesis:Mcheck.nemesis ->
-  ?max_inflight:int ->
-  ?max_queue:int ->
-  ?admitted_p99_bound_ms:float ->
-  ?shrink:bool ->
   ?progress:(summary -> unit) ->
   unit ->
   summary
 (** The overload tier: [schedules] seeded runs of the counter service
     under a write-heavy workload with a deliberately tiny admission
-    window ([max_inflight], [max_queue]; defaults 2/2), driven by
-    {!overload_nemesis}. On top of the usual oracles, every schedule
-    checks that no [Ok]-acknowledged write was lost
-    ({!Mcheck.outcome.lost_admitted}) and that the p99 latency of
-    admitted requests stays under [admitted_p99_bound_ms] (virtual ms,
-    default 120 s). The returned summary's [shed] counts the pushbacks
-    actually exercised. *)
+    window ([max_inflight] = [max_queue] = 2), driven by
+    {!default_nemesis} with the crash rate doubled: shed requests and
+    backoff retransmissions must survive leader churn. On top of the
+    usual oracles, every schedule checks that no [Ok]-acknowledged write
+    was lost ({!Mcheck.outcome.lost_admitted}) and that the p99 latency
+    of admitted requests stays under 120 virtual seconds. A failing
+    schedule is shrunk. The returned summary's [shed] counts the
+    pushbacks actually exercised. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_summary : Format.formatter -> summary -> unit

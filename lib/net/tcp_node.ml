@@ -4,6 +4,7 @@ module Metrics = Grid_obs.Metrics
 
 let send_queue_bound = Transport.send_queue_bound
 let now_ms = Transport.now_ms
+let flight_recorder_events = 2048
 
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
@@ -12,20 +13,21 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   type replica_handle = { node : Transport.t; replica : R.t; r_watchdog : Grid_obs.Watchdog.t }
 
   let start_replica ~cfg ~id ~port ~peers ?storage ?recovered ?obs
-      ?(flight_capacity = 2048) ?backoff_base_ms ?backoff_cap_ms ?max_wire_version () =
+      ?max_wire_version () =
     let actor = "r" ^ string_of_int id in
     (* Flight recorder: unless the caller supplies a recorder, keep a
-       bounded always-on one — the last [flight_capacity] events are a
-       crash-scene record dumped by the admin endpoint, at ring-buffer
-       cost. *)
+       bounded always-on one — the last [flight_recorder_events] events
+       are a crash-scene record dumped by the admin endpoint, at
+       ring-buffer cost. *)
     let obs =
       match obs with
       | Some o -> o
-      | None -> Span.Recorder.create ~capacity:flight_capacity ~enabled:true ()
+      | None ->
+        Span.Recorder.create ~capacity:flight_recorder_events ~enabled:true ()
     in
     let node =
-      Transport.create ~listen_port:port ~obs ?store:storage ?backoff_base_ms
-        ?backoff_cap_ms ?max_wire_version ~node_id:id ~actor ~addresses:peers ()
+      Transport.create ~listen_port:port ~obs ?store:storage ?max_wire_version
+        ~node_id:id ~actor ~addresses:peers ()
     in
     let registry = Transport.registry node in
     (* Online invariant checks: counted in this node's registry and noted
@@ -126,16 +128,14 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     c_submitted : [ `Pending | `Busy | `Sent of Grid_util.Ids.Request_id.t ] ref;
   }
 
-  let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?backoff_base_ms
-      ?backoff_cap_ms ?max_wire_version () =
+  let start_client ~id ~replicas ?(retry_ms = 200.0) ?obs ?max_wire_version () =
     let cid = Grid_util.Ids.Client_id.of_int id in
     let client =
       Client.create ~id:cid ~replicas:(List.map fst replicas) ~retry_ms ?obs ()
     in
     let node =
-      Transport.create ?obs ?backoff_base_ms ?backoff_cap_ms ?max_wire_version
-        ~node_id:(client_node cid) ~actor:("c" ^ string_of_int id)
-        ~addresses:replicas ()
+      Transport.create ?obs ?max_wire_version ~node_id:(client_node cid)
+        ~actor:("c" ^ string_of_int id) ~addresses:replicas ()
     in
     let c_mutex = Mutex.create () in
     let c_cond = Condition.create () in

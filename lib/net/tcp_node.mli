@@ -52,8 +52,7 @@
     {!Make.replica_peer_versions}.
 
     A failed dial (refused, or closed before its handshake completed)
-    puts the peer on exponential backoff (doubling from
-    [backoff_base_ms] to [backoff_cap_ms], default 20 ms to 2 s,
+    puts the peer on exponential backoff (doubling from 20 ms to 2 s,
     jittered per node), so a dead peer costs one connect attempt per
     backoff window instead of one per outgoing message, and a restarting
     replica is not reconnected by every peer in the same instant. A
@@ -96,6 +95,9 @@ val send_queue_bound : int
 (** 1 MiB: the output queue toward one socket past which new frames to
     it are dropped. A lone frame larger than this still goes. *)
 
+val flight_recorder_events : int
+(** 2048: the ring size of a replica's always-on flight recorder. *)
+
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)
 
@@ -109,9 +111,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?storage:Grid_paxos.Storage.t ->
     ?recovered:Grid_paxos.Storage.persisted ->
     ?obs:Grid_obs.Span.Recorder.t ->
-    ?flight_capacity:int ->
-    ?backoff_base_ms:float ->
-    ?backoff_cap_ms:float ->
     ?max_wire_version:int ->
     unit ->
     replica_handle
@@ -127,11 +126,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       as after a crash instead of booting fresh. [obs] receives the engine's
       lifecycle spans and the transport's message events, timed on the
       wall clock (ms since the epoch); when omitted, the node keeps its
-      own always-on flight recorder over the last [flight_capacity]
-      events (default 2048). The replica also reports to an online
-      invariant watchdog ({!Grid_obs.Watchdog}) whose counters live in
-      {!replica_metrics}. [backoff_base_ms]/[backoff_cap_ms] bound
-      the reconnect backoff toward dead peers (defaults 20/2000).
+      own always-on flight recorder over the last
+      {!flight_recorder_events} events. The replica also reports to an
+      online invariant watchdog ({!Grid_obs.Watchdog}) whose counters
+      live in {!replica_metrics}.
       [max_wire_version] caps the wire-protocol version this node
       advertises (default {!Grid_paxos.Wire_codec.latest_version});
       pinning it to an older version emulates a not-yet-upgraded build
@@ -181,14 +179,12 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     replicas:(int * Unix.sockaddr) list ->
     ?retry_ms:float ->
     ?obs:Grid_obs.Span.Recorder.t ->
-    ?backoff_base_ms:float ->
-    ?backoff_cap_ms:float ->
     ?max_wire_version:int ->
     unit ->
     client_handle
   (** Connect to every replica. The client keeps no listening socket;
-      replies arrive on the dialed connections. [obs], the backoff
-      bounds and [max_wire_version] are as for {!start_replica}. *)
+      replies arrive on the dialed connections. [obs] and
+      [max_wire_version] are as for {!start_replica}. *)
 
   val call_op :
     client_handle ->

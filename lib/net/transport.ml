@@ -11,10 +11,9 @@ let now_ms () = Unix.gettimeofday () *. 1000.0
    delay that doubles per consecutive failure, from [backoff_base_ms] up
    to [backoff_cap_ms], with jitter so a restarted replica is not hit by
    every peer in the same instant. Without this, a dead peer costs one
-   connect syscall per outgoing message (heartbeats: every few ms). The
-   constants are per-node state, settable at [create] time. *)
-let default_backoff_base_ms = 20.0
-let default_backoff_cap_ms = 2000.0
+   connect syscall per outgoing message (heartbeats: every few ms). *)
+let backoff_base_ms = 20.0
+let backoff_cap_ms = 2000.0
 
 (* A socket's state. A dial goes [Connecting] (non-blocking connect in
    flight), then [Awaiting_hello] (our hello queued, the listener's not
@@ -80,8 +79,6 @@ type t = {
   listener : Unix.file_descr option;
   mutable loop : Thread.t option;
   addresses : (int * Unix.sockaddr) list;
-  backoff_base_ms : float;
-  backoff_cap_ms : float;
   (* peer -> (earliest next dial in ms, current backoff delay in ms) *)
   backoff : (int, float * float) Hashtbl.t;
   rng : Rng.t;  (* jitter *)
@@ -104,8 +101,6 @@ let listen port =
     raise e
 
 let create ?listen_port ?(obs = Span.Recorder.disabled) ?store
-    ?(backoff_base_ms = default_backoff_base_ms)
-    ?(backoff_cap_ms = default_backoff_cap_ms)
     ?(max_wire_version = Wire_codec.latest_version) ~node_id ~actor ~addresses () =
   if max_wire_version < Wire_codec.min_version then
     invalid_arg "Transport.create: max_wire_version below min_version";
@@ -132,8 +127,6 @@ let create ?listen_port ?(obs = Span.Recorder.disabled) ?store
     listener;
     loop = None;
     addresses;
-    backoff_base_ms;
-    backoff_cap_ms;
     backoff = Hashtbl.create 8;
     rng = Rng.of_int (0x7cb1 + node_id);
     obs;
@@ -215,7 +208,7 @@ let forget t c =
 let dial_failed t peer =
   Metrics.inc t.meters.nm_dial_failures;
   let prev = match Hashtbl.find_opt t.backoff peer with Some (_, d) -> d | None -> 0.0 in
-  let next = Float.min t.backoff_cap_ms (Float.max t.backoff_base_ms (prev *. 2.0)) in
+  let next = Float.min backoff_cap_ms (Float.max backoff_base_ms (prev *. 2.0)) in
   (* Jitter in [next/2, next): consecutive retries stay spread out even
      when every peer noticed the death together. *)
   let wait = next *. (0.5 +. Rng.float t.rng 0.5) in

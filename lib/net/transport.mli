@@ -23,8 +23,6 @@ val create :
   ?listen_port:int ->
   ?obs:Grid_obs.Span.Recorder.t ->
   ?store:Grid_paxos.Storage.t ->
-  ?backoff_base_ms:float ->
-  ?backoff_cap_ms:float ->
   ?max_wire_version:int ->
   node_id:int ->
   actor:string ->

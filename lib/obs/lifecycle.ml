@@ -270,18 +270,18 @@ let trace_tree events ~tid =
 
 (* Which inter-phase segment dominates tail latency, per protocol class:
    over the completed requests whose total latency is at or above the
-   [pct] percentile, the mean duration of each consecutive phase-to-phase
+   99th percentile, the mean duration of each consecutive phase-to-phase
    segment (first-occurrence times, time-sorted), largest first. *)
 
 type attribution = {
   a_protocol : protocol;
   a_count : int;  (** completed requests of this class *)
   a_tail : int;  (** requests at/above the threshold *)
-  a_threshold : float;  (** the [pct] percentile of total latency, ms *)
+  a_threshold : float;  (** the 99th percentile of total latency, ms *)
   a_segments : (string * float) list;  (** segment -> mean ms over the tail *)
 }
 
-let tail_attribution ?(pct = 99.0) events =
+let tail_attribution events =
   let tls = timelines events in
   List.filter_map
     (fun proto ->
@@ -296,7 +296,7 @@ let tail_attribution ?(pct = 99.0) events =
       | [] -> None
       | _ ->
         let totals = Array.of_list (List.map snd completed) in
-        let threshold = Grid_util.Stats.percentile totals pct in
+        let threshold = Grid_util.Stats.percentile totals 99.0 in
         let tail = List.filter (fun (_, t) -> t >= threshold) completed in
         let sums = Hashtbl.create 8 in
         List.iter

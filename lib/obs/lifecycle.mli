@@ -88,16 +88,16 @@ type attribution = {
   a_protocol : protocol;
   a_count : int;  (** completed requests of this class *)
   a_tail : int;  (** requests at/above the threshold *)
-  a_threshold : float;  (** the [pct] percentile of total latency, ms *)
+  a_threshold : float;  (** the 99th percentile of total latency, ms *)
   a_segments : (string * float) list;
       (** consecutive phase-to-phase segment -> mean duration (ms) over
           the tail requests, largest first *)
 }
 
-val tail_attribution : ?pct:float -> Span.event list -> attribution list
+val tail_attribution : Span.event list -> attribution list
 (** Which segment dominates tail latency per protocol class: over the
-    completed requests whose total latency is at or above the [pct]
-    (default 99) percentile for their class. *)
+    completed requests whose total latency is at or above the 99th
+    percentile for their class. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit
 val pp_timeline : Format.formatter -> timeline -> unit

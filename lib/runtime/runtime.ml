@@ -85,12 +85,10 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let watchdog t = t.watchdog
   let replica t i = t.replicas.(i)
   let node_base t = t.node_base
+  (* Every replica reads engine time: the simulator injects no clock
+     skew. Skewed clocks are the model checker's fault ([Mcheck]'s
+     [Drift_at]), which steps the engines directly. *)
   let now t = Engine.now t.eng
-
-  (* A replica's local clock: engine time plus any injected drift
-     ({!Grid_sim.Fault.Clock_drift}). Timers stay on engine time — drift
-     skews time readings (the lease arithmetic), not durations. *)
-  let rnow t i = Engine.now t.eng +. Network.clock_offset t.net (t.node_base + i)
 
   (* Local replica id <-> global node id. Client nodes are global. *)
   let out_node t dst = if node_is_client dst then dst else t.node_base + dst
@@ -117,7 +115,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
                 incarnation: recovery re-bootstraps its own timers. *)
              if (not t.down.(i)) && t.incarnation.(i) = armed_in then
                dispatch_replica t i
-                 (R.handle t.replicas.(i) ~now:(rnow t i) (Timer timer))))
+                 (R.handle t.replicas.(i) ~now:(Engine.now t.eng) (Timer timer))))
     | Persist _ -> ()  (* the simulator keeps no store *)
     | Note s ->
       Span.Recorder.note t.obs ~time:(Engine.now t.eng) ~actor:t.replica_actors.(i) s
@@ -229,7 +227,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         ~send_cost:sc.replica_send_cost (fun ~src msg ->
           if not t.down.(i) then
             dispatch_replica t i
-              (R.handle t.replicas.(i) ~now:(rnow t i)
+              (R.handle t.replicas.(i) ~now:(Engine.now t.eng)
                  (Receive { src = in_node t src; msg })))
     done;
     for i = 0 to cfg.n - 1 do
@@ -331,7 +329,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     t.down.(i) <- false;
     t.incarnation.(i) <- t.incarnation.(i) + 1;
     Network.recover t.net (t.node_base + i);
-    dispatch_replica t i (R.restart t.replicas.(i) ~now:(rnow t i))
+    dispatch_replica t i (R.restart t.replicas.(i) ~now:(Engine.now t.eng))
 
   let replica_up t i = not t.down.(i)
 
@@ -348,9 +346,9 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     find 0
 
   (** Run until a leader is elected (and its prepare round finished), or
-      [max_wait] simulated ms elapse. *)
-  let await_leader ?(max_wait = 10_000.0) t =
-    let deadline = Engine.now t.eng +. max_wait in
+      10 simulated s elapse. *)
+  let await_leader t =
+    let deadline = Engine.now t.eng +. 10_000.0 in
     let rec loop () =
       match leader t with
       | Some l -> Some l

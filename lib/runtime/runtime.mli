@@ -139,9 +139,8 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val leader : t -> int option
   (** First live replica that believes it leads. *)
 
-  val await_leader : ?max_wait:float -> t -> int option
-  (** Step the engine until a leader exists (or [max_wait] simulated ms
-      pass; default 10 s). *)
+  val await_leader : t -> int option
+  (** Step the engine until a leader exists, or 10 simulated s pass. *)
 
   (** {1 Closed-loop workloads}
 

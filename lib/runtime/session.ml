@@ -28,8 +28,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   type t = {
     rt : RT.t;
-    base_id : int;
-    max_sessions : int;
     slots : (int, slot) Hashtbl.t;  (* session index -> slot *)
     free : int Stack.t;  (* indices with no request outstanding *)
     mutable registered : int;
@@ -48,7 +46,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     g_shed_writes : Metrics.gauge;
   }
 
-  let create ?(base_id = 100_000) ?(max_sessions = 200_000) rt =
+  (* Session client ids start here, clear of the closed-loop drivers'. *)
+  let first_client_id = 100_000
+  let pool_capacity = 200_000
+
+  let create rt =
     (* Session nodes carry no per-pair link records: point the network's
        default latency at the scenario's client link so their messages
        see the same delay distribution a heavy client would. *)
@@ -56,8 +58,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     let m = RT.metrics rt in
     {
       rt;
-      base_id;
-      max_sessions;
       slots = Hashtbl.create 4096;
       free = Stack.create ();
       registered = 0;
@@ -115,12 +115,12 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let acquire t =
     if not (Stack.is_empty t.free) then Some (Stack.pop t.free)
-    else if t.registered >= t.max_sessions then None
+    else if t.registered >= pool_capacity then None
     else begin
       let idx = t.registered in
       t.registered <- t.registered + 1;
       let client =
-        RT.add_client t.rt ~id:(t.base_id + idx) ~light:true
+        RT.add_client t.rt ~id:(first_client_id + idx) ~light:true
           ~on_reply:(fun r -> complete t idx r)
           ()
       in

@@ -15,14 +15,13 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
   type t
 
-  val create : ?base_id:int -> ?max_sessions:int -> RT.t -> t
+  val create : RT.t -> t
   (** Build an empty pool over a runtime. Sessions are registered on
-      demand, up to [max_sessions] (default 200k); ids start at
-      [base_id] (default 100k) and must not collide with other clients
-      on the runtime. Registers session gauges/counters and the
-      leader-admission gauges in the runtime's metrics registry, so at
-      most one pool per runtime. Sets the runtime network's default
-      latency to the scenario's client link. *)
+      demand, up to 200k; their client ids start at 100k, so other
+      clients on the runtime must stay below that. Registers session
+      gauges/counters and the leader-admission gauges in the runtime's
+      metrics registry, so at most one pool per runtime. Sets the
+      runtime network's default latency to the scenario's client link. *)
 
   val submit :
     t ->
@@ -30,7 +29,7 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     on_reply:(Grid_paxos.Types.reply -> latency_ms:float -> unit) ->
     [ `Submitted | `No_session ]
   (** Submit on an idle session (registering a new one if the free list
-      is empty and the pool is below [max_sessions]). [`No_session]
+      is empty and the pool is below 200k sessions). [`No_session]
       means every session is busy — the open-loop driver counts the
       arrival as dropped. [on_reply] fires with the request's {e final}
       reply and its latency in simulated ms; [Overloaded] pushback and

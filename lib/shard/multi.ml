@@ -762,8 +762,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let run_until t horizon = Engine.run ~until:horizon t.eng
 
-  let await_leaders ?max_wait t =
-    let leaders = Array.map (fun g -> Group.await_leader ?max_wait g) t.groups in
+  let await_leaders t =
+    let leaders = Array.map (fun g -> Group.await_leader g) t.groups in
     if Array.for_all Option.is_some leaders then
       Some (Array.map Option.get leaders)
     else None

@@ -259,10 +259,9 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
 
   val run_until : t -> float -> unit
 
-  val await_leaders : ?max_wait:float -> t -> int array option
+  val await_leaders : t -> int array option
   (** Step the engine until every group has a leader; [None] if any
-      group fails within [max_wait] simulated ms (default 10 s per
-      group). *)
+      group fails within {!Group.await_leader}'s 10 simulated s. *)
 
   (** {1 Aggregate closed-loop workload}
 

@@ -15,7 +15,6 @@ type 'msg node = {
   mutable send_cost : float;
   mutable busy_until : float; (* serial-CPU timeline *)
   mutable up : bool;
-  mutable clock_offset : float; (* local clock = engine time + offset (ms) *)
 }
 
 type 'msg t = {
@@ -70,8 +69,7 @@ let engine t = t.eng
 let add_node t ~id ?(recv_cost = 0.0) ?(send_cost = 0.0) handler =
   if Hashtbl.mem t.nodes id then invalid_arg "Network.add_node: duplicate id";
   Hashtbl.replace t.nodes id
-    { handler; recv_cost; send_cost; busy_until = 0.0; up = true;
-      clock_offset = 0.0 }
+    { handler; recv_cost; send_cost; busy_until = 0.0; up = true }
 
 let get_node t id =
   match Hashtbl.find_opt t.nodes id with
@@ -206,8 +204,6 @@ let recover t id =
   n.busy_until <- Engine.now t.eng
 
 let is_up t id = (get_node t id).up
-let set_clock_offset t id off = (get_node t id).clock_offset <- off
-let clock_offset t id = (get_node t id).clock_offset
 
 let partition t group_a group_b =
   List.iter

@@ -60,15 +60,6 @@ val crash : _ t -> int -> unit
 val recover : _ t -> int -> unit
 val is_up : _ t -> int -> bool
 
-val set_clock_offset : _ t -> int -> float -> unit
-(** Skew a node's local clock: the runtime reports [engine time + offset]
-    (ms) as that node's [now]. Timers are unaffected (they measure
-    durations); only time {e readings} — e.g. the leader-lease arithmetic
-    — see the offset. *)
-
-val clock_offset : _ t -> int -> float
-(** Current clock offset of a node (0 unless drifted). *)
-
 val partition : _ t -> int list -> int list -> unit
 (** Cut every link between the two groups (both directions). *)
 

@@ -358,6 +358,21 @@ let test_mcheck_drain_upgrade_replays () =
   Alcotest.(check int) "same deliveries" o1.delivered o2.delivered;
   Alcotest.(check (array int)) "same commit points" o1.committed o2.committed
 
+let test_mcheck_replayed_crash_keeps_quorum () =
+  (* A plan that lost the recovery between two crashes (as shrinking
+     can) must not take two of the three replicas down: the second crash
+     is skipped, as the dice would never roll it, and left out of the
+     replay's plan. *)
+  let module M = Grid_check.Mcheck in
+  let plan =
+    [ M.Crash_at { step = 10; victim = 0; torn = false };
+      M.Crash_at { step = 20; victim = 1; torn = false } ]
+  in
+  let o = MC.explore ~seed:3 ~steps:400 ~requests:mc_requests ~plan () in
+  Alcotest.(check int) "one crash fired" 1 o.crashes;
+  Alcotest.(check int) "one event in the plan" 1 (List.length o.plan);
+  Alcotest.(check bool) "the first crash kept" true (o.plan = [ List.hd plan ])
+
 let suite =
   [
     ( "check.agreement",
@@ -383,6 +398,8 @@ let suite =
         Alcotest.test_case "seeded replay is deterministic" `Quick
           test_mcheck_deterministic_replay;
         Alcotest.test_case "storage dice tear and drop" `Quick test_mcheck_persist_dice;
+        Alcotest.test_case "a replayed crash keeps a quorum" `Quick
+          test_mcheck_replayed_crash_keeps_quorum;
         Alcotest.test_case "reply histories linearizable" `Slow
           test_mcheck_reads_linearizable;
       ] );

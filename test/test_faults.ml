@@ -193,19 +193,14 @@ let test_message_loss_resilience () =
 
 let test_duplication_and_reordering () =
   (* Retransmission-style duplicates, FIFO-escaping reorders and delay
-     spikes, installed through the declarative fault schedule: every
-     request still commits exactly once. *)
+     spikes on every link: every request still commits exactly once. *)
   let c = Config.make ~base:(cfg ()) ~accept_retry_ms:15.0 ~client_retry_ms:60.0 () in
   let t = RT.create ~cfg:c ~scenario:(Scenario.uniform ()) () in
   ignore (RT.await_leader t);
   let net = RT.network t in
-  let module Fault = Grid_sim.Fault in
-  Fault.install net
-    [
-      { Fault.at = 5.0; event = Fault.Duplicate_rate 0.2 };
-      { at = 5.0; event = Fault.Reorder_rate 0.2 };
-      { at = 5.0; event = Fault.Delay_spike { rate = 0.05; magnitude_ms = 40.0 } };
-    ];
+  Network.set_duplicate_rate net 0.2;
+  Network.set_reorder_rate net 0.2;
+  Network.set_delay_spike net ~rate:0.05 ~magnitude_ms:40.0;
   let results =
     RT.run_closed_loop_ops t ~max_sim_ms:120_000.0 ~clients:2 ~requests_per_client:15
       ~gen:(gen_of (add_ops 15))

@@ -4,7 +4,6 @@
 module Engine = Grid_sim.Engine
 module Latency = Grid_sim.Latency
 module Network = Grid_sim.Network
-module Fault = Grid_sim.Fault
 module Recorder = Grid_obs.Span.Recorder
 module Rng = Grid_util.Rng
 module Stats = Grid_util.Stats
@@ -289,33 +288,6 @@ let test_network_broadcast () =
   Alcotest.(check int) "both delivered" 2 !got
 
 (* ------------------------------------------------------------------ *)
-(* Fault schedules *)
-
-let test_fault_schedule () =
-  let eng, net = mk_net () in
-  Network.add_node net ~id:0 (fun ~src:_ _ -> ());
-  Fault.install net
-    [
-      { at = 5.0; event = Crash 0 };
-      { at = 10.0; event = Recover 0 };
-    ];
-  Engine.run ~until:6.0 eng;
-  Alcotest.(check bool) "down at 6" false (Network.is_up net 0);
-  Engine.run ~until:11.0 eng;
-  Alcotest.(check bool) "up at 11" true (Network.is_up net 0)
-
-let test_fault_periodic () =
-  let entries =
-    Fault.periodic_crash_recover ~node:2 ~period:100.0 ~downtime:10.0 ~until:350.0
-  in
-  Alcotest.(check int) "three crash/recover pairs" 6 (List.length entries);
-  let crashes =
-    List.filter (fun (e : Fault.entry) -> match e.event with Crash _ -> true | _ -> false) entries
-  in
-  Alcotest.(check (list (float 1e-9))) "crash times" [ 100.0; 200.0; 300.0 ]
-    (List.map (fun (e : Fault.entry) -> e.at) crashes)
-
-(* ------------------------------------------------------------------ *)
 (* Trace notes via the span recorder (what drivers use for Note actions) *)
 
 let test_trace () =
@@ -363,11 +335,6 @@ let suite =
         Alcotest.test_case "cpu serialization" `Quick test_network_cpu_serialization;
         Alcotest.test_case "unknown node" `Quick test_network_unknown_node;
         Alcotest.test_case "broadcast" `Quick test_network_broadcast;
-      ] );
-    ( "sim.fault",
-      [
-        Alcotest.test_case "schedule" `Quick test_fault_schedule;
-        Alcotest.test_case "periodic" `Quick test_fault_periodic;
       ] );
     ("sim.trace", [ Alcotest.test_case "bounded + disabled" `Quick test_trace ]);
   ]

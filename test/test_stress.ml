@@ -72,19 +72,7 @@ let test_stress_replay_deterministic () =
         in
         let o = run () in
         let r = run ~plan:o.plan () in
-        let differs =
-          List.filter_map
-            (fun (field, same) -> if same then None else Some field)
-            [
-              ("plan", r.Mcheck.plan = o.plan);
-              ("replies", r.replies = o.replies);
-              ("delivered", r.delivered = o.delivered);
-              ("committed", r.committed = o.committed);
-              ("timer_fires", r.timer_fires = o.timer_fires);
-              ("meta_dropped", r.meta_dropped = o.meta_dropped);
-              ("torn_persists", r.torn_persists = o.torn_persists);
-            ]
-        in
+        let differs = Stress.replay_differences o r in
         if differs <> [] then
           diverged :=
             Printf.sprintf "%s seed %d (%s)" name seed (String.concat "," differs)
