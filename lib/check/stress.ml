@@ -4,7 +4,7 @@
     agreement, durability, and client-visible linearizability on each,
     and shrinking any failing schedule to a minimal fault plan.
 
-    Used by [bin/stress.exe] (CLI) and [test/test_stress.ml] (tier). *)
+    Its batches run through {!Tier} ([bin/stress.exe], [test/test_stress.ml]). *)
 
 module Rng = Grid_util.Rng
 module Lin = Linearizability
@@ -108,8 +108,7 @@ let replay_differences (o : Mcheck.outcome) (r : Mcheck.outcome) =
 let add_outcome summary (o : Mcheck.outcome) failure =
   {
     schedules = summary.schedules + 1;
-    failures =
-      (match failure with Some f -> f :: summary.failures | None -> summary.failures);
+    failures = summary.failures @ Option.to_list failure;
     unreplied = (summary.unreplied + if o.all_replied then 0 else 1);
     crashes = summary.crashes + o.crashes;
     torn_persists = summary.torn_persists + o.torn_persists;
@@ -367,46 +366,14 @@ let run_one ~service =
   | Counter_service -> Counter_harness.run_one
   | Kv_service -> Kv_harness.run_one
 
-(* ------------------------------------------------------------------ *)
-(* Batches                                                             *)
-
-let run ?(services = [ Counter_service; Kv_service ]) ?(schedules = 200)
-    ?(base_seed = 1) ?(steps = 1_200) ?(nemesis = default_nemesis) ?cfg_tweak
-    ?progress () =
-  let n_services = max 1 (List.length services) in
-  let summary = ref empty_summary in
-  List.iteri
-    (fun si service ->
-      let share =
-        (schedules / n_services) + if si < schedules mod n_services then 1 else 0
-      in
-      for k = 0 to share - 1 do
-        let seed = base_seed + (k * n_services) + si in
-        let o, failure =
-          run_one ~service ~steps ~nemesis ?cfg_tweak ~seed ()
-        in
-        summary := add_outcome !summary o failure;
-        match progress with Some f -> f !summary | None -> ()
-      done)
-    services;
-  { !summary with failures = List.rev !summary.failures }
-
-(* The overload batch: every schedule runs with a 2/2 admission window,
+(* The overload tier: every schedule runs with a 2/2 admission window,
    so leaders shed under the write-heavy workload while the nemesis
    crashes and duplicates around them. Both overload oracles
    (no-admitted-loss, bounded admitted p99) are armed on every run. *)
-let run_overload ?(schedules = 200) ?(base_seed = 1) ?(steps = 1_400) ?progress () =
+let run_overload_one ?obs ?(steps = 1_400) ?shrink ?plan ~seed () =
   let cfg_tweak c = Grid_paxos.Config.make ~base:c ~max_inflight:2 ~max_queue:2 () in
-  let summary = ref empty_summary in
-  for k = 0 to schedules - 1 do
-    let seed = base_seed + k in
-    let o, failure =
-      Overload_harness.run_one ~steps ~nemesis:overload_nemesis ~cfg_tweak ~seed ()
-    in
-    summary := add_outcome !summary o failure;
-    match progress with Some f -> f !summary | None -> ()
-  done;
-  { !summary with failures = List.rev !summary.failures }
+  Overload_harness.run_one ?obs ~steps ~nemesis:overload_nemesis ~cfg_tweak ?shrink
+    ?plan ~seed ()
 
 let pp_failure ppf f =
   Format.fprintf ppf "@[<v2>seed %d (%s):@ %a@ plan: %a" f.seed

@@ -94,37 +94,28 @@ val run_one :
     and [~shrink:false] to check a replay without shrinking it again.
     The run passed iff no failure is returned. *)
 
-val run :
-  ?services:service list ->
-  ?schedules:int ->
-  ?base_seed:int ->
+val run_overload_one :
+  ?obs:Grid_obs.Span.Recorder.t ->
   ?steps:int ->
-  ?nemesis:Mcheck.nemesis ->
-  ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
-  ?progress:(summary -> unit) ->
+  ?shrink:bool ->
+  ?plan:Mcheck.plan ->
+  seed:int ->
   unit ->
-  summary
-(** [run ()] spreads [schedules] seeds ([base_seed], [base_seed+1], …)
-    round-robin over [services] (default: counter and kv) and aggregates
-    the results. A failing schedule is shrunk. *)
-
-val run_overload :
-  ?schedules:int ->
-  ?base_seed:int ->
-  ?steps:int ->
-  ?progress:(summary -> unit) ->
-  unit ->
-  summary
-(** The overload tier: [schedules] seeded runs of the counter service
-    under a write-heavy workload with a deliberately tiny admission
-    window ([max_inflight] = [max_queue] = 2), driven by
+  Mcheck.outcome * failure option
+(** One schedule of the overload tier ([steps] default 1 400): the
+    counter service under a write-heavy workload with a deliberately tiny
+    admission window ([max_inflight] = [max_queue] = 2), driven by
     {!default_nemesis} with the crash rate doubled: shed requests and
     backoff retransmissions must survive leader churn. On top of the
-    usual oracles, every schedule checks that no [Ok]-acknowledged write
-    was lost ({!Mcheck.outcome.lost_admitted}) and that the p99 latency
-    of admitted requests stays under 120 virtual seconds. A failing
-    schedule is shrunk. The returned summary's [shed] counts the
-    pushbacks actually exercised. *)
+    usual oracles it checks that no [Ok]-acknowledged write was lost
+    ({!Mcheck.outcome.lost_admitted}) and that the p99 latency of
+    admitted requests stays under 120 virtual seconds. The other
+    arguments are {!run_one}'s. *)
+
+val empty_summary : summary
+
+val add_outcome : summary -> Mcheck.outcome -> failure option -> summary
+(** Fold one schedule into a batch summary; a failure goes last. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 val pp_summary : Format.formatter -> summary -> unit

@@ -112,6 +112,16 @@ type summary = {
   failures : outcome list;
 }
 
+let empty_summary tier = { tier; schedules = 0; totals = zero; failures = [] }
+
+let add_outcome s o =
+  {
+    s with
+    schedules = s.schedules + 1;
+    totals = add s.totals o.counts;
+    failures = (if o.violations = [] then s.failures else s.failures @ [ o ]);
+  }
+
 let pp_summary ppf s =
   let n = s.totals in
   Format.fprintf ppf "%d schedules: " s.schedules;
@@ -127,17 +137,6 @@ let pp_summary ppf s =
       n.splits n.merges n.moves_aborted n.parked n.redirects n.acked n.committed
       (n.committed + n.aborted + n.conflicted));
   Format.fprintf ppf ", %d crashes, %d failing" n.crashes (List.length s.failures)
-
-(* A batch that never reached the protocol its tier exists to stress
-   proves nothing, however green. *)
-let unexercised s =
-  let n = s.totals in
-  match s.tier with
-  | Xshard -> if n.committed = 0 then Some "no cross-shard commit exercised" else None
-  | Reshard ->
-    if n.splits = 0 || n.acked = 0 || n.committed = 0 then
-      Some "no live split, acked write, or committed cross txn exercised"
-    else None
 
 (* ------------------------------------------------------------------ *)
 (* The skeleton's services to a tier's drivers                         *)
@@ -751,19 +750,3 @@ let run_one ?trace ~seed tier =
     counts = { (d.counts ()) with crashes = c.crashes };
     violations = List.rev c.violations;
   }
-
-let run ?(schedules = 100) ?(base_seed = 1) ?progress tier =
-  let acc = ref { tier = tier; schedules = 0; totals = zero; failures = [] } in
-  for i = 0 to schedules - 1 do
-    let o = run_one ~seed:(base_seed + i) tier in
-    let s = !acc in
-    acc :=
-      {
-        s with
-        schedules = s.schedules + 1;
-        totals = add s.totals o.counts;
-        failures = (if o.violations = [] then s.failures else o :: s.failures);
-      };
-    Option.iter (fun f -> f !acc) progress
-  done;
-  { !acc with failures = List.rev !acc.failures }

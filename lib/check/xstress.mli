@@ -66,15 +66,9 @@ type summary = {
   failures : outcome list;  (** schedules with violations, in seed order *)
 }
 
+val empty_summary : tier -> summary
+
+val add_outcome : summary -> outcome -> summary
+(** Fold one schedule into a batch summary; a failing one goes last. *)
+
 val pp_summary : Format.formatter -> summary -> unit
-
-val run :
-  ?schedules:int -> ?base_seed:int -> ?progress:(summary -> unit) -> tier -> summary
-(** [schedules] (default 100) runs of {!run_one}, seeds [base_seed]
-    (default 1) onwards; [progress] sees the running summary after each. *)
-
-val unexercised : summary -> string option
-(** Why the batch proves nothing, if it never reached what its tier
-    exists to stress: for {!Xshard} no cross-shard commit; for
-    {!Reshard} no live split, no acked write, or no committed cross-shard
-    transaction. *)

@@ -169,9 +169,7 @@ let crc32_sub s pos len =
   if pos < 0 || len < 0 || pos > String.length s - len then invalid_arg "Wire.crc32_sub";
   crc_update 0xFFFFFFFF s pos len lxor 0xFFFFFFFF
 
-let crc32 ?(crc = 0l) s =
-  let c = Int32.to_int crc land 0xFFFFFFFF lxor 0xFFFFFFFF in
-  Int32.of_int (crc_update c s 0 (String.length s) lxor 0xFFFFFFFF)
+let crc32 s = Int32.of_int (crc32_sub s 0 (String.length s))
 
 let with_crc s =
   let n = String.length s in

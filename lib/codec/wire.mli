@@ -88,9 +88,8 @@ end
 
 (** {1 Checksums} *)
 
-val crc32 : ?crc:int32 -> string -> int32
-(** CRC-32 (IEEE 802.3 polynomial, reflected). [?crc] continues a running
-    checksum. *)
+val crc32 : string -> int32
+(** CRC-32 (IEEE 802.3 polynomial, reflected). *)
 
 val crc32_sub : string -> int -> int -> int
 (** [crc32_sub s pos len] is the CRC-32 of [len] bytes of [s] from [pos],

@@ -24,8 +24,6 @@ let check_name = function
   | Stale_read -> "stale_read"
   | Lease_conflict -> "lease_conflict"
 
-exception Violation of string
-
 type counters = {
   mutable total : int;
   mutable dup_commits : int;
@@ -36,7 +34,6 @@ type counters = {
 
 type t = {
   enabled : bool;
-  fail_stop : bool;
   counts : counters;
   on_violation : check:string -> detail:string -> unit;
   (* the cross-replica lease view, per replica group (shards lease
@@ -50,14 +47,12 @@ type t = {
   m_lease : Metrics.counter option;
 }
 
-let create ?(fail_stop = false) ?metrics ?(on_violation = fun ~check:_ ~detail:_ -> ())
-    () =
+let create ?metrics ?(on_violation = fun ~check:_ ~detail:_ -> ()) () =
   let reg name help =
     Option.map (fun m -> Metrics.counter m name ~help) metrics
   in
   {
     enabled = true;
-    fail_stop;
     counts =
       { total = 0; dup_commits = 0; lost_acks = 0; stale_reads = 0; lease_conflicts = 0 };
     on_violation;
@@ -114,9 +109,7 @@ let fire t which detail =
     bump
       (fun () -> t.counts.lease_conflicts <- t.counts.lease_conflicts + 1)
       t.m_lease);
-  t.on_violation ~check:(check_name which) ~detail;
-  if t.fail_stop then
-    raise (Violation (Printf.sprintf "watchdog[%s]: %s" (check_name which) detail))
+  t.on_violation ~check:(check_name which) ~detail
 
 (* ------------------------------------------------------------------ *)
 (* Per-replica monitor                                                  *)

@@ -17,21 +17,14 @@
 
 type t
 
-exception Violation of string
-(** Raised by a failing check when the sink was created with
-    [fail_stop:true]. *)
-
 val create :
-  ?fail_stop:bool ->
   ?metrics:Metrics.t ->
   ?on_violation:(check:string -> detail:string -> unit) ->
   unit ->
   t
-(** [fail_stop] (default [false]) raises {!Violation} on the violating
-    call instead of only counting. [metrics] registers the
-    [grid_watchdog_*_total] counters there. [on_violation] runs on every
-    violation (after counting, before any raise) — e.g. to drop a note
-    into a flight recorder. *)
+(** [metrics] registers the [grid_watchdog_*_total] counters there.
+    [on_violation] runs on every violation, after counting — e.g. to
+    drop a note into a flight recorder. *)
 
 val disabled : t
 (** Shared no-op sink: every check is one branch, nothing is counted. *)

@@ -93,10 +93,10 @@ let default ~n =
     max_queue = 0;
   }
 
-let make ?base ?n ?execution_cost_ms ?accept_retry_ms ?prepare_retry_ms ?hb_period_ms
-    ?suspicion_ms ?stability_ms ?client_retry_ms ?record_history ?ship ?snapshot_interval
-    ?max_batch ?coordination ?disable_dedup ?lease_ms ?clock_skew_bound_ms ?max_inflight
-    ?max_queue () =
+let make ?base ?n ?execution_cost_ms ?accept_retry_ms ?hb_period_ms ?suspicion_ms
+    ?stability_ms ?client_retry_ms ?record_history ?ship ?snapshot_interval ?max_batch
+    ?coordination ?disable_dedup ?lease_ms ?clock_skew_bound_ms ?max_inflight ?max_queue
+    () =
   let base =
     match base with
     | Some b -> b
@@ -109,7 +109,7 @@ let make ?base ?n ?execution_cost_ms ?accept_retry_ms ?prepare_retry_ms ?hb_peri
     n;
     execution_cost_ms = v base.execution_cost_ms execution_cost_ms;
     accept_retry_ms = v base.accept_retry_ms accept_retry_ms;
-    prepare_retry_ms = v base.prepare_retry_ms prepare_retry_ms;
+    prepare_retry_ms = base.prepare_retry_ms;
     hb_period_ms = v base.hb_period_ms hb_period_ms;
     suspicion_ms = v base.suspicion_ms suspicion_ms;
     stability_ms = v base.stability_ms stability_ms;

@@ -83,7 +83,6 @@ val make :
   ?n:int ->
   ?execution_cost_ms:float ->
   ?accept_retry_ms:float ->
-  ?prepare_retry_ms:float ->
   ?hb_period_ms:float ->
   ?suspicion_ms:float ->
   ?stability_ms:float ->

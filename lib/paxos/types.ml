@@ -146,10 +146,6 @@ type request = {
   trace : trace_ctx;
 }
 
-let pp_request ppf r =
-  Format.fprintf ppf "%a:%a(%d bytes)" Ids.Request_id.pp r.id pp_rtype r.rtype
-    (String.length r.payload)
-
 (* Request and proposal bodies come in one layout per record, with the
    fields a wire version may leave out behind flags: [traced] for the
    trace context, [aligned] for reply ids that repeat the request ids
@@ -224,10 +220,6 @@ let status_is_final = function
 
 type reply = { req : Ids.Request_id.t; status : status; payload : string }
 
-let pp_reply ppf r =
-  Format.fprintf ppf "reply(%a,%a,%d bytes)" Ids.Request_id.pp r.req pp_status r.status
-    (String.length r.payload)
-
 let status_tag = function
   | Ok -> 0
   | Txn_aborted -> 1
@@ -278,11 +270,6 @@ let decode_reply d : reply =
     deterministically at every replica (the paper's first
     overhead-reduction option). *)
 type state_update = Full of string | Delta of string | Witness of string
-
-let pp_state_update ppf = function
-  | Full s -> Format.fprintf ppf "full(%dB)" (String.length s)
-  | Delta s -> Format.fprintf ppf "delta(%dB)" (String.length s)
-  | Witness s -> Format.fprintf ppf "witness(%dB)" (String.length s)
 
 let state_update_size = function Full s | Delta s | Witness s -> String.length s
 
@@ -505,40 +492,6 @@ let msg_kind = function
   | Sp_ack _ -> "sp_ack"
   | Sp_decide _ -> "sp_decide"
 
-let pp_msg ppf m =
-  match m with
-  | Client_req r -> Format.fprintf ppf "client_req %a" pp_request r
-  | Reply_msg r -> pp_reply ppf r
-  | Prepare { ballot; commit_point } ->
-    Format.fprintf ppf "prepare %a cp=%d" Ballot.pp ballot commit_point
-  | Prepare_ack { ballot; commit_point; accepted; snapshot } ->
-    Format.fprintf ppf "prepare_ack %a cp=%d entries=%d snap=%b" Ballot.pp ballot
-      commit_point (List.length accepted) (snapshot <> None)
-  | Accept { ballot; instance; proposal } ->
-    Format.fprintf ppf "accept %a i=%d reqs=%d %a" Ballot.pp ballot instance
-      (List.length proposal.requests)
-      pp_state_update proposal.update
-  | Accept_ack { ballot; instance } ->
-    Format.fprintf ppf "accept_ack %a i=%d" Ballot.pp ballot instance
-  | Reject { promised } -> Format.fprintf ppf "reject promised=%a" Ballot.pp promised
-  | Commit { ballot; instance } ->
-    Format.fprintf ppf "commit %a i=%d" Ballot.pp ballot instance
-  | Read_confirm { ballot; req; lease_anchor } ->
-    Format.fprintf ppf "read_confirm %a %a lease=%b" Ballot.pp ballot Ids.Request_id.pp
-      req
-      (not (Float.is_nan lease_anchor))
-  | Heartbeat { round_seen; commit_point; promised; lease_anchor; _ } ->
-    Format.fprintf ppf "heartbeat rs=%d cp=%d promised=%a lease=%b" round_seen
-      commit_point Ballot.pp promised
-      (not (Float.is_nan lease_anchor))
-  | Catchup_req { from_instance } -> Format.fprintf ppf "catchup_req from=%d" from_instance
-  | Catchup _ -> Format.fprintf ppf "catchup"
-  | Sp_estimate { instance; round; estimate } ->
-    Format.fprintf ppf "sp_estimate i=%d r=%d locked=%b" instance round (estimate <> None)
-  | Sp_propose { instance; round; _ } -> Format.fprintf ppf "sp_propose i=%d r=%d" instance round
-  | Sp_ack { instance; round } -> Format.fprintf ppf "sp_ack i=%d r=%d" instance round
-  | Sp_decide { instance; _ } -> Format.fprintf ppf "sp_decide i=%d" instance
-
 (** Timers a replica can arm. Timers are never cancelled explicitly:
     handlers re-check state and ignore stale firings, which keeps driver
     plumbing trivial. *)
@@ -554,16 +507,6 @@ type timer =
   | Client_retry of int  (** client-side retransmission, by sequence *)
   | Sp_round_timeout of int * int
       (** semi-passive replication: (instance, round) suspicion timeout *)
-
-let pp_timer ppf = function
-  | Hb_tick -> Format.pp_print_string ppf "hb_tick"
-  | Suspicion_tick -> Format.pp_print_string ppf "suspicion_tick"
-  | Stability_check r -> Format.fprintf ppf "stability_check(%d)" r
-  | Accept_retry i -> Format.fprintf ppf "accept_retry(%d)" i
-  | Prepare_retry r -> Format.fprintf ppf "prepare_retry(%d)" r
-  | Exec_done tok -> Format.fprintf ppf "exec_done(%d)" tok
-  | Client_retry s -> Format.fprintf ppf "client_retry(%d)" s
-  | Sp_round_timeout (i, r) -> Format.fprintf ppf "sp_round_timeout(%d,%d)" i r
 
 type input = Receive of { src : int; msg : msg } | Timer of timer
 
@@ -585,12 +528,3 @@ type action =
 
 let send ~dst msg = Send { dst; msg }
 let after ~delay timer = After { delay; timer }
-
-let pp_action ppf = function
-  | Send { dst; msg } -> Format.fprintf ppf "send->%d %a" dst pp_msg msg
-  | After { delay; timer } -> Format.fprintf ppf "after %.3f %a" delay pp_timer timer
-  | Persist (Promise b) -> Format.fprintf ppf "persist promise %a" Ballot.pp b
-  | Persist (Entry e) -> Format.fprintf ppf "persist entry %d@%a" e.instance Ballot.pp e.ballot
-  | Persist (Commit_point cp) -> Format.fprintf ppf "persist commit_point %d" cp
-  | Persist (Snapshot s) -> Format.fprintf ppf "persist snapshot (%dB)" (String.length s)
-  | Note s -> Format.fprintf ppf "note %s" s

@@ -81,7 +81,6 @@ type request = {
   trace : trace_ctx;
 }
 
-val pp_request : Format.formatter -> request -> unit
 val encode_request_with : Grid_codec.Wire.Encoder.t -> traced:bool -> request -> unit
 val decode_request_with : Grid_codec.Wire.Decoder.t -> traced:bool -> request
 (** The request layout. [traced = false] leaves out the trace context,
@@ -124,7 +123,6 @@ val decode_status : Grid_codec.Wire.Decoder.t -> status
 
 type reply = { req : Grid_util.Ids.Request_id.t; status : status; payload : string }
 
-val pp_reply : Format.formatter -> reply -> unit
 val encode_reply : Grid_codec.Wire.Encoder.t -> reply -> unit
 val decode_reply : Grid_codec.Wire.Decoder.t -> reply
 
@@ -136,7 +134,6 @@ val decode_reply : Grid_codec.Wire.Decoder.t -> reply
     overhead-reduction option). *)
 type state_update = Full of string | Delta of string | Witness of string
 
-val pp_state_update : Format.formatter -> state_update -> unit
 val state_update_size : state_update -> int
 val encode_state_update : Grid_codec.Wire.Encoder.t -> state_update -> unit
 val decode_state_update : Grid_codec.Wire.Decoder.t -> requests:request list -> state_update
@@ -249,7 +246,6 @@ val msg_kind : msg -> string
 val all_msg_kinds : string list
 (** Every {!msg_kind} value, in tag order — for metric registration. *)
 
-val pp_msg : Format.formatter -> msg -> unit
 
 (** Timers a replica can arm. Timers are never cancelled explicitly:
     handlers re-check state and ignore stale firings, which keeps driver
@@ -267,7 +263,6 @@ type timer =
   | Sp_round_timeout of int * int
       (** semi-passive replication: (instance, round) suspicion timeout *)
 
-val pp_timer : Format.formatter -> timer -> unit
 
 type input = Receive of { src : int; msg : msg } | Timer of timer
 
@@ -291,4 +286,3 @@ type action =
 
 val send : dst:int -> msg -> action
 val after : delay:float -> timer -> action
-val pp_action : Format.formatter -> action -> unit

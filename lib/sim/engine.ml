@@ -60,10 +60,9 @@ let step t =
     ev.f ();
     true
 
-let run ?until ?max_events t =
-  let budget = ref (match max_events with None -> max_int | Some n -> n) in
+let run ?until t =
   let continue = ref true in
-  while !continue && !budget > 0 do
+  while !continue do
     match pop_live t with
     | None -> continue := false
     | Some ev -> (
@@ -77,11 +76,10 @@ let run ?until ?max_events t =
         t.now <- ev.time;
         t.live <- t.live - 1;
         t.fired <- t.fired + 1;
-        decr budget;
         ev.f ())
   done;
   match until with
-  | Some horizon when t.now < horizon && !budget > 0 -> t.now <- horizon
+  | Some horizon when t.now < horizon -> t.now <- horizon
   | _ -> ()
 
 let pending t =

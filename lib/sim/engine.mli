@@ -31,10 +31,10 @@ val cancelled : timer -> bool
 val step : t -> bool
 (** Fire the next event. [false] if the queue was empty. *)
 
-val run : ?until:float -> ?max_events:int -> t -> unit
-(** Fire events until the queue empties, [until] (exclusive: events at or
-    after it stay queued and [now] advances to [until]), or [max_events]
-    events have fired, whichever comes first. *)
+val run : ?until:float -> t -> unit
+(** Fire events until the queue empties or [until] (exclusive: events at
+    or after it stay queued and [now] advances to [until]), whichever
+    comes first. *)
 
 val pending : t -> int
 (** Number of live (non-cancelled) queued events. *)

@@ -203,8 +203,6 @@ let recover t id =
   (* A recovered process starts with an idle CPU. *)
   n.busy_until <- Engine.now t.eng
 
-let is_up t id = (get_node t id).up
-
 let partition t group_a group_b =
   List.iter
     (fun a ->

@@ -58,7 +58,6 @@ val broadcast : 'msg t -> src:int -> dsts:int list -> 'msg -> unit
 
 val crash : _ t -> int -> unit
 val recover : _ t -> int -> unit
-val is_up : _ t -> int -> bool
 
 val partition : _ t -> int list -> int list -> unit
 (** Cut every link between the two groups (both directions). *)

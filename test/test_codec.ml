@@ -110,11 +110,6 @@ let test_crc_known_vector () =
 
 let test_crc_empty () = Alcotest.(check int32) "crc32 of empty" 0l (Wire.crc32 "")
 
-let test_crc_incremental () =
-  let whole = Wire.crc32 "hello world" in
-  let part = Wire.crc32 ~crc:(Wire.crc32 "hello ") "world" in
-  Alcotest.(check int32) "incremental equals whole" whole part
-
 let test_with_check_crc () =
   let body = "some payload \x00\xff" in
   Alcotest.(check string) "roundtrip" body (Wire.check_crc (Wire.with_crc body));
@@ -141,6 +136,18 @@ let test_crc_in_place () =
     (match Wire.check_crc_sub buf 2 8 with
     | _ -> false
     | exception Wire.Decode_error { pos; _ } -> pos = 4)
+
+(* CRC-32 catches every single-bit error: flipping any one bit of a framed
+   body, trailer included, must fail the check. *)
+let test_crc_bit_flips () =
+  let framed = Wire.with_crc "replica state \x00\x7f\xff" in
+  for i = 0 to (String.length framed * 8) - 1 do
+    let b = Bytes.of_string framed in
+    Bytes.set b (i / 8) (Char.chr (Char.code framed.[i / 8] lxor (1 lsl (i mod 8))));
+    match Wire.check_crc (Bytes.to_string b) with
+    | _ -> Alcotest.failf "flip of bit %d not detected" i
+    | exception Wire.Decode_error _ -> ()
+  done
 
 (* The CRC runs on native ints: a checksum over 4 KiB allocates at most
    its boxed result, not a box per byte. *)
@@ -232,9 +239,9 @@ let suite =
       [
         Alcotest.test_case "known vector" `Quick test_crc_known_vector;
         Alcotest.test_case "empty" `Quick test_crc_empty;
-        Alcotest.test_case "incremental" `Quick test_crc_incremental;
         Alcotest.test_case "frame roundtrip + corruption" `Quick test_with_check_crc;
         Alcotest.test_case "in place" `Quick test_crc_in_place;
+        Alcotest.test_case "single-bit flips detected" `Quick test_crc_bit_flips;
         Alcotest.test_case "4 KiB allocates a few words" `Quick test_crc_allocation;
       ] );
     ( "codec.properties",

@@ -73,14 +73,6 @@ let test_engine_negative_delay_clamped () =
   Engine.run eng;
   Alcotest.(check (float 1e-9)) "clamped to now" 5.0 !at
 
-let test_engine_max_events () =
-  let eng = Engine.create () in
-  (* A self-perpetuating event chain. *)
-  let rec arm () = ignore (Engine.schedule eng ~delay:1.0 arm) in
-  arm ();
-  Engine.run ~max_events:50 eng;
-  Alcotest.(check int) "bounded" 50 (Engine.fired eng)
-
 (* ------------------------------------------------------------------ *)
 (* Latency models *)
 
@@ -312,7 +304,6 @@ let suite =
         Alcotest.test_case "run until" `Quick test_engine_until;
         Alcotest.test_case "nested schedule" `Quick test_engine_nested_schedule;
         Alcotest.test_case "negative delay clamps" `Quick test_engine_negative_delay_clamped;
-        Alcotest.test_case "max events" `Quick test_engine_max_events;
       ] );
     ( "sim.latency",
       [

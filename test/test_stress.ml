@@ -9,6 +9,7 @@
 
 module Stress = Grid_check.Stress
 module Mcheck = Grid_check.Mcheck
+module Tier = Grid_check.Tier
 
 let contains ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
@@ -25,7 +26,7 @@ let fail_with failures =
    a schedule that does fail is shrunk, so the assertion message carries
    the minimal reproducing plan. *)
 let test_stress_batch () =
-  let summary = Stress.run ~schedules:220 ~base_seed:1 ~steps:1_200 () in
+  let summary = Tier.(batch ~schedules:220 ~base_seed:1 (plug ~steps:1_200 Both)) in
   Alcotest.(check int) "schedules run" 220 summary.schedules;
   if summary.failures <> [] then fail_with summary.failures;
   (* The batch must actually have exercised every fault kind, or the
@@ -166,7 +167,9 @@ let test_stress_dedup_protects () =
    read (the oracle watermarks each read at issue time). *)
 let test_stress_leader_crash_mid_read () =
   let nemesis = { Stress.default_nemesis with Mcheck.crash_prob = 0.01 } in
-  let summary = Stress.run ~schedules:120 ~base_seed:500 ~steps:1_200 ~nemesis () in
+  let summary =
+    Tier.(batch ~schedules:120 ~base_seed:500 (plug ~steps:1_200 ~nemesis Both))
+  in
   if summary.failures <> [] then fail_with summary.failures;
   Alcotest.(check bool) "crashes injected" true (summary.crashes > 0)
 
@@ -180,8 +183,9 @@ let test_stress_leased_reads_under_drift () =
     Grid_paxos.Config.make ~base:c ~lease_ms:50.0 ~clock_skew_bound_ms:10.0 ()
   in
   let summary =
-    Stress.run ~schedules:220 ~base_seed:1 ~steps:1_200
-      ~nemesis:Stress.lease_nemesis ~cfg_tweak ()
+    Tier.(
+      batch ~schedules:220 ~base_seed:1
+        (plug ~steps:1_200 ~nemesis:Stress.lease_nemesis ~cfg_tweak Both))
   in
   Alcotest.(check int) "schedules run" 220 summary.schedules;
   if summary.failures <> [] then fail_with summary.failures;
@@ -196,7 +200,7 @@ let test_stress_leased_reads_under_drift () =
    stays bounded; the batch must actually exercise pushback and
    crashes, or the claim is vacuous. *)
 let test_stress_overload_tier () =
-  let summary = Stress.run_overload ~schedules:200 ~base_seed:1 () in
+  let summary = Tier.(batch ~schedules:200 ~base_seed:1 (plug Overload)) in
   Alcotest.(check int) "schedules run" 200 summary.schedules;
   if summary.failures <> [] then fail_with summary.failures;
   Alcotest.(check bool) "Overloaded pushback exercised" true (summary.shed > 0);

@@ -74,21 +74,21 @@ let test_lease_groups_are_independent () =
   Watchdog.lease_claimed s0' ~now:10.0 ~until:100.0 ~slack_ms:4.0;
   Alcotest.(check int) "same-shard overlap fires" 1 (Watchdog.lease_conflicts t)
 
-let test_fail_stop_and_callback () =
-  let seen = ref [] in
+(* The callback sees each violation already counted. *)
+let test_callback_after_counting () =
+  let seen = ref [] and sink = ref Watchdog.disabled in
   let t =
-    Watchdog.create ~fail_stop:true
-      ~on_violation:(fun ~check ~detail:_ -> seen := check :: !seen)
+    Watchdog.create
+      ~on_violation:(fun ~check ~detail:_ ->
+        seen := (check, Watchdog.violations !sink) :: !seen)
       ()
   in
+  sink := t;
   let m = Watchdog.monitor t ~actor:"r0" in
-  (match Watchdog.write_acked m ~client:9 ~seq:1 with
-  | () -> Alcotest.fail "fail_stop did not raise"
-  | exception Watchdog.Violation msg ->
-    Alcotest.(check bool) "message names the check" true
-      (String.length msg > 0 && !seen = [ "lost_ack" ]));
-  (* The violation was counted before the raise. *)
-  Alcotest.(check int) "counted despite raise" 1 (Watchdog.violations t)
+  Watchdog.write_acked m ~client:9 ~seq:1;
+  Alcotest.(check (list (pair string int))) "callback names the counted check"
+    [ ("lost_ack", 1) ] !seen;
+  Alcotest.(check int) "counted" 1 (Watchdog.violations t)
 
 let test_disabled_and_reset () =
   let m = Watchdog.monitor Watchdog.disabled ~actor:"r0" in
@@ -416,8 +416,8 @@ let suite =
       ] );
     ( "watchdog.sink",
       [
-        Alcotest.test_case "fail-stop raises after counting" `Quick
-          test_fail_stop_and_callback;
+        Alcotest.test_case "callback runs after counting" `Quick
+          test_callback_after_counting;
         Alcotest.test_case "disabled and reset" `Quick test_disabled_and_reset;
         Alcotest.test_case "metrics registration" `Quick test_metrics_registration;
       ] );

@@ -444,11 +444,44 @@ let test_traced_schedule_deterministic () =
   check "xshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Xshard);
   check "reshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Reshard)
 
-(* The batch path folds exactly the schedules [run_one] runs: per-seed
-   counts summed, failing seeds in order, and the tier's own
-   "exercised" gate satisfied. *)
+(* The one batch loop folds exactly the schedules the seed path runs,
+   for every tier: seeds dealt round-robin over the tier's lanes, the
+   schedule count, the failing seeds in run order, the sharded tiers'
+   per-seed counts summed and their "exercised" rule satisfied. The
+   counter, kv and both tiers run with request dedup disabled under
+   heavy duplication, so some of their seeds fail. *)
 let test_batch_folds_schedules () =
+  let module T = Grid_check.Tier in
   let module X = Grid_check.Xstress in
+  let schedules = 4 in
+  let silent = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let nemesis = { Grid_check.Stress.default_nemesis with dup_prob = 0.15 } in
+  let cfg_tweak c = Grid_paxos.Config.make ~base:c ~disable_dedup:true () in
+  let folds (type s) name (tier : s T.t) =
+    let p = T.plug ~steps:600 ~nemesis ~cfg_tweak tier in
+    let s = T.batch ~schedules ~base_seed:1 p in
+    let n = List.length p.lanes in
+    let failing =
+      List.concat
+        (List.mapi
+           (fun i (lane : s T.lane) ->
+             List.filter
+               (fun seed -> (seed - 1) mod n = i && not (lane.check ~seed silent))
+               (List.init schedules succ))
+           p.lanes)
+    in
+    Alcotest.(check int) (name ^ ": schedules") schedules (p.schedules s);
+    Alcotest.(check (list int)) (name ^ ": failing seeds") failing (p.failing_seeds s);
+    (p, s)
+  in
+  let planted =
+    List.map
+      (fun (name, tier) -> snd (folds name tier))
+      [ ("counter", T.Counter); ("kv", T.Kv); ("both", T.Both) ]
+  in
+  Alcotest.(check bool) "the planted bug fails some seed" true
+    (List.exists (fun (s : T.group) -> s.failures <> []) planted);
+  ignore (folds "overload" T.Overload);
   let fields =
     [
       ("committed", fun (n : X.counts) -> n.committed);
@@ -466,10 +499,9 @@ let test_batch_folds_schedules () =
     ]
   in
   List.iter
-    (fun (name, tier) ->
-      let s = X.run ~schedules:4 ~base_seed:1 tier in
-      let os = List.init 4 (fun i -> X.run_one ~seed:(i + 1) tier) in
-      Alcotest.(check int) (name ^ ": schedules") 4 s.schedules;
+    (fun (name, tier, xtier) ->
+      let p, (s : T.sharded) = folds name tier in
+      let os = List.init schedules (fun i -> X.run_one ~seed:(i + 1) xtier) in
       List.iter
         (fun (field, get) ->
           Alcotest.(check int)
@@ -477,14 +509,22 @@ let test_batch_folds_schedules () =
             (List.fold_left (fun acc (o : X.outcome) -> acc + get o.counts) 0 os)
             (get s.totals))
         fields;
-      Alcotest.(check (list int)) (name ^ ": failing seeds")
-        (List.filter_map
-           (fun (o : X.outcome) -> if o.violations = [] then None else Some o.seed)
-           os)
-        (List.map (fun (o : X.outcome) -> o.seed) s.failures);
       Alcotest.(check (option string)) (name ^ ": tier exercised") None
-        (X.unexercised s))
-    [ ("xshard", X.Xshard); ("reshard", X.Reshard) ]
+        (p.unexercised s))
+    [ ("xshard", T.Xshard, X.Xshard); ("reshard", T.Reshard, X.Reshard) ]
+
+(* The refusing side of each "exercised" rule: a batch that ran nothing
+   fails with its tier's message. *)
+let test_unexercised_batch_fails () =
+  let module T = Grid_check.Tier in
+  let refuses (type s) (tier : s T.t) what =
+    let p = T.plug tier in
+    Alcotest.(check (option string)) what (Some what)
+      (p.unexercised (T.batch ~schedules:0 ~base_seed:1 p))
+  in
+  refuses T.Overload "no Overloaded pushback exercised";
+  refuses T.Xshard "no cross-shard commit exercised";
+  refuses T.Reshard "no live split, acked write, or committed cross txn exercised"
 
 let suite =
   [
@@ -494,6 +534,8 @@ let suite =
           test_traced_schedule_deterministic;
         Alcotest.test_case "batch folds its schedules" `Quick
           test_batch_folds_schedules;
+        Alcotest.test_case "an unexercised batch fails its tier" `Quick
+          test_unexercised_batch_fails;
       ] );
     ( "xshard.2pc",
       [
