@@ -8,7 +8,8 @@
      dune exec bin/stress.exe -- --plant-dedup               # shrink demo
 
    Exit status is 0 iff every schedule passed (or, with --plant-dedup,
-   iff the planted bug was caught and shrunk). *)
+   iff the planted bug was caught and shrunk); a flag that does not
+   apply to --plant-dedup is a usage error. *)
 
 open Cmdliner
 module Stress = Grid_check.Stress
@@ -40,26 +41,24 @@ let run_seed (p : _ Tier.plug) ~seed ~trace_dump =
   in
   if ok then 0 else 1
 
-(* Plant the double-commit bug (dedup disabled), find a schedule that
-   catches it, and shrink that schedule to a minimal fault plan. Seeds
-   whose fault-free schedule already fails (client retransmission alone
-   can straddle a commit) shrink to an empty plan; prefer a seed where
-   the injected faults are essential, so the minimal plan pins them. *)
-let run_plant ~seed ~steps ~nem ~attempts =
+(* Plant the double-commit bug (dedup disabled), hunt counter schedules
+   for one that catches it, and shrink that schedule to a minimal fault
+   plan. Seeds whose fault-free schedule already fails (client
+   retransmission alone can straddle a commit) shrink to an empty plan;
+   prefer a seed where the injected faults are essential, so the minimal
+   plan pins them. *)
+let run_plant ~seed ~steps ~nem ~cfg_tweak ~attempts =
   let nem = { nem with Mcheck.dup_prob = 0.15 } in
-  let fails ~seed plan =
-    snd
-      (Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis:nem
-         ~disable_dedup:true ~shrink:false ~plan ~seed ())
-    <> None
+  let cfg_tweak c = Grid_paxos.Config.make ~base:(cfg_tweak c) ~disable_dedup:true () in
+  let run ~shrink ?plan s =
+    Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis:nem ~cfg_tweak
+      ~shrink ?plan ~seed:s ()
   in
+  let fails ~seed plan = snd (run ~shrink:false ~plan seed) <> None in
   let rec hunt s fallback =
     if s >= seed + attempts then fallback
     else
-      let _, failure =
-        Stress.run_one ~service:Stress.Counter_service ~steps ~nemesis:nem
-          ~disable_dedup:true ~shrink:true ~seed:s ()
-      in
+      let _, failure = run ~shrink:true s in
       match failure with
       | Some f when not (fails ~seed:s []) -> Some f
       | Some f -> hunt (s + 1) (if fallback = None then Some f else fallback)
@@ -106,7 +105,7 @@ let run_batch (p : _ Tier.plug) ~schedules ~base_seed ~quiet =
     1
   | None -> if p.failing_seeds summary = [] then 0 else 1
 
-let main schedules seed base_seed steps (Tier.Any tier) drift lease_ms plant_dedup quiet
+let main schedules seed base_seed steps tier drift lease_ms plant_dedup quiet
     trace_dump =
   let nemesis =
     if drift > 0.0 then { Stress.lease_nemesis with drift_prob = drift }
@@ -116,17 +115,23 @@ let main schedules seed base_seed steps (Tier.Any tier) drift lease_ms plant_ded
     if lease_ms > 0.0 then fun c -> Grid_paxos.Config.make ~base:c ~lease_ms ()
     else Fun.id
   in
-  if plant_dedup then run_plant ~seed:base_seed ~steps ~nem:nemesis ~attempts:40
-  else
+  match (plant_dedup, tier, seed) with
+  | true, Some _, _ -> `Error (true, "--plant-dedup hunts counter schedules; drop --tier")
+  | true, None, Some _ -> `Error (true, "--plant-dedup hunts from --base-seed; drop --seed")
+  | true, None, None ->
+    `Ok (run_plant ~seed:base_seed ~steps ~nem:nemesis ~cfg_tweak ~attempts:schedules)
+  | false, tier, seed -> (
+    let (Tier.Any tier) = Option.value tier ~default:(Tier.Any Both) in
     let p = Tier.plug ~steps ~nemesis ~cfg_tweak tier in
     match seed with
-    | Some seed -> run_seed p ~seed ~trace_dump
-    | None -> run_batch p ~schedules ~base_seed ~quiet
+    | Some seed -> `Ok (run_seed p ~seed ~trace_dump)
+    | None -> `Ok (run_batch p ~schedules ~base_seed ~quiet))
 
 let schedules_arg =
   Arg.(
     value & opt int 200
-    & info [ "schedules" ] ~docv:"N" ~doc:"Number of seeded schedules to run.")
+    & info [ "schedules" ] ~docv:"N"
+        ~doc:"Number of seeded schedules to run (with --plant-dedup: to hunt).")
 
 let seed_arg =
   Arg.(
@@ -151,7 +156,7 @@ let steps_arg =
 let tier_arg =
   Arg.(
     value
-    & opt (enum Tier.names) (List.assoc "both" Tier.names)
+    & opt (some ~none:"both" (enum Tier.names)) None
     & info [ "tier" ] ~docv:"TIER"
         ~doc:
           "Tier to run: $(b,counter), $(b,kv) or $(b,both) (one replica group, \
@@ -177,8 +182,9 @@ let plant_arg =
     value & flag
     & info [ "plant-dedup" ]
         ~doc:
-          "Demo: disable request deduplication, find a schedule that catches the \
-           resulting double-commit, and shrink it to a minimal fault plan.")
+          "Demo: disable request deduplication, find a counter schedule that \
+           catches the resulting double-commit, and shrink it to a minimal fault \
+           plan. Takes neither --tier nor --seed.")
 
 let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"No progress output.")
 
@@ -197,7 +203,8 @@ let cmd =
   Cmd.v
     (Cmd.info "grid-stress" ~doc)
     Term.(
-      const main $ schedules_arg $ seed_arg $ base_seed_arg $ steps_arg $ tier_arg
-      $ drift_arg $ lease_ms_arg $ plant_arg $ quiet_arg $ trace_dump_arg)
+      ret
+        (const main $ schedules_arg $ seed_arg $ base_seed_arg $ steps_arg $ tier_arg
+       $ drift_arg $ lease_ms_arg $ plant_arg $ quiet_arg $ trace_dump_arg))
 
 let () = exit (Cmd.eval' cmd)

@@ -8,22 +8,20 @@
     and recoveries at any step.
 
     This version adds a nemesis: per-delivery duplication and reordering
-    dice, torn-persist crashes (the process dies at the first store write
-    of a step, so that step's records and messages are all lost), silent
-    loss of metadata records, and crash-consistent recovery — a revived
-    replica is rebuilt from its persisted image via {!Replica.load}, not
-    from its in-memory carcass. Every fault that fires is recorded in a
-    {!plan}, at most one per (scheduler step, fault site), so a failing
-    run can be replayed exactly and then shrunk to a minimal failing
-    schedule.
+    dice, torn-persist crashes (the process dies while writing a step's
+    records, so only a prefix of them lands and none of the step's
+    messages leave), and crash-consistent recovery — a revived replica is
+    rebuilt from its persisted image via {!Replica.load}, not from its
+    in-memory carcass. Every fault that fires is recorded in a {!plan},
+    at most one per (scheduler step, fault site), so a failing run can be
+    replayed exactly and then shrunk to a minimal failing schedule.
 
     Each run uses one seed; scheduling choices and fault dice draw from
     two separate RNG streams. Each fault site makes one decision ([fault])
     that either rolls the fault dice or, given a plan, reads it; the
     fault's effect is written once, after that decision. Replaying a
     recorded plan therefore rolls no fault dice and leaves the scheduling
-    stream — and hence the schedule — unchanged. The per-replica storage
-    dice roll in both modes. *)
+    stream — and hence the schedule — unchanged. *)
 
 module Rng = Grid_util.Rng
 open Grid_paxos.Types
@@ -42,19 +40,24 @@ type fault_event =
   | Upgrade_at of { step : int; victim : int; version : int }
       (** rolling upgrade: the victim is bounced (crash-consistent
           restart) and comes back speaking wire-protocol [version] *)
+  | Tear_at of { step : int; victim : int; kept : int; records : int }
+      (** an armed torn crash struck: the first [kept] of the step's
+          [records] records landed *)
 
 type plan = fault_event list
 
-(* Where in a step a fault is decided: the step's nemesis event, or the
-   reorder and the duplicate of the message it delivers. A plan holds at
-   most one event per (step, site). *)
-type site = Nemesis | Reorder | Duplicate
+(* Where in a step a fault is decided: the step's nemesis event, the
+   reorder and the duplicate of the message it delivers, or the tear of
+   the engine step that message or timer drives. A plan holds at most
+   one event per (step, site). *)
+type site = Nemesis | Reorder | Duplicate | Tear
 
 let fault_key = function
   | Crash_at { step; _ } | Recover_at { step; _ } | Drift_at { step; _ }
   | Upgrade_at { step; _ } -> (step, Nemesis)
   | Reorder_at { step; _ } -> (step, Reorder)
   | Duplicate_at { step } -> (step, Duplicate)
+  | Tear_at { step; _ } -> (step, Tear)
 
 let pp_fault ppf = function
   | Crash_at { step; victim; torn } ->
@@ -66,6 +69,8 @@ let pp_fault ppf = function
     Format.fprintf ppf "@%d drift(%d,%+.2fms)" step victim offset_ms
   | Upgrade_at { step; victim; version } ->
     Format.fprintf ppf "@%d upgrade(%d,v%d)" step victim version
+  | Tear_at { step; victim; kept; records } ->
+    Format.fprintf ppf "@%d tear(%d, %d of %d)" step victim kept records
 
 let pp_plan ppf plan =
   Format.fprintf ppf "[@[%a@]]"
@@ -75,17 +80,13 @@ let pp_plan ppf plan =
 type nemesis = {
   crash_prob : float;  (** per-step probability of a crash (recover: 2x window) *)
   torn_frac : float;
-      (** fraction of crashes that are torn: the victim dies at the first
-          store write of its next persisting step instead of between
+      (** fraction of crashes that are torn: the victim dies while writing
+          the records of its next persisting step instead of between
           steps *)
   dup_prob : float;  (** per-delivery probability of re-enqueuing a copy *)
   reorder_prob : float;
       (** per-delivery probability of delivering from the middle of the
           channel instead of its head *)
-  meta_drop_prob : float;
-      (** per-persist probability that a commit-point or snapshot record
-          is silently lost (always repairable from the entry log and
-          peers) *)
   drift_prob : float;
       (** per-step probability that one replica's clock jumps to a fresh
           offset from virtual time *)
@@ -94,7 +95,7 @@ type nemesis = {
 
 let no_faults =
   { crash_prob = 0.0; torn_frac = 0.0; dup_prob = 0.0; reorder_prob = 0.0;
-    meta_drop_prob = 0.0; drift_prob = 0.0; drift_max_ms = 0.0 }
+    drift_prob = 0.0; drift_max_ms = 0.0 }
 
 (* Greedy event-removal shrinking: repeatedly try dropping each event;
    keep any removal after which the schedule still fails. One-at-a-time
@@ -146,7 +147,6 @@ type outcome = {
       (** the faults that actually fired, in order — replayable *)
   crashes : int;
   torn_persists : int;  (** persists that died mid-write *)
-  meta_dropped : int;  (** commit/snapshot records silently lost *)
   duplicated : int;
   reordered : int;
   drifted : int;  (** clock-drift injections that fired *)
@@ -167,39 +167,23 @@ type outcome = {
 (* ------------------------------------------------------------------ *)
 (* Storage faults                                                      *)
 
-type persist_fate = Torn | Landed of { dropped : int; rest : action list }
-
-(* A tear is the process dying at the step's first store write: no
-   record of the step lands and none of its sends or timers happen,
-   exactly a death between write and fsync-ack. It rolls one die, as
-   every storage fault decision does. A drop is a lost fsync on a
-   commit-point or snapshot record, whose loss recovery can always
-   repair from the entry log and peers; promise and entry records always
-   land. *)
-let persist_step store ~rng ~tear ~drop_prob actions =
+(* A tear is the process dying while it writes the step's records: the
+   first [k] of them land, as [Storage.file]'s one flushed frame per
+   record and its renamed snapshot file leave them, and none of the
+   step's sends or timers happen. [tear n] decides [k] for a step of [n]
+   records, or [None] when the step survives; a step without records
+   passes untouched. *)
+let persist_step store ~tear actions =
   let records, rest =
     List.partition_map (function Persist p -> Left p | a -> Right a) actions
   in
-  if records = [] then Landed { dropped = 0; rest }
-  else if tear then begin
-    ignore (Rng.float rng 1.0);
-    Torn
-  end
-  else begin
-    let dropped =
-      List.fold_left
-        (fun n p ->
-          match p with
-          | (Commit_point _ | Snapshot _)
-            when drop_prob > 0.0 && Rng.float rng 1.0 < drop_prob ->
-            n + 1
-          | _ ->
-            Grid_paxos.Storage.apply store p;
-            n)
-        0 records
-    in
-    Landed { dropped; rest }
-  end
+  match if records = [] then None else tear (List.length records) with
+  | None ->
+    List.iter (Grid_paxos.Storage.apply store) records;
+    Some rest
+  | Some k ->
+    List.iteri (fun j p -> if j < k then Grid_paxos.Storage.apply store p) records;
+    None
 
 module Make (S : Grid_paxos.Service_intf.S) = struct
   module R = Grid_paxos.Replica.Make (S)
@@ -215,13 +199,10 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     down : bool array;
     stores : Grid_paxos.Storage.t array;
     reads : (unit -> Grid_paxos.Storage.persisted) array;
-    dice : Rng.t array;  (* per-replica storage fault dice *)
     armed : bool array;  (* a torn crash waits for the replica's next write *)
-    (* The dice's rates; [no_faults] while draining. A replay reads only
-       its [meta_drop_prob], for the storage dice. *)
+    (* The dice's rates; [no_faults] while draining. A replay reads the
+       plan instead. *)
     mutable nem : nemesis;
-    mutable torn : int;
-    mutable dropped : int;
     (* FIFO queue per directed pair, keyed (src, dst); client requests
        travel through these too, so the nemesis dice apply to them. *)
     channels : (int * int, msg Queue.t) Hashtbl.t;
@@ -307,19 +288,31 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       sched.timers <- List.filter (fun (j, _, _) -> j <> i) sched.timers
     end
 
-  (* The step's records go to the replica's store under the fault dice
-     before any of its messages or timers; a torn step is the crash. *)
+  (* An armed replica's step with [n] records is torn: the first [kept]
+     land. [kept] is the one fault decision at this step's [Tear] site. *)
+  let tear sched i n =
+    if not sched.armed.(i) then None
+    else
+      let roll _ frng =
+        Some
+          (Tear_at
+             { step = sched.nstep; victim = i; kept = Rng.int frng (n + 1); records = n })
+      in
+      match fault sched Tear roll with
+      | Some (Tear_at { victim; kept; _ }) when victim = i ->
+        let kept = min kept n in
+        record sched (Tear_at { step = sched.nstep; victim = i; kept; records = n });
+        Some kept
+      | _ -> None
+
+  (* The step's records go to the replica's store before any of its
+     messages or timers; a torn step is the crash. *)
   let exec_actions sched i actions =
-    match
-      persist_step sched.stores.(i) ~rng:sched.dice.(i) ~tear:sched.armed.(i)
-        ~drop_prob:sched.nem.meta_drop_prob actions
-    with
-    | Torn ->
-      sched.torn <- sched.torn + 1;
+    match persist_step sched.stores.(i) ~tear:(tear sched i) actions with
+    | None ->
       sched.armed.(i) <- false;
       mark_down sched i
-    | Landed { dropped; rest } ->
-      sched.dropped <- sched.dropped + dropped;
+    | Some rest ->
       List.iter
         (function
           | Send { dst; msg } ->
@@ -619,9 +612,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       S.encode_op op )
 
   let explore ?(obs = Grid_obs.Span.Recorder.disabled) ?(seed = 1)
-      ?(steps = 5_000) ?(nemesis = no_faults) ?(disable_dedup = false)
-      ?(cfg_tweak = Fun.id) ?(requests = []) ?wire_versions ?(upgrades = [])
-      ?plan () =
+      ?(steps = 5_000) ?(nemesis = no_faults) ?(cfg_tweak = Fun.id) ?(requests = [])
+      ?wire_versions ?(upgrades = []) ?plan () =
     let rng = Rng.of_int seed in
     let mode =
       match plan with
@@ -632,7 +624,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         Replay tbl
     in
     let cfg : Grid_paxos.Config.t =
-      cfg_tweak (Grid_paxos.Config.make ~n:3 ~record_history:true ~disable_dedup ())
+      cfg_tweak (Grid_paxos.Config.make ~n:3 ~record_history:true ())
     in
     let wire =
       match wire_versions with
@@ -677,11 +669,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         down = Array.make cfg.n false;
         stores;
         reads;
-        dice = Array.init cfg.n (fun i -> Rng.of_int ((seed * 31) + i));
         armed = Array.make cfg.n false;
         nem = nemesis;
-        torn = 0;
-        dropped = 0;
         channels = Hashtbl.create 32;
         timers = [];
         vnow = 0.0;
@@ -904,8 +893,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
       all_replied;
       plan;
       crashes = sched.crashes;
-      torn_persists = sched.torn;
-      meta_dropped = sched.dropped;
+      torn_persists = count (function Tear_at _ -> true | _ -> false);
       duplicated = count (function Duplicate_at _ -> true | _ -> false);
       reordered = count (function Reorder_at _ -> true | _ -> false);
       drifted = count (function Drift_at _ -> true | _ -> false);

@@ -9,11 +9,10 @@
     - {b crashes and recoveries} at any step — recovery is
       crash-consistent: the replica is rebuilt from its persisted image
       via {!Grid_paxos.Replica.Make.load}, not from the in-memory object;
-    - {b torn persists}: a crash can instead be armed to strike at the
-      victim's next store write ({!persist_step}): the records and the
-      messages of that engine step are all lost;
-    - {b metadata loss}: commit-point and snapshot records silently
-      dropped on the way to disk (always repairable);
+    - {b torn persists}: a crash can instead be armed to strike while
+      the victim writes its next step's records ({!persist_step}): a
+      prefix of them lands, as on [Storage.file] when the process dies,
+      and none of the step's messages or timers leave;
     - {b duplication}: a delivered message is re-enqueued at its
       channel's tail, arriving again later (a retransmission);
     - {b reordering}: a delivery taken from the middle of its channel
@@ -27,11 +26,11 @@
 
     Every fault that fires is recorded in a {!plan}, at most one event
     per scheduler step and fault site (the step's nemesis event, the
-    delivered message's reorder, its duplicate). Each site makes one
-    decision that either rolls the fault dice or reads the plan, and
-    scheduling choices draw from a separate RNG stream, so
-    {!Make.explore} with the [plan] of a recorded run rolls no fault dice
-    and reproduces the run exactly; {!shrink_plan} then greedily drops
+    delivered message's reorder, its duplicate, the tear of the step's
+    records). Each site makes one decision that either rolls the fault
+    dice or reads the plan, and scheduling choices draw from a separate
+    RNG stream, so {!Make.explore} with the [plan] of a recorded run
+    rolls no dice and reproduces the run exactly; {!shrink_plan} then greedily drops
     plan events to find a minimal failing schedule. *)
 
 (** {1 Fault plans} *)
@@ -48,10 +47,12 @@ type fault_event =
   | Upgrade_at of { step : int; victim : int; version : int }
       (** rolling upgrade: the victim is bounced (crash-consistent
           restart) and comes back speaking wire-protocol [version] *)
+  | Tear_at of { step : int; victim : int; kept : int; records : int }
+      (** the victim's torn crash struck at [step]: the first [kept] of
+          the step's [records] records landed ([0 <= kept <= records]) *)
 
 type plan = fault_event list
 
-val pp_fault : Format.formatter -> fault_event -> unit
 val pp_plan : Format.formatter -> plan -> unit
 
 type nemesis = {
@@ -61,9 +62,6 @@ type nemesis = {
   torn_frac : float;  (** fraction of crashes that are torn persists *)
   dup_prob : float;  (** per-delivery duplication probability *)
   reorder_prob : float;  (** per-delivery FIFO-escape probability *)
-  meta_drop_prob : float;
-      (** per-persist probability of silently losing a commit-point or
-          snapshot record (see {!persist_step}) *)
   drift_prob : float;
       (** per-step probability that one replica's clock jumps to a fresh
           offset; dice for it roll only when positive, so seeds explored
@@ -113,8 +111,7 @@ type outcome = {
       (** the faults that actually fired, in order; at most one per
           (step, site) *)
   crashes : int;
-  torn_persists : int;
-  meta_dropped : int;
+  torn_persists : int;  (** the plan's [Tear_at] events *)
   duplicated : int;
   reordered : int;
   drifted : int;  (** clock-drift injections that fired *)
@@ -136,24 +133,16 @@ type outcome = {
 
 (** {1 Storage faults} *)
 
-type persist_fate =
-  | Torn  (** the step died at its first record: nothing of it survives *)
-  | Landed of { dropped : int; rest : Grid_paxos.Types.action list }
-      (** every record was written but [dropped] commit-point or snapshot
-          records; [rest] are the step's other actions, in order *)
-
 val persist_step :
   Grid_paxos.Storage.t ->
-  rng:Grid_util.Rng.t ->
-  tear:bool ->
-  drop_prob:float ->
+  tear:(int -> int option) ->
   Grid_paxos.Types.action list ->
-  persist_fate
+  Grid_paxos.Types.action list option
 (** Apply one engine step's {!Grid_paxos.Types.Persist} records to a
-    store under the fault dice. With [tear], a step with any record is
-    [Torn]; a step without records passes through. Otherwise each
-    commit-point or snapshot record is lost with probability
-    [drop_prob]; promise and entry records always land. *)
+    store. [tear n] is asked only for a step with [n > 0] records: [None]
+    writes them all and returns the step's other actions, in order;
+    [Some k] writes the first [k] and returns [None] — the process died
+    mid-step, so none of its sends or timers run. *)
 
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)
@@ -168,7 +157,6 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     ?seed:int ->
     ?steps:int ->
     ?nemesis:nemesis ->
-    ?disable_dedup:bool ->
     ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
     ?requests:(int * Grid_paxos.Types.rtype * string) list ->
     ?wire_versions:int array ->
@@ -183,11 +171,11 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       injected in order (closed loop) and retransmitted until answered.
       The nemesis keeps at most one replica down at a time. After [steps] scheduling choices the nemesis stops, every replica
       is recovered from storage, and the system is drained so liveness
-      can be asserted. [disable_dedup] plants the double-commit bug the
-      request-dedup table exists to prevent (for validating that the
-      checkers and shrinker catch it). [cfg_tweak] edits the group's
+      can be asserted. [cfg_tweak] edits the group's
       {!Grid_paxos.Config.t} before the replicas are built — e.g. to
-      enable leader leases ([lease_ms]) for the stale-read oracle.
+      enable leader leases ([lease_ms]) for the stale-read oracle, or
+      [disable_dedup] to plant the double-commit bug the request-dedup
+      table exists to prevent.
 
       [wire_versions] turns on the wire-codec model: one protocol
       version per replica, and every delivered message is run through
@@ -200,11 +188,9 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       failures land in [wire_errors] and fail the run.
 
       [plan] replays a schedule: every fault decision (crash, recovery,
-      drift, upgrade, reorder, duplicate) is read from the plan instead
-      of rolled, so the fault dice and the [upgrades] script are not
-      consulted and [nemesis] supplies only [meta_drop_prob], the rate
-      of the per-replica storage dice, which roll as when recording.
-      With the plan and the other arguments of a recorded run, the
+      drift, upgrade, reorder, duplicate, tear) is read from the plan
+      instead of rolled, so neither [nemesis] nor the [upgrades] script
+      is consulted. With the plan and the other arguments of a recorded run, the
       replay is exact; with a shrunk plan it is best-effort: an event
       whose precondition no longer holds (its victim already down or
       up, or a crash while another replica is down) is skipped and left

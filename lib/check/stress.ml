@@ -1,6 +1,6 @@
 (** The nemesis stress harness: many seeded model-checker schedules with
     the full cross-layer fault mix — crashes (clean and torn-persist),
-    metadata loss, message duplication and reordering — asserting
+    message duplication and reordering — asserting
     agreement, durability, and client-visible linearizability on each,
     and shrinking any failing schedule to a minimal fault plan.
 
@@ -24,7 +24,6 @@ let default_nemesis =
     torn_frac = 0.3;
     dup_prob = 0.03;
     reorder_prob = 0.03;
-    meta_drop_prob = 0.05;
     drift_prob = 0.0;
     drift_max_ms = 0.0;
   }
@@ -52,7 +51,6 @@ type summary = {
   unreplied : int;  (** schedules where the drain left requests unanswered *)
   crashes : int;
   torn_persists : int;
-  meta_dropped : int;
   duplicated : int;
   reordered : int;
   drifted : int;
@@ -74,7 +72,6 @@ let empty_summary =
     unreplied = 0;
     crashes = 0;
     torn_persists = 0;
-    meta_dropped = 0;
     duplicated = 0;
     reordered = 0;
     drifted = 0;
@@ -89,9 +86,9 @@ let admitted_p99 (o : Mcheck.outcome) =
   if Array.length o.admitted_latencies = 0 then 0.0
   else Grid_util.Stats.percentile o.admitted_latencies 99.0
 
-(* What a replay from a recorded plan must reproduce: the plan itself,
-   the replies, deliveries, commit points, timer fires and the storage
-   dice's metadata drops and torn persists. *)
+(* What a replay from a recorded plan must reproduce: the plan itself
+   (tears included), the replies, deliveries, commit points, timer fires
+   and torn persists. *)
 let replay_differences (o : Mcheck.outcome) (r : Mcheck.outcome) =
   List.filter_map
     (fun (field, same) -> if same then None else Some field)
@@ -101,7 +98,6 @@ let replay_differences (o : Mcheck.outcome) (r : Mcheck.outcome) =
       ("delivered", r.delivered = o.delivered);
       ("committed", r.committed = o.committed);
       ("timer_fires", r.timer_fires = o.timer_fires);
-      ("meta_dropped", r.meta_dropped = o.meta_dropped);
       ("torn_persists", r.torn_persists = o.torn_persists);
     ]
 
@@ -112,7 +108,6 @@ let add_outcome summary (o : Mcheck.outcome) failure =
     unreplied = (summary.unreplied + if o.all_replied then 0 else 1);
     crashes = summary.crashes + o.crashes;
     torn_persists = summary.torn_persists + o.torn_persists;
-    meta_dropped = summary.meta_dropped + o.meta_dropped;
     duplicated = summary.duplicated + o.duplicated;
     reordered = summary.reordered + o.reordered;
     drifted = summary.drifted + o.drifted;
@@ -311,12 +306,10 @@ module Harness (Spec : SPEC) = struct
      on failure optionally shrink its fault plan to a minimal one that
      still fails (under deterministic replay through this same path). *)
   let run_one ?obs ?(steps = 1_200) ?(nemesis = default_nemesis)
-      ?(disable_dedup = false) ?(cfg_tweak = Fun.id) ?(shrink = true) ?plan ~seed
-      () =
+      ?(cfg_tweak = Fun.id) ?(shrink = true) ?plan ~seed () =
     let requests = requests_for ~seed in
     let run ?obs ?plan () =
-      MC.explore ?obs ~seed ~steps ~nemesis ~disable_dedup ~cfg_tweak ~requests
-        ?plan ()
+      MC.explore ?obs ~seed ~steps ~nemesis ~cfg_tweak ~requests ?plan ()
     in
     let o = run ?obs ?plan () in
     match reasons_of requests o with
@@ -390,10 +383,10 @@ let pp_failure ppf f =
 let pp_summary ppf s =
   Format.fprintf ppf
     "@[<v>%d schedules: %d failing, %d unreplied@ faults: %d crashes (%d torn \
-     persists), %d metadata records dropped, %d duplicated, %d reordered, %d \
-     clock drifts@ traffic: %d deliveries, %d replies@]"
+     persists), %d duplicated, %d reordered, %d clock drifts@ traffic: %d \
+     deliveries, %d replies@]"
     s.schedules (List.length s.failures) s.unreplied s.crashes s.torn_persists
-    s.meta_dropped s.duplicated s.reordered s.drifted s.delivered s.replies;
+    s.duplicated s.reordered s.drifted s.delivered s.replies;
   if s.shed > 0 then
     Format.fprintf ppf "@ overload: %d shed, admitted p99 <= %.1f ms" s.shed
       s.admitted_p99_max;

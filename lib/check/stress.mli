@@ -1,7 +1,7 @@
 (** The nemesis stress harness: seeded model-checker schedules with the
-    full cross-layer fault mix — clean and torn-persist crashes, silent
-    metadata loss, message duplication and cross-channel reordering —
-    asserting on every schedule that
+    full cross-layer fault mix — clean and torn-persist crashes (a torn
+    one keeps a prefix of its step's records), message duplication and
+    cross-channel reordering — asserting on every schedule that
 
     - {b agreement} holds (same ⟨batch, state⟩ per instance, in-order
       application, exactly-once commits);
@@ -25,8 +25,7 @@ val service_name : service -> string
 
 val default_nemesis : Mcheck.nemesis
 (** The standard stress mix: rare crashes (30% torn), 3% duplication and
-    reordering per delivery, 5% metadata-record loss per persist. No
-    clock drift — existing seeds replay unchanged. *)
+    reordering per delivery. No clock drift. *)
 
 val lease_nemesis : Mcheck.nemesis
 (** {!default_nemesis} plus clock drift (0.5% per step, up to ±2 ms) for
@@ -47,7 +46,6 @@ type summary = {
   unreplied : int;  (** schedules where the drain left requests unanswered *)
   crashes : int;
   torn_persists : int;
-  meta_dropped : int;
   duplicated : int;
   reordered : int;
   drifted : int;  (** clock-drift injections across the batch *)
@@ -63,21 +61,17 @@ type summary = {
           a failure reason on the offending schedule *)
 }
 
-val admitted_p99 : Mcheck.outcome -> float
-(** p99 of {!Mcheck.outcome.admitted_latencies} ([0.] when empty). *)
-
 val replay_differences : Mcheck.outcome -> Mcheck.outcome -> string list
 (** [replay_differences run replay] names the outcome fields in which a
     replay of [run]'s plan differs from [run]: ["plan"], ["replies"],
-    ["delivered"], ["committed"], ["timer_fires"], ["meta_dropped"],
-    ["torn_persists"]. Empty iff the replay was exact. *)
+    ["delivered"], ["committed"], ["timer_fires"], ["torn_persists"].
+    Empty iff the replay was exact. *)
 
 val run_one :
   service:service ->
   ?obs:Grid_obs.Span.Recorder.t ->
   ?steps:int ->
   ?nemesis:Mcheck.nemesis ->
-  ?disable_dedup:bool ->
   ?cfg_tweak:(Grid_paxos.Config.t -> Grid_paxos.Config.t) ->
   ?shrink:bool ->
   ?plan:Mcheck.plan ->
@@ -86,9 +80,10 @@ val run_one :
   Mcheck.outcome * failure option
 (** One seeded schedule over a generated workload (3 closed-loop clients,
     mixed reads and writes, derived from the seed). [obs] receives the
-    replicas' lifecycle spans (deterministic per seed). [disable_dedup]
-    plants the double-commit bug for shrinker demonstrations; [cfg_tweak]
-    edits the group config, e.g. to enable leader leases. [plan] replays
+    replicas' lifecycle spans (deterministic per seed). [cfg_tweak]
+    edits the group config, e.g. to enable leader leases or to plant the
+    double-commit bug ([disable_dedup]) for shrinker demonstrations.
+    [plan] replays
     that fault plan instead of rolling the fault dice (see
     {!Mcheck.Make.explore}); pass the recording's other arguments too,
     and [~shrink:false] to check a replay without shrinking it again.

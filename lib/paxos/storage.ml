@@ -1,5 +1,4 @@
 module Wire = Grid_codec.Wire
-module Rng = Grid_util.Rng
 
 type persisted = {
   promised : Types.Ballot.t;
@@ -256,30 +255,3 @@ let file ~path =
     }
   in
   (store, recovered, report)
-
-(* ------------------------------------------------------------------ *)
-(* Nemesis: file-corruption helpers *)
-
-(* Damage a closed log file in place, as a crash or failing disk would.
-   Both return [false] when the file is missing or too small to damage. *)
-
-let tear_log ~path ~rng =
-  let log_path = path ^ ".log" in
-  if not (Sys.file_exists log_path) then false
-  else begin
-    let ic = open_in_bin log_path in
-    let len = in_channel_length ic in
-    let all = really_input_string ic len in
-    close_in ic;
-    if len < 2 then false
-    else begin
-      (* Chop a random number of trailing bytes — at least one, at most
-         the final record plus change. *)
-      let cut = 1 + Rng.int rng (min len 64) in
-      let oc = open_out_bin log_path in
-      output_string oc (String.sub all 0 (len - cut));
-      close_out oc;
-      true
-    end
-  end
-

@@ -12,9 +12,12 @@
       only);
     - {!file}: an append-only CRC-protected log plus snapshot file.
 
-    A driver with no store ignores the records. Storage faults (torn
-    writes, lost fsyncs) belong to the model checker's nemesis
-    ([Mcheck.persist_step]); {!tear_log} damages a real log file. *)
+    A driver with no store ignores the records. A process crash keeps a
+    prefix of what was written: {!file} flushes one CRC frame per record
+    and installs a snapshot by renaming a complete temp file, so
+    recovery after a crash at any point gives the image of the records
+    that completed. The model checker's torn persists
+    ([Mcheck.persist_step]) inject exactly that fault. *)
 
 type persisted = {
   promised : Types.Ballot.t;
@@ -62,9 +65,3 @@ val file : path:string -> t * persisted option * recovery_report
     runtime — {!Replica.load} tolerates the resulting holes and the
     replica catches up through the existing multi-instance prepare /
     snapshot catch-up path. *)
-
-(** {1 Nemesis} *)
-
-val tear_log : path:string -> rng:Grid_util.Rng.t -> bool
-(** Chop 1–64 random trailing bytes off [path ^ ".log"], as a crash mid
-    write would. [false] if there was nothing to tear. *)

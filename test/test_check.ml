@@ -146,59 +146,49 @@ let test_mcheck_deterministic_replay () =
   Alcotest.(check int) "same timer fires" o1.timer_fires o2.timer_fires;
   Alcotest.(check (array int)) "same commit points" o1.committed o2.committed
 
-(* The model checker's storage dice, one engine step at a time: a torn
-   step loses every record from its first on, with its sends and
-   timers, while earlier steps' records stay; meta drops hit only
-   commit-point and snapshot records. *)
-let test_mcheck_persist_dice () =
+(* The model checker's one storage fault, one engine step at a time: a
+   step torn at k keeps exactly the first k of its records and runs none
+   of its sends or timers, while earlier steps' records stay; an untorn
+   step lands whole, and a step without records is never torn. *)
+let test_mcheck_tear_at_k () =
   let module Storage = Grid_paxos.Storage in
   let ballot round = Ballot.make ~round ~holder:0 in
   let entry =
-    { instance = 1; ballot = ballot 2;
+    { instance = 1; ballot = ballot 3;
       proposal = { requests = [ mk_req 1 ]; update = Full "s"; replies = [] } }
   in
   let send = Send { dst = 1; msg = Reject { promised = ballot 2 } } in
   let timer = After { delay = 1.0; timer = Hb_tick } in
-  let store, read = Storage.memory () in
-  let rng = Grid_util.Rng.of_int 3 in
-  let step ?(tear = false) ?(drop_prob = 0.0) actions =
-    Grid_check.Mcheck.persist_step store ~rng ~tear ~drop_prob actions
-  in
-  let landed what ~dropped ~rest = function
-    | Grid_check.Mcheck.Landed l ->
-      Alcotest.(check int) (what ^ ": dropped") dropped l.dropped;
-      Alcotest.(check bool) (what ^ ": other actions kept in order") true (l.rest = rest)
-    | Torn -> Alcotest.failf "%s: unexpected tear" what
-  in
-  (* No dice armed: every record lands. *)
-  landed "clean step" ~dropped:0 ~rest:[ send; timer ]
-    (step [ Persist (Promise (ballot 2)); Persist (Commit_point 1); send; timer ]);
-  (* Armed tear: a step without records passes; the next one with
-     records dies whole. *)
-  landed "no records to tear" ~dropped:0 ~rest:[ send ] (step ~tear:true [ send ]);
-  (match
-     step ~tear:true
-       [ Persist (Promise (ballot 3)); Persist (Entry entry); Persist (Commit_point 5);
-         send; timer ]
-   with
-  | Torn -> ()
-  | Landed _ -> Alcotest.fail "an armed tear must strike the step's first record");
-  let p = read () in
-  Alcotest.(check bool) "earlier promise stays" true (Ballot.equal (ballot 2) p.promised);
-  Alcotest.(check int) "earlier commit point stays" 1 p.commit_point;
-  Alcotest.(check int) "torn entry lost" 0 (List.length p.entries);
-  (* Meta drops: commit-point and snapshot records vanish, but the
-     promise and entry records the durability contract depends on land. *)
-  landed "meta drops" ~dropped:2 ~rest:[ send ]
-    (step ~drop_prob:1.0
-       [ Persist (Commit_point 4); Persist (Snapshot "gone"); Persist (Entry entry);
-         Persist (Promise (ballot 3)); send ]);
-  let p = read () in
-  Alcotest.(check int) "commit dropped" 1 p.commit_point;
-  Alcotest.(check (option string)) "snapshot dropped" None p.snapshot;
-  Alcotest.(check int) "entry persisted despite drop dice" 1 (List.length p.entries);
-  Alcotest.(check bool) "promise persisted despite drop dice" true
-    (Ballot.equal (ballot 3) p.promised)
+  let step store tear actions = Grid_check.Mcheck.persist_step store ~tear actions in
+  let never _ = Alcotest.fail "a step without records must not be torn" in
+  for k = 0 to 3 do
+    let what = Printf.sprintf "k = %d" k in
+    let store, read = Storage.memory () in
+    Alcotest.(check bool) (what ^ ": untorn step keeps its other actions in order")
+      true
+      (step store (fun _ -> None)
+         [ Persist (Promise (ballot 2)); send; Persist (Commit_point 1); timer ]
+       = Some [ send; timer ]);
+    Alcotest.(check bool) (what ^ ": no records to tear") true
+      (step store never [ send ] = Some [ send ]);
+    let asked = ref 0 in
+    let torn =
+      step store
+        (fun n ->
+          asked := n;
+          Some k)
+        [ Persist (Promise (ballot 3)); send; Persist (Entry entry);
+          Persist (Commit_point 5); timer ]
+    in
+    Alcotest.(check int) (what ^ ": tear sees the step's records") 3 !asked;
+    Alcotest.(check bool) (what ^ ": no send or timer runs") true (torn = None);
+    let p = read () in
+    Alcotest.(check int) (what ^ ": promise") (if k >= 1 then 3 else 2) p.promised.round;
+    Alcotest.(check int) (what ^ ": entries") (if k >= 2 then 1 else 0)
+      (List.length p.entries);
+    Alcotest.(check int) (what ^ ": commit point") (if k >= 3 then 5 else 1)
+      p.commit_point
+  done
 
 (* Convert model-checker replies into a counter history: each client's
    ops are sequential (program order via invocation windows), ordering
@@ -397,7 +387,7 @@ let suite =
         Alcotest.test_case "150 crashy schedules" `Slow test_mcheck_with_crashes;
         Alcotest.test_case "seeded replay is deterministic" `Quick
           test_mcheck_deterministic_replay;
-        Alcotest.test_case "storage dice tear and drop" `Quick test_mcheck_persist_dice;
+        Alcotest.test_case "tear keeps a prefix" `Quick test_mcheck_tear_at_k;
         Alcotest.test_case "a replayed crash keeps a quorum" `Quick
           test_mcheck_replayed_crash_keeps_quorum;
         Alcotest.test_case "reply histories linearizable" `Slow
