@@ -174,6 +174,7 @@ let test_fp_hits_ranges =
    payloads, fed to a fresh reader in random 1–1500 byte chunks (as
    non-blocking reads return them) and drained after every chunk. *)
 module Framing = Grid_net.Framing
+module Frame = Grid_codec.Frame
 
 let stream, chunks =
   let rng = Random.State.make [| 7 |] in
@@ -206,9 +207,9 @@ let test_reader =
          let r = Framing.reader () in
          List.iter
            (fun (pos, n) ->
-             Framing.feed r s pos n;
+             Frame.feed r s pos n;
              let rec drain () =
-               match Framing.next_frame r with Some (Ok _) -> drain () | _ -> ()
+               match Frame.next_frame r with Some (Ok _) -> drain () | _ -> ()
              in
              drain ())
            chunks))

@@ -115,12 +115,14 @@ let main schedules seed base_seed steps tier drift lease_ms plant_dedup quiet
     if lease_ms > 0.0 then fun c -> Grid_paxos.Config.make ~base:c ~lease_ms ()
     else Fun.id
   in
-  match (plant_dedup, tier, seed) with
-  | true, Some _, _ -> `Error (true, "--plant-dedup hunts counter schedules; drop --tier")
-  | true, None, Some _ -> `Error (true, "--plant-dedup hunts from --base-seed; drop --seed")
-  | true, None, None ->
+  match (plant_dedup, tier, seed, trace_dump) with
+  | true, Some _, _, _ -> `Error (true, "--plant-dedup hunts counter schedules; drop --tier")
+  | true, None, Some _, _ -> `Error (true, "--plant-dedup hunts from --base-seed; drop --seed")
+  | true, None, None, Some _ -> `Error (true, "--plant-dedup dumps no trace; drop --trace-dump")
+  | true, None, None, None ->
     `Ok (run_plant ~seed:base_seed ~steps ~nem:nemesis ~cfg_tweak ~attempts:schedules)
-  | false, tier, seed -> (
+  | false, _, None, Some _ -> `Error (true, "--trace-dump dumps one schedule; add --seed")
+  | false, tier, seed, _ -> (
     let (Tier.Any tier) = Option.value tier ~default:(Tier.Any Both) in
     let p = Tier.plug ~steps ~nemesis ~cfg_tweak tier in
     match seed with
@@ -184,7 +186,7 @@ let plant_arg =
         ~doc:
           "Demo: disable request deduplication, find a counter schedule that \
            catches the resulting double-commit, and shrink it to a minimal fault \
-           plan. Takes neither --tier nor --seed.")
+           plan. Takes none of --tier, --seed and --trace-dump.")
 
 let quiet_arg = Arg.(value & flag & info [ "quiet" ] ~doc:"No progress output.")
 

@@ -1,26 +1,31 @@
-(** Length-prefixed, CRC-protected message framing over file descriptors.
+(** Frames over file descriptors: the blocking reads and writes, the
+    incremental reader's wire bound and socket reads, the output queue,
+    and the connection hello.
 
-    Frame layout: 4-byte little-endian payload length, then the payload
-    with the 4-byte CRC32 trailer of {!Grid_codec.Wire.with_crc}. The
-    maximum frame size guards against corrupt length headers.
+    The frame format and its parsing belong to {!Grid_codec.Frame}, the
+    one codec of the wire and of the replica log on disk: a 4-byte
+    little-endian body length, then the payload and the CRC-32 trailer
+    of {!Grid_codec.Wire.with_crc}. On the wire a body may not exceed
+    {!max_frame}, which guards against corrupt length headers.
 
     Reads return typed [result] values — [Eof] for a peer that hung up
-    between frames, [`Corrupt`] for bad lengths, CRC mismatches,
+    between frames, [Corrupt] for bad lengths, CRC mismatches,
     truncated bodies, or payloads the codec rejects — so reader loops
     can tell corruption from normal disconnects instead of both
     unwinding as exceptions. The blocking write path still raises
     ({!Closed} / [Unix.Unix_error]).
 
     Two ways to read: {!read_frame} blocks on a descriptor until one
-    frame is in, and the incremental {!reader} takes bytes as they arrive
-    (from a non-blocking socket or from memory) and yields every complete
-    frame. Fed the same bytes, both yield the same frames and the same
-    first error. The {!writer} is the matching output queue. *)
+    frame is in, and the incremental {!Grid_codec.Frame.reader} takes
+    bytes as they arrive (from a non-blocking socket, {!read_from}) and
+    yields every complete frame. Both are built from the same header and
+    body checks: fed the same bytes, they yield the same frames and the
+    same first error. The {!writer} is the matching output queue. *)
 
 exception Closed
 (** Raised by writes on EOF or a closed peer. *)
 
-type read_error =
+type read_error = Grid_codec.Frame.read_error =
   | Eof  (** peer closed the connection cleanly, between frames *)
   | Corrupt of { pos : int; msg : string }
       (** frame or payload failed validation; the stream cannot be
@@ -41,34 +46,13 @@ val read_frame : Unix.file_descr -> (string, read_error) result
     the first byte is [Eof]; EOF inside the header or the body is
     [Corrupt]. *)
 
-(** {2 Incremental reader} *)
+val reader : unit -> Grid_codec.Frame.reader
+(** An incremental reader bounded by {!max_frame}. *)
 
-type reader
-(** Bytes received and not yet parsed. The buffer starts at 1 KiB, grows
-    only while one frame does not fit, and drops back to 1 KiB once it
-    drains. *)
-
-val reader : unit -> reader
-
-val read_from : reader -> Unix.file_descr -> int
-(** One [read] into the buffer; the byte count, 0 at EOF. Raises
-    [Unix.Unix_error] as [read] does ([EAGAIN] on a non-blocking socket
-    with nothing to read). *)
-
-val feed : reader -> string -> int -> int -> unit
-(** [feed r s off len] appends [s.[off .. off+len)]. *)
-
-val next_frame : reader -> (string, read_error) result option
-(** The next complete frame's payload, [None] when the buffer holds only
-    part of one. After an [Error] the stream cannot be resynchronized. *)
-
-val eof_error : reader -> read_error
-(** What EOF means now: [Eof] between frames, [Corrupt] inside one. *)
-
-val buffered : reader -> int
-
-val peek : reader -> int -> string
-(** Up to the first [n] buffered bytes, without consuming them. *)
+val read_from : Grid_codec.Frame.reader -> Unix.file_descr -> int
+(** One [read] into the reader's buffer; the byte count, 0 at EOF.
+    Raises [Unix.Unix_error] as [read] does ([EAGAIN] on a non-blocking
+    socket with nothing to read). *)
 
 (** {2 Output queue} *)
 

@@ -116,6 +116,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
   let replica_metrics h = Transport.registry h.node
   let replica_watchdog h = h.r_watchdog
   let replica_peer_versions h = on_loop h (fun () -> Transport.peer_versions h.node)
+  let replica_transport h = h.node
 
   let stop_replica h = Transport.stop h.node
 
@@ -219,6 +220,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     call h rtype ~payload:(S.encode_op op) ~timeout_s
 
   let client_metrics h = Transport.registry h.c_node
+  let client_transport h = h.c_node
 
   let client_peer_versions h =
     Transport.run_on_loop h.c_node (fun () -> Transport.peer_versions h.c_node)

@@ -12,12 +12,16 @@
     socket once and hands every complete frame to the engine. So all of
     a round's sends leave together, after all of its inputs. Admin HTTP
     requests (below) are answered by the same thread: a node starts no
-    other.
+    other. A loop that an exception ends (a handler that raises,
+    [select] refusing a descriptor) shuts down as a stopped one does:
+    it runs the thunks already injected, closes its sockets, and the
+    node refuses further work, so callers get [Invalid_argument] or
+    [None] instead of waiting forever.
 
     {b Non-blocking I/O.} Every socket is non-blocking and nothing in
     the loop blocks but [select]:
-    - reads go into a per-socket {!Framing.reader} (4 KiB, grown only
-      for a large frame and shrunk back once it drains);
+    - reads go into a per-socket {!Grid_codec.Frame.reader} (1 KiB,
+      grown only for a large frame and shrunk back once it drains);
     - writes go into a per-socket output queue, flushed while the socket
       is writable. A peer that stops reading (a stopped process) fills
       its queue up to {!send_queue_bound}; past that, new frames to it
@@ -160,6 +164,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   val replica_peer_versions : replica_handle -> (int * int) list
   (** [(peer, negotiated wire version)] for every live connection. *)
 
+  val replica_transport : replica_handle -> Transport.t
+  (** The node under the handle, for posting work onto its loop
+      ({!Transport.inject}). *)
+
   val stop_replica : replica_handle -> unit
   (** Stop the loop, answer [503] to any admin request still arriving,
       close the listener, the connections and the node's wake pipe, and
@@ -205,6 +213,9 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       being retransmitted) until it completes, and until then every
       [call_op] returns [None] at once without submitting anything.
       On a stopped client, [call_op] also returns [None] at once. *)
+
+  val client_transport : client_handle -> Transport.t
+  (** As {!replica_transport}. *)
 
   val client_metrics : client_handle -> Grid_obs.Metrics.t
 

@@ -4,6 +4,7 @@ module Span = Grid_obs.Span
 module Metrics = Grid_obs.Metrics
 module Wire_codec = Grid_paxos.Wire_codec
 module Meters = Net_meters
+module Frame = Grid_codec.Frame
 
 let now_ms () = Unix.gettimeofday () *. 1000.0
 
@@ -36,7 +37,7 @@ type conn = {
   fd : Unix.file_descr;
   mutable peer : int;  (* -1 on an accepted socket until its hello *)
   mutable phase : phase;
-  rd : Framing.reader;
+  rd : Frame.reader;
   wr : Framing.writer;
   held : msg Queue.t;  (* sent while this dial's handshake is in flight *)
   mutable closed : bool;
@@ -354,7 +355,7 @@ let rec process t ~routes ~deliver c =
     match c.phase with
     | Connecting | Http_reply -> ()
     | Sniffing deadline -> (
-      match Admin_http.sniff (Framing.peek c.rd 4) with
+      match Admin_http.sniff (Frame.peek c.rd 4) with
       | `Protocol ->
         c.phase <- Hello_in;
         process t ~routes ~deliver c
@@ -367,9 +368,9 @@ let rec process t ~routes ~deliver c =
     | Http_request ->
       Option.iter
         (fun path -> reply c (Admin_http.answer routes path))
-        (Admin_http.request_path (Framing.peek c.rd (Framing.buffered c.rd)))
+        (Admin_http.request_path (Frame.peek c.rd (Frame.buffered c.rd)))
     | Awaiting_hello | Hello_in -> (
-      match Framing.next_frame c.rd with
+      match Frame.next_frame c.rd with
       | None -> ()
       | Some (Ok payload) ->
         handshake t c payload;
@@ -377,7 +378,7 @@ let rec process t ~routes ~deliver c =
       | Some (Error err) -> handshake_failed t c err)
     | Ready { codec; _ } -> (
       let module C = (val codec : Framing.CODEC) in
-      match Option.map (fun r -> Result.bind r C.decode) (Framing.next_frame c.rd) with
+      match Option.map (fun r -> Result.bind r C.decode) (Frame.next_frame c.rd) with
       | None -> ()
       | Some (Ok (msg, bytes)) ->
         Meters.count_msg t.meters ~sent:false msg bytes;
@@ -394,7 +395,7 @@ let rec process t ~routes ~deliver c =
 let read_conn t ~routes ~deliver c =
   match Framing.read_from c.rd c.fd with
   | 0 ->
-    (match (c.phase, Framing.eof_error c.rd) with
+    (match (c.phase, Frame.eof_error c.rd) with
     | (Ready _ | Hello_in), (Framing.Corrupt _ as err) -> note_corrupt t ~peer:c.peer err
     | _ -> ());
     drop t c
@@ -431,7 +432,15 @@ let rec accept_all t listener =
 let event_loop t ~routes handle =
   let run input = run_actions t (handle ~now:(now_ms ()) input) in
   let deliver src msg = run (Receive { src; msg }) in
-  let run_thunks () = List.iter (fun thunk -> run_actions t (thunk ())) (Mailbox.take t.inbox) in
+  (* Thunks wait here once taken, so those behind one that raises still
+     run on the way out. *)
+  let taken = Queue.create () in
+  let run_thunks () =
+    List.iter (fun thunk -> Queue.add thunk taken) (Mailbox.take t.inbox);
+    while not (Queue.is_empty taken) do
+      run_actions t (Queue.pop taken ())
+    done
+  in
   let rec fire_timers () =
     match Timer_heap.min_elt t.timers with
     | Some (d, _, timer) when d <= now_ms () ->
@@ -440,6 +449,27 @@ let event_loop t ~routes handle =
       fire_timers ()
     | _ -> ()
   in
+  (* However the loop ends (a stop, or an exception: a handler that
+     raises, [select] refusing a descriptor past [FD_SETSIZE]), the node
+     refuses further work, every thunk [inject] accepted runs (their
+     sends die with the sockets below; one that raises is skipped), so
+     no [run_on_loop] caller waits forever, and the sockets close. An admin request caught by the stop
+     is told so, and every admin answer gets one last non-blocking
+     write. The exception still ends the thread. *)
+  let shutdown () =
+    Mailbox.close t.inbox;
+    let rec drain () = try run_thunks () with _ -> drain () in
+    drain ();
+    List.iter
+      (fun c ->
+        (match c.phase with Http_request -> reply c Admin_http.stopped | _ -> ());
+        match c.phase with Http_reply -> flush t c | _ -> ())
+      t.socks;
+    List.iter (fun c -> try Unix.close c.fd with _ -> ()) t.socks;
+    t.socks <- [];
+    Option.iter (fun l -> try Unix.close l with _ -> ()) t.listener
+  in
+  Fun.protect ~finally:shutdown @@ fun () ->
   while not (Mailbox.closed t.inbox) do
     run_thunks ();
     fire_timers ();
@@ -489,20 +519,7 @@ let event_loop t ~routes handle =
           | Sniffing deadline when deadline <= now -> c.phase <- Http_request
           | _ -> ())
         t.socks
-  done;
-  (* Thunks injected before the stop still run (their sends die with
-     the sockets below), so no [run_on_loop] caller waits forever. An
-     admin request caught by the stop is told so, and every admin answer
-     gets one last non-blocking write. *)
-  run_thunks ();
-  List.iter
-    (fun c ->
-      (match c.phase with Http_request -> reply c Admin_http.stopped | _ -> ());
-      match c.phase with Http_reply -> flush t c | _ -> ())
-    t.socks;
-  List.iter (fun c -> try Unix.close c.fd with _ -> ()) t.socks;
-  t.socks <- [];
-  Option.iter (fun l -> try Unix.close l with _ -> ()) t.listener
+  done
 
 let start t ?(routes = fun _ -> None) handle =
   t.loop <- Some (Thread.create (fun () -> event_loop t ~routes handle) ())

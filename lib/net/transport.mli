@@ -47,13 +47,15 @@ val start :
 
 val inject : t -> (unit -> Grid_paxos.Types.action list) -> unit
 (** Run a thunk on the loop thread and perform the actions it returns.
-    A thunk injected before {!stop} still runs. Raises [Invalid_argument]
-    once the node is stopping. *)
+    A thunk injected before {!stop} still runs, and so does one
+    injected before an exception ended the loop. Raises
+    [Invalid_argument] once the node is stopping or its loop has
+    ended. *)
 
 val run_on_loop : t -> (unit -> 'a) -> 'a
 (** Run [f] on the loop thread and wait for its result: how another
     thread reads state the loop owns. Raises [Invalid_argument] on a
-    stopped node. *)
+    stopped node or one whose loop has ended. *)
 
 val stop : t -> unit
 (** Stop the loop and join it. On its way out the loop answers every

@@ -11,12 +11,6 @@ module Ids := Grid_util.Ids
 
 type protocol = Basic | Xpaxos_read | Leased_read | Tpaxos | Unreplicated | Unknown
 
-val protocol_name : protocol -> string
-
-val protocol_of_detail : string -> protocol
-(** Classify from the [Leader_receive] span's detail label ("read",
-    "write", "original", "txn_op", ...). *)
-
 type timeline = {
   req : Ids.Request_id.t;
   protocol : protocol;

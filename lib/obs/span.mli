@@ -29,8 +29,6 @@ val all_phases : phase list
 (** In lifecycle order. *)
 
 val phase_name : phase -> string
-val phase_of_name : string -> phase option
-val pp_phase : Format.formatter -> phase -> unit
 
 type body =
   | Span of {
@@ -106,7 +104,6 @@ end
     trace-determinism tests depend on. *)
 
 val event_to_json : event -> Json.t
-val event_of_json : Json.t -> event option
 val dump_string : event list -> string
 val dump_file : string -> event list -> unit
 val load_string : string -> event list

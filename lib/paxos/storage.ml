@@ -1,4 +1,5 @@
 module Wire = Grid_codec.Wire
+module Frame = Grid_codec.Frame
 
 type persisted = {
   promised : Types.Ballot.t;
@@ -64,162 +65,113 @@ let memory () =
   in
   (store, read)
 
-(* File backend: one append-only log of CRC-framed records plus a
-   last-snapshot-wins snapshot file. Record framing: u32-le length, then
-   [with_crc] payload. *)
+(* File backend: one append-only log of {!Frame} records, the wire's
+   frames, plus a last-snapshot-wins snapshot file holding
+   [Wire.with_crc] of the snapshot. *)
 
 let rec_promise = 0
 and rec_entry = 1
 and rec_commit = 2
 
-let encode_record tag body =
-  Wire.encode (fun e ->
-      Wire.Encoder.uint e tag;
-      body e)
-
-let output_le32 oc n =
-  for i = 0 to 3 do
-    output_byte oc ((n lsr (8 * i)) land 0xFF)
-  done
-
-(* The header, the payload and its CRC trailer, written straight to the
-   channel. *)
-let write_frame oc payload =
-  let n = String.length payload in
-  output_le32 oc (n + 4);
-  output_string oc payload;
-  output_le32 oc (Wire.crc32_sub payload 0 n);
+(* One frame and one flush per record. *)
+let write_record oc tag body =
+  output_string oc
+    (Frame.frame
+       (Wire.encode (fun e ->
+            Wire.Encoder.uint e tag;
+            body e)));
   flush oc
 
-(* Read the longest valid prefix of CRC-framed records. Returns the
-   frames, the byte length of that prefix, and what ended the scan:
-   [`Eof] (clean end), [`Torn] (truncated or CRC-failed final record), or
-   [`Interior] (a corrupt record with more data behind it — a bit flip or
-   partial overwrite inside the log). We cannot resynchronise past a
-   corrupt record (lengths are untrusted), so the suffix is abandoned and
-   the caller salvages the prefix. *)
-let read_frames path =
-  if not (Sys.file_exists path) then ([], 0, `Eof, 0)
-  else begin
-    let ic = open_in_bin path in
-    let file_len = in_channel_length ic in
-    let frames = ref [] in
-    let valid_len = ref 0 in
-    let ending = ref `Eof in
-    (try
-       let rec loop () =
-         let hdr = really_input_string ic 4 in
-         let len =
-           Char.code hdr.[0]
-           lor (Char.code hdr.[1] lsl 8)
-           lor (Char.code hdr.[2] lsl 16)
-           lor (Char.code hdr.[3] lsl 24)
-         in
-         (* An absurd length is itself corruption (a flipped header bit);
-            treating it as a read larger than the file lands in [`Torn]
-            or [`Interior] below. *)
-         let framed = really_input_string ic len in
-         match Wire.check_crc framed with
-         | payload ->
-           frames := payload :: !frames;
-           valid_len := pos_in ic;
-           loop ()
-         | exception Wire.Decode_error _ ->
-           ending := (if pos_in ic >= file_len then `Torn else `Interior)
-       in
-       loop ()
-     with End_of_file ->
-       (* Truncated header or payload: torn unless valid data follows the
-          failed read position (only possible when a header length
-          overshot the remaining bytes mid-file, which we cannot
-          distinguish from a tear — treat as torn). *)
-       if !valid_len < file_len then ending := `Torn);
-    close_in ic;
-    (List.rev !frames, !valid_len, !ending, file_len)
-  end
+(* The image recovery folds the log's records into, as they are read. *)
+type image = {
+  mutable promised : Types.Ballot.t;
+  entries : (int, Types.recovery_entry) Hashtbl.t;
+  mutable commit_point : int;
+  mutable frames : int;  (* CRC-valid frames *)
+  mutable dropped : int;  (* of which failed to decode *)
+}
 
-let decode_entry_record d =
-  let instance = Wire.Decoder.uint d in
-  let ballot = Types.Ballot.decode d in
-  let proposal = Types.decode_proposal d in
-  { Types.instance; ballot; proposal }
+(* A record that passed its CRC but still fails to decode (an unknown
+   tag, a malformed body: written by a newer version) is skipped and
+   counted rather than aborting recovery. *)
+let replay img payload =
+  img.frames <- img.frames + 1;
+  let d = Wire.Decoder.of_string payload in
+  try
+    match Wire.Decoder.uint d with
+    | tag when tag = rec_promise -> img.promised <- Types.Ballot.decode d
+    | tag when tag = rec_entry ->
+      let instance = Wire.Decoder.uint d in
+      let ballot = Types.Ballot.decode d in
+      let proposal = Types.decode_proposal d in
+      Hashtbl.replace img.entries instance { Types.instance; ballot; proposal }
+    | tag when tag = rec_commit ->
+      let cp = Wire.Decoder.uint d in
+      if cp > img.commit_point then img.commit_point <- cp
+    | _ -> img.dropped <- img.dropped + 1
+  with Wire.Decode_error _ -> img.dropped <- img.dropped + 1
 
-(* Replay CRC-validated records. A record that passed its CRC but still
-   fails to decode (unknown tag, malformed body — e.g. written by a newer
-   version) is skipped and counted rather than aborting recovery. *)
-let replay_log frames =
-  let promised = ref Types.Ballot.zero in
-  let entries : (int, Types.recovery_entry) Hashtbl.t = Hashtbl.create 32 in
-  let commit_point = ref 0 in
-  let dropped = ref 0 in
-  List.iter
-    (fun payload ->
-      let d = Wire.Decoder.of_string payload in
-      match
-        (match Wire.Decoder.uint d with
-        | tag when tag = rec_promise -> promised := Types.Ballot.decode d
-        | tag when tag = rec_entry ->
-          let e = decode_entry_record d in
-          Hashtbl.replace entries e.instance e
-        | tag when tag = rec_commit ->
-          let cp = Wire.Decoder.uint d in
-          if cp > !commit_point then commit_point := cp
-        | tag ->
-          raise
-            (Wire.Decode_error { pos = 0; msg = Printf.sprintf "unknown record tag %d" tag }))
-      with
-      | () -> ()
-      | exception Wire.Decode_error _ -> incr dropped)
-    frames;
-  (!promised, Hashtbl.fold (fun _ e acc -> e :: acc) entries [], !commit_point, !dropped)
+(* Fold the log's longest valid prefix into [img], read in chunks
+   through the frame reader; no frame is bounded by more than the log's
+   own length. Returns the prefix's length, the file's, and what ended
+   the scan: [`Eof] (a clean end), [`Torn] (a frame cut short, or a bad
+   frame whose claimed end reaches the end of the file) or [`Interior]
+   (a bad frame with bytes behind it: a bit flip or a partial overwrite
+   inside the log). Lengths past a bad frame cannot be trusted, so the
+   rest is abandoned. *)
+let scan_log path img =
+  if not (Sys.file_exists path) then (0, 0, `Eof)
+  else
+    In_channel.with_open_bin path (fun ic ->
+        let file_len = Int64.to_int (In_channel.length ic) in
+        let r = Frame.reader ~max:file_len and read = In_channel.input ic in
+        let rec go valid =
+          match Frame.next_frame r with
+          | Some (Ok payload) ->
+            replay img payload;
+            go (valid + Frame.overhead + String.length payload)
+          | Some (Error _) ->
+            (valid, if valid + Frame.claimed_size r >= file_len then `Torn else `Interior)
+          | None when Frame.fill r read > 0 -> go valid
+          | None -> (valid, if Frame.eof_error r = Frame.Eof then `Eof else `Torn)
+        in
+        let valid, ending = go 0 in
+        (valid, file_len, ending))
 
 let file ~path =
   let log_path = path ^ ".log" and snap_path = path ^ ".snap" in
-  let frames, valid_len, ending, file_len = read_frames log_path in
+  let img =
+    { promised = Types.Ballot.zero; entries = Hashtbl.create 32; commit_point = 0;
+      frames = 0; dropped = 0 }
+  in
+  let valid_len, file_len, ending = scan_log log_path img in
   let snapshot, snapshot_corrupt =
-    if Sys.file_exists snap_path then begin
-      let ic = open_in_bin snap_path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Wire.check_crc s with
+    if Sys.file_exists snap_path then
+      match Wire.check_crc (In_channel.with_open_bin snap_path In_channel.input_all) with
       | body -> (Some body, false)
       | exception Wire.Decode_error _ -> (None, true)
-    end
     else (None, false)
   in
-  let recovered, records_dropped =
-    if frames = [] && snapshot = None then (None, 0)
-    else begin
-      let promised, entries, commit_point, dropped = replay_log frames in
-      (Some { promised; entries; commit_point; snapshot }, dropped)
-    end
+  let recovered =
+    if img.frames = 0 && snapshot = None then None
+    else
+      Some
+        {
+          promised = img.promised;
+          entries = Hashtbl.fold (fun _ e acc -> e :: acc) img.entries [];
+          commit_point = img.commit_point;
+          snapshot;
+        }
   in
-  (* Salvage: cut the log back to its valid prefix so new appends are
-     readable on the next recovery instead of hiding behind the corrupt
-     suffix. *)
-  let log_truncated =
-    if valid_len < file_len then begin
-      let prefix =
-        if valid_len = 0 then ""
-        else begin
-          let ic = open_in_bin log_path in
-          let p = really_input_string ic valid_len in
-          close_in ic;
-          p
-        end
-      in
-      let oc = open_out_bin log_path in
-      output_string oc prefix;
-      close_out oc;
-      true
-    end
-    else false
-  in
+  (* Salvage: cut the log back to its valid prefix, in place, so new
+     appends are readable on the next recovery instead of hiding behind
+     the corrupt suffix. The prefix itself is never rewritten. *)
+  let log_truncated = valid_len < file_len in
+  if log_truncated then Unix.truncate log_path valid_len;
   let report =
     {
-      frames_ok = List.length frames;
-      records_dropped;
+      frames_ok = img.frames;
+      records_dropped = img.dropped;
       bytes_salvaged = valid_len;
       bytes_dropped = file_len - valid_len;
       torn_tail = ending = `Torn;
@@ -232,25 +184,20 @@ let file ~path =
   let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 log_path in
   let store =
     {
-      persist_promise =
-        (fun b -> write_frame oc (encode_record rec_promise (fun e -> Types.Ballot.encode e b)));
+      persist_promise = (fun b -> write_record oc rec_promise (fun e -> Types.Ballot.encode e b));
       persist_entry =
         (fun ~instance ~ballot proposal ->
-          write_frame oc
-            (encode_record rec_entry (fun e ->
-                 Wire.Encoder.uint e instance;
-                 Types.Ballot.encode e ballot;
-                 Types.encode_proposal e proposal)));
-      persist_commit =
-        (fun cp -> write_frame oc (encode_record rec_commit (fun e -> Wire.Encoder.uint e cp)));
+          write_record oc rec_entry (fun e ->
+              Wire.Encoder.uint e instance;
+              Types.Ballot.encode e ballot;
+              Types.encode_proposal e proposal));
+      persist_commit = (fun cp -> write_record oc rec_commit (fun e -> Wire.Encoder.uint e cp));
       persist_snapshot =
         (fun s ->
-          (* the bytes of [Wire.with_crc s], written without building them *)
           let tmp = snap_path ^ ".tmp" in
-          let soc = open_out_bin tmp in
-          output_string soc s;
-          output_le32 soc (Wire.crc32_sub s 0 (String.length s));
-          close_out soc;
+          Out_channel.with_open_bin tmp (fun soc ->
+              output_string soc s;
+              output_string soc (Frame.trailer s));
           Sys.rename tmp snap_path);
     }
   in

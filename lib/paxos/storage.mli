@@ -2,22 +2,30 @@
 
     The protocol requires three things to survive a crash: the promised
     ballot, accepted log entries, and the commit point (plus a state
-    snapshot so recovery does not replay from the beginning). The engine
-    emits these as {!Types.Persist} actions and each driver applies them
-    to its store with {!apply}, before the sends of the same step leave.
-    Two backends are provided:
+    snapshot, which the engine restores before the entries above it).
+    The engine emits these as {!Types.Persist} actions and each driver
+    applies them to its store with {!apply}, before the sends of the
+    same step leave. Two backends are provided:
 
     - {!memory}: keeps the persisted image in memory (crash-recovery
       tests and the model checker, which simulate losing volatile state
       only);
-    - {!file}: an append-only CRC-protected log plus snapshot file.
+    - {!file}: an append-only log of CRC frames plus a snapshot file.
+
+    The log's frames are the wire's: one frame codec,
+    {!Grid_codec.Frame}, writes and reads both. Recovery reads the log
+    once, in chunks through that codec's incremental reader, and folds
+    each record into the image as it is parsed, so its memory is the
+    image's, not the log's. The log still only grows: snapshots do not
+    shrink it.
 
     A driver with no store ignores the records. A process crash keeps a
-    prefix of what was written: {!file} flushes one CRC frame per record
-    and installs a snapshot by renaming a complete temp file, so
-    recovery after a crash at any point gives the image of the records
-    that completed. The model checker's torn persists
-    ([Mcheck.persist_step]) inject exactly that fault. *)
+    prefix of what was written: {!file} flushes one frame per record and
+    installs a snapshot by renaming a complete temp file, so recovery
+    after a crash at any point gives the image of the records that
+    completed. A torn or corrupt tail is cut off by truncating the log
+    in place; the valid prefix is never rewritten. The model checker's
+    torn persists ([Mcheck.persist_step]) inject exactly that fault. *)
 
 type persisted = {
   promised : Types.Ballot.t;
@@ -59,8 +67,9 @@ val file : path:string -> t * persisted option * recovery_report
 (** Open (or create) a file-backed store; returns the recovered image if
     the files already existed and were non-empty, plus a report of what
     recovery had to repair. Corruption never raises: the valid log prefix
-    is salvaged (and the file truncated to it so future appends stay
-    readable), a corrupt snapshot falls back to log replay, and any
+    is salvaged (and the file truncated to it in place so future appends
+    stay readable; a bad frame whose claimed end reaches the end of the
+    file is a torn tail, one with bytes behind it interior corruption), a corrupt snapshot falls back to log replay, and any
     instances lost with the corrupt suffix are resynced from peers at
     runtime — {!Replica.load} tolerates the resulting holes and the
     replica catches up through the existing multi-instance prepare /

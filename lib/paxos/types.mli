@@ -59,10 +59,7 @@ type rtype =
   | Reshard_commit of int
   | Reshard_abort of int
 
-val rtype_tag : rtype -> int
 val pp_rtype : Format.formatter -> rtype -> unit
-val encode_rtype : Grid_codec.Wire.Encoder.t -> rtype -> unit
-val decode_rtype : Grid_codec.Wire.Decoder.t -> rtype
 
 (** Causal trace context carried inside the request across process
     boundaries: the trace id shared by every span of one end-to-end
@@ -111,15 +108,12 @@ type status =
           retransmission to the same group can never succeed *)
 
 val pp_status : Format.formatter -> status -> unit
-val status_tag : status -> int
 
 (** Whether a reply with this status completes the request at the client.
     [Retry] and [Overloaded] are pushback: the request stays pending and
     will be retransmitted, so checkers must not count such replies as
     completions. *)
 val status_is_final : status -> bool
-val encode_status : Grid_codec.Wire.Encoder.t -> status -> unit
-val decode_status : Grid_codec.Wire.Decoder.t -> status
 
 type reply = { req : Grid_util.Ids.Request_id.t; status : status; payload : string }
 
@@ -135,10 +129,6 @@ val decode_reply : Grid_codec.Wire.Decoder.t -> reply
 type state_update = Full of string | Delta of string | Witness of string
 
 val state_update_size : state_update -> int
-val encode_state_update : Grid_codec.Wire.Encoder.t -> state_update -> unit
-val decode_state_update : Grid_codec.Wire.Decoder.t -> requests:request list -> state_update
-(** Decodes the update of a proposal carrying [requests]. Raises
-    [Decode_error] on a [Witness] unless there is exactly one request. *)
 
 (** One value proposed/accepted in a consensus instance: the request
     batch (singleton outside T-Paxos), the state after executing it, and
@@ -235,8 +225,6 @@ val msg_tag : msg -> int
 (** Approximate wire sizes, for the simulator's bandwidth model: payload
     bytes plus a small fixed header per field. *)
 
-val request_size : request -> int
-val reply_size : reply -> int
 val proposal_size : proposal -> int
 val msg_size : msg -> int
 

@@ -44,8 +44,6 @@ val set_link : _ t -> src:int -> dst:int -> Latency.t -> unit
 val set_link_sym : _ t -> int -> int -> Latency.t -> unit
 (** Set both directions of a link. *)
 
-val latency_of_link : _ t -> src:int -> dst:int -> Latency.t
-
 (** {1 Messaging} *)
 
 val send : 'msg t -> src:int -> dst:int -> 'msg -> unit

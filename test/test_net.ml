@@ -3,6 +3,8 @@
    runs. *)
 
 module Framing = Grid_net.Framing
+module Frame = Grid_codec.Frame
+module Storage = Grid_paxos.Storage
 module Wire = Grid_codec.Wire
 module Wire_codec = Grid_paxos.Wire_codec
 module Counter = Grid_services.Counter
@@ -119,18 +121,18 @@ let blocking_frames s =
 let incremental_frames (s, chunks) =
   let r = Framing.reader () in
   let rec drain acc =
-    match Framing.next_frame r with
+    match Frame.next_frame r with
     | None -> `More acc
     | Some (Stdlib.Ok p) -> drain (Stdlib.Ok p :: acc)
     | Some (Stdlib.Error e) -> `Done (List.rev (Stdlib.Error e :: acc))
   in
   let rec go pos sizes acc =
-    if pos >= String.length s then List.rev (Stdlib.Error (Framing.eof_error r) :: acc)
+    if pos >= String.length s then List.rev (Stdlib.Error (Frame.eof_error r) :: acc)
     else
       let size, sizes = match sizes with k :: rest -> (k, rest) | [] -> (1, []) in
       let sizes = if sizes = [] then chunks else sizes in
       let n = min size (String.length s - pos) in
-      Framing.feed r s pos n;
+      Frame.feed r s pos n;
       match drain acc with `More acc -> go (pos + n) sizes acc | `Done l -> l
   in
   go 0 chunks []
@@ -138,6 +140,44 @@ let incremental_frames (s, chunks) =
 let prop_incremental_reader =
   QCheck2.Test.make ~name:"incremental reader = read_frame" ~count:300 gen_stream
     (fun (s, chunks) -> incremental_frames (s, chunks) = blocking_frames s)
+
+(* The disk side of the same reader: [Storage.file] recovers a log that
+   holds the stream. It keeps exactly the frames [read_frame] reads
+   before its first error, calls a bad frame a torn tail when its
+   claimed end reaches the end of the file and interior corruption when
+   bytes follow it, cuts the file to the kept prefix in place, and
+   recovers clean the second time. Each recovery leaves its log channel
+   open, so this runs fewer cases than the wire property. *)
+let prop_disk_reader =
+  QCheck2.Test.make ~name:"disk reader = read_frame" ~count:100 gen_stream (fun (s, _) ->
+      let good =
+        List.filter_map (function Stdlib.Ok p -> Some p | Stdlib.Error _ -> None) (blocking_frames s)
+      in
+      let prefix = List.fold_left (fun n p -> n + Frame.overhead + String.length p) 0 good in
+      let len = String.length s in
+      let claimed_end =
+        if len - prefix < 4 then len
+        else prefix + 4 + (Int32.to_int (String.get_int32_le s prefix) land 0xFFFF_FFFF)
+      in
+      let path = Filename.temp_file "disk_reader" "" in
+      let log = path ^ ".log" in
+      Fun.protect
+        ~finally:(fun () -> List.iter (fun f -> if Sys.file_exists f then Sys.remove f) [ path; log ])
+        (fun () ->
+          Out_channel.with_open_bin log (fun oc -> output_string oc s);
+          let _, _, (r : Storage.recovery_report) = Storage.file ~path in
+          let kept = In_channel.with_open_bin log In_channel.input_all in
+          let _, _, again = Storage.file ~path in
+          r.frames_ok = List.length good
+          && r.bytes_salvaged = prefix
+          && r.bytes_dropped = len - prefix
+          && r.torn_tail = (prefix < len && claimed_end >= len)
+          && r.interior_corruption = (prefix < len && claimed_end < len)
+          && r.log_truncated = (prefix < len)
+          && kept = String.sub s 0 prefix
+          && again.frames_ok = r.frames_ok
+          && not (again.torn_tail || again.interior_corruption || again.log_truncated
+                 || again.bytes_dropped > 0)))
 
 let sample_msgs =
   [
@@ -1235,6 +1275,42 @@ let with_client ports f =
   in
   Fun.protect ~finally:(fun () -> Tcp.stop_client client) (fun () -> f client)
 
+(* A loop that an exception ends shuts down as a stop does: its node
+   refuses work within a second instead of leaving every later caller
+   waiting, and stopping it releases its descriptors. *)
+let test_dead_loop_fails_fast () =
+  if Sys.file_exists "/proc/self/fd" then begin
+    let before = open_fds () in
+    let r = reserve_ports () in
+    let refused what f =
+      within what 1.0 (fun () ->
+          let rec go () =
+            match f () with
+            | _ ->
+              Thread.delay 0.01;
+              go ()
+            | exception Invalid_argument _ -> ()
+          in
+          go ())
+    in
+    let raising () = failwith "a handler bug" in
+    with_replicas r (start_counter r.ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+      (fun hs ->
+        with_client r.ports (fun client ->
+            write_ok client 1;
+            let h = List.hd hs in
+            Grid_net.Transport.inject (Tcp.replica_transport h) raising;
+            Grid_net.Transport.inject (Tcp.client_transport client) raising;
+            refused "replica_is_leader on a dead loop" (fun () -> Tcp.replica_is_leader h);
+            refused "client_peer_versions on a dead loop" (fun () ->
+                Tcp.client_peer_versions client);
+            let t0 = Unix.gettimeofday () in
+            Alcotest.(check bool) "call_op on a dead loop is None" true
+              (Tcp.call_op client (Counter.Add 1) ~timeout_s:5.0 = None);
+            Alcotest.(check bool) "at once" true (Unix.gettimeofday () -. t0 < 0.5)));
+    Alcotest.(check int) "open fds after the stops" before (open_fds ())
+  end
+
 let test_stalled_admin_requests () =
   (* Eight admin requests that stall mid-line must not pin a thread each,
      nor keep the loop from serving admin requests and the protocol;
@@ -1315,6 +1391,7 @@ let suite =
         Alcotest.test_case "truncated body" `Quick test_framing_truncated_body;
         Alcotest.test_case "msg wire roundtrip (v1+v2)" `Quick test_msg_wire_roundtrip;
         QCheck_alcotest.to_alcotest prop_incremental_reader;
+        QCheck_alcotest.to_alcotest prop_disk_reader;
       ] );
     ( "net.loopback",
       [
@@ -1340,6 +1417,7 @@ let suite =
         Alcotest.test_case "a restarted replica loads its recovered image" `Slow
           test_restart_loads_image;
         Alcotest.test_case "stopped nodes leave no fd open" `Slow test_stop_releases_fds;
+        Alcotest.test_case "a dead loop refuses work at once" `Slow test_dead_loop_fails_fast;
         Alcotest.test_case "a stopped client's call returns None at once" `Slow
           test_stopped_client_fails_fast;
         Alcotest.test_case "a stopped replica's accessors raise" `Slow
