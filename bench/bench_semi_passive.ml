@@ -42,7 +42,7 @@ let sp_create ~seed ~(scenario : Scenario.t) ~cfg =
             (Engine.schedule eng ~delay (fun () ->
                  if not t.down.(i) then
                    dispatch i (SP.handle replicas.(i) ~now:(Engine.now eng) (Timer timer))))
-        | Persist _ | Note _ -> ())
+        | Note _ -> ())
       actions
   in
   for i = 0 to cfg.n - 1 do
@@ -80,7 +80,7 @@ let sp_client_run t ~(scenario : Scenario.t) ~count ~on_progress =
             (Engine.schedule t.eng ~delay (fun () ->
                  let actions, reply = Client.handle client ~now:(Engine.now t.eng) (Timer timer) in
                  dispatch actions reply))
-        | Persist _ | Note _ -> ())
+        | Note _ -> ())
       actions;
     match reply with
     | Some _ ->

@@ -173,16 +173,13 @@ type outcome = {
    step's sends or timers happen. [tear n] decides [k] for a step of [n]
    records, or [None] when the step survives; a step without records
    passes untouched. *)
-let persist_step store ~tear actions =
-  let records, rest =
-    List.partition_map (function Persist p -> Left p | a -> Right a) actions
-  in
-  match if records = [] then None else tear (List.length records) with
+let persist_step store ~tear { persist; out } =
+  match if persist = [] then None else tear (List.length persist) with
   | None ->
-    List.iter (Grid_paxos.Storage.apply store) records;
-    Some rest
+    List.iter (Grid_paxos.Storage.apply store) persist;
+    Some out
   | Some k ->
-    List.iteri (fun j p -> if j < k then Grid_paxos.Storage.apply store p) records;
+    List.iteri (fun j p -> if j < k then Grid_paxos.Storage.apply store p) persist;
     None
 
 module Make (S : Grid_paxos.Service_intf.S) = struct
@@ -307,8 +304,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   (* The step's records go to the replica's store before any of its
      messages or timers; a torn step is the crash. *)
-  let exec_actions sched i actions =
-    match persist_step sched.stores.(i) ~tear:(tear sched i) actions with
+  let exec_step sched i step =
+    match persist_step sched.stores.(i) ~tear:(tear sched i) step with
     | None ->
       sched.armed.(i) <- false;
       mark_down sched i
@@ -336,11 +333,11 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
             else enqueue sched ~src:i ~dst msg
           | After { delay; timer } ->
             sched.timers <- (i, timer, sched.vnow +. delay) :: sched.timers
-          | Persist _ | Note _ -> ())
+          | Note _ -> ())
         rest
 
   (* A torn crash is armed: it strikes when the victim next writes to
-     its store ([exec_actions]). *)
+     its store ([exec_step]). *)
   let crash_replica sched victim ~torn =
     sched.armed.(victim) <- torn;
     if not torn then mark_down sched victim
@@ -374,7 +371,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
 
   let dispatch sched i input =
     if not sched.down.(i) then
-      exec_actions sched i
+      exec_step sched i
         (R.handle sched.replicas.(i) ~now:(sched.vnow +. sched.skew.(i)) input)
 
   (* ---------------------------------------------------------------- *)
@@ -443,7 +440,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     (* Messages queued toward it while down are lost (TCP reset). *)
     Hashtbl.iter (fun (_, dst) q -> if dst = back then Queue.clear q) sched.channels;
     sched.down.(back) <- false;
-    exec_actions sched back (R.restart r ~now:(sched.vnow +. sched.skew.(back)))
+    exec_step sched back (R.restart r ~now:(sched.vnow +. sched.skew.(back)))
 
   (* A rolling upgrade bounces the victim — crash-consistent restart
      under a binary that speaks [version]. An already-down victim just
@@ -694,7 +691,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         wd;
       }
     in
-    Array.iteri (fun i r -> exec_actions sched i (R.bootstrap r)) sched.replicas;
+    Array.iteri (fun i r -> exec_step sched i (R.bootstrap r)) sched.replicas;
     (* Clients are closed-loop: each client's requests carry increasing
        sequence numbers and the next is only injected after the previous
        one was answered (deduplication assumes exactly this). Injection

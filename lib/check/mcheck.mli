@@ -136,13 +136,13 @@ type outcome = {
 val persist_step :
   Grid_paxos.Storage.t ->
   tear:(int -> int option) ->
-  Grid_paxos.Types.action list ->
+  Grid_paxos.Types.step ->
   Grid_paxos.Types.action list option
-(** Apply one engine step's {!Grid_paxos.Types.Persist} records to a
-    store. [tear n] is asked only for a step with [n > 0] records: [None]
-    writes them all and returns the step's other actions, in order;
-    [Some k] writes the first [k] and returns [None] — the process died
-    mid-step, so none of its sends or timers run. *)
+(** Apply one engine step's [persist] records to a store, in order.
+    [tear n] is asked only for a step with [n > 0] records: [None]
+    writes them all and returns the step's [out]; [Some k] writes the
+    first [k] and returns [None] — the process died mid-step, so none of
+    its sends or timers run. *)
 
 module Make (S : Grid_paxos.Service_intf.S) : sig
   module R : module type of Grid_paxos.Replica.Make (S)

@@ -26,8 +26,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         Span.Recorder.create ~capacity:flight_recorder_events ~enabled:true ()
     in
     let node =
-      Transport.create ~listen_port:port ~obs ?store:storage ?max_wire_version
-        ~node_id:id ~actor ~addresses:peers ()
+      Transport.create ~listen_port:port ~obs ?max_wire_version ~node_id:id ~actor
+        ~addresses:peers ()
     in
     let registry = Transport.registry node in
     (* Online invariant checks: counted in this node's registry and noted
@@ -41,15 +41,22 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         ()
     in
     let replica = R.create ~cfg ~id ~obs ~actor ~watchdog () in
-    (* Engine access is confined to the loop thread; bootstrap (or
-       reload the recovered image and restart, which applies the lease
-       blackout) through an injected thunk. *)
+    (* Every step runs on the loop thread: its records go to the store,
+       one flushed frame each, before its actions return to the
+       transport, so no send that depends on them is queued first. *)
+    let run_step { persist; out } =
+      Option.iter (fun store -> List.iter (Grid_paxos.Storage.apply store) persist) storage;
+      out
+    in
+    (* Bootstrap (or reload the recovered image and restart, which
+       applies the lease blackout) through an injected thunk. *)
     Transport.inject node (fun () ->
-        match recovered with
-        | None -> R.bootstrap replica
-        | Some p ->
-          R.load replica p;
-          R.restart replica ~now:(now_ms ()));
+        run_step
+          (match recovered with
+          | None -> R.bootstrap replica
+          | Some p ->
+            R.load replica p;
+            R.restart replica ~now:(now_ms ())));
     (* Resharding visibility (DESIGN.md §17): gauges of the replica's
        partition-map epoch and migration progress, set when /metrics is
        served, their only reader. *)
@@ -105,7 +112,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         Some ("application/jsonl", Span.dump_string (Span.Recorder.events obs))
       | _ -> None
     in
-    Transport.start node ~routes (R.handle replica);
+    Transport.start node ~routes (fun ~now input -> run_step (R.handle replica ~now input));
     { node; replica; r_watchdog = watchdog }
 
   (* Engine introspection from other threads runs on the loop thread. *)

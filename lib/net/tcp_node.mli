@@ -121,10 +121,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** Bind [port], bootstrap the replica engine, and serve until
       {!stop_replica}; the same port answers admin HTTP requests
       ([/metrics], [/health], [/flightrec]). [peers] maps the other
-      replica ids to their addresses. [storage] receives the engine's
-      {!Grid_paxos.Types.Persist} records, written on the loop thread
-      before any send of the same step is queued (without it they are
-      dropped). [recovered] is the image
+      replica ids to their addresses. [storage] receives the [persist]
+      records of each engine {!Grid_paxos.Types.step}, in order, written
+      on the loop thread before any send of the same step is queued
+      (without it they are dropped). [recovered] is the image
       {!Grid_paxos.Storage.file} read back from [storage]: the engine
       loads it (promise, accepted entries, committed state) and restarts
       as after a crash instead of booting fresh. [obs] receives the engine's

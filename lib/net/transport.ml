@@ -86,7 +86,6 @@ type t = {
   obs : Span.Recorder.t;  (* spans timed on the wall clock (ms) *)
   actor : string;
   meters : Meters.t;
-  store : Grid_paxos.Storage.t option;  (* a replica's stable storage *)
 }
 
 let listen port =
@@ -101,7 +100,7 @@ let listen port =
     Unix.close fd;
     raise e
 
-let create ?listen_port ?(obs = Span.Recorder.disabled) ?store
+let create ?listen_port ?(obs = Span.Recorder.disabled)
     ?(max_wire_version = Wire_codec.latest_version) ~node_id ~actor ~addresses () =
   if max_wire_version < Wire_codec.min_version then
     invalid_arg "Transport.create: max_wire_version below min_version";
@@ -133,7 +132,6 @@ let create ?listen_port ?(obs = Span.Recorder.disabled) ?store
     obs;
     actor;
     meters = Meters.make ~peers:(List.map fst addresses);
-    store;
   }
 
 let registry t = t.meters.registry
@@ -144,13 +142,16 @@ let max_wire_version t = t.max_wire_version
 let inject t thunk = Mailbox.post t.inbox thunk
 
 (* Engine and socket state are confined to the loop thread, so an
-   accessor called from another thread waits for an injected thunk. *)
+   accessor called from another thread waits for an injected thunk. [f]
+   runs before the mutex is taken, and what it raises goes back to the
+   caller: the loop lives on, and no caller waits on a lock it holds. *)
 let run_on_loop t f =
   let result = ref None in
   let m = Mutex.create () and c = Condition.create () in
   inject t (fun () ->
+      let r = try Stdlib.Ok (f ()) with e -> Stdlib.Error e in
       Mutex.lock m;
-      result := Some (f ());
+      result := Some r;
       Condition.signal c;
       Mutex.unlock m;
       []);
@@ -159,7 +160,7 @@ let run_on_loop t f =
     Condition.wait c m
   done;
   Mutex.unlock m;
-  Option.get !result
+  match Option.get !result with Stdlib.Ok v -> v | Stdlib.Error e -> raise e
 
 let new_conn t fd ~peer phase =
   let c =
@@ -301,10 +302,6 @@ let run_actions t actions =
     (function
       | Send { dst; msg } -> send_msg t ~dst msg
       | After { delay; timer } -> arm_timer t ~due:(now_ms () +. delay) timer
-      | Persist p ->
-        (* A step's records come before its sends: written here, they are
-           on the store before any send is queued. *)
-        Option.iter (fun store -> Grid_paxos.Storage.apply store p) t.store
       | Note s ->
         if Span.Recorder.enabled t.obs then
           Span.Recorder.note t.obs ~time:(now_ms ()) ~actor:t.actor s)

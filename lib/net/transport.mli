@@ -5,9 +5,10 @@
     two roles over it, the replica node and the client session, and
     documents the thread model and the wire behaviour.
 
-    A role plugs in three things: its input handler and its admin
-    routes ({!start}), and its persist target ({!create}). Sockets,
-    handshake state and frame queues stay behind this interface. *)
+    A role plugs in two things, its input handler and its admin routes
+    ({!start}); a replica role writes each step's records before its
+    handler returns the step's actions. Sockets, handshake state and
+    frame queues stay behind this interface. *)
 
 type t
 (** One node: its loop thread, wake pipe, sockets, timers and meters. *)
@@ -22,7 +23,6 @@ val now_ms : unit -> float
 val create :
   ?listen_port:int ->
   ?obs:Grid_obs.Span.Recorder.t ->
-  ?store:Grid_paxos.Storage.t ->
   ?max_wire_version:int ->
   node_id:int ->
   actor:string ->
@@ -31,9 +31,8 @@ val create :
   t
 (** A node that dials [addresses] (peer id to address) on demand. With
     [listen_port] it first binds that loopback port, for peers and admin
-    requests; a bind that fails leaves nothing open. [store] receives
-    every [Persist] action, written on the loop thread before any send
-    of the same step is queued. Sets [SIGPIPE] to ignored. *)
+    requests; a bind that fails leaves nothing open. Sets [SIGPIPE] to
+    ignored. *)
 
 val start :
   t ->
@@ -54,8 +53,9 @@ val inject : t -> (unit -> Grid_paxos.Types.action list) -> unit
 
 val run_on_loop : t -> (unit -> 'a) -> 'a
 (** Run [f] on the loop thread and wait for its result: how another
-    thread reads state the loop owns. Raises [Invalid_argument] on a
-    stopped node or one whose loop has ended. *)
+    thread reads state the loop owns. An exception [f] raises is raised
+    again in the caller, and the loop runs on. Raises
+    [Invalid_argument] on a stopped node or one whose loop has ended. *)
 
 val stop : t -> unit
 (** Stop the loop and join it. On its way out the loop answers every

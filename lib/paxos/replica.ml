@@ -327,9 +327,6 @@ module Make (S : Service_intf.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Entry points                                                        *)
 
-  let bootstrap t =
-    [ after ~delay:0.0 Hb_tick; after ~delay:(t.cfg.suspicion_ms /. 2.0) Suspicion_tick ]
-
   (* The inline-E path passes nan as [now]; substitute the driver time so
      services always observe a real clock. *)
   let step t ~now input =
@@ -420,13 +417,17 @@ module Make (S : Service_intf.S) = struct
         (* Semi-passive wire traffic is handled by Semi_passive.Make. *)
         [])
 
-  (* The step's store writes come first, in the order it made them, so a
-     driver makes them durable before anything that depends on them
-     leaves. *)
-  let with_persists t actions =
-    let ps = t.persisted in
+  (* The step's store writes, in the order it made them, travel apart
+     from what it does, so a driver makes them durable before anything
+     that depends on them leaves. *)
+  let with_persists t out =
+    let persist = List.rev t.persisted in
     t.persisted <- [];
-    List.fold_left (fun acc p -> Persist p :: acc) actions ps
+    { persist; out }
+
+  let bootstrap t =
+    with_persists t
+      [ after ~delay:0.0 Hb_tick; after ~delay:(t.cfg.suspicion_ms /. 2.0) Suspicion_tick ]
 
   let handle t ~now input = with_persists t (step t ~now input)
 
@@ -449,7 +450,7 @@ module Make (S : Service_intf.S) = struct
     Array.fill t.last_heard 0 t.cfg.n neg_infinity;
     heard t ~from:t.rid ~now;
     (* [load]'s re-persist of its snapshot comes out here. *)
-    with_persists t (bootstrap t)
+    bootstrap t
 
   let load t (p : Storage.persisted) =
     t.promised <- p.promised;

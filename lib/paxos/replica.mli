@@ -42,8 +42,9 @@
     and only then serves new requests.
 
     The engine is a pure step machine: all I/O happens through the
-    returned {!Types.action} lists, and all nondeterminism comes from the
-    seeded RNG and the [~now] argument. *)
+    returned {!Types.step} records (what to persist, then the actions),
+    and all nondeterminism comes from the seeded RNG and the [~now]
+    argument. *)
 
 module Make (S : Service_intf.S) : sig
   type t
@@ -67,27 +68,28 @@ module Make (S : Service_intf.S) : sig
       stale read, lease mutual exclusion) report to; defaults to the
       disabled sink, one branch per check. *)
 
-  val bootstrap : t -> Types.action list
-  (** Initial timers (heartbeat and suspicion ticks). Call once before
-      feeding inputs. *)
+  val bootstrap : t -> Types.step
+  (** Initial timers (heartbeat and suspicion ticks); a fresh replica
+      has no records to persist. Call once before feeding inputs. *)
 
-  val handle : t -> now:float -> Types.input -> Types.action list
-  (** One step. The promise, entries, commit point and snapshots the step
-      must make durable come first, as {!Types.Persist} actions in the
-      order it made them; the driver applies them (or ignores them when
-      it keeps no store) before any of the step's sends leave. *)
+  val handle : t -> now:float -> Types.input -> Types.step
+  (** One step. Its [persist] holds the promise, entries, commit point
+      and snapshots it must make durable, in the order it made them; the
+      driver writes them (or ignores them when it keeps no store) before
+      it runs any of the step's [out]. *)
 
-  val restart : t -> now:float -> Types.action list
+  val restart : t -> now:float -> Types.step
   (** Simulate a crash-recovery that loses volatile state: leadership,
       candidacies, pending reads and transactions are dropped; the log,
       promise and committed state (the durable part) survive. Returns the
-      bootstrap timers, after the records a preceding {!load} re-persisted. *)
+      bootstrap timers, with the records a preceding {!load} re-persisted
+      as the step's [persist]. *)
 
   val load : t -> Storage.persisted -> unit
   (** Install a persisted image (from {!Storage.file} or
       {!Storage.memory}) into a freshly created replica. A snapshot in the
-      image is persisted again; those records come out with the next
-      {!restart} or {!handle}. *)
+      image is persisted again; those records come out in the [persist]
+      of the next {!restart} or {!handle}. *)
 
   (** {1 Introspection} *)
 

@@ -106,7 +106,7 @@ module Make (S : Service_intf.S) = struct
     rng : Rng.t;
     mutable persisted : persist list;
         (* store writes of the step being handled, newest first; [handle]
-           returns them ahead of the step's other actions *)
+           returns them, oldest first, as its step's [persist] *)
     log : Plog.t;
     mutable promised : Ballot.t;
     mutable role : role;

@@ -3,9 +3,10 @@
     The protocol requires three things to survive a crash: the promised
     ballot, accepted log entries, and the commit point (plus a state
     snapshot, which the engine restores before the entries above it).
-    The engine emits these as {!Types.Persist} actions and each driver
-    applies them to its store with {!apply}, before the sends of the
-    same step leave. Two backends are provided:
+    The engine returns these as the [persist] list of each
+    {!Types.step}, and each driver applies them to its store with
+    {!apply}, in order, before it runs the step's actions. Two backends
+    are provided:
 
     - {!memory}: keeps the persisted image in memory (crash-recovery
       tests and the model checker, which simulate losing volatile state

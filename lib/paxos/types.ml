@@ -521,10 +521,12 @@ let client_of_node node = Ids.Client_id.of_int (node - client_node_base)
 type action =
   | Send of { dst : int; msg : msg }
   | After of { delay : float; timer : timer }
-  | Persist of persist
-      (** a store write; a step's [Persist]s come before its [Send]s and
-          [After]s. Drivers without a store ignore them. *)
   | Note of string  (** trace hint; drivers may log or ignore *)
+
+(** One replica step: the records it must make durable, in the order it
+    made them, then what it does. A driver writes [persist] before it
+    runs [out]; one without a store ignores [persist]. *)
+type step = { persist : persist list; out : action list }
 
 let send ~dst msg = Send { dst; msg }
 let after ~delay timer = After { delay; timer }

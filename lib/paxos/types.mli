@@ -2,9 +2,10 @@
     requests, replies, state updates, wire messages, and the input/action
     vocabulary of the pure step machines.
 
-    Engines never touch a clock, a socket or an RNG directly: they consume
-    {!input} values and emit {!action} values, and a driver (simulator,
-    TCP runtime, or model checker) interprets them. *)
+    Engines never touch a clock, a socket, a store or an RNG directly:
+    they consume {!input} values and emit {!action} values (the replica
+    engine a {!step}: its records to persist, then its actions), and a
+    driver (simulator, TCP runtime, or model checker) interprets them. *)
 
 (** Ballot numbers: lexicographically ordered (round, holder) pairs, so
     ballots of distinct replicas never collide. *)
@@ -267,10 +268,12 @@ val client_of_node : int -> Grid_util.Ids.Client_id.t
 type action =
   | Send of { dst : int; msg : msg }
   | After of { delay : float; timer : timer }
-  | Persist of persist
-      (** a store write; a step's [Persist]s come before its [Send]s and
-          [After]s. Drivers without a store ignore them. *)
   | Note of string  (** trace hint; drivers may log or ignore *)
+
+(** One replica step: the records it must make durable, in the order it
+    made them, then what it does. A driver writes [persist] before it
+    runs [out]; one without a store ignores [persist]. *)
+type step = { persist : persist list; out : action list }
 
 val send : dst:int -> msg -> action
 val after : delay:float -> timer -> action

@@ -99,7 +99,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     let k = msg_kind msg in
     Hashtbl.replace t.msg_counts k (1 + Option.value ~default:0 (Hashtbl.find_opt t.msg_counts k))
 
-  let rec dispatch_replica t i actions = List.iter (run_action t i) actions
+  (* The simulator keeps no store: a step's [persist] is dropped. *)
+  let rec dispatch_replica t i { out; persist = _ } = List.iter (run_action t i) out
 
   and run_action t i = function
     | Send { dst; msg } ->
@@ -116,7 +117,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
              if (not t.down.(i)) && t.incarnation.(i) = armed_in then
                dispatch_replica t i
                  (R.handle t.replicas.(i) ~now:(Engine.now t.eng) (Timer timer))))
-    | Persist _ -> ()  (* the simulator keeps no store *)
     | Note s ->
       Span.Recorder.note t.obs ~time:(Engine.now t.eng) ~actor:t.replica_actors.(i) s
 
@@ -142,7 +142,6 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
                      Client.handle slot.client ~now:(Engine.now t.eng) (Timer timer)
                    in
                    dispatch_client t node actions reply))
-        | Persist _, _ -> ()
         | Note s, slot ->
           let actor =
             match slot with Some sl -> sl.actor | None -> Printf.sprintf "n%d" node

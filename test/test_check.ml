@@ -159,26 +159,27 @@ let test_mcheck_tear_at_k () =
   in
   let send = Send { dst = 1; msg = Reject { promised = ballot 2 } } in
   let timer = After { delay = 1.0; timer = Hb_tick } in
-  let step store tear actions = Grid_check.Mcheck.persist_step store ~tear actions in
+  let step store tear persist out =
+    Grid_check.Mcheck.persist_step store ~tear { persist; out }
+  in
   let never _ = Alcotest.fail "a step without records must not be torn" in
   for k = 0 to 3 do
     let what = Printf.sprintf "k = %d" k in
     let store, read = Storage.memory () in
     Alcotest.(check bool) (what ^ ": untorn step keeps its other actions in order")
       true
-      (step store (fun _ -> None)
-         [ Persist (Promise (ballot 2)); send; Persist (Commit_point 1); timer ]
+      (step store (fun _ -> None) [ Promise (ballot 2); Commit_point 1 ] [ send; timer ]
        = Some [ send; timer ]);
     Alcotest.(check bool) (what ^ ": no records to tear") true
-      (step store never [ send ] = Some [ send ]);
+      (step store never [] [ send ] = Some [ send ]);
     let asked = ref 0 in
     let torn =
       step store
         (fun n ->
           asked := n;
           Some k)
-        [ Persist (Promise (ballot 3)); send; Persist (Entry entry);
-          Persist (Commit_point 5); timer ]
+        [ Promise (ballot 3); Entry entry; Commit_point 5 ]
+        [ send; timer ]
     in
     Alcotest.(check int) (what ^ ": tear sees the step's records") 3 !asked;
     Alcotest.(check bool) (what ^ ": no send or timer runs") true (torn = None);

@@ -241,9 +241,7 @@ let test_file_storage_reload () =
       let r = Replica.create ~cfg:c ~id:0 () in
       ignore (Replica.bootstrap r);
       (* Apply each step's records to the store; the sends go nowhere. *)
-      let persist acts =
-        List.iter (function Persist p -> Storage.apply store p | _ -> ()) acts
-      in
+      let persist { persist; out = _ } = List.iter (Storage.apply store) persist in
       (* Manufacture commits by feeding the engine a full leader cycle:
          promote r0 to leader via timers, then have clients write. *)
       let fire timer = persist (Replica.handle r ~now:0.0 (Timer timer)) in

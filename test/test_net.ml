@@ -1311,6 +1311,20 @@ let test_dead_loop_fails_fast () =
     Alcotest.(check int) "open fds after the stops" before (open_fds ())
   end
 
+(* An exception in a [run_on_loop] thunk goes back to its caller, and
+   the loop that ran it serves on. *)
+let test_run_on_loop_raises () =
+  let r = reserve_ports () in
+  with_replicas r (start_counter r.ports) Tcp.replica_is_leader Tcp.stop_replica [ 0; 1; 2 ]
+    (fun hs ->
+      let h = List.hd hs in
+      let node = Tcp.replica_transport h in
+      within "run_on_loop with a raising thunk" 1.0 (fun () ->
+          match Grid_net.Transport.run_on_loop node (fun () -> failwith "boom") with
+          | () -> Alcotest.fail "run_on_loop returned"
+          | exception Failure msg -> Alcotest.(check string) "the thunk's exception" "boom" msg);
+      within "replica_is_leader afterwards" 1.0 (fun () -> ignore (Tcp.replica_is_leader h)))
+
 let test_stalled_admin_requests () =
   (* Eight admin requests that stall mid-line must not pin a thread each,
      nor keep the loop from serving admin requests and the protocol;
@@ -1418,6 +1432,8 @@ let suite =
           test_restart_loads_image;
         Alcotest.test_case "stopped nodes leave no fd open" `Slow test_stop_releases_fds;
         Alcotest.test_case "a dead loop refuses work at once" `Slow test_dead_loop_fails_fast;
+        Alcotest.test_case "run_on_loop carries an exception back" `Slow
+          test_run_on_loop_raises;
         Alcotest.test_case "a stopped client's call returns None at once" `Slow
           test_stopped_client_fails_fast;
         Alcotest.test_case "a stopped replica's accessors raise" `Slow

@@ -124,13 +124,13 @@ let recovered_equals_live ~snapshot_interval () =
     (fun r -> Alcotest.(check int) "no new instance" 11 (Replica.commit_point r))
     t.replicas
 
-(* Persistence as engine actions, end to end over a scenario that makes
-   every kind of record: election promises, a leader's and followers'
-   accepts and commits, periodic snapshots, a catch-up snapshot install,
-   and [load] + [restart]. The harness fails the test if any action list
-   has a [Persist] after a [Send] or [After]; here each replica's records
-   go to a memory store, and that image must load back into the live
-   replica's commit point and state. *)
+(* Persistence through engine steps, end to end over a scenario that
+   makes every kind of record: election promises, a leader's and
+   followers' accepts and commits, periodic snapshots, a catch-up
+   snapshot install, and [load] + [restart]. The harness writes each
+   step's [persist] before it runs the step's actions; here each
+   replica's records go to a memory store, and that image must load
+   back into the live replica's commit point and state. *)
 let persists_recover_live () =
   let cfg = Config.make ~n:3 ~record_history:true ~snapshot_interval:3 () in
   let written = ref [] in
@@ -205,6 +205,32 @@ let persists_recover_live () =
   write 10;
   List.iter (fun i -> ignore (recovers i)) [ 0; 1; 2 ]
 
+(* A step's records come out in the order the step made them. Recovery
+   depends on it: the promise is last-wins, and a torn step keeps a
+   prefix. A follower promised to b1 that accepts at b2 > b1 promises
+   b2 first, then accepts the entry under it, and only then acks. *)
+let step_records_keep_their_order () =
+  let t = H.create () in
+  let follower = t.replicas.(2) in
+  let b1 = Ballot.make ~round:1 ~holder:0 and b2 = Ballot.make ~round:2 ~holder:1 in
+  let promised =
+    Replica.handle follower ~now:0.0
+      (Receive { src = 0; msg = Prepare { ballot = b1; commit_point = 0 } })
+  in
+  Alcotest.(check bool) "promised to b1" true (promised.persist = [ Promise b1 ]);
+  let proposal =
+    { requests = [ H.client_request ~seq:1 ~rtype:Write ~payload:(put "k1") () ];
+      update = Full (Kv.encode_state (Kv.initial ())); replies = [] }
+  in
+  let step =
+    Replica.handle follower ~now:1.0
+      (Receive { src = 1; msg = Accept { ballot = b2; instance = 1; proposal } })
+  in
+  Alcotest.(check bool) "the promise, then the entry under it" true
+    (step.persist = [ Promise b2; Entry { instance = 1; ballot = b2; proposal } ]);
+  Alcotest.(check bool) "then the ack" true
+    (step.out = [ Send { dst = 1; msg = Accept_ack { ballot = b2; instance = 1 } } ])
+
 (* Periodic snapshots encode the state into an encoder each replica
    keeps and clears for the next one, and replaces once the state
    outgrows 64 KiB. Every snapshot a follower persists, as its state
@@ -273,5 +299,7 @@ let suite =
           (recovered_equals_live ~snapshot_interval:3);
         Alcotest.test_case "periodic snapshots reuse their encoder" `Quick
           periodic_snapshots_reuse_their_encoder;
+        Alcotest.test_case "a step's records keep their order" `Quick
+          step_records_keep_their_order;
       ] );
   ]

@@ -736,7 +736,7 @@ let test_restart_lease_blackout () =
      lease, refusing every candidate, before promising again. *)
   let t = with_lease () in
   H.advance t 10.0;
-  ignore (Replica.restart t.replicas.(1) ~now:t.now : action list);
+  ignore (Replica.restart t.replicas.(1) ~now:t.now : step);
   Alcotest.(check (option int)) "blackout grant holder" (Some (-1))
     (Replica.lease_granted_to t.replicas.(1) ~now:t.now);
   let prep = Prepare { ballot = Ballot.make ~round:3 ~holder:0; commit_point = 0 } in

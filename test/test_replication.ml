@@ -324,13 +324,13 @@ let test_ship_fallback_accounted_as_full () =
          virtual-time order until it elects itself. *)
       let now = ref 0.0 in
       let timers = ref [] in
-      let absorb acts =
+      let absorb { persist; out } =
+        List.iter (Grid_paxos.Storage.apply storage) persist;
         List.iter
           (function
             | After { timer; delay } -> timers := (!now +. delay, timer) :: !timers
-            | Persist p -> Grid_paxos.Storage.apply storage p
             | Send _ | Note _ -> ())
-          acts
+          out
       in
       absorb (R_diffless.bootstrap r);
       let steps = ref 0 in

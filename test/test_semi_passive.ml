@@ -41,7 +41,7 @@ module H = struct
           end
           else t.pending <- t.pending @ [ (i, dst, msg) ]
         | After { timer; _ } -> t.timers <- t.timers @ [ (i, timer) ]
-        | Persist _ | Note _ -> ())
+        | Note _ -> ())
       actions
 
   let feed t i input =
