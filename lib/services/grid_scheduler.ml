@@ -14,7 +14,7 @@
 
 module Wire = Grid_codec.Wire
 module Rng = Grid_util.Rng
-module Imap = Map.Make (Int)
+module Imap = Keyed.Uints
 
 let name = "grid_scheduler"
 
@@ -273,20 +273,21 @@ let decode_result s =
       | 5 -> Error (Wire.Decoder.string d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "sched result %d" n }))
 
+let encode_job e j =
+  Wire.Encoder.int e j.priority;
+  Wire.Encoder.float e j.arrival;
+  Wire.Encoder.uint e j.submitted_seq
+
+let decode_job d =
+  let priority = Wire.Decoder.int d in
+  let arrival = Wire.Decoder.float d in
+  let submitted_seq = Wire.Decoder.uint d in
+  { priority; arrival; submitted_seq }
+
 let encode_state_into e st =
   Wire.Encoder.uint e st.next_seq;
-  Wire.Encoder.list e
-    (fun (m, l) ->
-      Wire.Encoder.uint e m;
-      Wire.Encoder.uint e l)
-    (Imap.bindings st.machines);
-  Wire.Encoder.list e
-    (fun (id, j) ->
-      Wire.Encoder.uint e id;
-      Wire.Encoder.int e j.priority;
-      Wire.Encoder.float e j.arrival;
-      Wire.Encoder.uint e j.submitted_seq)
-    (Imap.bindings st.pending);
+  Imap.write e Wire.Encoder.uint st.machines;
+  Imap.write e encode_job st.pending;
   Wire.Encoder.list e
     (fun (j, m) ->
       Wire.Encoder.uint e j;
@@ -298,32 +299,15 @@ let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 let decode_state s =
   Wire.decode s (fun d ->
       let next_seq = Wire.Decoder.uint d in
-      let machines =
-        Wire.Decoder.list d (fun d ->
-            let m = Wire.Decoder.uint d in
-            let l = Wire.Decoder.uint d in
-            (m, l))
-      in
-      let pending =
-        Wire.Decoder.list d (fun d ->
-            let id = Wire.Decoder.uint d in
-            let priority = Wire.Decoder.int d in
-            let arrival = Wire.Decoder.float d in
-            let submitted_seq = Wire.Decoder.uint d in
-            (id, { priority; arrival; submitted_seq }))
-      in
+      let machines = Imap.read d Wire.Decoder.uint in
+      let pending = Imap.read d decode_job in
       let assignments =
         Wire.Decoder.list d (fun d ->
             let j = Wire.Decoder.uint d in
             let m = Wire.Decoder.uint d in
             (j, m))
       in
-      {
-        next_seq;
-        machines = Imap.of_seq (List.to_seq machines);
-        pending = Imap.of_seq (List.to_seq pending);
-        assignments;
-      })
+      { next_seq; machines; pending; assignments })
 
 let diff ~old_state:_ st = Some (encode_state st)
 let patch _ s = decode_state s

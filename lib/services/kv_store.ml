@@ -7,7 +7,7 @@
     local transaction branches cheap. *)
 
 module Wire = Grid_codec.Wire
-module Smap = Map.Make (String)
+module Smap = Keyed.Strings
 
 let name = "kv_store"
 
@@ -137,70 +137,31 @@ let decode_result s =
       | 3 -> Count (Wire.Decoder.uint d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "kv result %d" n }))
 
-(* The bindings as a length-prefixed list, written straight from the
-   map: the same bytes as [Wire.Encoder.list] over [Smap.bindings]. *)
 let encode_state_into e st =
   Wire.Encoder.uint e st.version;
-  Wire.Encoder.uint e (Smap.cardinal st.entries);
-  Smap.iter
-    (fun k v ->
-      Wire.Encoder.string e k;
-      Wire.Encoder.string e v)
-    st.entries
+  Smap.write e Wire.Encoder.string st.entries
 
 let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->
       let version = Wire.Decoder.uint d in
-      let bindings =
-        Wire.Decoder.list d (fun d ->
-            let k = Wire.Decoder.string d in
-            let v = Wire.Decoder.string d in
-            (k, v))
-      in
-      { version; entries = Smap.of_seq (List.to_seq bindings) })
+      { version; entries = Smap.read d Wire.Decoder.string })
 
 (* Delta: changed and removed keys relative to the previous state. *)
 let diff ~old_state st =
-  let changed =
-    Smap.fold
-      (fun k v acc ->
-        match Smap.find_opt k old_state.entries with
-        | Some old_v when String.equal old_v v -> acc
-        | _ -> (k, v) :: acc)
-      st.entries []
-  in
-  let removed =
-    Smap.fold
-      (fun k _ acc -> if Smap.mem k st.entries then acc else k :: acc)
-      old_state.entries []
-  in
   Some
     (Wire.encode (fun e ->
          Wire.Encoder.uint e st.version;
-         Wire.Encoder.list e
-           (fun (k, v) ->
-             Wire.Encoder.string e k;
-             Wire.Encoder.string e v)
-           changed;
-         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+         Smap.write_changed e Wire.Encoder.string ~equal:String.equal ~old:old_state.entries
+           st.entries;
+         Smap.write_removed e ~old:old_state.entries st.entries))
 
 let patch st s =
   Wire.decode s (fun d ->
       let version = Wire.Decoder.uint d in
-      let changed =
-        Wire.Decoder.list d (fun d ->
-            let k = Wire.Decoder.string d in
-            let v = Wire.Decoder.string d in
-            (k, v))
-      in
-      let removed = Wire.Decoder.list d Wire.Decoder.string in
-      let entries =
-        List.fold_left (fun m (k, v) -> Smap.add k v m) st.entries changed
-      in
-      let entries = List.fold_left (fun m k -> Smap.remove k m) entries removed in
-      { version; entries })
+      let entries = Smap.apply_changed d Wire.Decoder.string st.entries in
+      { version; entries = Smap.apply_removed d entries })
 
 (* Range handoff for elastic resharding: the bounds are *footprint*
    keys ("kv/" ^ entry key), since cut points live in the partition
@@ -211,41 +172,17 @@ let in_range ~lo ~hi fk =
   && match hi with None -> true | Some h -> String.compare fk h < 0
 
 let export_range st ~lo ~hi =
-  let slice =
-    Smap.fold
-      (fun k v acc -> if in_range ~lo ~hi ("kv/" ^ k) then (k, v) :: acc else acc)
-      st.entries []
-  in
-  let slice = List.rev slice in
-  Some
-    ( List.length slice,
-      Wire.encode (fun e ->
-          Wire.Encoder.list e
-            (fun (k, v) ->
-              Wire.Encoder.string e k;
-              Wire.Encoder.string e v)
-            slice) )
+  let slice = Smap.filter (fun k _ -> in_range ~lo ~hi ("kv/" ^ k)) st.entries in
+  Some (Smap.cardinal slice, Wire.encode (fun e -> Smap.write e Wire.Encoder.string slice))
 
 (* Idempotent: re-importing a slice that is already present leaves the
    state (version included) untouched, so duplicate INSTALL delivery is
    harmless. *)
 let import_range st s =
-  let bindings =
-    Wire.decode s (fun d ->
-        Wire.Decoder.list d (fun d ->
-            let k = Wire.Decoder.string d in
-            let v = Wire.Decoder.string d in
-            (k, v)))
-  in
-  let entries, changed =
-    List.fold_left
-      (fun (m, changed) (k, v) ->
-        match Smap.find_opt k m with
-        | Some v' when String.equal v v' -> (m, changed)
-        | _ -> (Smap.add k v m, true))
-      (st.entries, false) bindings
-  in
-  if changed then { entries; version = st.version + 1 } else st
+  let slice = Wire.decode s (fun d -> Smap.read d Wire.Decoder.string) in
+  let entries = Smap.union (fun _ _ v -> Some v) st.entries slice in
+  if Smap.equal String.equal entries st.entries then st
+  else { entries; version = st.version + 1 }
 
 (** Test helpers. *)
 

@@ -14,7 +14,7 @@
     same lease table. *)
 
 module Wire = Grid_codec.Wire
-module Smap = Map.Make (String)
+module Smap = Keyed.Strings
 
 let name = "lease_manager"
 
@@ -226,69 +226,39 @@ let decode_result s =
       | 6 -> Count (Wire.Decoder.uint d)
       | n -> raise (Wire.Decode_error { pos = 0; msg = Printf.sprintf "lease result %d" n }))
 
+let encode_lease e l =
+  Wire.Encoder.uint e l.holder;
+  Wire.Encoder.float e l.until
+
+let decode_lease d =
+  let holder = Wire.Decoder.uint d in
+  let until = Wire.Decoder.float d in
+  { holder; until }
+
 let encode_state_into e st =
   Wire.Encoder.uint e st.grants;
-  Wire.Encoder.list e
-    (fun (resource, l) ->
-      Wire.Encoder.string e resource;
-      Wire.Encoder.uint e l.holder;
-      Wire.Encoder.float e l.until)
-    (Smap.bindings st.leases)
+  Smap.write e encode_lease st.leases
 
 let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->
       let grants = Wire.Decoder.uint d in
-      let leases =
-        Wire.Decoder.list d (fun d ->
-            let resource = Wire.Decoder.string d in
-            let holder = Wire.Decoder.uint d in
-            let until = Wire.Decoder.float d in
-            (resource, { holder; until }))
-      in
-      { grants; leases = Smap.of_seq (List.to_seq leases) })
+      { grants; leases = Smap.read d decode_lease })
 
+(* Changed/removed leases only. *)
 let diff ~old_state st =
-  (* Changed/removed leases only. *)
-  let changed =
-    Smap.fold
-      (fun k l acc ->
-        match Smap.find_opt k old_state.leases with
-        | Some old_l when old_l = l -> acc
-        | _ -> (k, l) :: acc)
-      st.leases []
-  in
-  let removed =
-    Smap.fold
-      (fun k _ acc -> if Smap.mem k st.leases then acc else k :: acc)
-      old_state.leases []
-  in
   Some
     (Wire.encode (fun e ->
          Wire.Encoder.uint e st.grants;
-         Wire.Encoder.list e
-           (fun (k, l) ->
-             Wire.Encoder.string e k;
-             Wire.Encoder.uint e l.holder;
-             Wire.Encoder.float e l.until)
-           changed;
-         Wire.Encoder.list e (Wire.Encoder.string e) removed))
+         Smap.write_changed e encode_lease ~equal:( = ) ~old:old_state.leases st.leases;
+         Smap.write_removed e ~old:old_state.leases st.leases))
 
 let patch st s =
   Wire.decode s (fun d ->
       let grants = Wire.Decoder.uint d in
-      let changed =
-        Wire.Decoder.list d (fun d ->
-            let k = Wire.Decoder.string d in
-            let holder = Wire.Decoder.uint d in
-            let until = Wire.Decoder.float d in
-            (k, { holder; until }))
-      in
-      let removed = Wire.Decoder.list d Wire.Decoder.string in
-      let leases = List.fold_left (fun m (k, l) -> Smap.add k l m) st.leases changed in
-      let leases = List.fold_left (fun m k -> Smap.remove k m) leases removed in
-      { grants; leases })
+      let leases = Smap.apply_changed d decode_lease st.leases in
+      { grants; leases = Smap.apply_removed d leases })
 
 (** Test helpers. *)
 

@@ -15,7 +15,7 @@
 
 module Wire = Grid_codec.Wire
 module Rng = Grid_util.Rng
-module Imap = Map.Make (Int)
+module Imap = Keyed.Uints
 
 let name = "resource_broker"
 
@@ -157,11 +157,12 @@ let apply ~rng ~now:_ state op =
 (* Replay: re-apply the recorded choices instead of drawing new ones. *)
 let replay state op ~witness =
   match op with
-  | Select _ -> (
-    let chosen = decode_choice witness in
-    match chosen with
-    | [] -> (state, No_capacity)
-    | _ ->
+  | Select { units; _ } -> (
+    (* An empty choice is [No_capacity] unless no unit was asked for:
+       [select] grants a zero-unit request. *)
+    match decode_choice witness with
+    | [] when units > 0 -> (state, No_capacity)
+    | chosen ->
       let state' = List.fold_left charge state chosen in
       ({ state' with selections = state'.selections + 1 }, Selected chosen))
   | Register _ | Release _ | List_free | Resource_info _ ->
@@ -279,59 +280,28 @@ let decode_result s =
 
 let encode_state_into e st =
   Wire.Encoder.uint e st.selections;
-  Wire.Encoder.list e
-    (fun (rid, r) ->
-      Wire.Encoder.uint e rid;
-      encode_resource e r)
-    (Imap.bindings st.resources)
+  Imap.write e encode_resource st.resources
 
 let encode_state st = Wire.encode (fun e -> encode_state_into e st)
 
 let decode_state s =
   Wire.decode s (fun d ->
       let selections = Wire.Decoder.uint d in
-      let bindings =
-        Wire.Decoder.list d (fun d ->
-            let rid = Wire.Decoder.uint d in
-            let r = decode_resource d in
-            (rid, r))
-      in
-      { selections; resources = Imap.of_seq (List.to_seq bindings) })
+      { selections; resources = Imap.read d decode_resource })
 
-(* Delta: only the resources whose record changed (plus deletions are
-   impossible — the broker never removes resources). *)
+(* Delta: only the resources whose record changed. The broker never
+   removes a resource, so there is no removed list. *)
 let diff ~old_state st =
-  let changed =
-    Imap.fold
-      (fun rid r acc ->
-        match Imap.find_opt rid old_state.resources with
-        | Some old_r when old_r = r -> acc
-        | _ -> (rid, r) :: acc)
-      st.resources []
-  in
   Some
     (Wire.encode (fun e ->
          Wire.Encoder.uint e st.selections;
-         Wire.Encoder.list e
-           (fun (rid, r) ->
-             Wire.Encoder.uint e rid;
-             encode_resource e r)
-           changed))
+         Imap.write_changed e encode_resource ~equal:( = ) ~old:old_state.resources
+           st.resources))
 
 let patch st s =
   Wire.decode s (fun d ->
       let selections = Wire.Decoder.uint d in
-      let changed =
-        Wire.Decoder.list d (fun d ->
-            let rid = Wire.Decoder.uint d in
-            let r = decode_resource d in
-            (rid, r))
-      in
-      {
-        selections;
-        resources =
-          List.fold_left (fun m (rid, r) -> Imap.add rid r m) st.resources changed;
-      })
+      { selections; resources = Imap.apply_changed d decode_resource st.resources })
 
 (** Total used units across resources (test helper). *)
 let total_used st = Imap.fold (fun _ r acc -> acc + r.used) st.resources 0

@@ -379,11 +379,15 @@ let test_kv_version_bumps () =
 let gen_kv_op =
   QCheck2.Gen.(
     let key = map (fun i -> "k" ^ string_of_int i) (int_range 0 5) in
+    (* A short vocabulary too, so a [Cas] sometimes finds what it expects. *)
+    let value = oneof [ oneofl [ "a"; "b" ]; string_size (int_range 0 8) ] in
     oneof
       [
-        map2 (fun key value -> Kv.Put { key; value }) key (string_size (int_range 0 8));
+        map2 (fun key value -> Kv.Put { key; value }) key value;
         map (fun k -> Kv.Get k) key;
         map (fun k -> Kv.Del k) key;
+        map3 (fun key expected value -> Kv.Cas { key; expected; value })
+          key (option (oneofl [ "a"; "b" ])) value;
         map2 (fun key value -> Kv.Append { key; value }) key (string_size (int_range 0 4));
         return Kv.Size;
       ])
@@ -487,6 +491,199 @@ let prop_kv_encode_state_into =
       let st = { Kv.version; entries = Kv.Smap.of_seq (List.to_seq bindings) } in
       into_matches (module Kv) st && String.equal (Kv.encode_state st) (kv_state_as_list st))
 
+(* ------------------------------------------------------------------ *)
+(* Every service under random operations *)
+
+module type CASE = sig
+  include Grid_paxos.Service_intf.S
+
+  val gen_op : op QCheck2.Gen.t
+end
+
+let gen_noop_op =
+  QCheck2.Gen.(
+    oneof
+      [ return Noop.Noop_read; return Noop.Noop_write;
+        map (fun n -> Noop.Noop_sized_write n) (int_bound 40) ])
+
+let gen_counter_op =
+  QCheck2.Gen.(oneof [ return Counter.Get; map (fun n -> Counter.Add n) (int_range (-50) 50) ])
+
+let gen_lease_op =
+  QCheck2.Gen.(
+    let resource = map (fun i -> "r" ^ string_of_int i) (int_range 0 3) in
+    let holder = int_range 0 2 and ttl_ms = map float_of_int (int_range 1 60) in
+    oneof
+      [
+        map3 (fun resource holder ttl_ms -> Lease.Acquire { resource; holder; ttl_ms })
+          resource holder ttl_ms;
+        map3 (fun resource holder ttl_ms -> Lease.Renew { resource; holder; ttl_ms })
+          resource holder ttl_ms;
+        map2 (fun resource holder -> Lease.Release { resource; holder }) resource holder;
+        map (fun r -> Lease.Holder_of r) resource;
+        return Lease.Active_count;
+      ])
+
+let gen_broker_op =
+  QCheck2.Gen.(
+    let rid = int_range 0 5 and site = int_range 0 2 in
+    oneof
+      [
+        map3 (fun rid site capacity -> Broker.Register { rid; site; capacity })
+          rid site (int_range 0 4);
+        map2 (fun rid units -> Broker.Release { rid; units }) rid (int_range 0 3);
+        map3 (fun site units strategy -> Broker.Select { site; units; strategy })
+          site (int_range 0 3) (oneofl [ Broker.Uniform; Power_of_two; Least_loaded ]);
+        return Broker.List_free;
+        map (fun rid -> Broker.Resource_info rid) rid;
+      ])
+
+let gen_sched_op =
+  QCheck2.Gen.(
+    let job = int_range 0 7 and machine = int_range 0 3 in
+    oneof
+      [
+        map (fun m -> Sched.Add_machine m) machine;
+        map2 (fun job priority -> Sched.Submit { job; priority }) job (int_range (-2) 2);
+        return Sched.Examine;
+        map2 (fun job machine -> Sched.Complete { job; machine }) job machine;
+        return Sched.Queue_length;
+        map (fun job -> Sched.Assignment_of job) job;
+      ])
+
+(* A walk of random operations from [initial ()]: each op comes with the
+   leader's rng seed and the milliseconds its clock advanced (0-29), so
+   leases both live and lapse. *)
+let gen_walk length gen_op =
+  QCheck2.Gen.(list_size length (triple gen_op (int_bound 1_000_000) (int_bound 29)))
+
+module Props (C : CASE) = struct
+  let bytes = C.encode_state
+
+  (* The transitions of a walk: state before, op, rng seed, clock, and
+     [apply]'s outcome. *)
+  let transitions walk =
+    let _, _, acc =
+      List.fold_left
+        (fun (st, now, acc) (op, seed, dt) ->
+          let now = now +. float_of_int dt in
+          let o = C.apply ~rng:(Rng.of_int seed) ~now st op in
+          (o.C.state, now, (st, op, seed, now, o) :: acc))
+        (C.initial (), 0.0, []) walk
+    in
+    List.rev acc
+
+  let test name holds =
+    QCheck2.Test.make ~name:(C.name ^ ": " ^ name) ~count:100
+      ~print:(fun walk ->
+        String.concat "; "
+          (List.map
+             (fun (op, seed, dt) -> Printf.sprintf "+%dms seed %d op %S" dt seed (C.encode_op op))
+             walk))
+      (gen_walk (QCheck2.Gen.int_range 1 40) C.gen_op)
+      (fun walk -> List.for_all holds (transitions walk))
+
+  let roundtrip =
+    test "decode_state/encode_state roundtrip" (fun (_, _, _, _, o) ->
+        let b = bytes o.C.state in
+        String.equal (bytes (C.decode_state b)) b)
+
+  let diff_patch =
+    test "patch old (diff old new) = new" (fun (old, _, _, _, o) ->
+        match C.diff ~old_state:old o.C.state with
+        | Some d -> String.equal (bytes (C.patch old d)) (bytes o.C.state)
+        | None -> true)
+
+  (* A witness must pin down the whole transition; without one, another
+     rng and another clock must reach the same state (a read's result
+     may still differ: lease reads consult the clock). *)
+  let witness =
+    test "witness completeness" (fun (st, op, seed, now, o) ->
+        match o.C.witness with
+        | Some w ->
+          let st', r = C.replay st op ~witness:w in
+          String.equal (C.encode_result r) (C.encode_result o.C.result)
+          && String.equal (bytes st') (bytes o.C.state)
+        | None ->
+          let o' = C.apply ~rng:(Rng.of_int (seed + 1)) ~now:(now +. 7.5) st op in
+          String.equal (bytes o'.C.state) (bytes o.C.state))
+
+  let all = [ roundtrip; diff_patch; witness ]
+
+  (* Each state and delta along eight fixed-seed walks of 150 ops, then
+     [extra] of the state. *)
+  let add_golden add ~extra =
+    for seed = 1 to 8 do
+      let walk =
+        QCheck2.Gen.generate1 ~rand:(Random.State.make [| seed |])
+          (gen_walk (QCheck2.Gen.return 150) C.gen_op)
+      in
+      List.iter
+        (fun (old, _, _, _, o) ->
+          add (bytes o.C.state);
+          add (Option.value ~default:"-" (C.diff ~old_state:old o.C.state));
+          extra o.C.state)
+        (transitions walk)
+    done
+end
+
+module Noop_props = Props (struct include Noop let gen_op = gen_noop_op end)
+module Counter_props = Props (struct include Counter let gen_op = gen_counter_op end)
+module Kv_props = Props (struct include Kv let gen_op = gen_kv_op end)
+module Lease_props = Props (struct include Lease let gen_op = gen_lease_op end)
+module Broker_props = Props (struct include Broker let gen_op = gen_broker_op end)
+module Sched_props = Props (struct include Sched let gen_op = gen_sched_op end)
+
+let kv_ranges = [ ("", None); ("kv/k1", Some "kv/k4"); ("kv/k3", None); ("kv/", Some "kv/k2") ]
+
+(* The bytes that accepted log entries, snapshots and [Install] carry
+   for the four map-valued services, pinned: a change to a map codec or
+   a delta must not move them. *)
+let golden_services_digest = "bce005c1f3e1eee6b5e973efc08193db"
+
+let golden_services_bytes () =
+  let b = Buffer.create 65536 in
+  let add s =
+    Buffer.add_string b (string_of_int (String.length s));
+    Buffer.add_char b ':';
+    Buffer.add_string b s
+  in
+  Kv_props.add_golden add ~extra:(fun st ->
+      List.iter
+        (fun (lo, hi) ->
+          let n, slice = Option.get (Kv.export_range st ~lo ~hi) in
+          add (string_of_int n);
+          add slice)
+        kv_ranges);
+  Lease_props.add_golden add ~extra:ignore;
+  Broker_props.add_golden add ~extra:ignore;
+  Sched_props.add_golden add ~extra:ignore;
+  Buffer.contents b
+
+let test_golden_services_bytes () =
+  Alcotest.(check string) "digest of states, deltas and range slices" golden_services_digest
+    (Digest.to_hex (Digest.string (golden_services_bytes ())))
+
+(* A range exported from any state and imported into an empty store
+   gives exactly the slice; importing it again, or into the state it came
+   from, changes nothing, version included. *)
+let prop_kv_range_handoff =
+  let bound = QCheck2.Gen.(map (fun i -> "kv/k" ^ string_of_int i) (int_range 0 6)) in
+  QCheck2.Test.make ~name:"kv export_range/import_range: the slice, idempotent" ~count:200
+    QCheck2.Gen.(triple (gen_walk (int_range 1 40) gen_kv_op) bound (option bound))
+    (fun (walk, lo, hi) ->
+      let st =
+        List.fold_left (fun _ (_, _, _, _, o) -> o.Kv.state) (Kv.initial ())
+          (Kv_props.transitions walk)
+      in
+      let same a b = String.equal (Kv.encode_state a) (Kv.encode_state b) in
+      let n, slice = Option.get (Kv.export_range st ~lo ~hi) in
+      let t = Kv.import_range (Kv.initial ()) slice in
+      Kv.cardinal t = n
+      && Kv.export_range t ~lo:"" ~hi:None = Some (n, slice)
+      && same (Kv.import_range t slice) t
+      && same (Kv.import_range st slice) st)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let suite =
@@ -535,4 +732,12 @@ let suite =
     ( "services.state_codec",
       Alcotest.test_case "encode_state_into = encode_state" `Quick test_encode_state_into
       :: qcheck [ prop_kv_encode_state_into ] );
+    ( "services.random_ops",
+      Alcotest.test_case "golden state, delta and range bytes" `Quick
+        test_golden_services_bytes
+      :: qcheck
+           (List.concat
+              [ Noop_props.all; Counter_props.all; Kv_props.all; Lease_props.all;
+                Broker_props.all; Sched_props.all ]
+           @ [ prop_kv_range_handoff ]) );
   ]
