@@ -206,40 +206,12 @@ let keys_for p s =
    answered, leaving the client's handles idle again. *)
 let park_cross_txn t cl ~tid ~(shard_ops : (int * Kv.op) list) ~(prepare : int list)
     ~on_parked =
-  let ops_pending = ref (List.length shard_ops) in
-  let votes_pending = ref 0 in
-  let phase = ref `Ops in
-  let finish () =
-    M.set_on_reply t cl (fun _ -> ());
-    on_parked ()
-  in
-  let submit_prepares () =
-    phase := `Votes;
-    if prepare = [] then finish ()
-    else begin
-      votes_pending := List.length prepare;
-      List.iter
-        (fun s ->
-          match M.submit_prepare t cl ~shard:s ~tid ~ops:1 with
-          | `Submitted -> ()
-          | `Busy -> invalid_arg "Xstress.park_cross_txn: busy handle")
-        prepare
-    end
-  in
-  M.set_on_reply t cl (fun (_ : Types.reply) ->
-      match !phase with
-      | `Ops ->
-        decr ops_pending;
-        if !ops_pending = 0 then submit_prepares ()
-      | `Votes ->
-        decr votes_pending;
-        if !votes_pending = 0 then finish ());
-  List.iter
-    (fun (s, op) ->
-      match M.submit_txn_op t cl ~shard:s ~tid op with
-      | `Submitted -> ()
-      | `Busy -> invalid_arg "Xstress.park_cross_txn: busy handle")
-    shard_ops
+  M.round t cl ~what:"park ops"
+    (List.map (fun (s, op) -> (s, [ M.submit_txn_op t cl ~tid op ])) shard_ops)
+    (fun _ ->
+      M.round t cl ~what:"park prepares"
+        (List.map (fun s -> (s, [ M.submit_prepare t cl ~tid ~ops:1 ])) prepare)
+        (fun _ -> on_parked ()))
 
 (* 12 sequential cross-shard transactions over 2–3 groups each, a
    quarter of them abandoned mid-protocol and handed to a delayed
@@ -487,8 +459,10 @@ let reshard_drivers c =
         floor := e + 1;
         incr parked;
         let source = p.Reshard.pl_move.Partition.source in
-        M.set_on_reply t coord (fun (_ : Types.reply) ->
-            M.set_on_reply t coord (fun _ -> ());
+        let freeze =
+          M.submit_reshard t coord (Types.Reshard_freeze e) ~payload:p.Reshard.pl_freeze
+        in
+        M.round t coord ~what:"park freeze" [ (source, [ freeze ]) ] (fun _ ->
             after c
               (60.0 +. Rng.float rng 150.0)
               (fun () ->
@@ -501,13 +475,7 @@ let reshard_drivers c =
                     | M.R_committed ->
                       incr splits;
                       split_active := true);
-                    next_step (i + 1))));
-        (match
-           M.submit_reshard t coord ~shard:source (Types.Reshard_freeze e)
-             ~payload:p.Reshard.pl_freeze
-         with
-        | `Submitted -> ()
-        | `Busy -> invalid_arg "Xstress: reshard coordinator handle busy"))
+                    next_step (i + 1)))))
   in
   (* Closed-loop appenders tagging every write with a unique token; the
      redirect wrapper hides Wrong_epoch from them, so an Ok reply is an

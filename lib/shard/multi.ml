@@ -33,7 +33,7 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
         (* logical submissions so far: the deterministic trace-id source
            (id * 1e6 + lseq), advanced only on successful submits *)
     mutable base_on_reply : (reply -> unit) option;
-        (* the caller's reply callback, so the 2PC coordinator can
+        (* the caller's reply callback, so a coordinator [round] can
            borrow the per-shard handles and hand them back afterwards *)
     mutable last_item : S.op Runtime.item option;
         (* what the outstanding request was, so a [Wrong_epoch] redirect
@@ -44,8 +44,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     mutable redirects : int;  (* total transparent redirects, for stats *)
     mutable wrapped_cb : reply -> unit;
         (* the redirect-intercepting callback installed on every
-           per-shard handle; [set_on_reply]/[release_handles] reinstall
-           it (never the raw caller callback) *)
+           per-shard handle; [set_on_reply] and the end of a [round]
+           reinstall it (never the raw caller callback) *)
   }
 
   type t = {
@@ -371,68 +371,63 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     else
       Group.submit t.groups.(shard) cl.handles.(shard) (Txn_abort tid) ~payload:""
 
-  (* Route each reply arriving on the client's per-shard handles to a
-     phase handler; the caller's callback is restored when the protocol
-     finishes (or is abandoned by swapping in a new dispatcher). *)
-  let borrow_handles t cl dispatch =
-    Array.iteri
-      (fun g h -> Group.set_on_reply t.groups.(g) h (fun reply -> dispatch g reply))
-      cl.handles
-
-  let release_handles t cl =
-    (* Back to the redirect wrapper (which forwards to [base_on_reply]),
-       never the raw callback: a [Wrong_epoch] arriving right after a
-       coordinator hands the handles back must still be intercepted. *)
-    Array.iteri (fun g h -> Group.set_on_reply t.groups.(g) h cl.wrapped_cb) cl.handles
-
-  let must_submit ~what = function
-    | `Submitted -> ()
-    | `Busy -> invalid_arg ("Multi: cross-txn handle busy at " ^ what)
-
-  (* Drive the decision phase: COMMIT goes to the home group first and
-     alone — its commit is the transaction's commit point — then fans
-     out to the remaining participants; ABORT fans out to everyone at
-     once (presumed abort makes ordering irrelevant). [on_done] fires
-     after every participant acknowledged its decision, so locks are
-     released cluster-wide before the caller proceeds. *)
-  let drive_decision t cl ~tid ~home ~rest ~commit ~on_done =
-    let pending = ref 0 in
-    let result = ref (if commit then X_committed else X_aborted) in
-    let fan_out shards ~commit =
-      pending := List.length shards;
-      if !pending = 0 then begin
-        release_handles t cl;
-        on_done !result
-      end
-      else
-        List.iter
-          (fun s -> must_submit ~what:"decision" (submit_decision t cl ~shard:s ~tid ~commit))
-          shards
+  (* One coordinator round. Each shard's submits run in order on the
+     client's handle for that shard, and a shard stops early at any reply
+     that is not [Ok]; shards run side by side. Once every shard is done
+     the handles go back to the redirect wrapper (which forwards to
+     [base_on_reply], so a [Wrong_epoch] arriving right after is still
+     intercepted), and only then does [k] get each shard's last reply, in
+     [reqs] order. Every coordinator below is a chain of rounds. *)
+  let round t cl ~what reqs k =
+    let left = Array.make (Array.length t.groups) [] in
+    let last = Array.make (Array.length t.groups) None in
+    let pending = ref (List.length reqs) in
+    let finish () =
+      Array.iteri (fun g h -> Group.set_on_reply t.groups.(g) h cl.wrapped_cb) cl.handles;
+      k (List.map (fun (s, _) -> Option.get last.(s)) reqs)
     in
-    let rec dispatch_rest _g (_ : reply) =
-      decr pending;
-      if !pending = 0 then begin
-        release_handles t cl;
-        on_done !result
-      end
-    and dispatch_home _g (reply : reply) =
-      (* The home group's answer is authoritative: [Ok] means the COMMIT
-         decision committed; [Txn_aborted] means a racing recovery got an
-         abort decision in first, so the others must abort too. *)
-      let committed = reply.status = Ok in
-      if not committed then result := X_aborted;
-      borrow_handles t cl dispatch_rest;
-      fan_out rest ~commit:committed
+    let next s =
+      match left.(s) with
+      | [] -> invalid_arg ("Multi.round: a shard with nothing to submit at " ^ what)
+      | submit :: more -> (
+        left.(s) <- more;
+        match submit ~shard:s with
+        | `Submitted -> ()
+        | `Busy -> invalid_arg ("Multi: coordinator handle busy at " ^ what))
     in
-    if commit then begin
-      borrow_handles t cl dispatch_home;
-      pending := 1;
-      must_submit ~what:"commit(home)" (submit_decision t cl ~shard:home ~tid ~commit:true)
-    end
-    else begin
-      borrow_handles t cl dispatch_rest;
-      fan_out (home :: rest) ~commit:false
-    end
+    let on_reply s (reply : reply) =
+      last.(s) <- Some reply;
+      match left.(s) with
+      | _ :: _ when reply.status = Ok -> next s
+      | _ ->
+        decr pending;
+        if !pending = 0 then finish ()
+    in
+    match reqs with
+    | [] -> finish ()
+    | _ ->
+      Array.iteri (fun g h -> Group.set_on_reply t.groups.(g) h (on_reply g)) cl.handles;
+      List.iter
+        (fun (s, submits) ->
+          left.(s) <- submits;
+          next s)
+        reqs
+
+  (* The decision: the home group decides first and alone — its log is
+     the commit point — then the rest follow it. The 2PC commit sends
+     the home a COMMIT and recovery an ABORT probe; either way [Ok] back
+     means the COMMIT decision committed there, and anything else that
+     an abort decision won (a racing recovery, or no vote ever
+     committed). [on_done] fires once every participant acknowledged, so
+     locks are released cluster-wide before the caller proceeds. *)
+  let decide_home_first t cl ~tid ~home ~rest ~commit ~on_done =
+    round t cl ~what:"decision(home)"
+      [ (home, [ submit_decision t cl ~tid ~commit ]) ]
+      (fun replies ->
+        let commit = (List.hd replies).status = Ok in
+        round t cl ~what:"decision"
+          (List.map (fun s -> (s, [ submit_decision t cl ~tid ~commit ])) rest)
+          (fun _ -> on_done (if commit then X_committed else X_aborted)))
 
   let submit_cross_txn ?tid t cl ~(ops : S.op list) ~on_done =
     if ops = [] then invalid_arg "Multi.submit_cross_txn: empty transaction";
@@ -455,109 +450,47 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     Array.iteri (fun s l -> by_shard.(s) <- List.rev l) by_shard;
     let shards = List.filter (fun s -> by_shard.(s) <> []) (List.init k Fun.id) in
     let home = List.hd shards and rest = List.tl shards in
+    let at_each submit = List.map (fun s -> (s, [ submit s ])) shards in
     (* Phase 1 — ops: each participant executes its slice on a
        leader-local branch (ordinary T-Paxos [Txn_op]s, sequential per
-       shard, shards progressing concurrently). *)
-    let queues = Array.map (fun l -> ref l) by_shard in
-    let ops_pending = ref (List.length shards) in
-    (* Phase 2 — prepare: every participant votes by committing (or
-       instantly refusing) a [Txn_prepare] instance. *)
-    let votes_pending = ref 0 in
-    let saw_conflict = ref false in
-    let all_yes = ref true in
-    let rec start_prepare () =
-      borrow_handles t cl dispatch_vote;
-      votes_pending := List.length shards;
-      List.iter
-        (fun s ->
-          must_submit ~what:"prepare"
-            (submit_prepare t cl ~shard:s ~tid ~ops:(List.length by_shard.(s))))
-        shards
-    and dispatch_vote _g (reply : reply) =
-      (match reply.status with
-      | Ok -> ()
-      | Txn_conflict ->
-        all_yes := false;
-        saw_conflict := true
-      | _ -> all_yes := false);
-      decr votes_pending;
-      if !votes_pending = 0 then
-        if !all_yes then drive_decision t cl ~tid ~home ~rest ~commit:true ~on_done
-        else
-          (* Phase 3b — abort: at least one NO. Conflicts surface as
-             [X_conflict] so callers can distinguish livelock from
-             failure. NO-voters hold no lock, but the abort is still sent
-             everywhere: on YES-voters it is the decision instance, on
-             NO-voters an instant presumed-abort reply. *)
-          drive_decision t cl ~tid ~home ~rest ~commit:false
-            ~on_done:(fun _ ->
-              on_done (if !saw_conflict then X_conflict else X_aborted))
-    and dispatch_op g (reply : reply) =
-      match reply.status with
-      | Ok -> (
-        match !(queues.(g)) with
-        | op :: more ->
-          queues.(g) := more;
-          must_submit ~what:"txn_op" (submit_txn_op t cl ~shard:g ~tid op)
-        | [] ->
-          decr ops_pending;
-          if !ops_pending = 0 then start_prepare ())
-      | _ ->
-        (* A branch op only fails terminally if its group is wedged;
-           votes would refuse anyway, so skip straight to prepare. *)
-        queues.(g) := [];
-        decr ops_pending;
-        if !ops_pending = 0 then start_prepare ()
-    in
-    borrow_handles t cl dispatch_op;
-    List.iter
-      (fun s ->
-        match !(queues.(s)) with
-        | op :: more ->
-          queues.(s) := more;
-          must_submit ~what:"txn_op" (submit_txn_op t cl ~shard:s ~tid op)
-        | [] -> assert false)
-      shards;
+       shard, shards progressing concurrently). A branch op only fails
+       terminally if its group is wedged; votes would refuse anyway, so
+       that shard skips straight to prepare. *)
+    round t cl ~what:"txn_op"
+      (List.map
+         (fun s -> (s, List.map (fun op -> submit_txn_op t cl ~tid op) by_shard.(s)))
+         shards)
+      (fun _ ->
+        (* Phase 2 — prepare: every participant votes by committing (or
+           instantly refusing) a [Txn_prepare] instance. *)
+        round t cl ~what:"prepare"
+          (at_each (fun s -> submit_prepare t cl ~tid ~ops:(List.length by_shard.(s))))
+          (fun votes ->
+            if List.for_all (fun (v : reply) -> v.status = Ok) votes then
+              decide_home_first t cl ~tid ~home ~rest ~commit:true ~on_done
+            else
+              (* Phase 3b — abort: at least one NO. Conflicts surface as
+                 [X_conflict] so callers can distinguish livelock from
+                 failure. NO-voters hold no lock, but the abort is still
+                 sent everywhere, at once (presumed abort makes ordering
+                 irrelevant): on YES-voters it is the decision instance,
+                 on NO-voters an instant presumed-abort reply. *)
+              let conflict = List.exists (fun (v : reply) -> v.status = Txn_conflict) votes in
+              round t cl ~what:"abort"
+                (at_each (fun _ -> submit_decision t cl ~tid ~commit:false))
+                (fun _ -> on_done (if conflict then X_conflict else X_aborted))));
     tid
 
-  (* Presumed-abort recovery for an abandoned coordinator: try to abort
-     at the home group. If the home answers [Ok], the COMMIT decision had
-     already committed there — finish the commit at the remaining
-     participants; any other answer means the abort decision won (or no
-     vote ever committed) and the remaining participants abort. Safe to
-     run concurrently with the original coordinator: both race through
-     the home group's log, and decision tombstones make the loser's
-     requests harmless. Must use a fresh logical client (request ids of
-     the abandoned coordinator may still be in flight). *)
+  (* Presumed-abort recovery for an abandoned coordinator: the commit
+     path's decision with an ABORT probe at the home group. Safe to run
+     concurrently with the original coordinator: both race through the
+     home group's log, and decision tombstones make the loser's requests
+     harmless. Must use a fresh logical client (request ids of the
+     abandoned coordinator may still be in flight). *)
   let recover_cross_txn t cl ~tid ~shards ~on_done =
-    let shards = List.sort_uniq Int.compare shards in
-    match shards with
+    match List.sort_uniq Int.compare shards with
     | [] -> invalid_arg "Multi.recover_cross_txn: no participants"
-    | home :: rest ->
-      let dispatch_probe _g (reply : reply) =
-        let committed = reply.status = Ok in
-        let pending = ref (List.length rest) in
-        if !pending = 0 then begin
-          release_handles t cl;
-          on_done (if committed then X_committed else X_aborted)
-        end
-        else begin
-          borrow_handles t cl (fun _g (_ : reply) ->
-              decr pending;
-              if !pending = 0 then begin
-                release_handles t cl;
-                on_done (if committed then X_committed else X_aborted)
-              end);
-          List.iter
-            (fun s ->
-              must_submit ~what:"recover-decision"
-                (submit_decision t cl ~shard:s ~tid ~commit:committed))
-            rest
-        end
-      in
-      borrow_handles t cl dispatch_probe;
-      must_submit ~what:"recover-probe"
-        (submit_decision t cl ~shard:home ~tid ~commit:false)
+    | home :: rest -> decide_home_first t cl ~tid ~home ~rest ~commit:false ~on_done
 
   (* ---------------------------------------------------------------- *)
   (* Elastic resharding: the migration coordinator (DESIGN.md §17).
@@ -566,8 +499,8 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      unreplicated; crash safety comes from every protocol step being a
      consensus instance in a participant group's log. The SOURCE group
      is the commit point: the reshard is committed iff the COMMIT
-     decision committed in the source's log. The phases run strictly in
-     sequence over one borrowed client:
+     decision committed in the source's log. The phases are a chain of
+     one-shard rounds over one client, strictly in sequence:
 
        FREEZE(source) → export slice → INSTALL(target) →
        COMMIT(source) → COMMIT(target) → adopt map
@@ -624,64 +557,58 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
     | None -> None
     | Some (_, r) -> S.export_range (Group.R.state r) ~lo ~hi
 
+  (* One reshard instance as a one-shard round; [k] gets its reply. *)
+  let reshard_step t cl ~what ~shard rt ~payload k =
+    round t cl ~what [ (shard, [ submit_reshard t cl rt ~payload ]) ] (fun replies ->
+        k (List.hd replies))
+
   let run_plan t cl (p : Reshard.plan) ~on_done =
     let epoch = p.Reshard.pl_epoch in
     let source = p.Reshard.pl_move.Partition.source in
     let target = p.Reshard.pl_move.Partition.target in
     let lo = p.Reshard.pl_move.Partition.mv_lo in
     let hi = p.Reshard.pl_move.Partition.mv_hi in
-    let finish r =
-      release_handles t cl;
-      on_done r
-    in
     (* Roll back an uncommitted migration: the ABORT instance clears the
        freeze at the source (and tombstones the epoch), unblocking held
        writers. Nothing was committed, so this is purely availability. *)
     let abort_at_source reason =
-      borrow_handles t cl (fun _g (_ : reply) -> finish (R_aborted reason));
-      must_submit ~what:"reshard-abort"
-        (submit_reshard t cl ~shard:source (Reshard_abort epoch) ~payload:"")
+      reshard_step t cl ~what:"reshard-abort" ~shard:source (Reshard_abort epoch)
+        ~payload:"" (fun _ -> on_done (R_aborted reason))
     in
+    (* The source committed: the reshard IS committed. The target's
+       COMMIT activates the imported slice there; its answer cannot change
+       the outcome (a duplicate arriving later via [recover_reshard] would
+       be answered [Ok] idempotently). *)
     let commit_target () =
-      (* The source committed: the reshard IS committed. The target's
-         COMMIT activates the imported slice there; its answer cannot
-         change the outcome (a duplicate arriving later via
-         [recover_reshard] would be answered [Ok] idempotently). *)
-      borrow_handles t cl (fun _g (_ : reply) -> finish R_committed);
-      must_submit ~what:"reshard-commit(target)"
-        (submit_reshard t cl ~shard:target (Reshard_commit epoch)
-           ~payload:p.Reshard.pl_commit)
+      reshard_step t cl ~what:"reshard-commit(target)" ~shard:target
+        (Reshard_commit epoch) ~payload:p.Reshard.pl_commit (fun _ ->
+          on_done R_committed)
     in
     let commit_source () =
-      borrow_handles t cl (fun _g (reply : reply) ->
+      reshard_step t cl ~what:"reshard-commit(source)" ~shard:source
+        (Reshard_commit epoch) ~payload:p.Reshard.pl_commit (fun reply ->
           if reply.status = Ok then begin
             t.part <- p.Reshard.pl_map;
             commit_target ()
           end
           else
             (* A racing [recover_reshard] got its abort in first. *)
-            finish (R_aborted "source refused COMMIT"));
-      must_submit ~what:"reshard-commit(source)"
-        (submit_reshard t cl ~shard:source (Reshard_commit epoch)
-           ~payload:p.Reshard.pl_commit)
+            on_done (R_aborted "source refused COMMIT"))
     in
     let install () =
       match export_slice t ~source ~lo ~hi with
       | None -> abort_at_source "no frozen source replica to export from"
       | Some (count, blob) ->
-        borrow_handles t cl (fun _g (reply : reply) ->
+        reshard_step t cl ~what:"reshard-install" ~shard:target
+          (Reshard_install epoch) ~payload:(Reshard.install_payload p ~count ~blob)
+          (fun reply ->
             if reply.status = Ok then commit_source ()
-            else abort_at_source "target refused INSTALL");
-        must_submit ~what:"reshard-install"
-          (submit_reshard t cl ~shard:target (Reshard_install epoch)
-             ~payload:(Reshard.install_payload p ~count ~blob))
+            else abort_at_source "target refused INSTALL")
     in
-    borrow_handles t cl (fun _g (reply : reply) ->
+    reshard_step t cl ~what:"reshard-freeze" ~shard:source (Reshard_freeze epoch)
+      ~payload:p.Reshard.pl_freeze (fun reply ->
         if reply.status = Ok then install ()
-        else finish (R_aborted "source refused FREEZE"));
-    must_submit ~what:"reshard-freeze"
-      (submit_reshard t cl ~shard:source (Reshard_freeze epoch)
-         ~payload:p.Reshard.pl_freeze)
+        else on_done (R_aborted "source refused FREEZE"))
 
   let run_outcome t cl outcome ~on_done :
       (unit, Partition.reshard_error) result =
@@ -730,25 +657,17 @@ module Make (S : Grid_paxos.Service_intf.S) = struct
      idempotent. *)
   let recover_reshard t cl ~epoch ~source ~target ~on_done =
     if epoch >= t.reshard_floor then t.reshard_floor <- epoch + 1;
-    let finish r =
-      release_handles t cl;
-      on_done r
-    in
-    let dispatch_probe _g (reply : reply) =
-      if reply.status = Ok && reply.payload <> "" then begin
-        (match Partition.decode reply.payload with
-        | m -> if Partition.epoch m > Partition.epoch t.part then t.part <- m
-        | exception _ -> ());
-        borrow_handles t cl (fun _g (_ : reply) -> finish R_committed);
-        must_submit ~what:"reshard-recover-commit"
-          (submit_reshard t cl ~shard:target (Reshard_commit epoch)
-             ~payload:reply.payload)
-      end
-      else finish (R_aborted "abort won")
-    in
-    borrow_handles t cl dispatch_probe;
-    must_submit ~what:"reshard-recover-probe"
-      (submit_reshard t cl ~shard:source (Reshard_abort epoch) ~payload:"")
+    reshard_step t cl ~what:"reshard-recover-probe" ~shard:source
+      (Reshard_abort epoch) ~payload:"" (fun reply ->
+        if reply.status = Ok && reply.payload <> "" then begin
+          (match Partition.decode reply.payload with
+          | m -> if Partition.epoch m > Partition.epoch t.part then t.part <- m
+          | exception _ -> ());
+          reshard_step t cl ~what:"reshard-recover-commit" ~shard:target
+            (Reshard_commit epoch) ~payload:reply.payload (fun _ ->
+              on_done R_committed)
+        end
+        else on_done (R_aborted "abort won"))
 
   (* ---------------------------------------------------------------- *)
   (* Failure control: per-group delegation. *)

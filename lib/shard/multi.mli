@@ -115,6 +115,30 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       behalf. A redirected request counts once per hop; the caller saw
       none of them. *)
 
+  (** {1 Coordinator rounds}
+
+      Every client-side coordinator below — 2PC, its presumed-abort
+      recovery, resharding and its recovery — is a chain of {!round}s:
+      submit these, then continue with the replies. *)
+
+  val round :
+    t ->
+    client ->
+    what:string ->
+    (int * (shard:int -> [ `Busy | `Submitted ]) list) list ->
+    (Grid_paxos.Types.reply list -> unit) ->
+    unit
+  (** [round t cl ~what reqs k]: for each [(shard, submits)] of [reqs]
+      (distinct shards, each with at least one submit), run [submits] in
+      order on [cl]'s handle for [shard], stopping early at any reply that
+      is not [Ok]; shards run side by side. When every shard is done the
+      handles are back with the redirect wrapper, and then [k] gets each
+      shard's last reply, in [reqs] order. An empty [reqs] calls [k []]
+      at once. The round borrows the handles, so they must all be idle;
+      a submit answering [`Busy] raises [Invalid_argument] naming
+      [what]. Each submit is a raw submission such as {!submit_prepare}
+      applied to all but [~shard]. *)
+
   (** {1 Cross-shard transactions (2PC over per-group T-Paxos)}
 
       The coordinator is client-side and unreplicated; crash safety
@@ -122,7 +146,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       consensus instances in each participant group's log (DESIGN.md
       §16). The home group — lowest participant shard — is the commit
       point: the transaction committed iff the COMMIT decision committed
-      there. *)
+      there. The coordinator is three rounds: the ops (one sequence per
+      shard), the votes, then the decision — a COMMIT to the home group
+      alone and then to the rest, or an ABORT to every participant at
+      once. *)
 
   type xresult = X_committed | X_aborted | X_conflict
 
@@ -147,24 +174,25 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
   (** Run one cross-shard transaction over [ops] (routed per op by
       footprint; at least one op required) and return its tid. Phases:
       per-shard branch execution, prepare fan-out, then the decision
-      ([drive_decision] order: home first on commit). [on_done] fires
-      once every participant has acknowledged the decision. The client's
-      per-shard handles must all be idle; its [on_reply] callback is
-      borrowed for the duration and restored before [on_done]. Raises
-      [Invalid_argument] on an unroutable op, an empty [ops], or a busy
-      handle. *)
+      (home first on commit). [on_done] fires once every participant has
+      acknowledged the decision. The client's per-shard handles must all
+      be idle; they are borrowed for each round and back before
+      [on_done]. Raises [Invalid_argument] on an unroutable op, an empty
+      [ops], or a busy handle. *)
 
   val recover_cross_txn :
     t -> client -> tid:int -> shards:int list -> on_done:(xresult -> unit) -> unit
   (** Presumed-abort recovery for an abandoned coordinator: probe the
       home (lowest) shard with an abort; [Ok] back means the COMMIT
       decision had already committed there, so the commit is completed
-      at the remaining participants — anything else aborts them. Safe to
+      at the remaining participants — anything else aborts them. This is
+      the commit path's decision rounds with an ABORT probe at home. Safe to
       race with the original coordinator (decision tombstones resolve
       the loser); use a fresh logical client. *)
 
-  (** Raw per-shard submissions for deterministic engine-level tests:
-      the caller places ops and drives phases itself. *)
+  (** Raw per-shard submissions: a {!round}'s submits, and for
+      deterministic engine-level tests the caller places ops and drives
+      phases itself. *)
 
   val submit_txn_op :
     t -> client -> shard:int -> tid:int -> S.op -> [ `Busy | `Submitted ]
@@ -182,7 +210,8 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
       coordinator above; crash safety comes from every protocol step
       being a consensus instance in a participant group's log. The
       {e source} group is the commit point: the reshard committed iff
-      the COMMIT decision committed in the source's log. Clients that
+      the COMMIT decision committed in the source's log. The coordinator
+      and its recovery are chains of one-shard {!round}s. Clients that
       hit a moved range receive a typed [Wrong_epoch] redirect carrying
       the committed map; the router adopts it and transparently
       resubmits plain operations (see {!redirect_count}). *)
@@ -245,9 +274,10 @@ module Make (S : Grid_paxos.Service_intf.S) : sig
     Grid_paxos.Types.rtype ->
     payload:string ->
     [ `Busy | `Submitted ]
-  (** Raw reshard-instance submission for deterministic engine-level
-      tests: the caller drives FREEZE/INSTALL/COMMIT/ABORT itself (and
-      the router's map is not touched). *)
+  (** Raw reshard-instance submission, for a {!round} or for
+      deterministic engine-level tests: the caller drives
+      FREEZE/INSTALL/COMMIT/ABORT itself (and the router's map is not
+      touched). *)
 
   (** {1 Failure control (per group)} *)
 
