@@ -590,14 +590,23 @@ module Make (S : Service_intf.S) = struct
             Hashtbl.replace l.l_txns key txn;
             txn
         in
-        let outcome = apply_op t txn.tx_state r in
-        txn.tx_state <- outcome.state;
-        txn.tx_ops <- (r, outcome.witness) :: txn.tx_ops;
-        txn.tx_footprint <- Footprint.union txn.tx_footprint (op_footprint r);
-        let reply = { req = r.id; status = Ok; payload = S.encode_result outcome.result } in
-        txn.tx_replies <- reply :: txn.tx_replies;
-        span_request t ~instance:(-1) ~detail:"" Span.Apply r;
-        reply_actions [ reply ]
+        (* A duplicated op gets its recorded reply again and is not
+           applied again: the prepare's op count is what tells a branch
+           that lost ops to a leader switch from a whole one, so a second
+           copy must not make up for a lost op. *)
+        (match
+           List.find_opt (fun (rep : reply) -> Ids.Request_id.equal rep.req r.id) txn.tx_replies
+         with
+        | Some reply -> reply_actions [ reply ]
+        | None ->
+          let outcome = apply_op t txn.tx_state r in
+          txn.tx_state <- outcome.state;
+          txn.tx_ops <- (r, outcome.witness) :: txn.tx_ops;
+          txn.tx_footprint <- Footprint.union txn.tx_footprint (op_footprint r);
+          let reply = { req = r.id; status = Ok; payload = S.encode_result outcome.result } in
+          txn.tx_replies <- reply :: txn.tx_replies;
+          span_request t ~instance:(-1) ~detail:"" Span.Apply r;
+          reply_actions [ reply ])
       | _ -> [])
 
   and check_read_ready t (l : leadership) pr =
