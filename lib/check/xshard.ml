@@ -2,10 +2,11 @@
    over per-group T-Paxos, from the groups' committed histories alone.
 
    The input is one committed history per group (instance, request batch,
-   encoded state) — normally the longest replica history of each group;
-   per-replica agreement within a group is Agreement.check's job, not
-   ours. Cross-shard transaction ids are recognised by [is_cross_tid]
-   (Multi allocates them at and above [Multi.cross_tid_base]). *)
+   encoded state) — normally every replica's entries of a group merged
+   by instance; per-replica agreement within a group is Agreement.check's
+   job, not ours. Cross-shard transaction ids are recognised by
+   [is_cross_tid] (Multi allocates them at and above
+   [Multi.cross_tid_base]). *)
 
 open Grid_paxos.Types
 module Footprint = Grid_paxos.Footprint

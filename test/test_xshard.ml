@@ -261,6 +261,41 @@ let test_duplicate_commit_delivery () =
           (Array.init (M.shards t) longest)))
 
 (* ------------------------------------------------------------------ *)
+(* A duplicated branch op: the network delivers one [Txn_op] to the
+   leader twice. The branch must hold it once, so a prepare counting one
+   op votes YES and the COMMIT applies the op once. The op count is what
+   makes a leader switch abort a transaction (§3.6); a second copy of one
+   op must not stand in for an op the branch lost. *)
+
+let test_duplicate_txn_op () =
+  let module H = Engine_harness.Make (Kv) in
+  let t = H.create () in
+  H.elect t 0;
+  let tid = M.cross_tid_base in
+  let run ~seq rtype payload =
+    H.submit t (H.client_request ~client:2 ~seq ~rtype ~payload ());
+    H.deliver_all t;
+    List.map (fun (r : reply) -> Format.asprintf "%a" pp_status r.status) (H.take_replies t)
+  in
+  let ok = [ Format.asprintf "%a" pp_status Ok ] in
+  let op =
+    H.client_request ~client:2 ~seq:1 ~rtype:(Txn_op tid)
+      ~payload:(Kv.encode_op (Kv.Append { key = "k"; value = "+a" }))
+      ()
+  in
+  H.submit t op;
+  H.submit t op;
+  H.deliver_all t;
+  Alcotest.(check int) "both copies answered" 2 (List.length (H.take_replies t));
+  let count = Grid_codec.Wire.encode (fun e -> Grid_codec.Wire.Encoder.uint e 1) in
+  Alcotest.(check (list string)) "the prepare counting one op votes YES" ok
+    (run ~seq:2 (Txn_prepare tid) count);
+  Alcotest.(check (list string)) "the commit is answered Ok" ok
+    (run ~seq:3 (Txn_commit tid) count);
+  Alcotest.(check (option string)) "the op applied once" (Some "+a")
+    (Kv.find (H.Replica.state t.replicas.(0)) "k")
+
+(* ------------------------------------------------------------------ *)
 (* Router pin-table regression: 10^5 transactions through one logical
    client leave no pins behind, and the table never grows past the
    transactions genuinely open. *)
@@ -444,6 +479,16 @@ let test_traced_schedule_deterministic () =
   check "xshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Xshard);
   check "reshard" ~pp:X.pp_outcome (fun trace -> X.run_one ?trace ~seed:1 X.Reshard)
 
+(* Two schedules that once failed: xshard seed 8509, where the drain
+   oracle read the longest replica history and that history had a hole
+   (its replica caught up by snapshot, missing the ABORT the other two
+   hold), and reshard seed 2767, where a duplicated [Txn_op] filled in
+   for an op the branch lost to a leader switch, so a committed
+   transaction applied one op twice and another not at all. *)
+let test_regression_seed tier seed () =
+  let o = Grid_check.Xstress.run_one ~seed tier in
+  Alcotest.(check (list string)) "no violations" [] o.violations
+
 (* The one batch loop folds exactly the schedules the seed path runs,
    for every tier: seeds dealt round-robin over the tier's lanes, the
    schedule count, the failing seeds in run order, the sharded tiers'
@@ -536,6 +581,10 @@ let suite =
           test_batch_folds_schedules;
         Alcotest.test_case "an unexercised batch fails its tier" `Quick
           test_unexercised_batch_fails;
+        Alcotest.test_case "xshard seed 8509: the drain oracle merges replicas" `Quick
+          (test_regression_seed Grid_check.Xstress.Xshard 8509);
+        Alcotest.test_case "reshard seed 2767: a duplicated txn op applies once" `Quick
+          (test_regression_seed Grid_check.Xstress.Reshard 2767);
       ] );
     ( "xshard.2pc",
       [
@@ -546,6 +595,8 @@ let suite =
           test_coordinator_crash_partial_prepare;
         Alcotest.test_case "duplicate commit delivery is idempotent" `Quick
           test_duplicate_commit_delivery;
+        Alcotest.test_case "a duplicated branch op applies once" `Quick
+          test_duplicate_txn_op;
         Alcotest.test_case "router pin table bounded over 10^5 txns" `Slow
           test_pin_table_bounded;
       ] );
